@@ -4,7 +4,8 @@ Every subcommand emits one self-describing JSON document (schema_version,
 command and config echo, results, verdict, tolerances).  Reports are
 byte-identical across runs for fixed inputs and seed; wall-clock timing is
 opt-in via --timing because it would break that guarantee.  A failing
-verdict exits with code 1, usage and parse problems with code 2.
+verdict exits with code 1; usage and parse problems, and inputs over a
+size cap, exit with code 2.
 """
 
 from __future__ import annotations
@@ -18,8 +19,7 @@ import numpy as np
 
 from . import acceptance
 from .cuntz import build_cuntz_tower, cuntz_verify, multiplication_pvm
-from .errors import PvmkError, InputParseError
-from .parallel import thread_count
+from .errors import InputParseError, PvmkError, SpaceTooLarge, TowerTooLarge
 from .fixed_point import (
     phi_iterate,
     relate_verify,
@@ -45,10 +45,6 @@ from .schemas import (
 from .transport import kantorovich
 
 DEFAULT_TOL = 1e-9
-
-
-def _threads() -> int:
-    return thread_count()
 
 
 def _report(args, command: str, results: dict, verdict: bool, started: float) -> dict:
@@ -398,9 +394,8 @@ def run(argv) -> int:
         return int(exc.code or 0)
     started = time.monotonic()
     try:
-        _threads()  # validate the env knob early
         report, csv_text = args.func(args, started)
-    except InputParseError as exc:
+    except (InputParseError, SpaceTooLarge, TowerTooLarge) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except PvmkError as exc:
@@ -412,3 +407,7 @@ def run(argv) -> int:
 
 def main() -> None:
     sys.exit(run(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

@@ -25,20 +25,6 @@ from .ovm import OperatorValuedMeasure, PROJECTION, validate_ovm
 
 
 @dataclass(frozen=True)
-class LevelSpace:
-    """Level-k coefficient space: one orthonormal basis vector per word.
-
-    The basis vector of a word is its normalized cell indicator, so
-    dimension equals the word count and the index order is the tower's
-    word order.
-    """
-
-    level: int
-    dimension: int
-    basis_words: tuple[tuple[int, ...], ...]
-
-
-@dataclass(frozen=True)
 class LevelIsometry:
     """The matrix of S_branch from level k-1 into level k (columns orthonormal)."""
 
@@ -62,10 +48,6 @@ class CuntzTower:
 
     def dim(self, k: int) -> int:
         return len(self.tower.level(k).words)
-
-    def level_space(self, k: int) -> LevelSpace:
-        words = self.tower.level(k).words
-        return LevelSpace(level=k, dimension=len(words), basis_words=words)
 
 
 def _isometry_matrix(n_branches: int, i: int, k: int) -> np.ndarray:

@@ -139,9 +139,3 @@ class KindViolation(PvmkError):
 
 class ZeroMassEverywhere(PvmkError):
     pass
-
-
-# --- cli ----------------------------------------------------------------------
-
-class UsageError(PvmkError):
-    pass

@@ -37,7 +37,6 @@ from .errors import (
 from .ifs import word_id
 from .metric_core import Lip1VertexSet, lip1_vertices
 from .ovm import OperatorValuedMeasure, measure_of, validate_ovm
-from .parallel import parallel_map
 from .rho import rho_exact
 from .rng import SplitMix64
 from .sampling import random_povm, random_truth_conjugate_pvm
@@ -297,7 +296,7 @@ def contraction_ratio_rho(
         return rho_next / rho_prev
 
     children = [rng.spawn() for _ in range(trials)]
-    ratios = parallel_map(one_trial, children)
+    ratios = [one_trial(child) for child in children]
     best: float | None = None
     skipped = 0
     for ratio in ratios:

@@ -26,7 +26,6 @@ from .sampling import random_rational_measure
 from .transport import ProbMeasure, kantorovich
 
 DEFAULT_CELL_CAP = 4096
-_FULL_VALIDATION_LIMIT = 128
 
 
 @dataclass(frozen=True)
@@ -140,7 +139,7 @@ def _lcp(a: tuple[int, ...], b: tuple[int, ...]) -> int:
     return n
 
 
-def _level_space(ifs: IfsSystem, words, reps) -> FiniteMetricSpace:
+def _level_metric_space(ifs: IfsSystem, words, reps) -> FiniteMetricSpace:
     n = len(words)
     if ifs.theta is None:
         dist = [[abs(reps[i] - reps[j]) for j in range(n)] for i in range(n)]
@@ -155,10 +154,8 @@ def _level_space(ifs: IfsSystem, words, reps) -> FiniteMetricSpace:
     ids = [word_id(w) for w in words]
     coords = [(x,) for x in reps]
     # 1-D coordinate distance and the prefix ultrametric are metrics by
-    # construction; the cubic triangle scan is skipped on large levels.
-    return validate_space(
-        dist, ids, coords, skip_triangle_scan=(n > _FULL_VALIDATION_LIMIT)
-    )
+    # construction, so the cubic triangle scan is skipped on every level.
+    return validate_space(dist, ids, coords, skip_triangle_scan=True)
 
 
 def build_tower(ifs: IfsSystem, depth: int, cell_cap: int = DEFAULT_CELL_CAP) -> CylinderTower:
@@ -175,7 +172,7 @@ def build_tower(ifs: IfsSystem, depth: int, cell_cap: int = DEFAULT_CELL_CAP) ->
     levels = []
     words: list[tuple[int, ...]] = [()]
     reps: list[Fraction] = [ifs.base_point]
-    levels.append(TowerLevel(0, tuple(words), tuple(reps), _level_space(ifs, words, reps)))
+    levels.append(TowerLevel(0, tuple(words), tuple(reps), _level_metric_space(ifs, words, reps)))
     for k in range(1, depth + 1):
         words = [(i,) + a for i in range(n) for a in levels[k - 1].words]
         reps = [
@@ -184,7 +181,7 @@ def build_tower(ifs: IfsSystem, depth: int, cell_cap: int = DEFAULT_CELL_CAP) ->
             for x in levels[k - 1].reps
         ]
         levels.append(
-            TowerLevel(k, tuple(words), tuple(reps), _level_space(ifs, words, reps))
+            TowerLevel(k, tuple(words), tuple(reps), _level_metric_space(ifs, words, reps))
         )
     return CylinderTower(ifs, depth, tuple(levels))
 

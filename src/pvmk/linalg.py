@@ -1,10 +1,10 @@
-"""Dense Hermitian helpers built on a cyclic Jacobi eigensolver.
+"""Dense Hermitian helpers on LAPACK via numpy.
 
-Eigenvalues come from plane rotations applied in a fixed row-major sweep
-order with an absolute off-diagonal threshold, so repeated runs on the same
-input give bit-identical results.  Complex Hermitian matrices are reduced
-to real symmetric ones through the doubling embedding [[X, -Y], [Y, X]] for
-H = X + iY, which carries each eigenvalue of H twice.
+Spectra come from numpy's ``eigvalsh``/``eigh`` (LAPACK's Hermitian
+divide-and-conquer drivers), applied to whole stacks of matrices at once;
+complex Hermitian matrices are solved natively, real ones in real
+arithmetic.  Results are reproducible run to run on one machine; other
+BLAS/LAPACK builds may differ in the last bits.
 
 Matrices with dtype ``object`` hold exact entries (ints / Fractions); the
 helpers here convert them to floats only where a spectral quantity is
@@ -14,9 +14,6 @@ genuinely needed.
 from __future__ import annotations
 
 import numpy as np
-
-JACOBI_THRESHOLD = 1e-13
-_MAX_SWEEPS = 80
 
 
 def is_exact_matrix(a) -> bool:
@@ -53,80 +50,16 @@ def hermitian_defect(a) -> float:
     return max_abs(c - c.conj().T)
 
 
-def embed_stack(stack: np.ndarray) -> np.ndarray:
-    """Complex Hermitian stack (B,n,n) -> real symmetric stack (B,2n,2n)."""
-    x = stack.real
-    y = stack.imag
-    top = np.concatenate([x, -y], axis=2)
-    bot = np.concatenate([y, x], axis=2)
-    return np.concatenate([top, bot], axis=1)
-
-
-def _jacobi_stack(mats, want_vectors: bool = False):
-    """Cyclic Jacobi on a stack of real symmetric matrices.
-
-    Returns (eigs, rot) where eigs[b, i] is an eigenvalue of mats[b] and,
-    when requested, rot[b, i, :] is the corresponding unit eigenvector.
-    Sweep order is row-major over the upper triangle; a pair rotates only
-    while its off-diagonal entry exceeds the threshold.
-    """
-    a = np.array(mats, dtype=np.float64)
-    if a.ndim == 2:
-        a = a[None, ...]
-    nb, n, _ = a.shape
-    rot = np.broadcast_to(np.eye(n), (nb, n, n)).copy() if want_vectors else None
-    if n <= 1:
-        return a[:, range(n), range(n)].copy(), rot
-    rows = np.arange(n)
-    for _sweep in range(_MAX_SWEEPS):
-        offmax = np.abs(a).copy()
-        offmax[:, rows, rows] = 0.0
-        if offmax.max() <= JACOBI_THRESHOLD:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[:, p, q]
-                live = np.abs(apq) > JACOBI_THRESHOLD
-                if not live.any():
-                    continue
-                theta = 0.5 * np.arctan2(2.0 * apq, a[:, q, q] - a[:, p, p])
-                c = np.where(live, np.cos(theta), 1.0)
-                s = np.where(live, np.sin(theta), 0.0)
-                rp = c[:, None] * a[:, p, :] - s[:, None] * a[:, q, :]
-                rq = s[:, None] * a[:, p, :] + c[:, None] * a[:, q, :]
-                a[:, p, :] = rp
-                a[:, q, :] = rq
-                cp = c[:, None] * a[:, :, p] - s[:, None] * a[:, :, q]
-                cq = s[:, None] * a[:, :, p] + c[:, None] * a[:, :, q]
-                a[:, :, p] = cp
-                a[:, :, q] = cq
-                a[:, p, q] = np.where(live, 0.0, a[:, p, q])
-                a[:, q, p] = np.where(live, 0.0, a[:, q, p])
-                if rot is not None:
-                    vp = c[:, None] * rot[:, p, :] - s[:, None] * rot[:, q, :]
-                    vq = s[:, None] * rot[:, p, :] + c[:, None] * rot[:, q, :]
-                    rot[:, p, :] = vp
-                    rot[:, q, :] = vq
-    else:  # pragma: no cover - quadratic convergence makes this unreachable
-        raise ArithmeticError("Jacobi did not converge within the sweep limit")
-    return a[:, rows, rows].copy(), rot
-
-
-def _as_real_sym_stack(mats) -> np.ndarray:
-    """Stack of Hermitian matrices -> real symmetric stack (embedding if complex)."""
+def _hermitian_stack(mats) -> np.ndarray:
+    """Stack of Hermitian matrices: complex128, or float64 when all are real."""
     stack = np.stack([to_complex(m) for m in mats])
-    if stack.size and np.abs(stack.imag).max() > 0.0:
-        return embed_stack(stack)
-    return stack.real.astype(np.float64, copy=False)
+    return stack if stack.imag.any() else stack.real
 
 
 def spectral_norms_stack(mats) -> np.ndarray:
-    """Operator norms of a sequence of Hermitian matrices (batched Jacobi)."""
-    real = _as_real_sym_stack(mats)
-    eigs, _ = _jacobi_stack(real)
-    if eigs.shape[1] == 0:
-        return np.zeros(eigs.shape[0])
-    return np.abs(eigs).max(axis=1)
+    """Operator norms of a sequence of Hermitian matrices (one batched solve)."""
+    eigs = np.linalg.eigvalsh(_hermitian_stack(mats))
+    return np.abs(eigs).max(axis=1, initial=0.0)
 
 
 def spectral_norm(mat) -> float:
@@ -136,38 +69,15 @@ def spectral_norm(mat) -> float:
 
 def operator_norm(mat) -> float:
     """Operator norm of a general matrix (largest singular value)."""
-    m = to_complex(mat)
-    if hermitian_defect(m) <= 1e-12 * max(1.0, max_abs(m)):
-        return spectral_norm(m)
-    gram = m.conj().T @ m
-    eigs, _ = _jacobi_stack(_as_real_sym_stack([gram]))
-    top = float(eigs[0].max(initial=0.0))
-    return float(np.sqrt(max(top, 0.0)))
+    return float(np.linalg.norm(to_complex(mat), 2))
 
 
 def eigendecomposition(mat) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and matching unit eigenvectors (columns).
 
-    ``mat`` must be Hermitian.  Complex inputs go through the real
-    embedding, whose doubled spectrum is harmless to the callers here
-    (extrema, spectral functions); eigenvectors are mapped back to complex.
+    ``mat`` must be Hermitian; the eigenvectors are real when it is real.
     """
-    m = to_complex(mat)
-    complex_input = np.abs(m.imag).max() > 0.0 if m.size else False
-    real = embed_stack(m[None])[0] if complex_input else m.real.astype(np.float64)
-    eigs, rot = _jacobi_stack(real, want_vectors=True)
-    w = eigs[0]
-    vecs = rot[0]
-    order = np.argsort(w, kind="stable")
-    w = w[order]
-    vecs = vecs[order]
-    n = m.shape[0]
-    if complex_input:
-        cols = (vecs[:, :n] + 1j * vecs[:, n:]).T
-        norms = np.sqrt((np.abs(cols) ** 2).sum(axis=0))
-        norms[norms == 0.0] = 1.0
-        return w, cols / norms
-    return w, vecs.T
+    return np.linalg.eigh(_hermitian_stack([mat])[0])
 
 
 def top_eigenpair(mat) -> tuple[float, np.ndarray]:
@@ -178,8 +88,7 @@ def top_eigenpair(mat) -> tuple[float, np.ndarray]:
 
 
 def min_eigenvalue(mat) -> float:
-    w, _ = _jacobi_stack(_as_real_sym_stack([mat]))
-    return float(w[0].min())
+    return float(np.linalg.eigvalsh(_hermitian_stack([mat]))[0, 0])
 
 
 def sym_matrix_function(mat: np.ndarray, fn) -> np.ndarray:
@@ -191,12 +100,6 @@ def sym_matrix_function(mat: np.ndarray, fn) -> np.ndarray:
 def gram_rank(vectors, rel_tol: float = 1e-10) -> int:
     """Rank of the span of the given vectors via their Gram spectrum."""
     cols = np.stack([to_complex(np.asarray(v)).ravel() for v in vectors], axis=1)
-    gram = cols.conj().T @ cols
-    w, _ = _jacobi_stack(_as_real_sym_stack([gram]))
-    w = w[0]
+    w = np.linalg.eigvalsh(cols.conj().T @ cols)
     cutoff = max(w.max(initial=0.0) * rel_tol, 1e-12)
-    # embedding doubles multiplicities for genuinely complex Grams
-    count = int((w > cutoff).sum())
-    if gram.size and np.abs(to_complex(gram).imag).max() > 0.0:
-        count //= 2
-    return count
+    return int((w > cutoff).sum())

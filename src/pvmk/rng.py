@@ -49,9 +49,6 @@ class SplitMix64:
         u2 = (self.next_u64() >> 11) * 2.0 ** -53
         return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
 
-    def choice(self, seq):
-        return seq[self.randint(0, len(seq) - 1)]
-
     def distinct_indices(self, n: int, k: int) -> list[int]:
         """k distinct indices from range(n), by partial Fisher-Yates."""
         if not 0 <= k <= n:

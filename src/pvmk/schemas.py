@@ -87,21 +87,29 @@ def ifs_from_obj(obj) -> IfsSystem:
     return make_ifs(branches, base, theta)
 
 
+def _float_matrix(rows) -> np.ndarray:
+    return np.array([[float(as_fraction(x)) for x in row] for row in rows])
+
+
 def _matrix_from_obj(obj, dim: int) -> np.ndarray:
+    """Integer entries give an int64 matrix and integer or "p/q" entries an
+    exact object matrix; JSON floats or an im part give a float matrix."""
     re = obj.get("re")
     if re is None:
         raise InputParseError("matrix document requires a re part")
     im = obj.get("im")
     if len(re) != dim or any(len(row) != dim for row in re):
         raise InputParseError("matrix has the wrong shape")
-    all_int = all(isinstance(x, int) and not isinstance(x, bool) for row in re for x in row)
-    if im is None and all_int:
+    entries = [x for row in re for x in row]
+    if im is None and all(isinstance(x, int) and not isinstance(x, bool) for x in entries):
         return np.array(re, dtype=np.int64)
+    if im is None and not any(isinstance(x, float) for x in entries):
+        return np.array([[as_fraction(x) for x in row] for row in re], dtype=object)
     if im is None:
-        return np.array(re, dtype=np.float64)
+        return _float_matrix(re)
     if len(im) != dim or any(len(row) != dim for row in im):
         raise InputParseError("matrix has the wrong shape")
-    return np.array(re, dtype=np.float64) + 1j * np.array(im, dtype=np.float64)
+    return _float_matrix(re) + 1j * _float_matrix(im)
 
 
 def ovm_from_obj(obj, space: FiniteMetricSpace) -> OperatorValuedMeasure:
@@ -111,11 +119,14 @@ def ovm_from_obj(obj, space: FiniteMetricSpace) -> OperatorValuedMeasure:
         kind = obj["kind"]
         dim = int(obj["dim"])
         atoms = obj["atoms"]
-    except (KeyError, TypeError) as exc:
-        raise InputParseError(f"ovm document missing field: {exc}") from exc
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputParseError(f"ovm document missing or malformed field: {exc!r}") from exc
     by_id = {}
-    for entry in atoms:
-        by_id[str(entry["id"])] = _matrix_from_obj(entry["matrix"], dim)
+    try:
+        for entry in atoms:
+            by_id[str(entry["id"])] = _matrix_from_obj(entry["matrix"], dim)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputParseError(f"malformed ovm atom: {exc!r}") from exc
     if set(by_id) != set(space.point_ids):
         raise InputParseError("ovm atoms must match the space's point ids")
     mats = [by_id[pid] for pid in space.point_ids]

@@ -259,16 +259,6 @@ def kantorovich_dual_oracle(
     return max(sum(p * w for p, w in zip(vert, diff)) for vert in vertices.vertices)
 
 
-def signed_dual_value(vertices: Lip1VertexSet, weights) -> Fraction | float:
-    """max over vertices of |sum phi w| for a signed weight vector."""
-    best = None
-    for vert in vertices.vertices:
-        val = abs(sum(p * w for p, w in zip(vert, weights)))
-        if best is None or val > best:
-            best = val
-    return best
-
-
 def weak_gap(space: FiniteMetricSpace, f_values, mu: ProbMeasure, nu: ProbMeasure):
     """(|integral of f against mu - nu|, Lip(f) * H(mu, nu)); first <= second."""
     if len(f_values) != space.n:

@@ -1,6 +1,10 @@
 """End-to-end command line runs: reports, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -254,12 +258,69 @@ def test_suite_command_plumbing(files, capsys, monkeypatch):
     capsys.readouterr()
 
 
-def test_env_threads_validated(files, capsys, monkeypatch):
+SWAPPED_ATOMS = [
+    {"id": "a", "matrix": {"re": [[0, 0], [0, 1]]}},
+    {"id": "b", "matrix": {"re": [[1, 0], [0, 0]]}},
+]
+
+
+def _two_point_rho_files(write, e_atoms, e_dim=2):
+    space = write(
+        "space.json",
+        {"points": [{"id": "a"}, {"id": "b"}], "dist": [[0, "1/2"], ["1/2", 0]]},
+    )
+    e = write("e.json", {"kind": "projection", "dim": e_dim, "atoms": e_atoms})
+    f = write("f.json", {"kind": "projection", "dim": 2, "atoms": SWAPPED_ATOMS})
+    return space, e, f
+
+
+def test_rational_string_matrix_entries(files, capsys):
+    tmp, write = files
+    half = [{"id": "a", "matrix": {"re": [["1/2", "1/2"], ["1/2", "1/2"]]}},
+            {"id": "b", "matrix": {"re": [["1/2", "-1/2"], ["-1/2", "1/2"]]}}]
+    space, e, f = _two_point_rho_files(write, half)
+    assert run(["rho", "--space", space, "--e", e, "--f", f]) == 0
+    report = _capture(capsys)
+    assert report["verdict"] == "pass"
+    assert report["results"]["value"] == pytest.approx(0.5 ** 1.5, abs=1e-12)
+
+
+def test_malformed_atom_exits_2(files, capsys):
+    tmp, write = files
+    b = SWAPPED_ATOMS[1]
+    cases = [
+        ([{"id": "a"}, b], 2),
+        ([{"id": "a", "matrix": {"re": 5}}, b], 2),
+        ([{"matrix": {"re": [[0, 0], [0, 1]]}}, b], 2),
+        (SWAPPED_ATOMS, "two"),
+    ]
+    for atoms, dim in cases:
+        space, e, f = _two_point_rho_files(write, atoms, dim)
+        assert run(["rho", "--space", space, "--e", e, "--f", f]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+
+def test_cap_errors_exit_2(files, capsys):
     tmp, write = files
     ifs = write("ifs.json", DYADIC)
-    monkeypatch.setenv("PVMK_THREADS", "not-a-number")
-    assert run(["hutchinson", "--ifs", ifs, "--depth", "2"]) == 2
-    capsys.readouterr()
-    monkeypatch.setenv("PVMK_THREADS", "4")
-    assert run(["hutchinson", "--ifs", ifs, "--depth", "2"]) == 0
-    capsys.readouterr()
+    assert run(["cuntz-verify", "--ifs", ifs, "--depth", "13"]) == 2
+    assert "cap is 4096" in capsys.readouterr().err
+    space, e, f = _two_point_rho_files(write, SWAPPED_ATOMS)
+    assert run(["rho", "--space", space, "--e", e, "--f", f, "--vertex-cap", "1"]) == 2
+    assert "cap is 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("module", ["pvmk", "pvmk.cli"])
+def test_python_dash_m_runs_the_cli(module):
+    root = Path(__file__).resolve().parents[1]
+    src = str(root / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.run(
+        [sys.executable, "-m", module, "space", "--space", "sample_inputs/two_point_space.json"],
+        cwd=root, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["command"] == "space" and report["verdict"] == "pass"

@@ -137,13 +137,6 @@ def test_equal_length_projections_orthogonal_and_complete(dyadic_ct):
                 assert np.abs(projs[a] @ projs[b]).max() == 0
 
 
-def test_level_space_accessor(dyadic_ct2):
-    ls = dyadic_ct2.level_space(2)
-    assert ls.level == 2
-    assert ls.dimension == 4
-    assert ls.basis_words == dyadic_ct2.tower.level(2).words
-
-
 def test_multiplication_pvm_axioms_and_atoms(dyadic_ct2):
     pvm = multiplication_pvm(dyadic_ct2, 1)
     assert [m.tolist() for m in pvm.mats] == [[[1, 0], [0, 0]], [[0, 0], [0, 1]]]

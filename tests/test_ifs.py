@@ -10,6 +10,7 @@ from pvmk.errors import (
     OverlappingBranches,
     TowerTooLarge,
 )
+from pvmk.metric_core import audit_space
 from pvmk.ifs import (
     build_tower,
     contraction_ratio_scalar,
@@ -206,3 +207,20 @@ def test_symbolic_metric_tower():
                 assert space.dist[i][j] == F(1, 3) ** lcp
     report = contraction_ratio_scalar(tower, 1, 10, seed=4)
     assert report.passed
+
+
+@pytest.mark.parametrize(
+    "ifs, depth",
+    [
+        (dyadic_ifs(), 6),
+        (triadic_ifs(), 3),
+        (make_ifs([(F(1, 2), 0), (F(1, 2), F(1, 2))], 0, theta=F(1, 3)), 6),
+    ],
+    ids=["dyadic", "triadic", "theta-1/3"],
+)
+def test_tower_levels_pass_full_metric_audit(ifs, depth):
+    # build_tower skips the triangle scan; the full audit must agree.
+    tower = build_tower(ifs, depth)
+    assert len(tower.level(depth).words) <= 64
+    for level in tower.levels:
+        assert audit_space(level.space.dist, level.space.point_ids) == []

@@ -1,4 +1,4 @@
-"""Eigensolver cross-checks against LAPACK and generator reproducibility."""
+"""Eigensolver checks against known spectra and generator reproducibility."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -13,8 +13,10 @@ from pvmk.linalg import (
     spectral_norms_stack,
     sym_matrix_function,
     to_complex,
+    top_eigenpair,
 )
 from pvmk.rng import SplitMix64
+from pvmk.sampling import random_orthogonal, random_unitary
 
 
 def test_splitmix64_reference_stream():
@@ -49,25 +51,39 @@ def _random_hermitian(rng, n):
     return (m + m.conj().T) / 2
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=1, max_value=6))
-def test_jacobi_matches_lapack_real(seed, n):
-    rng = SplitMix64(seed)
-    m = _random_symmetric(rng, n)
-    w, vecs = eigendecomposition(m)
-    ref = np.linalg.eigvalsh(m)
-    assert np.abs(np.sort(w) - ref).max() < 1e-10
-    for i in range(n):
-        assert np.abs(m @ vecs[:, i] - w[i] * vecs[:, i]).max() < 1e-9
+def _known_spectrum(u, lams):
+    m = u @ np.diag(lams) @ u.conj().T
+    return (m + m.conj().T) / 2
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=1, max_value=5))
-def test_jacobi_matches_lapack_complex(seed, n):
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.lists(st.integers(min_value=-8, max_value=8), min_size=1, max_size=6),
+)
+def test_eigendecomposition_recovers_known_spectrum(seed, quarters):
     rng = SplitMix64(seed)
-    m = _random_hermitian(rng, n)
-    assert abs(spectral_norm(m) - np.abs(np.linalg.eigvalsh(m)).max()) < 1e-10
-    assert abs(min_eigenvalue(m) - np.linalg.eigvalsh(m).min()) < 1e-10
+    lams = np.array(sorted(quarters), dtype=np.float64) / 4
+    n = len(lams)
+    for u in (random_orthogonal(n, rng), random_unitary(n, rng)):
+        m = _known_spectrum(u, lams)
+        w, vecs = eigendecomposition(m)
+        assert np.abs(w - lams).max() < 1e-10
+        assert np.abs(vecs.conj().T @ vecs - np.eye(n)).max() < 1e-10
+        assert np.abs(m @ vecs - vecs * w[None, :]).max() < 1e-9
+        assert abs(spectral_norm(m) - np.abs(lams).max()) < 1e-10
+        assert abs(min_eigenvalue(m) - lams[0]) < 1e-10
+        top, v = top_eigenpair(m)
+        assert abs(abs(top) - np.abs(lams).max()) < 1e-10
+        assert np.abs(m @ v - top * v).max() < 1e-9
+
+
+def test_gram_rank_complex_vectors():
+    u = random_unitary(4, SplitMix64(21))
+    a, b, c = u[:, 0], u[:, 1], u[:, 2]
+    assert gram_rank([a, b, (1 + 2j) * a - 1j * b, c]) == 3
+    assert gram_rank([a, 1j * a]) == 1
+    assert gram_rank([u[:, i] for i in range(4)]) == 4
 
 
 def test_complex_eigenvectors_from_embedding():
