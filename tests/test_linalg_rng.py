@@ -56,6 +56,30 @@ def _known_spectrum(u, lams):
     return (m + m.conj().T) / 2
 
 
+# The next two tests date from the cyclic Jacobi solver; they keep checking that
+# the wrappers in pvmk.linalg (ordering, real and complex paths, eigenvectors)
+# agree with a direct numpy.linalg.eigvalsh call.
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=1, max_value=6))
+def test_jacobi_matches_lapack_real(seed, n):
+    rng = SplitMix64(seed)
+    m = _random_symmetric(rng, n)
+    w, vecs = eigendecomposition(m)
+    ref = np.linalg.eigvalsh(m)
+    assert np.abs(np.sort(w) - ref).max() < 1e-10
+    for i in range(n):
+        assert np.abs(m @ vecs[:, i] - w[i] * vecs[:, i]).max() < 1e-9
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=1, max_value=5))
+def test_jacobi_matches_lapack_complex(seed, n):
+    rng = SplitMix64(seed)
+    m = _random_hermitian(rng, n)
+    assert abs(spectral_norm(m) - np.abs(np.linalg.eigvalsh(m)).max()) < 1e-10
+    assert abs(min_eigenvalue(m) - np.linalg.eigvalsh(m).min()) < 1e-10
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     st.integers(min_value=0, max_value=2**32 - 1),
