@@ -19,6 +19,7 @@ from .cuntz import build_cuntz_tower, cuntz_verify, multiplication_pvm, relation
 from .fixed_point import (
     contraction_ratio_rho,
     phi_iterate,
+    phi_step,
     relate_verify,
     swapped_diagonal_pvm,
     verify_fixed_point,
@@ -149,8 +150,7 @@ def criterion_4(seed: int = 0) -> CriterionResult:
             ok = ok and report.sum_defect == 0 and report.ortho_defect == 0
             levels += 1
     ct2 = build_cuntz_tower(build_tower(dyadic_ifs(), 2))
-    mats = [np.array(s_matrix(ct2, i, 1).matrix) for i in range(2)]
-    mats[0] = mats[0].copy()
+    mats = [s_matrix(ct2, i, 1) for i in range(2)]
     mats[0][0, 0] ^= 1
     sum_defect, ortho_defect = relation_defects(mats)
     control_caught = sum_defect > 0 or ortho_defect > 0
@@ -348,10 +348,12 @@ def criterion_11(seed: int = 0, instances: int = 100) -> CriterionResult:
     for desc, seed_ovm in seeds.items():
         trace = phi_iterate(ct, seed_ovm, 2, seed_desc=desc)
         rho0 = trace.records[0].rho_to_truth
+        current = seed_ovm
         for rec in trace.records:
+            if rec.step:
+                current = phi_step(ct, rec.level, current)
             truth = multiplication_pvm(ct, rec.level)
             level = ct.tower.level(rec.level)
-            current = _trace_measure(ct, seed_ovm, rec.step)
             for fn in panel:
                 fvals = tuple(fn(x) for x in level.reps)
                 gap = linalg.spectral_norm(
@@ -367,20 +369,6 @@ def criterion_11(seed: int = 0, instances: int = 100) -> CriterionResult:
         ok,
         {"instances": instances, "trace_checks": trace_checks},
     )
-
-
-def _trace_measure(ct, seed_ovm, steps):
-    from .fixed_point import phi_step
-
-    current = seed_ovm
-    level = None
-    for k in range(ct.depth + 1):
-        if ct.tower.level(k).space.space_hash == seed_ovm.space.space_hash:
-            level = k
-            break
-    for t in range(steps):
-        current = phi_step(ct, level + t + 1, current)
-    return current
 
 
 def criterion_12(seed: int = 0) -> CriterionResult:

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import acceptance
 from .cuntz import build_cuntz_tower, cuntz_verify, multiplication_pvm
-from .errors import InputParseError, PvmkError, SpaceTooLarge, TowerTooLarge
+from .errors import InputParseError, MetricAxiomError, PvmkError, SpaceTooLarge, TowerTooLarge
 from .fixed_point import (
     phi_iterate,
     relate_verify,
@@ -98,7 +98,7 @@ def _cmd_space(args, started):
             "violations": [],
         }
         verdict = True
-    except PvmkError:
+    except MetricAxiomError:
         results = {
             "valid": False,
             "violations": [

@@ -7,6 +7,13 @@ the L^2 picture, which makes every operator here an integer matrix: the
 Cuntz relations, the cylinder projections, and the diagonal fixed-point
 measure are all verified with integer arithmetic and no tolerance.
 
+Words are stored first-symbol-major, so the length-j word w has index
+idx(w) = sum_t w_t N^(j-1-t) in its level, and its cylinder at level K is
+the contiguous block of atoms [idx(w) N^(K-j), (idx(w)+1) N^(K-j)).  The
+cylinder projection S_w S_w^* is therefore the 0/1 diagonal projection on
+that block, and S_i itself is the identity placed on block i; both are
+read from the word index instead of multiplying isometries out.
+
 The relations sum_i S_i S_i* = id and S_i* S_j = delta_ij id force the
 ambient dimension to be N times itself, so no single finite level can
 carry both; the tower realizes them exactly as rectangular level-raising
@@ -20,23 +27,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BranchOutOfRange, LevelOutOfRange, WordTooLong
-from .ifs import CylinderTower, build_tower, IfsSystem, word_id
-from .ovm import OperatorValuedMeasure, PROJECTION, validate_ovm
-
-
-@dataclass(frozen=True)
-class LevelIsometry:
-    """The matrix of S_branch from level k-1 into level k (columns orthonormal)."""
-
-    branch: int
-    level: int
-    matrix: np.ndarray  # (N^k, N^(k-1)) with 0/1 integer entries
+from .ifs import CylinderTower, build_tower, IfsSystem
+from .ovm import OperatorValuedMeasure, diagonal_pvm
 
 
 @dataclass(frozen=True)
 class CuntzTower:
     tower: CylinderTower
-    isometries: tuple[tuple[LevelIsometry, ...], ...]  # [k-1][branch]
 
     @property
     def depth(self) -> int:
@@ -50,39 +47,25 @@ class CuntzTower:
         return len(self.tower.level(k).words)
 
 
-def _isometry_matrix(n_branches: int, i: int, k: int) -> np.ndarray:
-    cols = n_branches ** (k - 1)
-    rows = n_branches * cols
-    m = np.zeros((rows, cols), dtype=np.int64)
-    m[np.arange(cols) + i * cols, np.arange(cols)] = 1
-    m.setflags(write=False)
-    return m
-
-
 def build_cuntz_tower(source: CylinderTower | IfsSystem, depth: int | None = None) -> CuntzTower:
     if isinstance(source, IfsSystem):
         if depth is None:
             raise LevelOutOfRange("depth is required when building from an IFS")
-        tower = build_tower(source, depth)
-    else:
-        tower = source
-    n = tower.ifs.n_branches
-    isometries = tuple(
-        tuple(
-            LevelIsometry(i, k, _isometry_matrix(n, i, k)) for i in range(n)
-        )
-        for k in range(1, tower.depth + 1)
-    )
-    return CuntzTower(tower, isometries)
+        return CuntzTower(build_tower(source, depth))
+    return CuntzTower(source)
 
 
-def s_matrix(ct: CuntzTower, i: int, k: int) -> LevelIsometry:
-    """The level-raising isometry for branch i into level k."""
+def s_matrix(ct: CuntzTower, i: int, k: int) -> np.ndarray:
+    """The 0/1 matrix of S_i from level k-1 into level k (columns orthonormal):
+    the identity on rows [i N^(k-1), (i+1) N^(k-1)), zero elsewhere."""
     if not 1 <= k <= ct.depth:
         raise LevelOutOfRange(f"level {k} outside 1..{ct.depth}")
     if not 0 <= i < ct.n_branches:
         raise BranchOutOfRange(f"branch {i} outside 0..{ct.n_branches - 1}")
-    return ct.isometries[k - 1][i]
+    cols = ct.dim(k - 1)
+    m = np.zeros((ct.dim(k), cols), dtype=np.int64)
+    m[i * cols : (i + 1) * cols] = np.eye(cols, dtype=np.int64)
+    return m
 
 
 def relation_defects(mats) -> tuple[int, int]:
@@ -123,27 +106,32 @@ def cuntz_verify(ct: CuntzTower, k: int) -> CuntzReport:
     """Exact verification of the Cuntz relations at one level."""
     if not 1 <= k <= ct.depth:
         raise LevelOutOfRange(f"level {k} outside 1..{ct.depth}")
-    mats = [s_matrix(ct, i, k).matrix for i in range(ct.n_branches)]
+    mats = [s_matrix(ct, i, k) for i in range(ct.n_branches)]
     sum_defect, ortho_defect = relation_defects(mats)
     return CuntzReport(level=k, sum_defect=sum_defect, ortho_defect=ortho_defect)
 
 
-def compose_word_isometry(ct: CuntzTower, word: tuple[int, ...], ambient: int) -> np.ndarray:
-    """S_word as a map from level ambient - len(word) up to level ambient."""
-    j = len(word)
-    if j > ambient or ambient > ct.depth:
-        raise WordTooLong(f"word of length {j} does not fit at ambient level {ambient}")
-    out = np.eye(ct.dim(ambient - j), dtype=np.int64)
-    for t, symbol in enumerate(reversed(word)):
-        out = s_matrix(ct, symbol, ambient - j + t + 1).matrix @ out
-    return out
+def _word_block(ct: CuntzTower, word: tuple[int, ...], ambient: int) -> slice:
+    """Atom indices of the word's cylinder at the ambient level."""
+    if len(word) > ambient or ambient > ct.depth:
+        raise WordTooLong(f"word of length {len(word)} does not fit at ambient level {ambient}")
+    n = ct.n_branches
+    idx = 0
+    for symbol in word:
+        if not 0 <= symbol < n:
+            raise BranchOutOfRange(f"branch {symbol} outside 0..{n - 1}")
+        idx = idx * n + symbol
+    width = n ** (ambient - len(word))
+    return slice(idx * width, (idx + 1) * width)
 
 
 def cylinder_projection(ct: CuntzTower, word: tuple[int, ...], ambient: int) -> np.ndarray:
     """S_word S_word^T at the ambient level: the 0/1 diagonal projection onto
     the cells descending from the word (rank N^(ambient - len(word)))."""
-    s = compose_word_isometry(ct, word, ambient)
-    return s @ s.T
+    block = _word_block(ct, word, ambient)
+    diag = np.zeros(ct.dim(ambient), dtype=np.int64)
+    diag[block] = 1
+    return np.diag(diag)
 
 
 def multiplication_pvm(ct: CuntzTower, k: int | None = None) -> OperatorValuedMeasure:
@@ -156,19 +144,10 @@ def multiplication_pvm(ct: CuntzTower, k: int | None = None) -> OperatorValuedMe
     k = ct.depth if k is None else k
     if not 0 <= k <= ct.depth:
         raise LevelOutOfRange(f"level {k} outside 0..{ct.depth}")
-    dim = ct.dim(k)
-    mats = []
-    for m in range(dim):
-        mat = np.zeros((dim, dim), dtype=np.int64)
-        mat[m, m] = 1
-        mats.append(mat)
-    return validate_ovm(ct.tower.level(k).space, mats, PROJECTION)
+    return diagonal_pvm(ct.tower.level(k).space, range(ct.dim(k)))
 
 
 def prefix_atoms(ct: CuntzTower, word: tuple[int, ...], k: int) -> list[str]:
     """Ids of the depth-k atoms descending from the given word."""
-    if len(word) > k or k > ct.depth:
-        raise WordTooLong(f"word of length {len(word)} has no descendants at level {k}")
-    return [
-        word_id(w) for w in ct.tower.level(k).words if w[: len(word)] == word
-    ]
+    block = _word_block(ct, word, k)
+    return list(ct.tower.level(k).space.point_ids[block])

@@ -133,9 +133,5 @@ class MismatchedMeasures(PvmkError):
 
 # --- fixed point machinery ----------------------------------------------------
 
-class KindViolation(PvmkError):
-    """An operation failed to preserve the projection/positive kind."""
-
-
 class ZeroMassEverywhere(PvmkError):
     pass

@@ -3,8 +3,12 @@
 One step sends a measure E on depth-(k-1) cells to the measure on depth-k
 cells whose value on cell (i, c) is S_i E(c) S_i^*; pulling cell (i, c)
 back through branch j is empty unless j = i, so the defining sum collapses
-to a single term per atom.  In the cell basis S_i places E(c) as the
-(i, i) diagonal block, which keeps integer and rational seeds exact.
+to a single term per atom.  Words are stored first-symbol-major, so the
+cells (i, c) form the contiguous atom block i, and in the cell basis S_i
+places E(c) as the (i, i) diagonal block of the matrix, which keeps
+integer and rational seeds exact.  Likewise the depth-j cylinder of a word
+w at level K is the contiguous atom block of width N^(K-j) at index
+idx(w) N^(K-j), so cylinder values are block sums.
 
 Iterating from any seed contracts toward the diagonal multiplication
 measure at rate max branch ratio per level; values on cells of depth at
@@ -27,16 +31,14 @@ from .cuntz import (
     prefix_atoms,
 )
 from .errors import (
-    KindViolation,
     LevelOutOfRange,
     MismatchedMeasures,
-    OvmAxiomError,
     PvmkError,
     ZeroMassEverywhere,
 )
 from .ifs import word_id
-from .metric_core import Lip1VertexSet, lip1_vertices
-from .ovm import OperatorValuedMeasure, measure_of, validate_ovm
+from .metric_core import lip1_vertices
+from .ovm import OperatorValuedMeasure, assemble_ovm, diagonal_pvm, measure_of
 from .rho import rho_exact
 from .rng import SplitMix64
 from .sampling import random_povm, random_truth_conjugate_pvm
@@ -46,7 +48,17 @@ RATIO_TOL = 1e-8
 
 
 def phi_step(ct: CuntzTower, k: int, E: OperatorValuedMeasure) -> OperatorValuedMeasure:
-    """One contraction step: level k-1 measure in, level k measure out."""
+    """One contraction step: level k-1 measure in, level k measure out.
+
+    Atom (i, c) of the output is E(c) placed on block i, unvalidated: the
+    output is a measure of E's kind by theorem.  Congruence by an isometry
+    keeps each atom Hermitian and positive (and idempotent, with products
+    S_i E(c) S_i^* S_i E(c') S_i^* = S_i E(c) E(c') S_i^* vanishing within a
+    branch); atoms of different branches live on the ranges of S_i and S_j,
+    which are orthogonal; and the atoms sum to sum_i S_i S_i^* = I by the
+    Cuntz relation.  Placement copies E's entries, so a float seed keeps
+    exactly the defects it was validated with.
+    """
     if not 1 <= k <= ct.depth:
         raise LevelOutOfRange(f"step target {k} outside 1..{ct.depth}")
     prev = ct.tower.level(k - 1)
@@ -54,29 +66,18 @@ def phi_step(ct: CuntzTower, k: int, E: OperatorValuedMeasure) -> OperatorValued
         raise MismatchedMeasures("measure does not live on the source level")
     d_prev = ct.dim(k - 1)
     d_next = ct.dim(k)
-    dtype = E.mats[0].dtype
-    mats = []
+    source = np.stack(E.mats)
+    atoms = np.zeros((d_next, d_next, d_next), dtype=source.dtype)
     for i in range(ct.n_branches):
-        for m in range(d_prev):
-            out = np.zeros((d_next, d_next), dtype=dtype)
-            out[i * d_prev : (i + 1) * d_prev, i * d_prev : (i + 1) * d_prev] = E.mats[m]
-            mats.append(out)
-    try:
-        return validate_ovm(ct.tower.level(k).space, mats, E.kind)
-    except OvmAxiomError as exc:  # pragma: no cover - congruence preserves the kind
-        raise KindViolation(f"step output failed validation: {exc}") from exc
+        block = slice(i * d_prev, (i + 1) * d_prev)
+        atoms[block, block, block] = source
+    return assemble_ovm(ct.tower.level(k).space, atoms, E.kind)
 
 
 def swapped_diagonal_pvm(ct: CuntzTower, k: int) -> OperatorValuedMeasure:
     """Diagonal measure with the atom order reversed; a canonical off-truth seed."""
     dim = ct.dim(k)
-    mats = []
-    for m in range(dim):
-        mat = np.zeros((dim, dim), dtype=np.int64)
-        j = dim - 1 - m
-        mat[j, j] = 1
-        mats.append(mat)
-    return validate_ovm(ct.tower.level(k).space, mats, "projection")
+    return diagonal_pvm(ct.tower.level(k).space, range(dim - 1, -1, -1))
 
 
 def trivial_seed(ct: CuntzTower) -> OperatorValuedMeasure:
@@ -99,14 +100,6 @@ class PhiTrace:
     final: OperatorValuedMeasure
     contraction_bound: float
     prefix_depth_verified: int
-
-
-def _level_vertices(ct: CuntzTower, k: int, cache: dict, cap: int) -> Lip1VertexSet | None:
-    if ct.dim(k) > cap:
-        return None
-    if k not in cache:
-        cache[k] = lip1_vertices(ct.tower.level(k).space, cap=cap)
-    return cache[k]
 
 
 def phi_iterate(
@@ -135,17 +128,16 @@ def phi_iterate(
             f"{steps} steps from level {start_level} exceed depth {ct.depth}"
         )
     r = float(ct.tower.contraction)
-    cache: dict[int, Lip1VertexSet] = {}
     records = []
     current = seed
     prev_rho: float | None = None
     for t in range(steps + 1):
         level = start_level + t
-        verts = _level_vertices(ct, level, cache, rho_cap)
         rho_val: float | None = None
-        if verts is not None:
+        if ct.dim(level) <= rho_cap:
+            space = ct.tower.level(level).space
             truth = multiplication_pvm(ct, level)
-            rho_val = rho_exact(ct.tower.level(level).space, current, truth, verts).value
+            rho_val = rho_exact(space, current, truth, lip1_vertices(space, cap=rho_cap)).value
         ratio = None
         if rho_val is not None and prev_rho is not None and prev_rho > 1e-12:
             ratio = rho_val / prev_rho
@@ -167,23 +159,24 @@ def phi_iterate(
     )
 
 
-def _verify_prefixes(ct: CuntzTower, E: OperatorValuedMeasure, level: int, depth: int) -> int:
-    """Largest t <= depth with E(every depth-t cylinder) = cylinder projection."""
+def _cylinder_identities(ct: CuntzTower, E: OperatorValuedMeasure, level: int, depth: int):
+    """Yield (t, word, holds) for every word of length t <= depth, where holds
+    says E(cylinder of word) equals the cylinder projection at ``level``:
+    exactly for exact E, within 1e-10 otherwise."""
     exact = E.is_exact
-    verified = 0
     for t in range(depth + 1):
-        ok = True
         for word in ct.tower.level(t).words:
             lhs = measure_of(E, prefix_atoms(ct, word, level))
-            rhs = cylinder_projection(ct, word, level)
-            defect = linalg.max_abs(lhs - rhs)
-            if (defect != 0) if exact else (defect > 1e-10):
-                ok = False
-                break
-        if not ok:
-            break
-        verified = t
-    return verified
+            defect = linalg.max_abs(lhs - cylinder_projection(ct, word, level))
+            yield t, word, (defect == 0) if exact else (defect <= 1e-10)
+
+
+def _verify_prefixes(ct: CuntzTower, E: OperatorValuedMeasure, level: int, depth: int) -> int:
+    """Largest t <= depth with E(every depth-t cylinder) = cylinder projection."""
+    for t, _word, holds in _cylinder_identities(ct, E, level, depth):
+        if not holds:
+            return max(t - 1, 0)
+    return depth
 
 
 @dataclass(frozen=True)
@@ -216,14 +209,10 @@ def verify_fixed_point(
     exact = target.is_exact
     offending = []
     checked = 0
-    for t in range(K + 1):
-        for word in ct.tower.level(t).words:
-            checked += 1
-            lhs = measure_of(target, prefix_atoms(ct, word, K))
-            rhs = cylinder_projection(ct, word, K)
-            defect = linalg.max_abs(lhs - rhs)
-            if (defect != 0) if exact else (defect > 1e-10):
-                offending.append(word_id(word) if word else "<empty>")
+    for _t, word, holds in _cylinder_identities(ct, target, K, K):
+        checked += 1
+        if not holds:
+            offending.append(word_id(word) if word else "<empty>")
     rederived = trivial_seed(ct)
     for k in range(1, K + 1):
         rederived = phi_step(ct, k, rederived)
@@ -375,6 +364,7 @@ def relate_verify(ct: CuntzTower, h, k: int | None = None) -> RelateReport:
     gram = v.conj().T @ v
     isometry_defect = linalg.max_abs(gram - np.diag(w))
     intertwine_defect = 0.0
+    span_vecs = []
     for t in range(K + 1):
         for word in ct.tower.level(t).words:
             proj = cylinder_projection(ct, word, K).astype(np.float64)
@@ -385,11 +375,7 @@ def relate_verify(ct: CuntzTower, h, k: int | None = None) -> RelateReport:
             intertwine_defect = max(
                 intertwine_defect, linalg.max_abs(conj - indicator)
             )
-    span_vecs = []
-    for t in range(K + 1):
-        for word in ct.tower.level(t).words:
-            proj = cylinder_projection(ct, word, K)
-            span_vecs.append(proj.astype(np.float64) @ h)
+            span_vecs.append(proj @ h)
     range_rank = linalg.gram_rank([v[:, c] for c in range(v.shape[1])])
     span_rank = linalg.gram_rank(span_vecs)
     return RelateReport(
@@ -419,7 +405,7 @@ def scalar_pushforward_defect(
     d_prev = ct.dim(k - 1)
     rhs = np.empty_like(lhs)
     for i in range(ct.n_branches):
-        si = s_matrix(ct, i, k).matrix.astype(np.float64)
+        si = s_matrix(ct, i, k).astype(np.float64)
         pulled = si.T @ h
         part = np.array(scalar_measure(E, pulled, pulled).real.weights)
         rhs[i * d_prev : (i + 1) * d_prev] = part

@@ -21,10 +21,6 @@ def is_exact_matrix(a) -> bool:
     return a.dtype == object or np.issubdtype(a.dtype, np.integer)
 
 
-def adjoint(a):
-    return np.asarray(a).conj().T
-
-
 def to_complex(a) -> np.ndarray:
     a = np.asarray(a)
     if a.dtype == object:

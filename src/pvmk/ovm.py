@@ -70,10 +70,6 @@ def _freeze(mat: np.ndarray) -> np.ndarray:
     return out
 
 
-def _exact_equal(a: np.ndarray, b: np.ndarray) -> bool:
-    return bool(np.all(a == b))
-
-
 def validate_ovm(
     space: FiniteMetricSpace,
     mats,
@@ -125,6 +121,34 @@ def validate_ovm(
     if (defect != 0) if exact else (defect > tol):
         raise SumNotIdentity(float(defect))
     return OperatorValuedMeasure(space, dim, tuple(_freeze(m) for m in mats), kind)
+
+
+def assemble_ovm(space: FiniteMetricSpace, atoms: np.ndarray, kind: str) -> OperatorValuedMeasure:
+    """Wrap a stack of atom matrices (one per point) that is a measure of
+    ``kind`` by construction, freezing it without ``validate_ovm``'s checks.
+
+    Only for results whose axioms follow by theorem from how they were
+    built out of measures that already satisfy them; measures read from
+    outside or sampled at random go through ``validate_ovm``.
+    """
+    atoms.setflags(write=False)
+    return OperatorValuedMeasure(space, atoms.shape[1], tuple(atoms), kind)
+
+
+def diagonal_pvm(space: FiniteMetricSpace, assignment) -> OperatorValuedMeasure:
+    """PVM sending atom a to the projection onto {e_j : assignment[j] = a}.
+
+    Exact int64 atoms, built without validation because the result is a
+    projection valued measure by construction: every atom is a 0/1 diagonal
+    matrix, hence Hermitian and idempotent; distinct atoms have disjoint
+    diagonal supports, so their products vanish; and each basis vector is
+    assigned to exactly one atom, so the atoms sum to the identity.
+    """
+    dim = len(assignment)
+    atoms = np.zeros((space.n, dim, dim), dtype=np.int64)
+    basis = np.arange(dim)
+    atoms[np.asarray(assignment, dtype=np.intp), basis, basis] = 1
+    return assemble_ovm(space, atoms, PROJECTION)
 
 
 def measure_of(ovm: OperatorValuedMeasure, atom_ids) -> np.ndarray:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .errors import InputParseError
@@ -18,6 +19,8 @@ def as_fraction(value) -> Fraction:
     if isinstance(value, (int, Fraction)):
         return Fraction(value)
     if isinstance(value, float):
+        if not math.isfinite(value):
+            raise InputParseError(f"not a finite number: {value!r}")
         return Fraction(value)
     if isinstance(value, str):
         try:

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import linalg
 from .metric_core import FiniteMetricSpace, validate_space
-from .ovm import OperatorValuedMeasure, POSITIVE, PROJECTION, validate_ovm
+from .ovm import OperatorValuedMeasure, POSITIVE, PROJECTION, diagonal_pvm, validate_ovm
 from .rng import SplitMix64
 from .transport import ProbMeasure
 
@@ -90,29 +90,11 @@ def random_unit_vector(dim: int, rng: SplitMix64, complex_: bool = False) -> np.
     return v / norm
 
 
-def diagonal_assignment_pvm(space: FiniteMetricSpace, dim: int, assignment) -> OperatorValuedMeasure:
-    """PVM sending atom a to the projection onto {e_j : assignment[j] = a}."""
-    mats = [np.zeros((dim, dim), dtype=np.int64) for _ in range(space.n)]
-    for j, atom_index in enumerate(assignment):
-        mats[atom_index][j, j] = 1
-    return validate_ovm(space, mats, PROJECTION)
-
-
-def random_diagonal_pvm(space: FiniteMetricSpace, dim: int, rng: SplitMix64) -> OperatorValuedMeasure:
-    assignment = [rng.randint(0, space.n - 1) for _ in range(dim)]
-    return diagonal_assignment_pvm(space, dim, assignment)
-
-
 def random_diagonal_pvm_pair(space: FiniteMetricSpace, dim: int, rng: SplitMix64):
     """Commuting diagonal pair plus the atom assignments behind it."""
     a = [rng.randint(0, space.n - 1) for _ in range(dim)]
     b = [rng.randint(0, space.n - 1) for _ in range(dim)]
-    return (
-        diagonal_assignment_pvm(space, dim, a),
-        diagonal_assignment_pvm(space, dim, b),
-        a,
-        b,
-    )
+    return diagonal_pvm(space, a), diagonal_pvm(space, b), a, b
 
 
 def random_pvm(

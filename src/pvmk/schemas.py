@@ -27,8 +27,21 @@ def load_json(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise InputParseError(f"cannot read {path}: {exc}") from exc
+
+
+def _rows(value, what: str) -> list:
+    if not isinstance(value, list) or not all(isinstance(row, list) for row in value):
+        raise InputParseError(f"{what} must be a list of lists")
+    return value
+
+
+def _float(value) -> float:
+    try:
+        return float(as_fraction(value))
+    except OverflowError as exc:
+        raise InputParseError(f"number out of float range: {value!r}") from exc
 
 
 def space_from_obj(obj) -> FiniteMetricSpace:
@@ -36,13 +49,13 @@ def space_from_obj(obj) -> FiniteMetricSpace:
     try:
         points = obj["points"]
         dist = obj["dist"]
+        ids = [str(p["id"]) for p in points]
+        coords = None
+        if any("coord" in p for p in points):
+            coords = [tuple(as_fraction(c) for c in p.get("coord", ())) for p in points]
     except (KeyError, TypeError) as exc:
-        raise InputParseError(f"space document missing field: {exc}") from exc
-    ids = [str(p["id"]) for p in points]
-    coords = None
-    if any("coord" in p for p in points):
-        coords = [tuple(as_fraction(c) for c in p.get("coord", ())) for p in points]
-    return validate_space(dist, ids, coords)
+        raise InputParseError(f"space document missing or malformed field: {exc!r}") from exc
+    return validate_space(_rows(dist, "distance table"), ids, coords)
 
 
 def space_to_obj(space: FiniteMetricSpace) -> dict:
@@ -64,8 +77,8 @@ def measure_from_obj(obj, space: FiniteMetricSpace) -> ProbMeasure:
         weights = obj["weights"]
     except (KeyError, TypeError) as exc:
         raise InputParseError(f"measure document missing field: {exc}") from exc
-    if len(weights) != space.n:
-        raise InputParseError("measure weights must cover every point")
+    if not isinstance(weights, list) or len(weights) != space.n:
+        raise InputParseError("measure weights must be a list covering every point")
     return ProbMeasure.from_values(weights)
 
 
@@ -75,41 +88,57 @@ def ifs_from_obj(obj) -> IfsSystem:
     try:
         branches = [(br["r"], br["b"]) for br in obj["branches"]]
         base = obj.get("base_point", 0)
-    except (KeyError, TypeError) as exc:
-        raise InputParseError(f"ifs document missing field: {exc}") from exc
-    if "N" in obj and int(obj["N"]) != len(branches):
+        declared = int(obj.get("N", len(branches)))
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise InputParseError(f"ifs document missing or malformed field: {exc!r}") from exc
+    if declared != len(branches):
         raise InputParseError("declared branch count does not match the branches")
     theta = None
-    if obj.get("symbolic_metric") is not None:
-        theta = obj["symbolic_metric"].get("theta")
+    symbolic = obj.get("symbolic_metric")
+    if symbolic is not None:
+        theta = symbolic.get("theta") if isinstance(symbolic, dict) else None
         if theta is None:
             raise InputParseError("symbolic_metric requires a theta")
     return make_ifs(branches, base, theta)
 
 
 def _float_matrix(rows) -> np.ndarray:
-    return np.array([[float(as_fraction(x)) for x in row] for row in rows])
+    return np.array([[_float(x) for x in row] for row in rows])
+
+
+def _exact_entry(value) -> Fraction:
+    _float(value)  # spectral checks run in floats, so the entry must fit one
+    return as_fraction(value)
+
+
+def _square(value, dim: int) -> list:
+    rows = _rows(value, "matrix part")
+    if len(rows) != dim or any(len(row) != dim for row in rows):
+        raise InputParseError("matrix has the wrong shape")
+    return rows
 
 
 def _matrix_from_obj(obj, dim: int) -> np.ndarray:
-    """Integer entries give an int64 matrix and integer or "p/q" entries an
-    exact object matrix; JSON floats or an im part give a float matrix."""
-    re = obj.get("re")
-    if re is None:
+    """Entries in {-1, 0, 1} give an int64 matrix and other integer or "p/q"
+    entries an exact object matrix; JSON floats or an im part give a float
+    matrix.
+
+    Every operator between 0 and I has entries of modulus at most 1, so
+    larger integers are kept as Python ints, whose products cannot wrap
+    around the way int64 products do.
+    """
+    if not isinstance(obj, dict) or obj.get("re") is None:
         raise InputParseError("matrix document requires a re part")
+    re = _square(obj["re"], dim)
     im = obj.get("im")
-    if len(re) != dim or any(len(row) != dim for row in re):
-        raise InputParseError("matrix has the wrong shape")
     entries = [x for row in re for x in row]
-    if im is None and all(isinstance(x, int) and not isinstance(x, bool) for x in entries):
+    if im is None and all(type(x) is int and -1 <= x <= 1 for x in entries):
         return np.array(re, dtype=np.int64)
     if im is None and not any(isinstance(x, float) for x in entries):
-        return np.array([[as_fraction(x) for x in row] for row in re], dtype=object)
+        return np.array([[_exact_entry(x) for x in row] for row in re], dtype=object)
     if im is None:
         return _float_matrix(re)
-    if len(im) != dim or any(len(row) != dim for row in im):
-        raise InputParseError("matrix has the wrong shape")
-    return _float_matrix(re) + 1j * _float_matrix(im)
+    return _float_matrix(re) + 1j * _float_matrix(_square(im, dim))
 
 
 def ovm_from_obj(obj, space: FiniteMetricSpace) -> OperatorValuedMeasure:
@@ -119,8 +148,10 @@ def ovm_from_obj(obj, space: FiniteMetricSpace) -> OperatorValuedMeasure:
         kind = obj["kind"]
         dim = int(obj["dim"])
         atoms = obj["atoms"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputParseError(f"ovm document missing or malformed field: {exc!r}") from exc
+    if dim < 1:
+        raise InputParseError("ovm dim must be a positive integer")
     by_id = {}
     try:
         for entry in atoms:
@@ -152,16 +183,19 @@ def ovm_to_obj(ovm: OperatorValuedMeasure) -> dict:
 
 
 def vector_from_obj(obj, dim: int) -> np.ndarray:
-    """{"re": [...], "im": [...]?}"""
-    re = obj.get("re")
-    if re is None or len(re) != dim:
-        raise InputParseError("vector document requires a re part of the right length")
-    im = obj.get("im")
-    if im is None:
-        return np.array(re, dtype=np.float64)
-    if len(im) != dim:
-        raise InputParseError("vector im part has the wrong length")
-    return np.array(re, dtype=np.float64) + 1j * np.array(im, dtype=np.float64)
+    """{"re": [num|"p/q", ...], "im": [num|"p/q", ...]?}"""
+    if not isinstance(obj, dict):
+        raise InputParseError("vector document must be a JSON object")
+
+    def part(name: str) -> np.ndarray:
+        values = obj.get(name)
+        if not isinstance(values, list) or len(values) != dim:
+            raise InputParseError(f"vector {name} part must be a list of {dim} numbers")
+        return np.array([_float(x) for x in values])
+
+    if obj.get("im") is None:
+        return part("re")
+    return part("re") + 1j * part("im")
 
 
 def _emit(value) -> str:

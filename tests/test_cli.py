@@ -285,6 +285,17 @@ def test_rational_string_matrix_entries(files, capsys):
     assert report["results"]["value"] == pytest.approx(0.5 ** 1.5, abs=1e-12)
 
 
+def test_large_integer_entries_are_checked_exactly(files, capsys):
+    # in int64 arithmetic these atoms pass every projection check, because
+    # the 2^64 terms of their products wrap around to zero
+    big = 2**32
+    atoms = [{"id": "a", "matrix": {"re": [[1, big], [big, 0]]}},
+             {"id": "b", "matrix": {"re": [[0, -big], [-big, 1]]}}]
+    space, e, f = _two_point_rho_files(files[1], atoms)
+    assert run(["rho", "--space", space, "--e", e, "--f", f]) == 1
+    assert "not idempotent" in capsys.readouterr().err
+
+
 def test_malformed_atom_exits_2(files, capsys):
     tmp, write = files
     b = SWAPPED_ATOMS[1]

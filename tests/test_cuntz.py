@@ -13,18 +13,18 @@ from pvmk.cuntz import (
     s_matrix,
 )
 from pvmk.errors import BranchOutOfRange, LevelOutOfRange, WordTooLong
-from pvmk.ifs import build_tower, dyadic_ifs, triadic_ifs
+from pvmk.ifs import build_tower, dyadic_ifs, triadic_ifs, word_id
 from pvmk.ovm import measure_of
 
 
 def test_s_matrices_level1_frozen(dyadic_ct):
-    assert s_matrix(dyadic_ct, 0, 1).matrix.tolist() == [[1], [0]]
-    assert s_matrix(dyadic_ct, 1, 1).matrix.tolist() == [[0], [1]]
+    assert s_matrix(dyadic_ct, 0, 1).tolist() == [[1], [0]]
+    assert s_matrix(dyadic_ct, 1, 1).tolist() == [[0], [1]]
 
 
 def test_s_matrix_level2_block_structure(dyadic_ct):
     # branch 0 at level 2: identity block stacked over zeros
-    m = s_matrix(dyadic_ct, 0, 2).matrix
+    m = s_matrix(dyadic_ct, 0, 2)
     assert m.tolist() == [[1, 0], [0, 1], [0, 0], [0, 0]]
 
 
@@ -34,7 +34,7 @@ def test_s_matrix_maps_words(dyadic_ct):
         prev_words = tower.level(k - 1).words
         words = tower.level(k).words
         for i in range(2):
-            m = s_matrix(dyadic_ct, i, k).matrix
+            m = s_matrix(dyadic_ct, i, k)
             for col, a in enumerate(prev_words):
                 row = words.index((i,) + a)
                 assert m[row, col] == 1
@@ -45,7 +45,7 @@ def test_columns_orthonormal(dyadic_ct, triadic_ct):
     for ct in (dyadic_ct, triadic_ct):
         for k in range(1, ct.depth + 1):
             for i in range(ct.n_branches):
-                m = s_matrix(ct, i, k).matrix
+                m = s_matrix(ct, i, k)
                 eye = np.eye(m.shape[1], dtype=np.int64)
                 assert np.array_equal(m.T @ m, eye)
 
@@ -55,7 +55,7 @@ def test_isometry_preserves_norm(dyadic_ct):
     for k in (1, 2, 3):
         v = rng.standard_normal(dyadic_ct.dim(k - 1))
         for i in range(2):
-            m = s_matrix(dyadic_ct, i, k).matrix
+            m = s_matrix(dyadic_ct, i, k)
             assert abs(np.linalg.norm(m @ v) - np.linalg.norm(v)) < 1e-12
 
 
@@ -71,8 +71,7 @@ def test_cuntz_relations_exact():
 
 
 def test_bit_flip_negative_control(dyadic_ct):
-    mats = [np.array(s_matrix(dyadic_ct, i, 1).matrix) for i in range(2)]
-    mats[0] = mats[0].copy()
+    mats = [s_matrix(dyadic_ct, i, 1) for i in range(2)]
     mats[0][0, 0] ^= 1
     sum_defect, ortho_defect = relation_defects(mats)
     assert sum_defect > 0 or ortho_defect > 0
@@ -85,6 +84,10 @@ def test_level_and_branch_bounds(dyadic_ct):
         s_matrix(dyadic_ct, 2, 1)
     with pytest.raises(LevelOutOfRange):
         cuntz_verify(dyadic_ct, 0)
+    with pytest.raises(BranchOutOfRange):
+        cylinder_projection(dyadic_ct, (0, 2), 3)
+    with pytest.raises(BranchOutOfRange):
+        prefix_atoms(dyadic_ct, (2,), 3)
 
 
 def test_cylinder_projection_examples(dyadic_ct2):
@@ -108,6 +111,23 @@ def test_cylinder_projection_rank_and_support(triadic_ct):
             p = cylinder_projection(triadic_ct, word, 2)
             assert int(np.trace(p)) == n ** (2 - j)
             assert np.array_equal(p @ p, p)
+
+
+@pytest.mark.parametrize("ifs", [dyadic_ifs(), triadic_ifs()], ids=["dyadic", "triadic"])
+def test_cylinders_match_isometry_products(ifs):
+    # reference route: the literal product S_w S_w^T of s_matrix factors,
+    # and the atoms whose words start with w
+    ct = build_cuntz_tower(build_tower(ifs, 3))
+    for ambient in range(4):
+        atoms = ct.tower.level(ambient).words
+        for j in range(ambient + 1):
+            for word in ct.tower.level(j).words:
+                s = np.eye(ct.dim(ambient - j), dtype=np.int64)
+                for t, symbol in enumerate(reversed(word)):
+                    s = s_matrix(ct, symbol, ambient - j + t + 1) @ s
+                assert np.array_equal(cylinder_projection(ct, word, ambient), s @ s.T)
+                expect = [word_id(w) for w in atoms if w[:j] == word]
+                assert prefix_atoms(ct, word, ambient) == expect
 
 
 def test_word_too_long(dyadic_ct2):

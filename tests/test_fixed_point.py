@@ -23,7 +23,7 @@ from pvmk.fixed_point import (
     trivial_seed,
     verify_fixed_point,
 )
-from pvmk.ifs import build_tower, dyadic_ifs, triadic_ifs
+from pvmk.ifs import build_tower, dyadic_ifs, make_ifs, triadic_ifs
 from pvmk.linalg import max_abs
 from pvmk.ovm import measure_of, validate_ovm
 from pvmk.rng import SplitMix64
@@ -69,9 +69,37 @@ def test_phi_step_agrees_with_explicit_isometry_products(dyadic_ct):
     prev_words = dyadic_ct.tower.level(1).words
     for idx, word in enumerate(words):
         i, c = word[0], word[1:]
-        s = s_matrix(dyadic_ct, i, 2).matrix.astype(float)
+        s = s_matrix(dyadic_ct, i, 2).astype(float)
         expect = s @ np.asarray(E.mats[prev_words.index(c)], dtype=float) @ s.T
         assert max_abs(np.asarray(stepped.mats[idx], dtype=float) - expect) < 1e-14
+
+
+THETA_IFS = make_ifs([(F(1, 2), 0), (F(1, 2), F(1, 2))], 0, theta=F(1, 3))
+
+
+@pytest.mark.parametrize(
+    "ifs, depth",
+    [(dyadic_ifs(), 4), (triadic_ifs(), 3), (THETA_IFS, 4)],
+    ids=["dyadic-4", "triadic-3", "theta-4"],
+)
+def test_unvalidated_measures_pass_validate_ovm(ifs, depth):
+    # diagonal measures and phi_step outputs skip validation by theorem;
+    # validate_ovm checks every axiom independently on every level
+    ct = build_cuntz_tower(build_tower(ifs, depth))
+    rng = SplitMix64(23)
+    for k in range(depth + 1):
+        measures = [multiplication_pvm(ct, k), swapped_diagonal_pvm(ct, k)]
+        if k:
+            prev = ct.tower.level(k - 1).space
+            seeds = [
+                multiplication_pvm(ct, k - 1),
+                random_truth_conjugate_pvm(prev, rng),
+                random_povm(prev, ct.dim(k - 1), rng),
+            ]
+            measures += [phi_step(ct, k, seed) for seed in seeds]
+        for E in measures:
+            again = validate_ovm(ct.tower.level(k).space, E.mats, E.kind, tol=1e-9)
+            assert again.kind == E.kind and again.dim == ct.dim(k)
 
 
 def test_phi_step_kind_preservation_povm(dyadic_ct):
