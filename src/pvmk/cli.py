@@ -130,6 +130,8 @@ def _cmd_kantorovich(args, started):
 
 
 def _cmd_hutchinson(args, started):
+    if args.depth < 1:
+        raise InputParseError("the invariant measure lives at level >= 1")
     ifs = ifs_from_obj(load_json(args.ifs))
     tower = build_tower(ifs, args.depth)
     measure, cert = hutchinson_fixed(tower)
@@ -207,6 +209,8 @@ def _seed_ovm(args, ct, level):
 
 
 def _cmd_phi_iterate(args, started):
+    if args.steps < 0:
+        raise InputParseError("steps must be non-negative")
     ifs = ifs_from_obj(load_json(args.ifs))
     ct = build_cuntz_tower(build_tower(ifs, args.depth))
     start_level = args.depth - args.steps

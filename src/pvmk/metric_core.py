@@ -183,32 +183,62 @@ class Lip1VertexSet:
         return len(self.vertices)
 
 
-def lip1_vertices(
-    space: FiniteMetricSpace,
-    anchor: str | None = None,
-    cap: int = DEFAULT_VERTEX_CAP,
-) -> Lip1VertexSet:
-    """Exact vertex list of {f : f(anchor) = 0, f 1-Lipschitz}.
+def _line_order(space: FiniteMetricSpace) -> list[int] | None:
+    """Point indices sorted along an isometric embedding into the real line.
+
+    With ``a`` a point farthest from point 0, the coordinates
+    x_i = d(a, i) embed the space isometrically exactly when
+    d(i, j) == |x_i - x_j| for every pair; the check is exact and stops at
+    the first mismatch.  None when the space is not a line.
+    """
+    d = space.dist
+    a = max(range(space.n), key=d[0].__getitem__)
+    x = d[a]
+    for i in range(space.n):
+        for j in range(i + 1, space.n):
+            if d[i][j] != abs(x[i] - x[j]):
+                return None
+    return sorted(range(space.n), key=x.__getitem__)
+
+
+def _line_vertices(space: FiniteMetricSpace, a0: int, order: list[int]) -> list[tuple]:
+    """Every slope-sign pattern of a line, walking outward from the anchor.
+
+    On a line each pair constraint follows from those on neighbours, so the
+    anchored polytope is the box |f(next) - f(prev)| <= gap in the slope
+    coordinates, and its vertices are its 2^(n-1) corners.
+    """
+    p = order.index(a0)
+    steps = [(order[k - 1], order[k]) for k in range(p + 1, space.n)]
+    steps += [(order[k + 1], order[k]) for k in range(p - 1, -1, -1)]
+    verts = [[Fraction(0)] * space.n]
+    for prev, v in steps:
+        gap = space.dist[prev][v]
+        grown = []
+        for vert in verts:
+            for val in (vert[prev] + gap, vert[prev] - gap):
+                new = vert.copy()
+                new[v] = val
+                grown.append(new)
+        verts = grown
+    return sorted(tuple(vert) for vert in verts)
+
+
+def _search_vertices(space: FiniteMetricSpace, a0: int) -> list[tuple]:
+    """Vertices of the anchored polytope of any space, by tree growing.
 
     A vertex is a feasible point with n-1 linearly independent tight
     difference constraints; a set of difference constraints is independent
     exactly when its pair graph is a forest, so every vertex carries a
-    spanning tree of tight edges.  The search below grows all such trees:
-    states are partial assignments, each extension fixes a new point at
+    spanning tree of tight edges.  The search grows all such trees: states
+    are partial assignments, each extension fixes a new point at
     value(u) +/- d(u, v) for an assigned u, and infeasible extensions are
     pruned.  Different growth orders of one tree collapse in the frontier
     set, and final assignments are deduplicated.
     """
     n = space.n
-    if n > cap:
-        raise SpaceTooLarge(n, cap)
-    a0 = 0 if anchor is None else space.index(anchor)
-    anchor_id = space.point_ids[a0]
-    zero = Fraction(0)
-    if n == 1:
-        return Lip1VertexSet(anchor_id, ((zero,),), space.space_hash)
     d = space.dist
-    frontier: set[tuple[tuple[int, Fraction], ...]] = {((a0, zero),)}
+    frontier: set[tuple[tuple[int, Fraction], ...]] = {((a0, Fraction(0)),)}
     for _ in range(n - 1):
         grown: set[tuple[tuple[int, Fraction], ...]] = set()
         for state in frontier:
@@ -229,11 +259,35 @@ def lip1_vertices(
                     if feasible:
                         grown.add(tuple(sorted(assigned.items() | {(v, val)})))
         frontier = grown
-    verts = sorted({tuple(dict(state)[i] for i in range(n)) for state in frontier})
+    return sorted({tuple(dict(state)[i] for i in range(n)) for state in frontier})
+
+
+def lip1_vertices(
+    space: FiniteMetricSpace,
+    anchor: str | None = None,
+    cap: int = DEFAULT_VERTEX_CAP,
+) -> Lip1VertexSet:
+    """Exact vertex list of {f : f(anchor) = 0, f 1-Lipschitz}, sorted.
+
+    Two routes give the same sorted tuple.  When the distances embed
+    isometrically into the real line (checked exactly), the vertices are
+    the 2^(n-1) slope-sign patterns, built in closed form.  Every other
+    space goes through the generic spanning-tree search.  The point cap
+    applies to both routes, and every vertex is certified 1-Lipschitz.
+    """
+    n = space.n
+    if n > cap:
+        raise SpaceTooLarge(n, cap)
+    a0 = 0 if anchor is None else space.index(anchor)
+    order = _line_order(space)
+    if order is None:
+        verts = _search_vertices(space, a0)
+    else:
+        verts = _line_vertices(space, a0, order)
     for vert in verts:
         if lip_constant(vert, space) > 1:  # pragma: no cover - construction invariant
             raise MetricAxiomError("enumerated vertex exceeds Lipschitz constant 1")
-    return Lip1VertexSet(anchor_id, tuple(verts), space.space_hash)
+    return Lip1VertexSet(space.point_ids[a0], tuple(verts), space.space_hash)
 
 
 def mcshane(space: FiniteMetricSpace, values) -> tuple:

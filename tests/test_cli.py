@@ -183,6 +183,23 @@ def test_unknown_flag_exits_2(files, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["hutchinson", "--depth", "0"],
+        ["phi-iterate", "--depth", "3", "--steps", "-1"],
+    ],
+    ids=["hutchinson-depth-0", "phi-iterate-negative-steps"],
+)
+def test_out_of_range_arguments_exit_2(files, capsys, argv):
+    tmp, write = files
+    ifs = write("ifs.json", DYADIC)
+    assert run(argv + ["--ifs", ifs]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_unreadable_input_exits_2(tmp_path, capsys):
     assert run(["space", "--space", str(tmp_path / "missing.json")]) == 2
     capsys.readouterr()

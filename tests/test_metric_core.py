@@ -12,7 +12,10 @@ from pvmk.errors import (
     TriangleViolation,
     ZeroDistanceDistinctPoints,
 )
+from pvmk.ifs import build_tower, dyadic_ifs, make_ifs, triadic_ifs
 from pvmk.metric_core import (
+    _line_order,
+    _search_vertices,
     audit_space,
     certify_lipschitz,
     lip1_vertices,
@@ -166,6 +169,91 @@ def test_vertices_match_subset_enumeration_oracle():
 def test_vertices_match_oracle_on_path():
     space = path_space()
     assert set(lip1_vertices(space).vertices) == brute_force_vertices(space)
+
+
+def _reanchored(verts, b):
+    """Sorted vertices of the same space anchored at point b.
+
+    The anchored polytopes of one space are translates of each other
+    (f -> f - f(b)), so one search gives the search's answer at every anchor.
+    """
+    return tuple(sorted(tuple(x - v[b] for x in v) for v in verts))
+
+
+def _tower_spaces(ifs, depth):
+    return [level.space for level in build_tower(ifs, depth).levels]
+
+
+def _shuffled_line_space(n, rng):
+    xs = set()
+    while len(xs) < n:
+        xs.add(F(rng.randint(-64, 64), rng.randint(1, 8)))
+    xs = sorted(xs)
+    xs = [xs[i] for i in rng.distinct_indices(n, n)]
+    return validate_space([[abs(a - b) for b in xs] for a in xs])
+
+
+TOWER_LINES = _tower_spaces(dyadic_ifs(), 3) + _tower_spaces(triadic_ifs(), 1)
+SHUFFLED_LINES = [_shuffled_line_space(n, SplitMix64(50 + n)) for n in range(2, 9)]
+
+
+@pytest.mark.parametrize(
+    "space, shuffled",
+    [(space, False) for space in TOWER_LINES] + [(space, True) for space in SHUFFLED_LINES],
+    ids=[f"dyadic-{k}" for k in range(4)]
+    + [f"triadic-{k}" for k in range(2)]
+    + [f"shuffled-{n}" for n in range(2, 9)],
+)
+def test_line_vertices_match_search(space, shuffled):
+    order = _line_order(space)
+    assert order is not None
+    # the order walks the line from one end
+    assert [space.dist[order[0]][i] for i in order] == sorted(space.dist[order[0]])
+    if shuffled and space.n >= 3:
+        assert order not in (sorted(order), sorted(order, reverse=True))
+    reference = tuple(_search_vertices(space, 0))
+    assert len(reference) == 2 ** (space.n - 1)
+    for b, point in enumerate(space.point_ids):
+        verts = lip1_vertices(space, point, cap=8).vertices
+        assert verts == _reanchored(reference, b)
+        for vert in verts:
+            assert lip_constant(vert, space) <= 1
+        if space.n <= 4:
+            assert set(verts) == brute_force_vertices(space, b)
+            assert verts == tuple(_search_vertices(space, b))
+
+
+def test_reanchoring_matches_search_at_every_anchor():
+    rng = SplitMix64(43)
+    spaces = [random_metric_space(n, rng) for n in (3, 4, 5)]
+    spaces.append(_shuffled_line_space(5, rng))
+    for space in spaces:
+        reference = _search_vertices(space, 0)
+        for b in range(space.n):
+            assert tuple(_search_vertices(space, b)) == _reanchored(reference, b)
+
+
+def _strict_space(n, rng):
+    # every distance in [3/2, 2], so every triangle inequality holds
+    d = [[F(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            d[i][j] = d[j][i] = F(3, 2) + F(rng.randint(0, 8), 16)
+    return validate_space(d)
+
+
+def test_non_line_spaces_keep_the_search():
+    rng = SplitMix64(47)
+    theta = make_ifs([(F(1, 2), 0), (F(1, 2), F(1, 2))], 0, theta=F(1, 3))
+    theta3 = make_ifs([(F(1, 3), 0), (F(1, 3), F(1, 3)), (F(1, 3), F(2, 3))], 0, theta=F(1, 3))
+    searched = [_strict_space(n, rng) for n in (3, 4, 5)]
+    searched += [_tower_spaces(theta, 2)[2], _tower_spaces(theta3, 1)[1]]
+    for space in searched:
+        assert _line_order(space) is None
+        for b, point in enumerate(space.point_ids):
+            assert lip1_vertices(space, point).vertices == tuple(_search_vertices(space, b))
+    theta_deep = _tower_spaces(theta, 3)[3]
+    assert _line_order(theta_deep) is None
 
 
 def test_anchored_lip1_membership_lp():
