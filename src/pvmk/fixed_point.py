@@ -107,12 +107,11 @@ def phi_iterate(
     seed: OperatorValuedMeasure,
     steps: int,
     seed_desc: str = "seed",
-    rho_cap: int = RHO_VERTEX_CAP,
 ) -> PhiTrace:
     """Iterate the contraction, tracking distance to the diagonal truth.
 
-    Distances are recorded at levels whose atom count fits under
-    ``rho_cap``; each recorded ratio must respect the contraction bound.
+    Distances are recorded at levels of at most ``RHO_VERTEX_CAP`` atoms;
+    each recorded ratio must respect the contraction bound.
     After the run, values on all cells of depth <= steps are checked
     against the cylinder projections (exactly for exact seeds).
     """
@@ -134,10 +133,11 @@ def phi_iterate(
     for t in range(steps + 1):
         level = start_level + t
         rho_val: float | None = None
-        if ct.dim(level) <= rho_cap:
+        if ct.dim(level) <= RHO_VERTEX_CAP:
             space = ct.tower.level(level).space
             truth = multiplication_pvm(ct, level)
-            rho_val = rho_exact(space, current, truth, lip1_vertices(space, cap=rho_cap)).value
+            verts = lip1_vertices(space, cap=RHO_VERTEX_CAP)
+            rho_val = rho_exact(space, current, truth, verts).value
         ratio = None
         if rho_val is not None and prev_rho is not None and prev_rho > 1e-12:
             ratio = rho_val / prev_rho
@@ -249,7 +249,6 @@ def contraction_ratio_rho(
     trials: int,
     seed: int = 0,
     kind: str = "projection",
-    rho_cap: int = RHO_VERTEX_CAP,
     include_tight_pair: bool = True,
 ) -> RhoContractionReport:
     """Max observed rho ratio across one contraction step at level k.
@@ -265,8 +264,8 @@ def contraction_ratio_rho(
     rng = SplitMix64(seed)
     space_prev = ct.tower.level(k - 1).space
     space_next = ct.tower.level(k).space
-    verts_prev = lip1_vertices(space_prev, cap=rho_cap)
-    verts_next = lip1_vertices(space_next, cap=rho_cap)
+    verts_prev = lip1_vertices(space_prev, cap=RHO_VERTEX_CAP)
+    verts_next = lip1_vertices(space_next, cap=RHO_VERTEX_CAP)
     dim_prev = ct.dim(k - 1)
 
     def one_trial(child: SplitMix64) -> float | None:

@@ -3,15 +3,16 @@
 The tower discretizes the attractor: level k holds one representative per
 length-k branch word, with exact rational coordinates that cohere across
 levels (prepending branch i to a word applies branch i to the
-representative).  Each level is a validated finite metric space, either
-with coordinate distance |x - y| or, optionally, with the ultrametric
-theta^(common prefix length) on words.
+representative).  Each level is a finite metric space, either with
+coordinate distance |x - y| or, optionally, with the ultrametric
+theta^(common prefix length) on words, built when first asked for.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import (
     InputParseError,
@@ -19,13 +20,14 @@ from .errors import (
     OverlappingBranches,
     TowerTooLarge,
 )
-from .metric_core import FiniteMetricSpace, validate_space
+from .metric_core import FiniteMetricSpace
 from .rationals import as_fraction
 from .rng import SplitMix64
 from .sampling import random_rational_measure
 from .transport import ProbMeasure, kantorovich
 
 DEFAULT_CELL_CAP = 4096
+SCALAR_MAX_SUPPORT = 8
 
 
 @dataclass(frozen=True)
@@ -108,10 +110,32 @@ def word_id(word: tuple[int, ...]) -> str:
 
 @dataclass(frozen=True)
 class TowerLevel:
-    k: int
     words: tuple[tuple[int, ...], ...]
     reps: tuple[Fraction, ...]
-    space: FiniteMetricSpace
+    theta: Fraction | None
+
+    @cached_property
+    def space(self) -> FiniteMetricSpace:
+        """The level's metric space, built on first use and never validated.
+
+        It is a metric by construction.  Distinct words of one length name
+        distinct cells, and the cells are disjoint, so distinct words have
+        distinct representatives and |x - y| > 0; distinct words of length
+        k share a prefix shorter than k, so theta^lcp > 0.  Both tables are
+        symmetric with a zero diagonal, |x - y| satisfies the triangle
+        inequality, and theta^lcp the ultrametric one, since
+        lcp(a, c) >= min(lcp(a, b), lcp(b, c)).
+        """
+        if self.theta is None:
+            dist = tuple(tuple(abs(x - y) for y in self.reps) for x in self.reps)
+        else:
+            k = len(self.words[0])
+            powers = [self.theta**t for t in range(k)] + [Fraction(0)]
+            dist = tuple(
+                tuple(powers[_lcp(a, b)] for b in self.words) for a in self.words
+            )
+        ids = tuple(word_id(w) for w in self.words)
+        return FiniteMetricSpace(ids, dist, tuple((x,) for x in self.reps))
 
 
 @dataclass(frozen=True)
@@ -139,26 +163,7 @@ def _lcp(a: tuple[int, ...], b: tuple[int, ...]) -> int:
     return n
 
 
-def _level_metric_space(ifs: IfsSystem, words, reps) -> FiniteMetricSpace:
-    n = len(words)
-    if ifs.theta is None:
-        dist = [[abs(reps[i] - reps[j]) for j in range(n)] for i in range(n)]
-    else:
-        dist = [
-            [
-                Fraction(0) if i == j else ifs.theta ** _lcp(words[i], words[j])
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-    ids = [word_id(w) for w in words]
-    coords = [(x,) for x in reps]
-    # 1-D coordinate distance and the prefix ultrametric are metrics by
-    # construction, so the cubic triangle scan is skipped on every level.
-    return validate_space(dist, ids, coords, skip_triangle_scan=True)
-
-
-def build_tower(ifs: IfsSystem, depth: int, cell_cap: int = DEFAULT_CELL_CAP) -> CylinderTower:
+def build_tower(ifs: IfsSystem, depth: int) -> CylinderTower:
     """Cylinder tower of the IFS down to the given depth.
 
     Coherence is by construction: the representative of word (i, a) at
@@ -167,22 +172,14 @@ def build_tower(ifs: IfsSystem, depth: int, cell_cap: int = DEFAULT_CELL_CAP) ->
     if depth < 0:
         raise InputParseError("depth must be non-negative")
     n = ifs.n_branches
-    if n**depth > cell_cap:
-        raise TowerTooLarge(n**depth, cell_cap)
-    levels = []
-    words: list[tuple[int, ...]] = [()]
-    reps: list[Fraction] = [ifs.base_point]
-    levels.append(TowerLevel(0, tuple(words), tuple(reps), _level_metric_space(ifs, words, reps)))
-    for k in range(1, depth + 1):
-        words = [(i,) + a for i in range(n) for a in levels[k - 1].words]
-        reps = [
-            ifs.apply(i, x)
-            for i in range(n)
-            for x in levels[k - 1].reps
-        ]
-        levels.append(
-            TowerLevel(k, tuple(words), tuple(reps), _level_metric_space(ifs, words, reps))
-        )
+    if n**depth > DEFAULT_CELL_CAP:
+        raise TowerTooLarge(n**depth, DEFAULT_CELL_CAP)
+    levels = [TowerLevel(((),), (ifs.base_point,), ifs.theta)]
+    for _ in range(depth):
+        prev = levels[-1]
+        words = tuple((i,) + a for i in range(n) for a in prev.words)
+        reps = tuple(ifs.apply(i, x) for i in range(n) for x in prev.reps)
+        levels.append(TowerLevel(words, reps, ifs.theta))
     return CylinderTower(ifs, depth, tuple(levels))
 
 
@@ -232,7 +229,7 @@ class ScalarContractionReport:
 
 
 def contraction_ratio_scalar(
-    tower: CylinderTower, k: int, trials: int, seed: int = 0, max_support: int = 8
+    tower: CylinderTower, k: int, trials: int, seed: int = 0
 ) -> ScalarContractionReport:
     """Max observed H_{k+1}(T mu, T nu) / H_k(mu, nu) over sampled pairs."""
     if not 0 <= k < tower.depth:
@@ -246,8 +243,8 @@ def contraction_ratio_scalar(
     best: Fraction | None = None
     skipped = 0
     for _ in range(trials):
-        mu = random_rational_measure(cells, rng, max_support=max_support)
-        nu = random_rational_measure(cells, rng, max_support=max_support)
+        mu = random_rational_measure(cells, rng, max_support=SCALAR_MAX_SUPPORT)
+        nu = random_rational_measure(cells, rng, max_support=SCALAR_MAX_SUPPORT)
         if mu.weights == nu.weights:
             skipped += 1
             continue

@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import (
     AsymmetricDistance,
@@ -34,12 +35,21 @@ class FiniteMetricSpace:
     point_ids: tuple[str, ...]
     dist: tuple[tuple[Fraction, ...], ...]
     coords: tuple[tuple[Fraction, ...], ...] | None
-    diam: Fraction
-    space_hash: str
 
     @property
     def n(self) -> int:
         return len(self.point_ids)
+
+    @cached_property
+    def diam(self) -> Fraction:
+        return max(x for row in self.dist for x in row)
+
+    @cached_property
+    def space_hash(self) -> str:
+        text = ";".join(self.point_ids) + "|" + ",".join(
+            rational_str(x) for row in self.dist for x in row
+        )
+        return hashlib.sha256(text.encode()).hexdigest()[:16]
 
     def index(self, point_id: str) -> int:
         try:
@@ -51,13 +61,10 @@ class FiniteMetricSpace:
         return self.dist[i][j]
 
 
-def _space_hash(ids, dist) -> str:
-    text = ";".join(ids) + "|" + ",".join(rational_str(x) for row in dist for x in row)
-    return hashlib.sha256(text.encode()).hexdigest()[:16]
-
-
 def _parse_table(dist_table, point_ids):
     n = len(dist_table)
+    if n == 0:
+        raise InputParseError("a metric space needs at least one point")
     if point_ids is None:
         point_ids = tuple(f"p{i}" for i in range(n))
     else:
@@ -75,20 +82,19 @@ def _parse_table(dist_table, point_ids):
     return point_ids, tuple(rows)
 
 
-def audit_space(dist_table, point_ids=None) -> list[MetricAxiomError]:
-    """All metric-axiom violations of a table, each with witness ids."""
-    ids, dist = _parse_table(dist_table, point_ids)
+def _violations(ids, dist):
+    """Yield every metric-axiom violation of a parsed table, in a fixed order:
+    self distances, then pairs, then triangles."""
     n = len(ids)
-    bad: list[MetricAxiomError] = []
     for i in range(n):
         if dist[i][i] != 0:
-            bad.append(NonzeroSelfDistance(ids[i]))
+            yield NonzeroSelfDistance(ids[i])
     for i in range(n):
         for j in range(i + 1, n):
             if dist[i][j] != dist[j][i]:
-                bad.append(AsymmetricDistance(ids[i], ids[j]))
+                yield AsymmetricDistance(ids[i], ids[j])
             elif dist[i][j] == 0:
-                bad.append(ZeroDistanceDistinctPoints(ids[i], ids[j]))
+                yield ZeroDistanceDistinctPoints(ids[i], ids[j])
     for i in range(n):
         for j in range(n):
             if i == j:
@@ -97,50 +103,29 @@ def audit_space(dist_table, point_ids=None) -> list[MetricAxiomError]:
                 if k in (i, j):
                     continue
                 if dist[i][j] > dist[i][k] + dist[k][j]:
-                    bad.append(TriangleViolation(ids[i], ids[k], ids[j]))
-    return bad
+                    yield TriangleViolation(ids[i], ids[k], ids[j])
 
 
-def validate_space(
-    dist_table,
-    point_ids=None,
-    coords=None,
-    skip_triangle_scan: bool = False,
-) -> FiniteMetricSpace:
+def audit_space(dist_table, point_ids=None) -> list[MetricAxiomError]:
+    """All metric-axiom violations of a table, each with witness ids."""
+    return list(_violations(*_parse_table(dist_table, point_ids)))
+
+
+def validate_space(dist_table, point_ids=None, coords=None) -> FiniteMetricSpace:
     """Validated metric space from a distance table.
 
     Raises the first violated axiom (use :func:`audit_space` for the full
-    list).  ``skip_triangle_scan`` is for constructions that are metrics by
-    theorem (1-D coordinate distance, ultrametrics); symmetry and
-    positivity are still enforced.
+    list).
     """
     ids, dist = _parse_table(dist_table, point_ids)
-    n = len(ids)
-    for i in range(n):
-        if dist[i][i] != 0:
-            raise NonzeroSelfDistance(ids[i])
-    for i in range(n):
-        for j in range(i + 1, n):
-            if dist[i][j] != dist[j][i]:
-                raise AsymmetricDistance(ids[i], ids[j])
-            if dist[i][j] == 0:
-                raise ZeroDistanceDistinctPoints(ids[i], ids[j])
-    if not skip_triangle_scan:
-        for i in range(n):
-            for j in range(n):
-                if i == j:
-                    continue
-                for k in range(n):
-                    if k in (i, j):
-                        continue
-                    if dist[i][j] > dist[i][k] + dist[k][j]:
-                        raise TriangleViolation(ids[i], ids[k], ids[j])
+    bad = next(_violations(ids, dist), None)
+    if bad is not None:
+        raise bad
     if coords is not None:
         coords = tuple(tuple(as_fraction(c) for c in pt) for pt in coords)
-        if len(coords) != n:
+        if len(coords) != len(ids):
             raise InputParseError("coords must match the number of points")
-    diam = max((x for row in dist for x in row), default=Fraction(0))
-    return FiniteMetricSpace(ids, dist, coords, diam, _space_hash(ids, dist))
+    return FiniteMetricSpace(ids, dist, coords)
 
 
 def lip_constant(values, space: FiniteMetricSpace):

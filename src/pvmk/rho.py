@@ -163,7 +163,6 @@ def rho_lower_sphere(
     restarts: int,
     seed: int = 0,
     vertices: Lip1VertexSet | None = None,
-    ascent_steps: int = SPHERE_ASCENT_STEPS,
 ) -> RhoResult:
     """Lower bound from unit vectors: sup_h of the scalar dual of <(E-F)h, h>.
 
@@ -191,7 +190,7 @@ def rho_lower_sphere(
     for _ in range(restarts):
         h = random_unit_vector(E.dim, rng, complex_=complex_case)
         prev = -1.0
-        for _step in range(ascent_steps):
+        for _step in range(SPHERE_ASCENT_STEPS):
             svec = np.real(np.einsum("i,aij,j->a", h.conj(), cdeltas, h))
             vals = np.abs(phis @ svec)
             iv = int(np.argmax(vals))

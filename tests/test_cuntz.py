@@ -17,6 +17,13 @@ from pvmk.ifs import build_tower, dyadic_ifs, triadic_ifs, word_id
 from pvmk.ovm import measure_of
 
 
+def test_cuntz_verify_builds_no_distance_table():
+    tower = build_tower(dyadic_ifs(), 8)
+    ct = build_cuntz_tower(tower)
+    assert all(cuntz_verify(ct, k).passed for k in range(1, 9))
+    assert not any("space" in vars(level) for level in tower.levels)
+
+
 def test_s_matrices_level1_frozen(dyadic_ct):
     assert s_matrix(dyadic_ct, 0, 1).tolist() == [[1], [0]]
     assert s_matrix(dyadic_ct, 1, 1).tolist() == [[0], [1]]

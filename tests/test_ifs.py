@@ -10,7 +10,7 @@ from pvmk.errors import (
     OverlappingBranches,
     TowerTooLarge,
 )
-from pvmk.metric_core import audit_space
+from pvmk.metric_core import audit_space, validate_space
 from pvmk.ifs import (
     build_tower,
     contraction_ratio_scalar,
@@ -219,8 +219,25 @@ def test_symbolic_metric_tower():
     ids=["dyadic", "triadic", "theta-1/3"],
 )
 def test_tower_levels_pass_full_metric_audit(ifs, depth):
-    # build_tower skips the triangle scan; the full audit must agree.
+    # Tower levels are never validated; the full audit and a validated
+    # rebuild of every table must agree with them.
     tower = build_tower(ifs, depth)
     assert len(tower.level(depth).words) <= 64
     for level in tower.levels:
-        assert audit_space(level.space.dist, level.space.point_ids) == []
+        space = level.space
+        assert audit_space(space.dist, space.point_ids) == []
+        again = validate_space(space.dist, space.point_ids, space.coords)
+        assert again.dist == space.dist
+        assert again.point_ids == space.point_ids
+        assert again.coords == space.coords
+        assert again.diam == space.diam
+        assert again.space_hash == space.space_hash
+
+
+def test_hutchinson_reaches_the_cell_cap():
+    tower = build_tower(dyadic_ifs(), 12)
+    measure, cert = hutchinson_fixed(tower)
+    assert cert == {"invariant": True, "level": 12, "cells": 4096}
+    assert measure.weights == (F(1, 4096),) * 4096
+    # Neither step reads a distance table, so none was built.
+    assert not any("space" in vars(level) for level in tower.levels)

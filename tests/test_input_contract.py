@@ -78,6 +78,7 @@ MALFORMED = {
         "space", "space",
         json.dumps({"points": [{"id": "a", "coord": ["x"]}, {"id": "b"}], "dist": [[0, 1], [1, 0]]}),
     ),
+    "space-without-points": ("space", "space", json.dumps({"points": [], "dist": []})),
     "space-nan-distance": (
         "space", "space",
         '{"points": [{"id": "a"}, {"id": "b"}], "dist": [[0, NaN], [NaN, 0]]}',
@@ -102,6 +103,18 @@ def test_malformed_document_exits_2(tmp_path, case):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_rho_on_an_empty_space_exits_2(tmp_path):
+    space = tmp_path / "space.json"
+    space.write_text(json.dumps({"points": [], "dist": []}))
+    measure = tmp_path / "ovm.json"
+    measure.write_text(json.dumps({"kind": "projection", "dim": 1, "atoms": []}))
+    argv = ["rho", "--space", str(space), "--e", str(measure), "--f", str(measure)]
+    code, out, err = _run_quietly(argv)
+    assert code == 2
+    assert out == ""
+    assert err == "error: a metric space needs at least one point\n"
 
 
 def test_rational_vector_matches_float_sample(tmp_path):
