@@ -206,7 +206,7 @@ def criterion_6(seed: int = 0, trials_per_level: int = 30) -> CriterionResult:
             ok = ok and report.passed
             if report.tight_pair_ratio is not None:
                 tight = report.tight_pair_ratio
-    tight_ok = tight is not None and abs(float(tight) - 0.5) <= 1e-10
+    tight_ok = tight == Fraction(1, 2)
     enough = tested["projection"] >= 50 and tested["positive"] >= 50
     return CriterionResult(
         6,

@@ -62,7 +62,7 @@ def phi_step(ct: CuntzTower, k: int, E: OperatorValuedMeasure) -> OperatorValued
     if not 1 <= k <= ct.depth:
         raise LevelOutOfRange(f"step target {k} outside 1..{ct.depth}")
     prev = ct.tower.level(k - 1)
-    if E.space.space_hash != prev.space.space_hash or E.dim != ct.dim(k - 1):
+    if E.space != prev.space or E.dim != ct.dim(k - 1):
         raise MismatchedMeasures("measure does not live on the source level")
     d_prev = ct.dim(k - 1)
     d_next = ct.dim(k)
@@ -110,17 +110,18 @@ def phi_iterate(
 ) -> PhiTrace:
     """Iterate the contraction, tracking distance to the diagonal truth.
 
-    Distances are recorded at levels of at most ``RHO_VERTEX_CAP`` atoms;
-    each recorded ratio must respect the contraction bound.
-    After the run, values on all cells of depth <= steps are checked
-    against the cylinder projections (exactly for exact seeds).
+    The seed starts at the level with as many atoms as it has (level k
+    has N^k), and its space must equal that level's space by value; no
+    other level's distance table is built.  Distances are recorded at
+    levels of at most ``RHO_VERTEX_CAP`` atoms; each recorded ratio must
+    respect the contraction bound.  After the run, values on all cells of
+    depth <= steps are checked against the cylinder projections (exactly
+    for exact seeds).
     """
-    start_level = None
-    for k in range(ct.depth + 1):
-        if ct.tower.level(k).space.space_hash == seed.space.space_hash:
-            start_level = k
-            break
-    if start_level is None:
+    start_level = next(
+        (k for k in range(ct.depth + 1) if ct.dim(k) == seed.space.n), None
+    )
+    if start_level is None or ct.tower.level(start_level).space != seed.space:
         raise MismatchedMeasures("seed does not live on any tower level")
     if start_level + steps > ct.depth:
         raise LevelOutOfRange(
@@ -301,10 +302,9 @@ def contraction_ratio_rho(
                 space_next, phi_step(ct, k, off), phi_step(ct, k, truth), verts_next
             )
             den = rho_exact(space_prev, off, truth, verts_prev)
-            if num.exact is not None and den.exact is not None and den.exact != 0:
-                tight = num.exact / den.exact
-            elif den.value > 0:
-                tight = Fraction(num.value / den.value).limit_denominator(10**12)
+            # Both sides are exact 0/1 diagonal measures, so rho_exact gives
+            # Fractions, and off != truth at level >= 1, so den > 0.
+            tight = num.exact / den.exact
     return RhoContractionReport(
         level=k,
         kind=kind,
@@ -385,27 +385,3 @@ def relate_verify(ct: CuntzTower, h, k: int | None = None) -> RelateReport:
         span_rank=span_rank,
     )
 
-
-def scalar_pushforward_defect(
-    ct: CuntzTower, k: int, E: OperatorValuedMeasure, h
-) -> float:
-    """Compatibility of the step with scalar measures on one vector.
-
-    The stepped measure's diagonal weight on cell (i, c) must equal the
-    source measure's weight on cell c against the branch-pulled vector
-    S_i^* h.
-    """
-    from .cuntz import s_matrix
-    from .ovm import scalar_measure
-
-    stepped = phi_step(ct, k, E)
-    h = np.asarray(h, dtype=np.complex128)
-    lhs = np.array(scalar_measure(stepped, h, h).real.weights)
-    d_prev = ct.dim(k - 1)
-    rhs = np.empty_like(lhs)
-    for i in range(ct.n_branches):
-        si = s_matrix(ct, i, k).astype(np.float64)
-        pulled = si.T @ h
-        part = np.array(scalar_measure(E, pulled, pulled).real.weights)
-        rhs[i * d_prev : (i + 1) * d_prev] = part
-    return float(np.abs(lhs - rhs).max())

@@ -11,8 +11,7 @@ is what the transport and operator-metric layers consume.
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
@@ -25,16 +24,23 @@ from .errors import (
     TriangleViolation,
     ZeroDistanceDistinctPoints,
 )
-from .rationals import as_fraction, is_rational_sequence, rational_str
+from .rationals import as_fraction, is_rational_sequence
 
 DEFAULT_VERTEX_CAP = 7
 
 
 @dataclass(frozen=True)
 class FiniteMetricSpace:
+    """Point ids, an exact distance table and optional coordinates.
+
+    Spaces compare by value: two spaces are equal, and so the same frame
+    for measures, vertex sets and tower steps, when their point ids and
+    distance tables are equal.  Coordinates are ignored.
+    """
+
     point_ids: tuple[str, ...]
     dist: tuple[tuple[Fraction, ...], ...]
-    coords: tuple[tuple[Fraction, ...], ...] | None
+    coords: tuple[tuple[Fraction, ...], ...] | None = field(compare=False)
 
     @property
     def n(self) -> int:
@@ -43,13 +49,6 @@ class FiniteMetricSpace:
     @cached_property
     def diam(self) -> Fraction:
         return max(x for row in self.dist for x in row)
-
-    @cached_property
-    def space_hash(self) -> str:
-        text = ";".join(self.point_ids) + "|" + ",".join(
-            rational_str(x) for row in self.dist for x in row
-        )
-        return hashlib.sha256(text.encode()).hexdigest()[:16]
 
     def index(self, point_id: str) -> int:
         try:
@@ -158,11 +157,14 @@ def certify_lipschitz(space: FiniteMetricSpace, values) -> LipschitzFunction:
 
 @dataclass(frozen=True)
 class Lip1VertexSet:
-    """Extreme points of the anchored 1-Lipschitz polytope of one space."""
+    """Extreme points of the anchored 1-Lipschitz polytope of one space.
+
+    It serves any space equal to ``space`` (same ids and table).
+    """
 
     anchor: str
     vertices: tuple[tuple[Fraction, ...], ...]
-    space_hash: str
+    space: FiniteMetricSpace
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -272,7 +274,7 @@ def lip1_vertices(
     for vert in verts:
         if lip_constant(vert, space) > 1:  # pragma: no cover - construction invariant
             raise MetricAxiomError("enumerated vertex exceeds Lipschitz constant 1")
-    return Lip1VertexSet(space.point_ids[a0], tuple(verts), space.space_hash)
+    return Lip1VertexSet(space.point_ids[a0], tuple(verts), space)
 
 
 def mcshane(space: FiniteMetricSpace, values) -> tuple:

@@ -58,10 +58,8 @@ class OperatorValuedMeasure:
         return all(linalg.is_exact_matrix(m) for m in self.mats)
 
     def same_frame(self, other: "OperatorValuedMeasure") -> bool:
-        return (
-            self.space.space_hash == other.space.space_hash
-            and self.dim == other.dim
-        )
+        """Equal spaces (ids and table, coordinates ignored) and equal dims."""
+        return self.space == other.space and self.dim == other.dim
 
 
 def _freeze(mat: np.ndarray) -> np.ndarray:

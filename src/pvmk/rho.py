@@ -51,9 +51,9 @@ class RhoResult:
 def _check_frames(space, E, F, vertices=None):
     if not E.same_frame(F):
         raise MismatchedMeasures("measures live on different spaces or dimensions")
-    if E.space.space_hash != space.space_hash:
+    if E.space != space:
         raise MismatchedMeasures("measures do not live on the given space")
-    if vertices is not None and vertices.space_hash != space.space_hash:
+    if vertices is not None and vertices.space != space:
         raise StaleVertexSet("vertex set was built from a different space")
 
 

@@ -251,7 +251,7 @@ def kantorovich_dual_oracle(
     vertices: Lip1VertexSet,
 ) -> Fraction:
     """max over polytope vertices of sum phi (mu - nu); equals the LP value."""
-    if vertices.space_hash != space.space_hash:
+    if vertices.space != space:
         raise StaleVertexSet("vertex set was built from a different space")
     _check_measure(space, mu)
     _check_measure(space, nu)

@@ -62,6 +62,28 @@ def test_space_command_invalid(files, capsys):
     assert report["results"]["violations"]
 
 
+def test_space_command_scans_a_valid_document_once(files, capsys, monkeypatch):
+    import pvmk.metric_core as metric_core
+
+    scans = []
+    scan = metric_core._violations
+
+    def counted(ids, dist):
+        scans.append(len(ids))
+        return scan(ids, dist)
+
+    monkeypatch.setattr(metric_core, "_violations", counted)
+    tmp, write = files
+    space = write(
+        "space.json",
+        {"points": [{"id": "a"}, {"id": "b"}, {"id": "c"}],
+         "dist": [[0, 1, 2], [1, 0, 1], [2, 1, 0]]},
+    )
+    assert run(["space", "--space", space]) == 0
+    assert _capture(capsys)["results"]["points"] == 3
+    assert scans == [3]
+
+
 def test_kantorovich_command(files, capsys):
     tmp, write = files
     space = write(

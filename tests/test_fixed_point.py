@@ -18,14 +18,13 @@ from pvmk.fixed_point import (
     phi_iterate,
     phi_step,
     relate_verify,
-    scalar_pushforward_defect,
     swapped_diagonal_pvm,
     trivial_seed,
     verify_fixed_point,
 )
 from pvmk.ifs import build_tower, dyadic_ifs, make_ifs, triadic_ifs
 from pvmk.linalg import max_abs
-from pvmk.ovm import measure_of, validate_ovm
+from pvmk.ovm import measure_of, scalar_measure, validate_ovm
 from pvmk.rng import SplitMix64
 from pvmk.sampling import random_povm, random_truth_conjugate_pvm, random_unit_vector
 
@@ -206,11 +205,30 @@ def test_relate_verify_requires_unit_vector(dyadic_ct):
         relate_verify(dyadic_ct, np.full(8, 1.0))
 
 
+def _scalar_pushforward_defect(ct, k, E, h) -> float:
+    """Compatibility of the step with scalar measures on one vector.
+
+    The stepped measure's diagonal weight on cell (i, c) must equal the
+    source measure's weight on cell c against the branch-pulled vector
+    S_i^* h.
+    """
+    stepped = phi_step(ct, k, E)
+    h = np.asarray(h, dtype=np.complex128)
+    lhs = np.array(scalar_measure(stepped, h, h).real.weights)
+    d_prev = ct.dim(k - 1)
+    rhs = np.empty_like(lhs)
+    for i in range(ct.n_branches):
+        pulled = s_matrix(ct, i, k).astype(np.float64).T @ h
+        part = np.array(scalar_measure(E, pulled, pulled).real.weights)
+        rhs[i * d_prev : (i + 1) * d_prev] = part
+    return float(np.abs(lhs - rhs).max())
+
+
 def test_scalar_pushforward_identity(dyadic_ct):
     rng = SplitMix64(13)
     E = random_truth_conjugate_pvm(dyadic_ct.tower.level(1).space, rng)
     h = random_unit_vector(4, rng)
-    assert scalar_pushforward_defect(dyadic_ct, 2, E, h) < 1e-12
+    assert _scalar_pushforward_defect(dyadic_ct, 2, E, h) < 1e-12
 
 
 def test_cauchy_proxy_along_trace(dyadic_ct):

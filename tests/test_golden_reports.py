@@ -1,0 +1,66 @@
+"""Byte-for-byte reports of the exact-arithmetic sample commands.
+
+Each case runs ``cli.run`` from the repository root on ``sample_inputs/``
+and compares stdout with ``tests/golden/<case>.txt``.  Only commands whose
+output is fixed by exact arithmetic are pinned; the sphere, grid and random
+seeds end in float bits that depend on the BLAS build.  After a deliberate
+change of a report, rewrite the files with
+
+    PYTHONPATH=src python tests/test_golden_reports.py
+"""
+
+import contextlib
+import io
+import os
+import sys
+from pathlib import Path
+
+import pytest
+
+from pvmk.cli import run
+
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = Path(__file__).resolve().parent / "golden"
+SAMPLES = "sample_inputs/"
+DYADIC = SAMPLES + "dyadic_ifs.json"
+
+CASES = {
+    "space": ["space", "--space", SAMPLES + "two_point_space.json"],
+    "kantorovich": [
+        "kantorovich", "--space", SAMPLES + "two_point_space.json",
+        "--mu", SAMPLES + "mu.json", "--nu", SAMPLES + "nu.json",
+    ],
+    "hutchinson": ["hutchinson", "--ifs", DYADIC, "--depth", "6"],
+    "cuntz-verify": ["cuntz-verify", "--ifs", DYADIC, "--depth", "5"],
+    "rho-vertex": [
+        "rho", "--space", SAMPLES + "two_point_space.json",
+        "--e", SAMPLES + "pvm_truth.json", "--f", SAMPLES + "pvm_swapped.json",
+        "--method", "vertex",
+    ],
+    "verify-fixed-point": ["verify-fixed-point", "--ifs", DYADIC, "--depth", "5"],
+    "phi-iterate": ["phi-iterate", "--ifs", DYADIC, "--depth", "5", "--steps", "3"],
+}
+
+
+def _report(argv) -> tuple[int, str]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = run(argv)
+    return code, out.getvalue()
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_report_matches_golden(case, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    code, text = _report(CASES[case])
+    assert code == 0
+    assert text == (GOLDEN / f"{case}.txt").read_text(encoding="utf-8")
+
+
+if __name__ == "__main__":
+    os.chdir(ROOT)
+    for case, argv in CASES.items():
+        code, text = _report(argv)
+        if code != 0:
+            sys.exit(f"{case} exited {code}")
+        (GOLDEN / f"{case}.txt").write_text(text, encoding="utf-8")

@@ -231,7 +231,7 @@ def test_tower_levels_pass_full_metric_audit(ifs, depth):
         assert again.point_ids == space.point_ids
         assert again.coords == space.coords
         assert again.diam == space.diam
-        assert again.space_hash == space.space_hash
+        assert again == space
 
 
 def test_hutchinson_reaches_the_cell_cap():
