@@ -11,9 +11,12 @@ is what the transport and operator-metric layers consume.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+
+import numpy as np
 
 from .errors import (
     AsymmetricDistance,
@@ -36,6 +39,11 @@ class FiniteMetricSpace:
     Spaces compare by value: two spaces are equal, and so the same frame
     for measures, vertex sets and tower steps, when their point ids and
     distance tables are equal.  Coordinates are ignored.
+
+    ``scaled`` caches the table as ``(L, L*dist)``: L is the lcm of the
+    table's denominators and every entry of ``L*dist`` is a Python int, so
+    exact comparisons and sums of distances run on ints, which never wrap.
+    The cache is not a field and takes no part in equality.
     """
 
     point_ids: tuple[str, ...]
@@ -49,6 +57,14 @@ class FiniteMetricSpace:
     @cached_property
     def diam(self) -> Fraction:
         return max(x for row in self.dist for x in row)
+
+    @cached_property
+    def scaled(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        scale = math.lcm(*(x.denominator for row in self.dist for x in row))
+        table = tuple(
+            tuple(x.numerator * (scale // x.denominator) for x in row) for row in self.dist
+        )
+        return scale, table
 
     def index(self, point_id: str) -> int:
         try:
@@ -159,7 +175,8 @@ def certify_lipschitz(space: FiniteMetricSpace, values) -> LipschitzFunction:
 class Lip1VertexSet:
     """Extreme points of the anchored 1-Lipschitz polytope of one space.
 
-    It serves any space equal to ``space`` (same ids and table).
+    It serves any space equal to ``space`` (same ids and table).  The
+    vertices are sorted, as :func:`lip1_vertices` returns them.
     """
 
     anchor: str
@@ -169,16 +186,37 @@ class Lip1VertexSet:
     def __len__(self) -> int:
         return len(self.vertices)
 
+    @cached_property
+    def half(self) -> tuple[tuple[Fraction, ...], ...]:
+        """One vertex of each {phi, -phi} pair, in vertex order.
+
+        The rho objective is even in phi, so scoring this half scores every
+        vertex.  The anchored polytope is centrally symmetric, so its
+        vertex list is closed under negation, and negation reverses the
+        sorted order: the partner of the i-th vertex is the i-th from the
+        end.  The first of each pair is therefore in the first half of the
+        list, and the zero vertex of a one-point space is its own partner.
+        """
+        return self.vertices[: (len(self.vertices) + 1) // 2]
+
+    @cached_property
+    def half_floats(self) -> np.ndarray:
+        """``half`` as a read-only float64 matrix, one row per vertex."""
+        arr = np.array([[float(x) for x in vert] for vert in self.half])
+        arr.setflags(write=False)
+        return arr
+
 
 def _line_order(space: FiniteMetricSpace) -> list[int] | None:
     """Point indices sorted along an isometric embedding into the real line.
 
     With ``a`` a point farthest from point 0, the coordinates
     x_i = d(a, i) embed the space isometrically exactly when
-    d(i, j) == |x_i - x_j| for every pair; the check is exact and stops at
-    the first mismatch.  None when the space is not a line.
+    d(i, j) == |x_i - x_j| for every pair; the check is exact (on the scaled
+    table) and stops at the first mismatch.  None when the space is not a
+    line.
     """
-    d = space.dist
+    _, d = space.scaled
     a = max(range(space.n), key=d[0].__getitem__)
     x = d[a]
     for i in range(space.n):
@@ -188,6 +226,23 @@ def _line_order(space: FiniteMetricSpace) -> list[int] | None:
     return sorted(range(space.n), key=x.__getitem__)
 
 
+def _certified(space: FiniteMetricSpace, verts) -> list[tuple]:
+    """Scaled integer vertices, certified and returned as sorted Fractions.
+
+    Each vertex must satisfy |f_i - f_j| <= L*d(i, j) in ints, which is
+    ``lip_constant <= 1`` for f / L.  Sorting the ints sorts the Fractions,
+    since L > 0.
+    """
+    scale, d = space.scaled
+    pairs = [(i, j, d[i][j]) for i in range(space.n) for j in range(i + 1, space.n)]
+    for vert in verts:
+        for i, j, dij in pairs:
+            if abs(vert[i] - vert[j]) > dij:  # pragma: no cover - construction invariant
+                raise MetricAxiomError("enumerated vertex exceeds Lipschitz constant 1")
+    as_q = {x: Fraction(x, scale) for x in {x for vert in verts for x in vert}}
+    return [tuple(as_q[x] for x in vert) for vert in sorted(verts)]
+
+
 def _line_vertices(space: FiniteMetricSpace, a0: int, order: list[int]) -> list[tuple]:
     """Every slope-sign pattern of a line, walking outward from the anchor.
 
@@ -195,12 +250,13 @@ def _line_vertices(space: FiniteMetricSpace, a0: int, order: list[int]) -> list[
     anchored polytope is the box |f(next) - f(prev)| <= gap in the slope
     coordinates, and its vertices are its 2^(n-1) corners.
     """
+    _, d = space.scaled
     p = order.index(a0)
     steps = [(order[k - 1], order[k]) for k in range(p + 1, space.n)]
     steps += [(order[k + 1], order[k]) for k in range(p - 1, -1, -1)]
-    verts = [[Fraction(0)] * space.n]
+    verts = [[0] * space.n]
     for prev, v in steps:
-        gap = space.dist[prev][v]
+        gap = d[prev][v]
         grown = []
         for vert in verts:
             for val in (vert[prev] + gap, vert[prev] - gap):
@@ -208,7 +264,7 @@ def _line_vertices(space: FiniteMetricSpace, a0: int, order: list[int]) -> list[
                 new[v] = val
                 grown.append(new)
         verts = grown
-    return sorted(tuple(vert) for vert in verts)
+    return _certified(space, [tuple(vert) for vert in verts])
 
 
 def _search_vertices(space: FiniteMetricSpace, a0: int) -> list[tuple]:
@@ -222,31 +278,40 @@ def _search_vertices(space: FiniteMetricSpace, a0: int) -> list[tuple]:
     value(u) +/- d(u, v) for an assigned u, and infeasible extensions are
     pruned.  Different growth orders of one tree collapse in the frontier
     set, and final assignments are deduplicated.
+
+    The search runs on the scaled integer table, and a state is an n-slot
+    tuple with None for unassigned points.  A value x for point v is
+    feasible when |x - f_w| <= d(v, w) for every assigned w, that is when x
+    lies in every interval [f_w - d(v, w), f_w + d(v, w)], so in their
+    intersection, the window [lo, hi] = [max_w(f_w - d(v, w)),
+    min_w(f_w + d(v, w))].  Testing a candidate against the window, built
+    once per state and point, is therefore the same test as checking it
+    against every assigned w.  Every candidate f_u + d(u, v) is at least hi
+    and every f_u - d(u, v) is at most lo, so the candidates inside the
+    window are exactly its two ends.  The window is never empty: a state
+    is 1-Lipschitz, so f_w - f_w' <= d(w, w') <= d(w, v) + d(v, w') for
+    every pair of assigned points (McShane's extension).
     """
     n = space.n
-    d = space.dist
-    frontier: set[tuple[tuple[int, Fraction], ...]] = {((a0, Fraction(0)),)}
+    _, d = space.scaled
+    start = [None] * n
+    start[a0] = 0
+    frontier = {tuple(start)}
     for _ in range(n - 1):
-        grown: set[tuple[tuple[int, Fraction], ...]] = set()
+        grown = set()
         for state in frontier:
-            assigned = dict(state)
+            assigned = [(u, f) for u, f in enumerate(state) if f is not None]
             for v in range(n):
-                if v in assigned:
+                if state[v] is not None:
                     continue
-                candidates = set()
-                for u, uval in assigned.items():
-                    candidates.add(uval + d[u][v])
-                    candidates.add(uval - d[u][v])
-                for val in candidates:
-                    feasible = True
-                    for w, wval in assigned.items():
-                        if abs(val - wval) > d[v][w]:
-                            feasible = False
-                            break
-                    if feasible:
-                        grown.add(tuple(sorted(assigned.items() | {(v, val)})))
+                row = d[v]
+                lo = max([f - row[u] for u, f in assigned])
+                hi = min([f + row[u] for u, f in assigned])
+                head, tail = state[:v], state[v + 1 :]
+                grown.add(head + (lo,) + tail)
+                grown.add(head + (hi,) + tail)
         frontier = grown
-    return sorted({tuple(dict(state)[i] for i in range(n)) for state in frontier})
+    return _certified(space, list(frontier))
 
 
 def lip1_vertices(
@@ -259,8 +324,10 @@ def lip1_vertices(
     Two routes give the same sorted tuple.  When the distances embed
     isometrically into the real line (checked exactly), the vertices are
     the 2^(n-1) slope-sign patterns, built in closed form.  Every other
-    space goes through the generic spanning-tree search.  The point cap
-    applies to both routes, and every vertex is certified 1-Lipschitz.
+    space goes through the generic spanning-tree search.  Both routes run on
+    the space's scaled integer table and turn vertices into Fractions only
+    when they return.  The point cap applies to both routes, and every
+    vertex is certified 1-Lipschitz.
     """
     n = space.n
     if n > cap:
@@ -271,9 +338,6 @@ def lip1_vertices(
         verts = _search_vertices(space, a0)
     else:
         verts = _line_vertices(space, a0, order)
-    for vert in verts:
-        if lip_constant(vert, space) > 1:  # pragma: no cover - construction invariant
-            raise MetricAxiomError("enumerated vertex exceeds Lipschitz constant 1")
     return Lip1VertexSet(space.point_ids[a0], tuple(verts), space)
 
 

@@ -31,7 +31,6 @@ from .metric_core import (
     LipschitzFunction,
     lip_constant,
     lip1_vertices,
-    mcshane,
 )
 from .ovm import OperatorValuedMeasure, atom_difference_norms, integrate
 from .rng import SplitMix64
@@ -88,19 +87,6 @@ def _all_diagonal(deltas) -> bool:
     return True
 
 
-def _canonical_half(vertices: Lip1VertexSet):
-    """One representative of each {phi, -phi} pair (the objective is even)."""
-    seen = set()
-    out = []
-    for vert in vertices.vertices:
-        neg = tuple(-x for x in vert)
-        if neg in seen:
-            continue
-        seen.add(vert)
-        out.append(vert)
-    return out
-
-
 def _objective_stack(phis: np.ndarray, deltas) -> np.ndarray:
     stack = np.stack([linalg.to_complex(m) for m in deltas])
     return np.tensordot(phis, stack, axes=(1, 0))
@@ -121,7 +107,7 @@ def rho_exact(
     """
     _check_frames(space, E, F, vertices)
     deltas, exact = _difference_stack(E, F)
-    half = _canonical_half(vertices)
+    half = vertices.half
     if exact and _all_diagonal(deltas):
         diag = [[np.asarray(m)[j, j] for m in deltas] for j in range(E.dim)]
         best = Fraction(0)
@@ -141,8 +127,7 @@ def rho_exact(
             witness_vector=witness_vec,
             method="vertex",
         )
-    phis = np.array([[float(x) for x in vert] for vert in half])
-    mats = _objective_stack(phis, deltas)
+    mats = _objective_stack(vertices.half_floats, deltas)
     norms = linalg.spectral_norms_stack(list(mats))
     best_i = int(np.argmax(norms))
     _, witness_vec = linalg.top_eigenpair(mats[best_i])
@@ -179,8 +164,8 @@ def rho_lower_sphere(
     deltas, _ = _difference_stack(E, F)
     cdeltas = np.stack([linalg.to_complex(m) for m in deltas])
     complex_case = bool(np.abs(cdeltas.imag).max() > 0.0) if cdeltas.size else False
-    half = _canonical_half(vertices)
-    phis = np.array([[float(x) for x in vert] for vert in half])
+    half = vertices.half
+    phis = vertices.half_floats
     rng = SplitMix64(seed)
     best = -1.0
     best_h = None
@@ -221,7 +206,8 @@ def rho_lower_grid(
     """Lower bound from sampled Lipschitz functions.
 
     Raw random values are regularized to be 1-Lipschitz (min-plus with the
-    distance), anchored, and scored by the operator-norm objective.
+    distance, phi(x) = min_y (raw(y) + d(x, y)) on a float64 copy of the
+    table), anchored, and scored by the operator-norm objective.
     """
     _check_frames(space, E, F)
     if samples < 1:
@@ -229,12 +215,10 @@ def rho_lower_grid(
     deltas, _ = _difference_stack(E, F)
     rng = SplitMix64(seed)
     diam = float(space.diam)
-    phis = []
-    for _ in range(samples):
-        raw = [rng.uniform(-diam, diam) for _ in range(space.n)]
-        phi = mcshane(space, raw)
-        phis.append([x - phi[0] for x in phi])
-    phis = np.array(phis)
+    dist = np.array([[float(x) for x in row] for row in space.dist])
+    raw = np.array([[rng.uniform(-diam, diam) for _ in range(space.n)] for _ in range(samples)])
+    phis = np.stack([(raw + row).min(axis=1) for row in dist], axis=1)
+    phis = phis - phis[:, :1]
     mats = _objective_stack(phis, deltas)
     norms = linalg.spectral_norms_stack(list(mats))
     best_i = int(np.argmax(norms))

@@ -1,8 +1,10 @@
 """Metric space validation and exact Lipschitz polytope geometry."""
 
 import itertools
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -254,6 +256,114 @@ def test_non_line_spaces_keep_the_search():
             assert lip1_vertices(space, point).vertices == tuple(_search_vertices(space, b))
     theta_deep = _tower_spaces(theta, 3)[3]
     assert _line_order(theta_deep) is None
+
+
+def _fraction_search_vertices(space, a0):
+    """Reference for ``_search_vertices``: the same tree growing in Fraction
+    arithmetic, with states as sorted (point, value) pairs and each
+    candidate checked against every assigned point."""
+    n = space.n
+    d = space.dist
+    frontier = {((a0, Fraction(0)),)}
+    for _ in range(n - 1):
+        grown = set()
+        for state in frontier:
+            assigned = dict(state)
+            for v in range(n):
+                if v in assigned:
+                    continue
+                candidates = set()
+                for u, uval in assigned.items():
+                    candidates.add(uval + d[u][v])
+                    candidates.add(uval - d[u][v])
+                for val in candidates:
+                    feasible = True
+                    for w, wval in assigned.items():
+                        if abs(val - wval) > d[v][w]:
+                            feasible = False
+                            break
+                    if feasible:
+                        grown.add(tuple(sorted(assigned.items() | {(v, val)})))
+        frontier = grown
+    return sorted({tuple(dict(state)[i] for i in range(n)) for state in frontier})
+
+
+def _float_space(n, rng):
+    # distances 1.5 + k/100 as JSON floats, which are exact binary fractions
+    # with denominators up to 2^52, mixed with 3/2 + k/15015: the scale of
+    # the table passes 2^63, where an int64 table would wrap
+    d = [[0.0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            k = rng.randint(0, 50)
+            d[i][j] = d[j][i] = 1.5 + k / 100 if (i + j) % 2 else F(3, 2) + F(7 * k, 15015)
+    return validate_space(d)
+
+
+_THETA = make_ifs([(F(1, 2), 0), (F(1, 2), F(1, 2))], 0, theta=F(1, 3))
+_CROSS_RNG = SplitMix64(61)
+CROSS_CHECK = (
+    [(f"random-{n}", random_metric_space(n, _CROSS_RNG), n - 1) for n in range(3, 8)]
+    + [(f"strict-{n}", _strict_space(n, _CROSS_RNG), n // 2) for n in (5, 6)]
+    + [("theta-level-3", _tower_spaces(_THETA, 3)[3], 0), ("float-5", _float_space(5, _CROSS_RNG), 2)]
+)
+
+
+@pytest.mark.parametrize(
+    "space, a0", [case[1:] for case in CROSS_CHECK], ids=[case[0] for case in CROSS_CHECK]
+)
+def test_integer_search_matches_fraction_search(space, a0):
+    verts = _search_vertices(space, a0)
+    assert verts == _fraction_search_vertices(space, a0)
+    assert all(type(x) is Fraction for vert in verts for x in vert)
+    if space.n == 8:
+        assert len(verts) == 1458
+
+
+def test_scaled_table_is_a_cache_outside_equality():
+    rng = SplitMix64(67)
+    for space in (_strict_space(5, rng), _float_space(4, rng), path_space()):
+        fresh = validate_space([list(row) for row in space.dist], space.point_ids)
+        scale, table = space.scaled
+        assert space.scaled is space.scaled
+        assert "scaled" not in fresh.__dict__
+        assert space == fresh and hash(space) == hash(fresh)
+        assert scale == math.lcm(*(x.denominator for row in space.dist for x in row))
+        assert all(type(x) is int for row in table for x in row)
+        assert all(F(x, scale) == q for row, qrow in zip(table, space.dist) for x, q in zip(row, qrow))
+    assert _float_space(4, rng).scaled[0] > 2**63
+
+
+def _canonical_half(vertices):
+    """Reference for ``Lip1VertexSet.half``: one vertex of each {phi, -phi}
+    pair, in vertex order."""
+    seen = set()
+    out = []
+    for vert in vertices.vertices:
+        neg = tuple(-x for x in vert)
+        if neg in seen:
+            continue
+        seen.add(vert)
+        out.append(vert)
+    return out
+
+
+def test_vertex_set_caches_its_sign_half():
+    one_point = lip1_vertices(validate_space([[0]]))
+    assert one_point.half == one_point.vertices == ((F(0),),)
+    spaces = [path_space(), SHUFFLED_LINES[-1]] + [case[1] for case in CROSS_CHECK]
+    for space in spaces:
+        verts = lip1_vertices(space, cap=8)
+        assert verts.half == tuple(_canonical_half(verts))
+        assert verts.half is verts.half
+        # no vertex of two or more points is its own negation
+        assert 2 * len(verts.half) == len(verts)
+        arr = verts.half_floats
+        assert arr is verts.half_floats
+        assert arr.dtype == np.float64 and not arr.flags.writeable
+        assert np.array_equal(arr, [[float(x) for x in vert] for vert in verts.half])
+        with pytest.raises(ValueError):
+            arr[0, 0] = 1.0
 
 
 def test_anchored_lip1_membership_lp():

@@ -7,7 +7,7 @@ import pytest
 
 from pvmk.errors import MismatchedMeasures
 from pvmk.linalg import spectral_norm, to_complex
-from pvmk.metric_core import lip1_vertices, validate_space
+from pvmk.metric_core import lip1_vertices, mcshane, validate_space
 from pvmk.ovm import integrate, validate_ovm
 from pvmk.rho import (
     metric_axiom_suite,
@@ -108,6 +108,40 @@ def test_rho_negation_symmetry_and_order_invariance():
     assert rho_exact(space, e, f, verts).value == rho_exact(space, f, e, verts).value
 
 
+def test_rho_is_bitwise_symmetric_on_a_shared_vertex_set():
+    rng = SplitMix64(73)
+    for n in (4, 5):
+        space = random_metric_space(n, rng)
+        verts = lip1_vertices(space)
+        pairs = [
+            (random_pvm(space, 3, rng, complex_=True), random_pvm(space, 3, rng, complex_=True)),
+            (random_povm(space, 3, rng), random_povm(space, 3, rng)),
+        ]
+        for e, f in pairs:
+            ef = rho_exact(space, e, f, verts)
+            fe = rho_exact(space, f, e, verts)
+            assert ef.value == fe.value
+            assert ef.witness_phi.values == fe.witness_phi.values
+
+
+def test_sphere_same_with_fresh_or_shared_vertex_set():
+    rng = SplitMix64(79)
+    space = random_metric_space(5, rng)
+    e = random_pvm(space, 3, rng, complex_=True)
+    f = random_pvm(space, 3, rng, complex_=True)
+    shared = lip1_vertices(space)
+    rho_exact(space, e, f, shared)  # fills the shared set's caches first
+    runs = [
+        rho_lower_sphere(space, e, f, restarts=4, seed=5, vertices=shared),
+        rho_lower_sphere(space, e, f, restarts=4, seed=5, vertices=lip1_vertices(space)),
+        rho_lower_sphere(space, e, f, restarts=4, seed=5),
+    ]
+    for res in runs[1:]:
+        assert res.value == runs[0].value
+        assert res.witness_phi.values == runs[0].witness_phi.values
+        assert np.array_equal(res.witness_vector, runs[0].witness_vector)
+
+
 def test_sphere_on_swapped_pair():
     space, e, f = swapped_pair()
     verts = lip1_vertices(space)
@@ -141,6 +175,30 @@ def test_grid_constant_sample_is_zero():
     space, e, f = swapped_pair()
     res = rho_lower_grid(space, e, f, samples=1, seed=0)
     assert 0.0 <= res.value <= 0.5 + 1e-10
+
+
+def test_grid_samples_are_the_mcshane_regularizations():
+    # the float table route gives, bit for bit, the phis mcshane gives for
+    # float raw values on the exact table
+    rng = SplitMix64(83)
+    space = random_metric_space(5, rng)
+    e = random_pvm(space, 3, rng, complex_=True)
+    f = random_pvm(space, 3, rng, complex_=True)
+    samples = 12
+    res = rho_lower_grid(space, e, f, samples=samples, seed=7)
+    draws = SplitMix64(7)
+    diam = float(space.diam)
+    phis = []
+    for _ in range(samples):
+        phi = mcshane(space, [draws.uniform(-diam, diam) for _ in range(space.n)])
+        phis.append(tuple(x - phi[0] for x in phi))
+    norms = [
+        spectral_norm(to_complex(integrate(phi, e)) - to_complex(integrate(phi, f))) for phi in phis
+    ]
+    best = phis[int(np.argmax(norms))]
+    assert res.witness_phi.values == best
+    assert all(type(x) is float for x in best)
+    assert res.value == pytest.approx(max(norms), abs=1e-12)
 
 
 def test_mismatched_measures_rejected():
