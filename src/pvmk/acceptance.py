@@ -417,7 +417,7 @@ def criterion_12(seed: int = 0) -> CriterionResult:
         track(max(0.0, tv_slack))
         # sup-norm bound for operator integrals
         psi = np.array([complex(rng.gauss(), rng.gauss()) for _ in range(F.space.n)])
-        norm = linalg.operator_norm(integrate(psi, F))
+        norm = float(np.linalg.norm(linalg.to_complex(integrate(psi, F)), 2))
         track(max(0.0, norm - float(np.abs(psi).max())))
     mult_pvm = max(
         representation_check(diag, seed=seed).multiplicativity,

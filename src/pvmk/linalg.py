@@ -63,11 +63,6 @@ def spectral_norm(mat) -> float:
     return float(spectral_norms_stack([mat])[0])
 
 
-def operator_norm(mat) -> float:
-    """Operator norm of a general matrix (largest singular value)."""
-    return float(np.linalg.norm(to_complex(mat), 2))
-
-
 def eigendecomposition(mat) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and matching unit eigenvectors (columns).
 

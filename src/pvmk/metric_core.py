@@ -43,7 +43,9 @@ class FiniteMetricSpace:
     ``scaled`` caches the table as ``(L, L*dist)``: L is the lcm of the
     table's denominators and every entry of ``L*dist`` is a Python int, so
     exact comparisons and sums of distances run on ints, which never wrap.
-    The cache is not a field and takes no part in equality.
+    Its readers are the Lip-1 vertex routes, :func:`lip_constant` and the
+    transport simplex and certificates of ``transport.kantorovich``.  The
+    cache is not a field and takes no part in equality.
     """
 
     point_ids: tuple[str, ...]
@@ -144,18 +146,33 @@ def validate_space(dist_table, point_ids=None, coords=None) -> FiniteMetricSpace
 
 
 def lip_constant(values, space: FiniteMetricSpace):
-    """Smallest K with |f(x) - f(y)| <= K d(x,y); exact when values are rational."""
+    """Smallest K with |f(x) - f(y)| <= K d(x,y); exact when values are rational.
+
+    Rational values are cleared of their denominators with their lcm D, so
+    F = D*f is a list of ints, and compared on the scaled table: the ratio
+    of a pair is |F_i - F_j| * L / (D * L*d_ij).  The largest ratio is found
+    by cross-multiplying ints, and one Fraction is built at the end.
+    """
     if len(values) != space.n:
         raise InputParseError("value vector must cover every point")
-    exact = is_rational_sequence(values)
-    best = Fraction(0) if exact else 0.0
-    for i in range(space.n):
+    if not is_rational_sequence(values):
+        best = 0.0
+        for i in range(space.n):
+            for j in range(i + 1, space.n):
+                ratio = abs(values[i] - values[j]) / space.dist[i][j]
+                if ratio > best:
+                    best = ratio
+        return best
+    scale, d = space.scaled
+    den = math.lcm(*(x.denominator for x in values))
+    f = [x.numerator * (den // x.denominator) for x in values]
+    top, bottom = 0, 1
+    for i, (fi, row) in enumerate(zip(f, d)):
         for j in range(i + 1, space.n):
-            d = space.dist[i][j]
-            ratio = abs(values[i] - values[j]) / d
-            if ratio > best:
-                best = ratio
-    return best
+            diff = abs(fi - f[j])
+            if diff * bottom > top * row[j]:
+                top, bottom = diff, row[j]
+    return Fraction(top * scale, bottom * den)
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,23 @@
 """Measures on a finite metric space and the exact Kantorovich metric.
 
 The optimal-transport value is computed by a primal transportation simplex
-with exact rational pivots and Bland's anti-cycling rule, restricted to the
-supports of the two measures.  Every result ships a primal certificate (the
-plan) and a dual certificate (an anchored 1-Lipschitz potential with zero
-duality gap), both checked by exact arithmetic before returning.
+with Bland's anti-cycling rule, restricted to the supports of the two
+measures.  The pivots run in Python ints (never int64): costs are the
+space's scaled table L*d, and weights are scaled by M, the lcm of the two
+measures' denominators.  Flows are then ints in units of 1/M, duals and the
+potential in units of 1/L, and the value in units of 1/(L*M).  Scaling by
+positive constants keeps every sign and every tie, so Bland's entering and
+leaving choices are the pivots exact rational arithmetic would make.
+
+Every result ships a primal certificate (the plan) and a dual certificate
+(an anchored 1-Lipschitz potential with zero duality gap), both checked in
+ints before returning.  Fractions appear only at the boundary: the value,
+the non-zero plan entries and the potential.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -17,6 +26,7 @@ from .metric_core import (
     FiniteMetricSpace,
     Lip1VertexSet,
     LipschitzFunction,
+    certify_lipschitz,
     lip_constant,
 )
 from .rationals import as_fraction, is_rational_sequence
@@ -74,16 +84,14 @@ class TransportResult:
 
 
 def _northwest_corner(supply, demand):
-    """Initial staircase basis with m + n - 1 cells (zero flows kept)."""
+    """Initial staircase basis: m + n - 1 cells -> flow, zero flows kept."""
     m, n = len(supply), len(demand)
     a = list(supply)
     b = list(demand)
-    cells: list[tuple[int, int]] = []
-    flow: dict[tuple[int, int], Fraction] = {}
+    flow: dict[tuple[int, int], int] = {}
     i = j = 0
     while True:
         t = min(a[i], b[j])
-        cells.append((i, j))
         flow[(i, j)] = t
         a[i] -= t
         b[j] -= t
@@ -93,104 +101,112 @@ def _northwest_corner(supply, demand):
             i += 1
         else:
             j += 1
-    return cells, flow
+    return flow
 
 
-def _tree_duals(cells, cost, m, n):
-    """Potentials u, v with u_i + v_j = cost on every basic cell (u_0 = 0)."""
-    row_adj: dict[int, list[int]] = {i: [] for i in range(m)}
-    col_adj: dict[int, list[int]] = {j: [] for j in range(n)}
-    for i, j in cells:
+def _tree_adjacency(flow, m, n):
+    """Row and column adjacency lists of the basis tree."""
+    row_adj: list[list[int]] = [[] for _ in range(m)]
+    col_adj: list[list[int]] = [[] for _ in range(n)]
+    for i, j in flow:
         row_adj[i].append(j)
         col_adj[j].append(i)
-    u: list[Fraction | None] = [None] * m
-    v: list[Fraction | None] = [None] * n
-    u[0] = Fraction(0)
-    queue = [("r", 0)]
-    while queue:
-        side, k = queue.pop()
+    return row_adj, col_adj
+
+
+def _tree_duals(adj, cost):
+    """Potentials u, v with u_i + v_j = cost on every basic cell (u_0 = 0)."""
+    row_adj, col_adj = adj
+    u: list[int | None] = [None] * len(row_adj)
+    v: list[int | None] = [None] * len(col_adj)
+    u[0] = 0
+    stack = [("r", 0)]
+    while stack:
+        side, k = stack.pop()
         if side == "r":
             for j in row_adj[k]:
                 if v[j] is None:
                     v[j] = cost[k][j] - u[k]
-                    queue.append(("c", j))
+                    stack.append(("c", j))
         else:
             for i in col_adj[k]:
                 if u[i] is None:
                     u[i] = cost[i][k] - v[k]
-                    queue.append(("r", i))
-    if any(x is None for x in u) or any(x is None for x in v):
+                    stack.append(("r", i))
+    if None in u or None in v:
         raise PvmkError("transport basis is not a spanning tree")
     return u, v
 
 
-def _tree_path(cells, start_row, end_col, m, n):
-    """Cells along the unique tree path from row node to column node."""
-    row_adj: dict[int, list[int]] = {i: [] for i in range(m)}
-    col_adj: dict[int, list[int]] = {j: [] for j in range(n)}
-    for i, j in cells:
-        row_adj[i].append(j)
-        col_adj[j].append(i)
+def _tree_path(adj, start_row, end_col):
+    """Cells along the tree path from row node to column node.
+
+    The path in a tree is unique, so the search order does not matter.
+    """
+    row_adj, col_adj = adj
     parent: dict[tuple[str, int], tuple[tuple[str, int], tuple[int, int]] | None] = {
         ("r", start_row): None
     }
-    queue = [("r", start_row)]
-    while queue:
-        node = queue.pop(0)
+    stack = [("r", start_row)]
+    while stack:
+        node = stack.pop()
         side, k = node
         if side == "r":
             for j in row_adj[k]:
                 nxt = ("c", j)
                 if nxt not in parent:
                     parent[nxt] = (node, (k, j))
-                    queue.append(nxt)
+                    stack.append(nxt)
         else:
             for i in col_adj[k]:
                 nxt = ("r", i)
                 if nxt not in parent:
                     parent[nxt] = (node, (i, k))
-                    queue.append(nxt)
+                    stack.append(nxt)
     path = []
     node = ("c", end_col)
     while parent[node] is not None:
-        prev, edge = parent[node]
+        node, edge = parent[node]
         path.append(edge)
-        node = prev
     path.reverse()
     return path
 
 
 def _transport_simplex(cost, supply, demand):
-    """Exact primal transportation simplex (Bland entering and leaving rules)."""
+    """Exact primal transportation simplex (Bland entering and leaving rules).
+
+    Returns the value, the basis flows (cell -> flow) and the duals u, v.
+    Costs, supplies and demands are ints, and so is everything computed.
+    A basic cell has reduced cost exactly 0, so the entering scan needs no
+    basis test.
+    """
     m, n = len(supply), len(demand)
-    cells, flow = _northwest_corner(supply, demand)
-    basis = set(cells)
+    flow = _northwest_corner(supply, demand)
     while True:
-        u, v = _tree_duals(cells, cost, m, n)
-        entering = None
-        for i in range(m):
-            for j in range(n):
-                if (i, j) not in basis and cost[i][j] - u[i] - v[j] < 0:
-                    entering = (i, j)
-                    break
-            if entering is not None:
-                break
+        adj = _tree_adjacency(flow, m, n)
+        u, v = _tree_duals(adj, cost)
+        entering = next(
+            (
+                (i, j)
+                for i, (row, ui) in enumerate(zip(cost, u))
+                for j, (c, vj) in enumerate(zip(row, v))
+                if c < ui + vj
+            ),
+            None,
+        )
         if entering is None:
-            value = sum(flow[c] * cost[c[0]][c[1]] for c in cells)
+            value = sum(f * cost[i][j] for (i, j), f in flow.items())
             return value, flow, u, v
-        path = _tree_path(cells, entering[0], entering[1], m, n)
+        path = _tree_path(adj, *entering)
         minus = path[0::2]  # cycle alternates starting beside the entering cell
         theta = min(flow[c] for c in minus)
         leaving = min(c for c in minus if flow[c] == theta)
-        flow[entering] = flow.get(entering, Fraction(0)) + theta
         sign = -1
         for c in path:
             flow[c] += sign * theta
             sign = -sign
-        basis.remove(leaving)
-        basis.add(entering)
-        cells = [c for c in cells if c != leaving] + [entering]
         del flow[leaving]
+        flow[entering] = theta
 
 
 def _check_measure(space: FiniteMetricSpace, mu: ProbMeasure):
@@ -205,42 +221,47 @@ def kantorovich(space: FiniteMetricSpace, mu: ProbMeasure, nu: ProbMeasure) -> T
 
     The potential is recovered from the optimal basis duals through the
     metric transform f(p) = min_j (d(p, x_j) - v_j), anchored at the first
-    point; 1-Lipschitz feasibility and the zero duality gap are then
-    verified exactly rather than assumed.
+    point.  The 1-Lipschitz bound, the zero duality gap and the plan's row
+    and column sums are then verified exactly rather than assumed, on the
+    scaled ints; the marginals are summed from the basis flows.
     """
     _check_measure(space, mu)
     _check_measure(space, nu)
-    rows = list(mu.support())
-    cols = list(nu.support())
-    cost = [[space.dist[i][j] for j in cols] for i in rows]
+    scale, d = space.scaled
+    unit = math.lcm(*(w.denominator for w in mu.weights + nu.weights))
+    a = [w.numerator * (unit // w.denominator) for w in mu.weights]
+    b = [w.numerator * (unit // w.denominator) for w in nu.weights]
+    rows = mu.support()
+    cols = nu.support()
     value, flow, _u, v = _transport_simplex(
-        cost, [mu.weights[i] for i in rows], [nu.weights[j] for j in cols]
+        [[d[i][j] for j in cols] for i in rows], [a[i] for i in rows], [b[j] for j in cols]
     )
-    plan = [[Fraction(0)] * space.n for _ in range(space.n)]
-    for (si, sj), f in flow.items():
-        plan[rows[si]][cols[sj]] = f
-    phi = [
-        min(space.dist[p][cols[sj]] - v[sj] for sj in range(len(cols)))
-        for p in range(space.n)
-    ]
-    anchor_val = phi[0]
-    phi = tuple(x - anchor_val for x in phi)
-    constant = lip_constant(phi, space)
-    if constant > 1:
+    phi = [min(d[p][j] - vj for j, vj in zip(cols, v)) for p in range(space.n)]
+    phi = [x - phi[0] for x in phi]
+    potential = certify_lipschitz(space, [Fraction(x, scale) for x in phi])
+    if potential.constant > 1:
         raise PvmkError("dual potential failed the 1-Lipschitz certificate")
-    gap = sum(p * (a - b) for p, a, b in zip(phi, mu.weights, nu.weights)) - value
+    gap = sum(p * (x - y) for p, x, y in zip(phi, a, b)) - value
     if gap != 0:
-        raise PvmkError(f"duality gap is nonzero: {gap}")
-    for i in range(space.n):
-        if sum(plan[i]) != mu.weights[i]:
-            raise PvmkError("plan row sums do not match the source measure")
-    for j in range(space.n):
-        if sum(plan[i][j] for i in range(space.n)) != nu.weights[j]:
-            raise PvmkError("plan column sums do not match the target measure")
+        raise PvmkError(f"duality gap is nonzero: {Fraction(gap, scale * unit)}")
+    row_sums = [0] * space.n
+    col_sums = [0] * space.n
+    for (si, sj), f in flow.items():
+        row_sums[rows[si]] += f
+        col_sums[cols[sj]] += f
+    if row_sums != a:
+        raise PvmkError("plan row sums do not match the source measure")
+    if col_sums != b:
+        raise PvmkError("plan column sums do not match the target measure")
+    zero = Fraction(0)
+    plan = [[zero] * space.n for _ in range(space.n)]
+    for (si, sj), f in flow.items():
+        if f:
+            plan[rows[si]][cols[sj]] = Fraction(f, unit)
     return TransportResult(
-        value=value,
+        value=Fraction(value, scale * unit),
         plan=tuple(tuple(row) for row in plan),
-        potential=LipschitzFunction(phi, constant),
+        potential=potential,
     )
 
 

@@ -8,7 +8,6 @@ from pvmk.linalg import (
     gram_rank,
     max_abs,
     min_eigenvalue,
-    operator_norm,
     spectral_norm,
     spectral_norms_stack,
     sym_matrix_function,
@@ -126,12 +125,6 @@ def test_spectral_norms_stack_batches():
     batch = spectral_norms_stack(mats)
     singles = [np.abs(np.linalg.eigvalsh(m)).max() for m in mats]
     assert np.abs(batch - np.array(singles)).max() < 1e-10
-
-
-def test_operator_norm_general_matrix():
-    rng = SplitMix64(13)
-    m = np.array([[complex(rng.gauss(), rng.gauss()) for _ in range(4)] for _ in range(4)])
-    assert abs(operator_norm(m) - np.linalg.svd(m, compute_uv=False)[0]) < 1e-9
 
 
 def test_sym_matrix_function_inverse_sqrt():

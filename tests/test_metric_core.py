@@ -334,6 +334,43 @@ def test_scaled_table_is_a_cache_outside_equality():
     assert _float_space(4, rng).scaled[0] > 2**63
 
 
+def _loop_lip_constant(values, space, best):
+    """Reference for ``lip_constant``: the pairwise ratio loop, started at
+    ``best`` (Fraction(0) for rational values, 0.0 for floats)."""
+    for i in range(space.n):
+        for j in range(i + 1, space.n):
+            ratio = abs(values[i] - values[j]) / space.dist[i][j]
+            if ratio > best:
+                best = ratio
+    return best
+
+
+_LIP_RNG = SplitMix64(73)
+_DYADIC_3 = _tower_spaces(dyadic_ifs(), 3)[3]
+LIP_CASES = [
+    ("thirds-on-integers", path_space(), [F(1, 3), F(-2, 7), F(5, 11)]),
+    ("negative", _strict_space(5, _LIP_RNG), [F(-3, 2), F(-7, 5), 0, -2, F(-1, 9)]),
+    ("all-equal", _DYADIC_3, [F(-5, 3)] * 8),
+    ("one-point", validate_space([[0]]), [F(7, 3)]),
+    ("float-table", _float_space(5, _LIP_RNG), [F(k, 13) for k in (0, 4, -9, 2, 11)]),
+    ("ints", _DYADIC_3, [3, -1, 4, 1, -5, 9, -2, 6]),
+    ("dyadic-vertex", _DYADIC_3, list(lip1_vertices(_DYADIC_3, cap=8).vertices[77])),
+]
+
+
+@pytest.mark.parametrize(
+    "space, values", [case[1:] for case in LIP_CASES], ids=[case[0] for case in LIP_CASES]
+)
+def test_lip_constant_matches_fraction_loop(space, values):
+    got = lip_constant(values, space)
+    assert type(got) is Fraction
+    assert got == _loop_lip_constant(values, space, Fraction(0))
+    floats = [float(x) for x in values]
+    got = lip_constant(floats, space)
+    assert type(got) is float
+    assert got == _loop_lip_constant(floats, space, 0.0)
+
+
 def _canonical_half(vertices):
     """Reference for ``Lip1VertexSet.half``: one vertex of each {phi, -phi}
     pair, in vertex order."""
