@@ -5,14 +5,15 @@ length-k branch word, with exact rational coordinates that cohere across
 levels (prepending branch i to a word applies branch i to the
 representative).  Each level is a finite metric space, either with
 coordinate distance |x - y| or, optionally, with the ultrametric
-theta^(common prefix length) on words, built when first asked for.
+theta^(common prefix length) on words.  Its point ids are there at once;
+its distance table is built when a distance is first read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 
 from .errors import (
     InputParseError,
@@ -116,26 +117,31 @@ class TowerLevel:
 
     @cached_property
     def space(self) -> FiniteMetricSpace:
-        """The level's metric space, built on first use and never validated.
-
-        It is a metric by construction.  Distinct words of one length name
-        distinct cells, and the cells are disjoint, so distinct words have
-        distinct representatives and |x - y| > 0; distinct words of length
-        k share a prefix shorter than k, so theta^lcp > 0.  Both tables are
-        symmetric with a zero diagonal, |x - y| satisfies the triangle
-        inequality, and theta^lcp the ultrametric one, since
-        lcp(a, c) >= min(lcp(a, b), lcp(b, c)).
-        """
-        if self.theta is None:
-            dist = tuple(tuple(abs(x - y) for y in self.reps) for x in self.reps)
-        else:
-            k = len(self.words[0])
-            powers = [self.theta**t for t in range(k)] + [Fraction(0)]
-            dist = tuple(
-                tuple(powers[_lcp(a, b)] for b in self.words) for a in self.words
-            )
+        """The level's metric space: ids and coordinates now, the distance
+        table (:func:`_level_table`) on its first read.  The function that
+        builds the table holds the level's data, not the level, so no
+        reference cycle keeps a level alive."""
         ids = tuple(word_id(w) for w in self.words)
-        return FiniteMetricSpace(ids, dist, tuple((x,) for x in self.reps))
+        table = partial(_level_table, self.words, self.reps, self.theta)
+        return FiniteMetricSpace(ids, table, tuple((x,) for x in self.reps))
+
+
+def _level_table(words, reps, theta) -> tuple[tuple[Fraction, ...], ...]:
+    """A level's distance table, never validated.
+
+    It is a metric by construction.  Distinct words of one length name
+    distinct cells, and the cells are disjoint, so distinct words have
+    distinct representatives and |x - y| > 0; distinct words of length
+    k share a prefix shorter than k, so theta^lcp > 0.  Both tables are
+    symmetric with a zero diagonal, |x - y| satisfies the triangle
+    inequality, and theta^lcp the ultrametric one, since
+    lcp(a, c) >= min(lcp(a, b), lcp(b, c)).
+    """
+    if theta is None:
+        return tuple(tuple(abs(x - y) for y in reps) for x in reps)
+    k = len(words[0])
+    powers = [theta**t for t in range(k)] + [Fraction(0)]
+    return tuple(tuple(powers[_lcp(a, b)] for b in words) for a in words)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ is what the transport and operator-metric layers consume.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -32,29 +32,58 @@ from .rationals import as_fraction, is_rational_sequence
 DEFAULT_VERTEX_CAP = 7
 
 
-@dataclass(frozen=True)
 class FiniteMetricSpace:
     """Point ids, an exact distance table and optional coordinates.
 
+    ``dist`` is the table, or a function of no arguments that returns it.
+    A function is called on the first read of ``dist`` (or of ``scaled``
+    or ``diam``, which read it), and its table is kept.  Tower levels are
+    built this way: measures, cylinder ids and frame checks read only the
+    point ids, so a level whose distances nothing reads never builds its
+    n x n table.
+
     Spaces compare by value: two spaces are equal, and so the same frame
     for measures, vertex sets and tower steps, when their point ids and
-    distance tables are equal.  Coordinates are ignored.
+    distance tables are equal.  Coordinates are ignored.  Equality tests
+    identity first, then the ids, then the tables, so a space compared
+    with itself, or with one of other ids, reads no table.  The hash is
+    that of the ids.
 
     ``scaled`` caches the table as ``(L, L*dist)``: L is the lcm of the
     table's denominators and every entry of ``L*dist`` is a Python int, so
     exact comparisons and sums of distances run on ints, which never wrap.
     Its readers are the Lip-1 vertex routes, :func:`lip_constant` and the
-    transport simplex and certificates of ``transport.kantorovich``.  The
-    cache is not a field and takes no part in equality.
+    transport simplex and certificates of ``transport.kantorovich``.
     """
 
-    point_ids: tuple[str, ...]
-    dist: tuple[tuple[Fraction, ...], ...]
-    coords: tuple[tuple[Fraction, ...], ...] | None = field(compare=False)
+    def __init__(self, point_ids: tuple[str, ...], dist, coords=None):
+        self.point_ids = point_ids
+        self.coords = coords
+        if callable(dist):
+            self._build_dist = dist
+        else:
+            self.__dict__["dist"] = dist
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, FiniteMetricSpace):
+            return NotImplemented
+        return self.point_ids == other.point_ids and self.dist == other.dist
+
+    def __hash__(self) -> int:
+        return hash(self.point_ids)
+
+    def __repr__(self) -> str:
+        return f"FiniteMetricSpace(point_ids={self.point_ids!r})"
 
     @property
     def n(self) -> int:
         return len(self.point_ids)
+
+    @cached_property
+    def dist(self) -> tuple[tuple[Fraction, ...], ...]:
+        return self._build_dist()
 
     @cached_property
     def diam(self) -> Fraction:
@@ -222,6 +251,20 @@ class Lip1VertexSet:
         arr = np.array([[float(x) for x in vert] for vert in self.half])
         arr.setflags(write=False)
         return arr
+
+    @cached_property
+    def scaled(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """The vertices as ``(L, L*vertices)`` in Python ints, L from
+        ``space.scaled``.
+
+        Every vertex value is an int over L (the vertex routes build them
+        as ``Fraction(x, L)``), so each L*phi is a tuple of ints, in vertex
+        order; the first ``len(half)`` of them are the half's.
+        """
+        scale = self.space.scaled[0]
+        return scale, tuple(
+            tuple(x.numerator * (scale // x.denominator) for x in vert) for vert in self.vertices
+        )
 
 
 def _line_order(space: FiniteMetricSpace) -> list[int] | None:

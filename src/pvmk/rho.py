@@ -18,6 +18,7 @@ plain sampling of regularized Lipschitz functions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -61,20 +62,21 @@ def _difference_stack(E: OperatorValuedMeasure, F: OperatorValuedMeasure):
 
     The sign flip makes rho(E, F) and rho(F, E) bitwise identical: the
     objective only sees the differences, and the spectral norm is even.
+    The sign is that of the first non-zero entry, in atom-major, row-major
+    order (its real part, for complex entries).
     """
     exact = E.is_exact and F.is_exact
     if exact:
         deltas = [a - b for a, b in zip(E.mats, F.mats)]
-        flat = [x for m in deltas for x in np.asarray(m).ravel()]
     else:
         deltas = [linalg.to_complex(a) - linalg.to_complex(b) for a, b in zip(E.mats, F.mats)]
-        flat = [x for m in deltas for x in m.ravel()]
-    for x in flat:
-        if x != 0:
-            key = x.real if isinstance(x, complex) else x
-            if key < 0:
+    if deltas:
+        flat = np.stack(deltas).ravel()
+        nonzero = np.flatnonzero(flat)
+        if nonzero.size:
+            x = flat[nonzero[0]]
+            if (x.real if isinstance(x, complex) else x) < 0:
                 deltas = [-m for m in deltas]
-            break
     return deltas, exact
 
 
@@ -92,6 +94,32 @@ def _objective_stack(phis: np.ndarray, deltas) -> np.ndarray:
     return np.tensordot(phis, stack, axes=(1, 0))
 
 
+def _best_diagonal_vertex(vertices: Lip1VertexSet, deltas) -> tuple[Fraction, int, int]:
+    """(max value, half index, slot) of |sum_a phi(a) delta_a(j)| over the
+    half and the diagonal slots j, for exact diagonal differences.
+
+    A slot where every difference is zero scores 0, which never beats the
+    running best under ``>``, so only the other slots are scored, each on
+    its non-zero atoms.
+    """
+    scale, ints = vertices.scaled
+    diags = [np.asarray(m).diagonal().tolist() for m in deltas]
+    unit = math.lcm(*(x.denominator for diag in diags for x in diag))
+    cleared = [[x.numerator * (unit // x.denominator) for x in diag] for diag in diags]
+    slots = []
+    for j, col in enumerate(zip(*cleared)):
+        nonzero = [(a, w) for a, w in enumerate(col) if w]
+        if nonzero:
+            slots.append((j, nonzero))
+    best, best_i, best_j = 0, 0, 0
+    for i, vert in enumerate(ints[: len(vertices.half)]):
+        for j, col in slots:
+            val = abs(sum([vert[a] * w for a, w in col]))
+            if val > best:
+                best, best_i, best_j = val, i, j
+    return Fraction(best, scale * unit), best_i, best_j
+
+
 def rho_exact(
     space: FiniteMetricSpace,
     E: OperatorValuedMeasure,
@@ -102,22 +130,21 @@ def rho_exact(
 
     Returns the optimizing vertex and a unit vector achieving the operator
     norm of the witness operator.  When both measures carry exact diagonal
-    matrices the whole computation stays in rational arithmetic and the
-    ``exact`` field holds the value as a Fraction.
+    matrices, the witness operator is diagonal and its norm is the largest
+    |sum_a phi(a) delta_a(j)| over vertices phi and diagonal slots j.  That
+    maximum is found in Python ints: the vertices are scored as L*phi
+    (``vertices.scaled``) against the diagonals cleared by M, the lcm of
+    their denominators, so every score is L*M times its rational value.
+    The scan runs vertex-major and j-minor with a strict ``>``, so it keeps
+    the first maximum, and the ``exact`` field is the one Fraction built
+    at the end, best / (L*M).
     """
     _check_frames(space, E, F, vertices)
     deltas, exact = _difference_stack(E, F)
     half = vertices.half
     if exact and _all_diagonal(deltas):
-        diag = [[np.asarray(m)[j, j] for m in deltas] for j in range(E.dim)]
-        best = Fraction(0)
-        best_vert = half[0]
-        best_j = 0
-        for vert in half:
-            for j in range(E.dim):
-                val = abs(sum(p * w for p, w in zip(vert, diag[j])))
-                if val > best:
-                    best, best_vert, best_j = val, vert, j
+        best, best_i, best_j = _best_diagonal_vertex(vertices, deltas)
+        best_vert = half[best_i]
         witness_vec = np.zeros(E.dim)
         witness_vec[best_j] = 1.0
         return RhoResult(

@@ -271,13 +271,24 @@ def kantorovich_dual_oracle(
     nu: ProbMeasure,
     vertices: Lip1VertexSet,
 ) -> Fraction:
-    """max over polytope vertices of sum phi (mu - nu); equals the LP value."""
+    """max over polytope vertices of sum phi (mu - nu); equals the LP value.
+
+    Scored in Python ints: each vertex as L*phi (``vertices.scaled``)
+    against the weight differences scaled by M, the lcm of the two
+    measures' denominators, on the points where they differ.  The maximum
+    is L*M times the value, which is returned as one Fraction.
+    """
     if vertices.space != space:
         raise StaleVertexSet("vertex set was built from a different space")
     _check_measure(space, mu)
     _check_measure(space, nu)
-    diff = [a - b for a, b in zip(mu.weights, nu.weights)]
-    return max(sum(p * w for p, w in zip(vert, diff)) for vert in vertices.vertices)
+    scale, ints = vertices.scaled
+    unit = math.lcm(*(w.denominator for w in mu.weights + nu.weights))
+    a = [w.numerator * (unit // w.denominator) for w in mu.weights]
+    b = [w.numerator * (unit // w.denominator) for w in nu.weights]
+    diff = [(i, x - y) for i, (x, y) in enumerate(zip(a, b)) if x != y]
+    best = max(sum([vert[i] * w for i, w in diff]) for vert in ints)
+    return Fraction(best, scale * unit)
 
 
 def weak_gap(space: FiniteMetricSpace, f_values, mu: ProbMeasure, nu: ProbMeasure):

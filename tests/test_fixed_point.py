@@ -19,21 +19,27 @@ from pvmk.fixed_point import (
     phi_step,
     relate_verify,
     swapped_diagonal_pvm,
-    trivial_seed,
     verify_fixed_point,
 )
 from pvmk.ifs import build_tower, dyadic_ifs, make_ifs, triadic_ifs
 from pvmk.linalg import max_abs
+from pvmk.metric_core import lip1_vertices
 from pvmk.ovm import measure_of, scalar_measure, validate_ovm
+from pvmk.rho import rho_exact
 from pvmk.rng import SplitMix64
-from pvmk.sampling import random_povm, random_truth_conjugate_pvm, random_unit_vector
+from pvmk.sampling import (
+    random_diagonal_pvm_pair,
+    random_povm,
+    random_truth_conjugate_pvm,
+    random_unit_vector,
+)
 
 F = Fraction
 
 
 def test_base_case_any_level0_seed(dyadic_ct):
-    # one step from the trivial seed gives the depth-1 cylinder projections
-    stepped = phi_step(dyadic_ct, 1, trivial_seed(dyadic_ct))
+    # one step from level 0's one measure gives the depth-1 cylinder projections
+    stepped = phi_step(dyadic_ct, 1, multiplication_pvm(dyadic_ct, 0))
     for j in range(2):
         expect = cylinder_projection(dyadic_ct, (j,), 1)
         assert np.array_equal(stepped.mats[j], expect)
@@ -241,3 +247,38 @@ def test_cauchy_proxy_along_trace(dyadic_ct):
     for t in range(1, len(rhos)):
         assert rhos[t] <= bound * rhos[t - 1] + 1e-8
     assert trace.final.kind == "projection"
+
+
+# One step from level k - 1 to level k, for every level k whose cells the
+# vertex enumeration reaches: up to 8 atoms, and the 9-atom triadic line
+# level, whose 256 vertices come in closed form.
+EQUALITY_CASES = [
+    ("dyadic", dyadic_ifs(), 3),
+    ("theta-1/3", THETA_IFS, 3),
+    ("triadic", triadic_ifs(), 2),
+    ("ratios-1/3-1/2", make_ifs([(F(1, 3), 0), (F(1, 2), F(1, 2))], 0), 3),
+]
+
+
+@pytest.mark.parametrize(
+    "ifs, depth", [case[1:] for case in EQUALITY_CASES], ids=[case[0] for case in EQUALITY_CASES]
+)
+def test_contraction_is_an_equality_on_diagonal_pvms(ifs, depth):
+    # rho(Phi E, Phi F) == r rho(E, F) in Fractions, r the largest branch
+    # ratio or theta (the block argument in the fixed_point docstring)
+    ct = build_cuntz_tower(build_tower(ifs, depth))
+    rng = SplitMix64(97)
+    r = ct.tower.contraction
+    nonzero = 0
+    for k in range(1, depth + 1):
+        prev = ct.tower.level(k - 1).space
+        nxt = ct.tower.level(k).space
+        verts_prev = lip1_vertices(prev, cap=9)
+        verts_next = lip1_vertices(nxt, cap=9)
+        for _ in range(20):
+            E, G, _, _ = random_diagonal_pvm_pair(prev, ct.dim(k - 1), rng)
+            before = rho_exact(prev, E, G, verts_prev).exact
+            after = rho_exact(nxt, phi_step(ct, k, E), phi_step(ct, k, G), verts_next).exact
+            assert type(after) is Fraction and after == r * before
+            nonzero += before != 0
+    assert nonzero >= 10 * (depth - 1)  # level 0 has one atom, so rho is 0 there

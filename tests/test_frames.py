@@ -1,14 +1,19 @@
 """Frames compare by value: a measure, a vertex set or a tower step is
 accepted on any space with the same point ids and distance table, whatever
-its coordinates, and refused on a table that differs in one distance."""
+its coordinates, and refused on a table that differs in one distance.
 
+Tower measures, cylinder ids and frame checks read only point ids, so a
+tower level builds its distance table only when a distance is read."""
+
+import gc
+import weakref
 from fractions import Fraction
 
 import pytest
 
-from pvmk.cuntz import build_cuntz_tower, multiplication_pvm
+from pvmk.cuntz import build_cuntz_tower, multiplication_pvm, prefix_atoms
 from pvmk.errors import MismatchedMeasures, StaleVertexSet
-from pvmk.fixed_point import phi_iterate, phi_step, swapped_diagonal_pvm
+from pvmk.fixed_point import phi_iterate, phi_step, swapped_diagonal_pvm, verify_fixed_point
 from pvmk.ifs import build_tower, dyadic_ifs
 from pvmk.metric_core import lip1_vertices, validate_space
 from pvmk.ovm import atom_difference_norms, diagonal_pvm
@@ -89,3 +94,59 @@ def test_phi_iterate_builds_no_table_below_the_seed():
     assert trace.prefix_depth_verified == 2
     for k in range(4):
         assert "space" not in vars(ct.tower.level(k))
+
+
+def _levels_with_tables(ct):
+    """Levels of more than 8 cells whose distance table has been built."""
+    return [
+        k
+        for k, level in enumerate(ct.tower.levels)
+        if len(level.words) > 8 and "dist" in vars(level.space)
+    ]
+
+
+def test_verify_fixed_point_builds_no_table_at_depth_8():
+    ct = build_cuntz_tower(build_tower(dyadic_ifs(), 8))
+    report = verify_fixed_point(ct)
+    assert report.passed and report.words_checked == 2**9 - 1
+    assert _levels_with_tables(ct) == []
+
+
+def test_phi_iterate_builds_no_table_from_a_level_5_seed_to_depth_8():
+    ct = build_cuntz_tower(build_tower(dyadic_ifs(), 8))
+    trace = phi_iterate(ct, swapped_diagonal_pvm(ct, 5), 3)
+    assert [rec.level for rec in trace.records] == [5, 6, 7, 8]
+    assert [rec.rho_to_truth for rec in trace.records] == [None] * 4
+    assert trace.prefix_depth_verified == 3
+    assert _levels_with_tables(ct) == []
+
+
+def test_tower_measures_and_frame_checks_read_no_table():
+    ct = build_cuntz_tower(build_tower(dyadic_ifs(), 5))
+    truth = multiplication_pvm(ct, 4)
+    swapped = swapped_diagonal_pvm(ct, 4)
+    assert truth.same_frame(swapped)
+    stepped = phi_step(ct, 5, swapped)
+    assert stepped.same_frame(multiplication_pvm(ct, 5))
+    assert prefix_atoms(ct, (1, 0), 5) == [f"10{i:03b}" for i in range(8)]
+    assert _levels_with_tables(ct) == []
+    # reading a distance builds the table, once
+    space = ct.tower.level(5).space
+    assert space.d(0, 1) == F(1, 32)
+    assert _levels_with_tables(ct) == [5]
+    assert space.dist is space.dist
+
+
+def test_a_level_is_freed_without_the_cycle_collector():
+    # the function that builds the table holds the level's data, not the
+    # level, so dropping the tower frees its levels by reference counting
+    gc.disable()
+    try:
+        tower = build_tower(dyadic_ifs(), 3)
+        space = tower.level(3).space
+        level = weakref.ref(tower.level(3))
+        del tower
+        assert level() is None
+        assert space.d(0, 1) == F(1, 8)
+    finally:
+        gc.enable()

@@ -16,6 +16,7 @@ from pvmk.errors import (
 )
 from pvmk.ifs import build_tower, dyadic_ifs, make_ifs, triadic_ifs
 from pvmk.metric_core import (
+    FiniteMetricSpace,
     _line_order,
     _search_vertices,
     audit_space,
@@ -401,6 +402,37 @@ def test_vertex_set_caches_its_sign_half():
         assert np.array_equal(arr, [[float(x) for x in vert] for vert in verts.half])
         with pytest.raises(ValueError):
             arr[0, 0] = 1.0
+
+
+def test_vertex_set_caches_its_scaled_ints():
+    spaces = [validate_space([[0]]), path_space()] + [case[1] for case in CROSS_CHECK]
+    for space in spaces:
+        verts = lip1_vertices(space, cap=8)
+        scale, ints = verts.scaled
+        assert verts.scaled is verts.scaled
+        assert scale == space.scaled[0]
+        assert all(type(x) is int for vert in ints for x in vert)
+        assert tuple(tuple(F(x, scale) for x in vert) for vert in ints) == verts.vertices
+
+
+def test_a_table_given_as_a_function_is_built_on_first_read():
+    calls = []
+
+    def table():
+        calls.append(1)
+        return path_space().dist
+
+    lazy = FiniteMetricSpace(("p0", "p1", "p2"), table)
+    other = FiniteMetricSpace(("a", "b", "c"), table)
+    assert lazy == lazy and lazy != other and hash(lazy) == hash(lazy.point_ids)
+    assert lazy.n == 3 and lazy.index("p2") == 2
+    assert calls == [] and "dist" not in vars(lazy)
+    assert lazy == path_space()  # equal ids: the tables are compared
+    assert calls == [1]
+    assert lazy.scaled == path_space().scaled and lazy.diam == 2
+    assert lazy.dist is lazy.dist and calls == [1]
+    moved = validate_space([[0, 1, 2], [1, 0, 1], [2, 1, 0]], coords=[[5], [6], [7]])
+    assert moved == lazy and moved.coords != lazy.coords
 
 
 def test_anchored_lip1_membership_lp():

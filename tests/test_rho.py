@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from pvmk.errors import MismatchedMeasures
+from pvmk.ifs import build_tower, dyadic_ifs, make_ifs
 from pvmk.linalg import spectral_norm, to_complex
-from pvmk.metric_core import lip1_vertices, mcshane, validate_space
-from pvmk.ovm import integrate, validate_ovm
+from pvmk.metric_core import lip_constant, lip1_vertices, mcshane, validate_space
+from pvmk.ovm import diagonal_pvm, integrate, validate_ovm
 from pvmk.rho import (
+    _difference_stack,
     metric_axiom_suite,
     rho_exact,
     rho_lower_grid,
@@ -254,3 +256,127 @@ def test_topology_bounds_random():
         fvals = random_rational_values(space, rng)
         rep = topology_bounds(space, fvals, e, f, vertices=verts)
         assert rep.passed
+
+
+# ------------------------------------------------ integer diagonal reference
+
+
+def _loop_difference_stack(e, f):
+    """Reference for ``rho._difference_stack``: the sign of the first
+    non-zero entry, found by walking every entry in a Python list."""
+    exact = e.is_exact and f.is_exact
+    if exact:
+        deltas = [a - b for a, b in zip(e.mats, f.mats)]
+    else:
+        deltas = [to_complex(a) - to_complex(b) for a, b in zip(e.mats, f.mats)]
+    for x in [x for m in deltas for x in np.asarray(m).ravel()]:
+        if x != 0:
+            if (x.real if isinstance(x, complex) else x) < 0:
+                deltas = [-m for m in deltas]
+            break
+    return deltas
+
+
+def _fraction_rho_diagonal(space, e, f, verts):
+    """Reference for the exact diagonal branch of ``rho_exact``: the
+    Fraction loop over the half and the diagonal slots, with a strict >."""
+    deltas = _loop_difference_stack(e, f)
+    diag = [[np.asarray(m)[j, j] for m in deltas] for j in range(e.dim)]
+    best, best_vert, best_j = F(0), verts.half[0], 0
+    for vert in verts.half:
+        for j in range(e.dim):
+            val = abs(sum(p * w for p, w in zip(vert, diag[j])))
+            if val > best:
+                best, best_vert, best_j = val, vert, j
+    return best, best_vert, best_j
+
+
+def _rational_diagonal_povm(space, dim, rng, denom):
+    """Diagonal positive measure: basis slot j split over the atoms in
+    random parts of 1/denom, as an exact object matrix per atom."""
+    parts = [[0] * dim for _ in range(space.n)]
+    for j in range(dim):
+        for _ in range(denom):
+            parts[rng.randint(0, space.n - 1)][j] += 1
+    mats = [np.diag([F(x, denom) for x in row]).astype(object) for row in parts]
+    return validate_ovm(space, mats, "positive")
+
+
+def _diagonal_reference_cases():
+    rng = SplitMix64(83)
+    cases = []
+    for n in (2, 3, 4, 5, 6):
+        space = random_metric_space(n, rng)
+        for t in range(4):
+            e, f, _, _ = random_diagonal_pvm_pair(space, rng.randint(1, 5), rng)
+            cases.append((f"pvm-{n}-{t}", space, e, f))
+            cases.append((f"pvm-{n}-{t}-flipped", space, f, e))
+        for t, denom in enumerate((2, 3, 7, 12)):
+            dim = rng.randint(1, 4)
+            e = _rational_diagonal_povm(space, dim, rng, denom)
+            g = _rational_diagonal_povm(space, dim, rng, 5)
+            cases.append((f"povm-{n}-{t}", space, e, g))
+            cases.append((f"povm-{n}-{t}-flipped", space, g, e))
+        cases.append((f"equal-{n}", space, e, e))
+    # tower levels: the dyadic line and the theta = 1/3 ultrametric, 8 cells
+    theta = make_ifs([(F(1, 2), 0), (F(1, 2), F(1, 2))], 0, theta=F(1, 3))
+    for name, ifs in (("dyadic", dyadic_ifs()), ("theta", theta)):
+        space = build_tower(ifs, 3).level(3).space
+        for t in range(3):
+            e, f, _, _ = random_diagonal_pvm_pair(space, 8, rng)
+            cases.append((f"{name}-level-3-{t}", space, e, f))
+    # 0/1 measures against rational ones: int64 minus object matrices
+    space = random_metric_space(4, rng)
+    e, _, _, _ = random_diagonal_pvm_pair(space, 3, rng)
+    cases.append(("pvm-minus-povm", space, e, _rational_diagonal_povm(space, 3, rng, 6)))
+    # halves on one slot and thirds on the other: no single entry carries
+    # the lcm 6 of the denominators
+    space = random_metric_space(3, rng)
+    thirds = [np.diag([F(1, 2), F(1, 3)]), np.diag([F(1, 2), F(1, 3)]), np.diag([F(0), F(1, 3)])]
+    e = validate_ovm(space, [m.astype(object) for m in thirds], "positive")
+    cases.append(("coprime-slots", space, e, diagonal_pvm(space, [2, 0])))
+    # ties: every slot of the swapped pair scores 1/2, and on the unit path
+    # many vertices reach the same value
+    cases.append(("swapped-tie",) + swapped_pair())
+    path = validate_space([[0, 1, 2], [1, 0, 1], [2, 1, 0]])
+    e = validate_ovm(path, [np.diag([1, 0, 0]), np.diag([0, 1, 0]), np.diag([0, 0, 1])], "projection")
+    g = validate_ovm(path, [np.diag([0, 1, 0]), np.diag([1, 0, 1]), np.diag([0, 0, 0])], "projection")
+    cases.append(("path-ties", path, e, g))
+    cases.append(("path-ties-flipped", path, g, e))
+    return cases
+
+
+DIAGONAL_CASES = _diagonal_reference_cases()
+
+
+@pytest.mark.parametrize(
+    "space, e, f", [case[1:] for case in DIAGONAL_CASES], ids=[case[0] for case in DIAGONAL_CASES]
+)
+def test_integer_diagonal_rho_matches_fraction_reference(space, e, f):
+    verts = lip1_vertices(space, cap=8)
+    res = rho_exact(space, e, f, verts)
+    best, best_vert, best_j = _fraction_rho_diagonal(space, e, f, verts)
+    assert type(res.exact) is Fraction and res.exact == best
+    assert res.value == float(best)
+    assert res.witness_phi.values == best_vert
+    assert res.witness_phi.constant == lip_constant(best_vert, space)
+    expected_vec = np.zeros(e.dim)
+    expected_vec[best_j] = 1.0
+    assert np.array_equal(res.witness_vector, expected_vec)
+    if e is f:
+        assert res.exact == 0 and best_j == 0 and best_vert == verts.half[0]
+
+
+def test_difference_stack_sign_matches_the_entry_walk():
+    rng = SplitMix64(89)
+    space = random_metric_space(4, rng)
+    pairs = [case[2:] for case in DIAGONAL_CASES[:12]]
+    pairs += [
+        (random_pvm(space, 3, rng, complex_=True), random_pvm(space, 3, rng, complex_=True)),
+        (random_povm(space, 3, rng), random_povm(space, 3, rng)),
+    ]
+    e, _ = pairs[-1]
+    pairs.append((e, e))
+    for e, f in pairs:
+        for a, b in zip(_difference_stack(e, f)[0], _loop_difference_stack(e, f)):
+            assert a.dtype == b.dtype and np.array_equal(a, b)

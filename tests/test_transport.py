@@ -408,6 +408,36 @@ def test_integer_transport_matches_fraction_reference(space, mu, nu):
     assert all(type(x) is Fraction for x in res.potential.values)
 
 
+def _fraction_dual_oracle(mu, nu, verts):
+    """Reference for ``kantorovich_dual_oracle``: the Fraction sum of
+    phi (mu - nu) over every vertex."""
+    diff = [a - b for a, b in zip(mu.weights, nu.weights)]
+    return max(sum(p * w for p, w in zip(vert, diff)) for vert in verts.vertices)
+
+
+ORACLE_CASES = [case for case in REFERENCE_CASES if case[1].n <= 7] + [
+    (f"{name}-3-{t}", tower.level(3).space, *pair)
+    for name, tower in (("dyadic", _DYADIC_TOWER), ("theta", _THETA_TOWER))
+    for t, pair in enumerate(
+        [
+            (random_rational_measure(8, SplitMix64(73)), random_rational_measure(8, SplitMix64(74))),
+            (_coprime_measure(8, SplitMix64(75)), _full_measure(8, SplitMix64(76))),
+        ]
+    )
+]
+
+
+@pytest.mark.parametrize(
+    "space, mu, nu", [case[1:] for case in ORACLE_CASES], ids=[case[0] for case in ORACLE_CASES]
+)
+def test_integer_dual_oracle_matches_fraction_reference(space, mu, nu):
+    verts = lip1_vertices(space, cap=8)
+    value = kantorovich_dual_oracle(space, mu, nu, verts)
+    assert type(value) is Fraction
+    assert value == _fraction_dual_oracle(mu, nu, verts)
+    assert value == kantorovich(space, mu, nu).value
+
+
 # ---------------------------------------------------------------- certificates
 
 
