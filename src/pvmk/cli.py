@@ -4,8 +4,9 @@ Every subcommand emits one self-describing JSON document (schema_version,
 command and config echo, results, verdict, tolerances).  Reports are
 byte-identical across runs for fixed inputs and seed; wall-clock timing is
 opt-in via --timing because it would break that guarantee.  A failing
-verdict exits with code 1; usage and parse problems, and inputs over a
-size cap, exit with code 2.
+verdict exits with code 1; usage and parse problems, measures that do not
+live on the given space or dimension, and inputs over a size cap, exit
+with code 2.
 """
 
 from __future__ import annotations
@@ -19,7 +20,14 @@ import numpy as np
 
 from . import acceptance
 from .cuntz import build_cuntz_tower, cuntz_verify, multiplication_pvm
-from .errors import InputParseError, MetricAxiomError, PvmkError, SpaceTooLarge, TowerTooLarge
+from .errors import (
+    InputParseError,
+    MetricAxiomError,
+    MismatchedMeasures,
+    PvmkError,
+    SpaceTooLarge,
+    TowerTooLarge,
+)
 from .fixed_point import (
     phi_iterate,
     relate_verify,
@@ -302,13 +310,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, *, seed=False, tol=True, out=True):
+    def common(p, *, seed=False):
         if seed:
             p.add_argument("--seed", type=int, default=0)
-        if tol:
-            p.add_argument("--tol", type=float, default=DEFAULT_TOL)
-        if out:
-            p.add_argument("--out", type=str, default=None)
+        p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+        p.add_argument("--out", type=str, default=None)
         p.add_argument("--timing", action="store_true")
 
     p = sub.add_parser("space", help="validate a metric space document")
@@ -390,7 +396,7 @@ def run(argv) -> int:
     started = time.monotonic()
     try:
         report, csv_text = args.func(args, started)
-    except (InputParseError, SpaceTooLarge, TowerTooLarge) as exc:
+    except (InputParseError, MismatchedMeasures, SpaceTooLarge, TowerTooLarge) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except PvmkError as exc:

@@ -60,11 +60,9 @@ def s_matrix(ct: CuntzTower, i: int, k: int) -> np.ndarray:
     the identity on rows [i N^(k-1), (i+1) N^(k-1)), zero elsewhere."""
     if not 1 <= k <= ct.depth:
         raise LevelOutOfRange(f"level {k} outside 1..{ct.depth}")
-    if not 0 <= i < ct.n_branches:
-        raise BranchOutOfRange(f"branch {i} outside 0..{ct.n_branches - 1}")
     cols = ct.dim(k - 1)
     m = np.zeros((ct.dim(k), cols), dtype=np.int64)
-    m[i * cols : (i + 1) * cols] = np.eye(cols, dtype=np.int64)
+    m[_word_block(ct, (i,), k)] = np.eye(cols, dtype=np.int64)
     return m
 
 

@@ -46,12 +46,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import linalg
-from .cuntz import (
-    CuntzTower,
-    cylinder_projection,
-    multiplication_pvm,
-    prefix_atoms,
-)
+from .cuntz import CuntzTower, _word_block, multiplication_pvm
 from .errors import (
     LevelOutOfRange,
     MismatchedMeasures,
@@ -60,7 +55,7 @@ from .errors import (
 )
 from .ifs import word_id
 from .metric_core import lip1_vertices
-from .ovm import OperatorValuedMeasure, assemble_ovm, diagonal_pvm, measure_of
+from .ovm import OperatorValuedMeasure, assemble_ovm, diagonal_pvm
 from .rho import rho_exact
 from .rng import SplitMix64
 from .sampling import random_povm, random_truth_conjugate_pvm
@@ -86,13 +81,11 @@ def phi_step(ct: CuntzTower, k: int, E: OperatorValuedMeasure) -> OperatorValued
     prev = ct.tower.level(k - 1)
     if E.space != prev.space or E.dim != ct.dim(k - 1):
         raise MismatchedMeasures("measure does not live on the source level")
-    d_prev = ct.dim(k - 1)
     d_next = ct.dim(k)
-    source = np.stack(E.mats)
-    atoms = np.zeros((d_next, d_next, d_next), dtype=source.dtype)
+    atoms = np.zeros((d_next, d_next, d_next), dtype=E.mats.dtype)
     for i in range(ct.n_branches):
-        block = slice(i * d_prev, (i + 1) * d_prev)
-        atoms[block, block, block] = source
+        block = _word_block(ct, (i,), k)
+        atoms[block, block, block] = E.mats
     return assemble_ovm(ct.tower.level(k).space, atoms, E.kind)
 
 
@@ -180,12 +173,20 @@ def phi_iterate(
 def _cylinder_identities(ct: CuntzTower, E: OperatorValuedMeasure, level: int, depth: int):
     """Yield (t, word, holds) for every word of length t <= depth, where holds
     says E(cylinder of word) equals the cylinder projection at ``level``:
-    exactly for exact E, within 1e-10 otherwise."""
+    exactly for exact E, within 1e-10 otherwise.
+
+    The cylinder is a contiguous atom block, and its projection is the
+    identity on the same block of the basis, so E(cylinder) minus the
+    projection is the block's atom sum with 1 taken off that block's
+    diagonal."""
     exact = E.is_exact
+    diagonal = np.arange(E.dim)
     for t in range(depth + 1):
         for word in ct.tower.level(t).words:
-            lhs = measure_of(E, prefix_atoms(ct, word, level))
-            defect = linalg.max_abs(lhs - cylinder_projection(ct, word, level))
+            block = _word_block(ct, word, level)
+            lhs = E.mats[block].sum(axis=0)
+            lhs[diagonal[block], diagonal[block]] -= 1
+            defect = linalg.max_abs(lhs)
             yield t, word, (defect == 0) if exact else (defect <= 1e-10)
 
 
@@ -220,9 +221,14 @@ def verify_fixed_point(
     projection, with integer exactness for integer candidates.  The
     default candidate, the diagonal multiplication measure, is also
     re-derived by iterating the contraction from the level-0 seed and
-    compared atom by atom.
+    compared atom by atom.  A candidate must live on the ambient level's
+    space with its dimension, or ``MismatchedMeasures`` is raised.
     """
     K = ct.depth
+    if candidate is not None and (
+        candidate.space != ct.tower.level(K).space or candidate.dim != ct.dim(K)
+    ):
+        raise MismatchedMeasures("candidate does not live on the ambient level")
     target = candidate if candidate is not None else multiplication_pvm(ct, K)
     exact = target.is_exact
     offending = []
@@ -383,16 +389,15 @@ def relate_verify(ct: CuntzTower, h, k: int | None = None) -> RelateReport:
     span_vecs = []
     for t in range(K + 1):
         for word in ct.tower.level(t).words:
-            proj = cylinder_projection(ct, word, K).astype(np.float64)
-            conj = (v.conj().T @ (proj @ v)) / w[None, :]
-            indicator = np.diag(
-                [float(proj[a, a]) for a in positive]
-            )
+            inside = np.zeros(dim, dtype=bool)
+            inside[_word_block(ct, word, K)] = True
+            conj = (v.conj().T @ np.where(inside[:, None], v, 0)) / w[None, :]
+            indicator = np.diag(inside[positive].astype(np.float64))
             intertwine_defect = max(
                 intertwine_defect, linalg.max_abs(conj - indicator)
             )
-            span_vecs.append(proj @ h)
-    range_rank = linalg.gram_rank([v[:, c] for c in range(v.shape[1])])
+            span_vecs.append(np.where(inside, h, 0))
+    range_rank = linalg.gram_rank(v.T)
     span_rank = linalg.gram_rank(span_vecs)
     return RelateReport(
         positive_atoms=len(positive),

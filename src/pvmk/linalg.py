@@ -48,7 +48,7 @@ def hermitian_defect(a) -> float:
 
 def _hermitian_stack(mats) -> np.ndarray:
     """Stack of Hermitian matrices: complex128, or float64 when all are real."""
-    stack = np.stack([to_complex(m) for m in mats])
+    stack = to_complex(mats)
     return stack if stack.imag.any() else stack.real
 
 

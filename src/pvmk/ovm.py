@@ -42,30 +42,24 @@ DEFAULT_TOL = 1e-10
 @dataclass(frozen=True)
 class OperatorValuedMeasure:
     space: FiniteMetricSpace
-    dim: int
-    mats: tuple[np.ndarray, ...]  # aligned with space.point_ids, read-only
+    mats: np.ndarray  # read-only (n, d, d) atom array, aligned with space.point_ids
     kind: str
+
+    @property
+    def dim(self) -> int:
+        return self.mats.shape[1]
 
     @property
     def atom_ids(self) -> tuple[str, ...]:
         return self.space.point_ids
 
-    def mat(self, atom_id: str) -> np.ndarray:
-        return self.mats[self.space.index(atom_id)]
-
     @property
     def is_exact(self) -> bool:
-        return all(linalg.is_exact_matrix(m) for m in self.mats)
+        return linalg.is_exact_matrix(self.mats)
 
     def same_frame(self, other: "OperatorValuedMeasure") -> bool:
         """Equal spaces (ids and table, coordinates ignored) and equal dims."""
         return self.space == other.space and self.dim == other.dim
-
-
-def _freeze(mat: np.ndarray) -> np.ndarray:
-    out = np.array(mat, copy=True)
-    out.setflags(write=False)
-    return out
 
 
 def validate_ovm(
@@ -89,36 +83,39 @@ def validate_ovm(
     for m in mats:
         if m.ndim != 2 or m.shape != (dim, dim):
             raise DimensionMismatch("atom matrices must be square and equally sized")
-    exact = all(linalg.is_exact_matrix(m) for m in mats)
+    floats = [m.dtype for m in mats if not linalg.is_exact_matrix(m)]
+    # One float atom makes the whole measure float: stacked as they are,
+    # exact atoms would turn the stack into an object array claiming exactness.
+    dtype = np.result_type(np.float64, *floats) if floats else None
+    stack = np.stack(mats, dtype=dtype, casting="unsafe")
+    exact = not floats
     ids = space.point_ids
-    for aid, m in zip(ids, mats):
+    for aid, m in zip(ids, stack):
         h = linalg.hermitian_defect(m)
         if (h != 0) if exact else (h > tol):
             raise NotHermitian(aid, float(h))
     if kind == PROJECTION:
-        for aid, m in zip(ids, mats):
+        for aid, m in zip(ids, stack):
             mm = np.dot(m, m)
             defect = linalg.max_abs(mm - m)
             if (defect != 0) if exact else (defect > tol):
                 raise NotIdempotent(aid, float(defect))
-        for i in range(len(mats)):
-            for j in range(i + 1, len(mats)):
-                defect = linalg.max_abs(np.dot(mats[i], mats[j]))
+        for i in range(len(stack)):
+            for j in range(i + 1, len(stack)):
+                defect = linalg.max_abs(np.dot(stack[i], stack[j]))
                 if (defect != 0) if exact else (defect > tol):
                     raise CrossProductNonzero(ids[i], ids[j], float(defect))
     else:
-        for aid, m in zip(ids, mats):
+        for aid, m in zip(ids, stack):
             min_eig = linalg.min_eigenvalue(m)
             if min_eig < -tol:
                 raise NotPSD(aid, min_eig)
-    total = mats[0]
-    for m in mats[1:]:
-        total = total + m
     eye = np.eye(dim, dtype=np.int64) if exact else np.eye(dim)
-    defect = linalg.max_abs(total - eye)
+    defect = linalg.max_abs(stack.sum(axis=0) - eye)
     if (defect != 0) if exact else (defect > tol):
         raise SumNotIdentity(float(defect))
-    return OperatorValuedMeasure(space, dim, tuple(_freeze(m) for m in mats), kind)
+    stack.setflags(write=False)
+    return OperatorValuedMeasure(space, stack, kind)
 
 
 def assemble_ovm(space: FiniteMetricSpace, atoms: np.ndarray, kind: str) -> OperatorValuedMeasure:
@@ -130,7 +127,7 @@ def assemble_ovm(space: FiniteMetricSpace, atoms: np.ndarray, kind: str) -> Oper
     outside or sampled at random go through ``validate_ovm``.
     """
     atoms.setflags(write=False)
-    return OperatorValuedMeasure(space, atoms.shape[1], tuple(atoms), kind)
+    return OperatorValuedMeasure(space, atoms, kind)
 
 
 def diagonal_pvm(space: FiniteMetricSpace, assignment) -> OperatorValuedMeasure:
@@ -154,10 +151,7 @@ def measure_of(ovm: OperatorValuedMeasure, atom_ids) -> np.ndarray:
     ids = list(atom_ids)
     if len(set(ids)) != len(ids):
         raise InputParseError("atoms in a union must be distinct")
-    out = np.zeros((ovm.dim, ovm.dim), dtype=ovm.mats[0].dtype if ids else float)
-    for aid in ids:
-        out = out + ovm.mat(aid)
-    return out
+    return ovm.mats[[ovm.space.index(aid) for aid in ids]].sum(axis=0)
 
 
 @dataclass(frozen=True)
@@ -324,5 +318,4 @@ def atom_difference_norms(E: OperatorValuedMeasure, F: OperatorValuedMeasure) ->
     """Operator norm of E(atom) - F(atom) for every atom."""
     if not E.same_frame(F):
         raise MismatchedMeasures("measures live on different spaces or dimensions")
-    diffs = [linalg.to_complex(a) - linalg.to_complex(b) for a, b in zip(E.mats, F.mats)]
-    return linalg.spectral_norms_stack(diffs)
+    return linalg.spectral_norms_stack(linalg.to_complex(E.mats) - linalg.to_complex(F.mats))

@@ -67,31 +67,23 @@ def _difference_stack(E: OperatorValuedMeasure, F: OperatorValuedMeasure):
     """
     exact = E.is_exact and F.is_exact
     if exact:
-        deltas = [a - b for a, b in zip(E.mats, F.mats)]
+        deltas = E.mats - F.mats
     else:
-        deltas = [linalg.to_complex(a) - linalg.to_complex(b) for a, b in zip(E.mats, F.mats)]
-    if deltas:
-        flat = np.stack(deltas).ravel()
-        nonzero = np.flatnonzero(flat)
-        if nonzero.size:
-            x = flat[nonzero[0]]
-            if (x.real if isinstance(x, complex) else x) < 0:
-                deltas = [-m for m in deltas]
+        deltas = linalg.to_complex(E.mats) - linalg.to_complex(F.mats)
+    nonzero = np.flatnonzero(deltas)
+    if nonzero.size:
+        x = deltas.flat[nonzero[0]]
+        if (x.real if isinstance(x, complex) else x) < 0:
+            deltas = -deltas
     return deltas, exact
 
 
-def _all_diagonal(deltas) -> bool:
-    for m in deltas:
-        arr = np.asarray(m)
-        off = arr - np.diag(np.diag(arr))
-        if linalg.max_abs(off) != 0:
-            return False
-    return True
+def _all_diagonal(deltas: np.ndarray) -> bool:
+    return not np.count_nonzero(deltas[:, ~np.eye(deltas.shape[1], dtype=bool)])
 
 
-def _objective_stack(phis: np.ndarray, deltas) -> np.ndarray:
-    stack = np.stack([linalg.to_complex(m) for m in deltas])
-    return np.tensordot(phis, stack, axes=(1, 0))
+def _objective_stack(phis: np.ndarray, deltas: np.ndarray) -> np.ndarray:
+    return np.tensordot(phis, linalg.to_complex(deltas), axes=(1, 0))
 
 
 def _best_diagonal_vertex(vertices: Lip1VertexSet, deltas) -> tuple[Fraction, int, int]:
@@ -103,7 +95,7 @@ def _best_diagonal_vertex(vertices: Lip1VertexSet, deltas) -> tuple[Fraction, in
     its non-zero atoms.
     """
     scale, ints = vertices.scaled
-    diags = [np.asarray(m).diagonal().tolist() for m in deltas]
+    diags = deltas.diagonal(axis1=1, axis2=2).tolist()
     unit = math.lcm(*(x.denominator for diag in diags for x in diag))
     cleared = [[x.numerator * (unit // x.denominator) for x in diag] for diag in diags]
     slots = []
@@ -155,7 +147,7 @@ def rho_exact(
             method="vertex",
         )
     mats = _objective_stack(vertices.half_floats, deltas)
-    norms = linalg.spectral_norms_stack(list(mats))
+    norms = linalg.spectral_norms_stack(mats)
     best_i = int(np.argmax(norms))
     _, witness_vec = linalg.top_eigenpair(mats[best_i])
     best_vert = half[best_i]
@@ -189,7 +181,7 @@ def rho_lower_sphere(
     if vertices is None:
         vertices = lip1_vertices(space)
     deltas, _ = _difference_stack(E, F)
-    cdeltas = np.stack([linalg.to_complex(m) for m in deltas])
+    cdeltas = linalg.to_complex(deltas)
     complex_case = bool(np.abs(cdeltas.imag).max() > 0.0) if cdeltas.size else False
     half = vertices.half
     phis = vertices.half_floats
@@ -247,7 +239,7 @@ def rho_lower_grid(
     phis = np.stack([(raw + row).min(axis=1) for row in dist], axis=1)
     phis = phis - phis[:, :1]
     mats = _objective_stack(phis, deltas)
-    norms = linalg.spectral_norms_stack(list(mats))
+    norms = linalg.spectral_norms_stack(mats)
     best_i = int(np.argmax(norms))
     _, witness_vec = linalg.top_eigenpair(mats[best_i])
     phi_best = tuple(float(x) for x in phis[best_i])

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from pvmk.cli import run
@@ -350,6 +351,52 @@ def test_malformed_atom_exits_2(files, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+
+def test_exact_and_float_atoms_keep_the_float_report(files, capsys):
+    tmp, write = files
+    mixed = [{"id": "a", "matrix": {"re": [["1/1", 0], [0, 0]]}},
+             {"id": "b", "matrix": {"re": [[0.0, 0.0], [0.0, 1.0]]}}]
+    space, e, f = _two_point_rho_files(write, mixed)
+    assert run(["rho", "--space", space, "--e", e, "--f", f]) == 0
+    expected = (
+        '{"command":"rho","config":{"e":%s,"f":%s,"method":"vertex","restarts":50,'
+        '"seed":0,"space":%s,"tol":1.0000000000000001e-09,"trials":200,"vertex_cap":7},'
+        '"results":{"exact":null,"method":"vertex","value":0.5,'
+        '"witness_phi":{"constant":1,"values":[0,-0.5]},'
+        '"witness_vector":{"im":[0,0],"re":[0,1]}},"schema_version":1,'
+        '"tolerances":{"compare":1.0000000000000001e-09,"eigensolver":1e-13},'
+        '"verdict":"pass"}\n'
+    ) % (json.dumps(e), json.dumps(f), json.dumps(space))
+    assert capsys.readouterr().out == expected
+
+
+def _one_error_line(capsys):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("dim", [1, 3, 4])
+def test_candidate_of_another_size_exits_2(files, capsys, dim):
+    tmp, write = files
+    ifs = write("ifs.json", DYADIC)
+    atoms = [
+        {"id": pid, "matrix": {"re": np.diag([int(j % 2 == i) for j in range(dim)]).tolist()}}
+        for i, pid in enumerate(("0", "1"))
+    ]
+    e = write("e.json", {"kind": "projection", "dim": dim, "atoms": atoms})
+    assert run(["verify-fixed-point", "--ifs", ifs, "--depth", "1", "--e", e]) == 2
+    _one_error_line(capsys)
+
+
+def test_rho_on_measures_of_different_dims_exits_2(files, capsys):
+    tmp, write = files
+    atoms = [{"id": "a", "matrix": {"re": [[1, 0, 0], [0, 1, 0], [0, 0, 0]]}},
+             {"id": "b", "matrix": {"re": [[0, 0, 0], [0, 0, 0], [0, 0, 1]]}}]
+    space, e, f = _two_point_rho_files(write, atoms, 3)
+    assert run(["rho", "--space", space, "--e", e, "--f", f]) == 2
+    _one_error_line(capsys)
 
 
 def test_cap_errors_exit_2(files, capsys):

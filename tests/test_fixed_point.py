@@ -14,6 +14,8 @@ from pvmk.cuntz import (
 )
 from pvmk.errors import LevelOutOfRange, MismatchedMeasures
 from pvmk.fixed_point import (
+    RelateReport,
+    _cylinder_identities,
     contraction_ratio_rho,
     phi_iterate,
     phi_step,
@@ -22,9 +24,9 @@ from pvmk.fixed_point import (
     verify_fixed_point,
 )
 from pvmk.ifs import build_tower, dyadic_ifs, make_ifs, triadic_ifs
-from pvmk.linalg import max_abs
+from pvmk.linalg import gram_rank, max_abs
 from pvmk.metric_core import lip1_vertices
-from pvmk.ovm import measure_of, scalar_measure, validate_ovm
+from pvmk.ovm import assemble_ovm, diagonal_pvm, measure_of, scalar_measure, validate_ovm
 from pvmk.rho import rho_exact
 from pvmk.rng import SplitMix64
 from pvmk.sampling import (
@@ -171,6 +173,117 @@ def test_verify_fixed_point_catches_tampering(dyadic_ct2):
     rep = verify_fixed_point(dyadic_ct2, candidate)
     assert not rep.passed
     assert rep.offending_words  # names the broken cylinders
+
+
+@pytest.mark.parametrize("dim", [1, 3, 4])
+def test_verify_fixed_point_rejects_a_candidate_of_another_size(dim):
+    ct = build_cuntz_tower(build_tower(dyadic_ifs(), 1))
+    candidate = diagonal_pvm(ct.tower.level(1).space, [j % 2 for j in range(dim)])
+    with pytest.raises(MismatchedMeasures):
+        verify_fixed_point(ct, candidate)
+
+
+def test_verify_fixed_point_rejects_a_candidate_on_another_level(dyadic_ct):
+    with pytest.raises(MismatchedMeasures):
+        verify_fixed_point(dyadic_ct, multiplication_pvm(dyadic_ct, 2))
+
+
+def _dense_cylinder_identities(ct, E, level, depth):
+    """Reference: each cylinder summed over its atom ids and compared with
+    the dense cylinder projection."""
+    exact = E.is_exact
+    for t in range(depth + 1):
+        for word in ct.tower.level(t).words:
+            lhs = measure_of(E, prefix_atoms(ct, word, level))
+            defect = max_abs(lhs - cylinder_projection(ct, word, level))
+            yield t, word, (defect == 0) if exact else (defect <= 1e-10)
+
+
+def _off_block_candidate(truth, a, b, row, col, x):
+    """truth with x added at (row, col) and (col, row) of atom a and taken
+    from atom b: a cylinder holding both atoms still sums to its projection."""
+    atoms = np.array(truth.mats, dtype=np.result_type(truth.mats, x))
+    for atom, sign in ((a, 1), (b, -1)):
+        atoms[atom, row, col] += sign * x
+        atoms[atom, col, row] += sign * x
+    return assemble_ovm(truth.space, atoms, "positive")
+
+
+@pytest.mark.parametrize("ifs, depth", [(dyadic_ifs(), 6), (triadic_ifs(), 4)], ids=["dyadic", "triadic"])
+def test_cylinder_blocks_match_the_dense_route(ifs, depth):
+    ct = build_cuntz_tower(build_tower(ifs, depth))
+    n = ifs.n_branches
+    for K in range(1, depth + 1):
+        truth = multiplication_pvm(ct, K)
+        d = ct.dim(K)
+        seed = random_povm(ct.tower.level(1).space, n, SplitMix64(K))
+        candidates = [
+            truth,
+            swapped_diagonal_pvm(ct, K),
+            phi_iterate(ct, seed, K - 1).final,
+            _off_block_candidate(truth, 0, 1, 0, d - 1, 1),
+            _off_block_candidate(truth, d - 1, d - 2, d - 1, 0, 1e-9),
+            _off_block_candidate(truth, d - 1, d - 2, d - 1, 0, 1e-11),
+        ]
+        verdicts = []
+        for E in candidates:
+            got = list(_cylinder_identities(ct, E, K, K))
+            assert got == list(_dense_cylinder_identities(ct, E, K, K))
+            verdicts.append([holds for _t, _word, holds in got])
+        # the whole space holds both perturbed atoms, so only smaller
+        # cylinders can see the off-block entries
+        for holds in verdicts[3:5]:
+            assert holds[0] and not all(holds)
+        assert all(verdicts[5])
+
+
+def _dense_relate_verify(ct, h):
+    """Reference: relate_verify with a dense float cylinder projection per word."""
+    K = ct.depth
+    h = np.asarray(h, dtype=np.complex128)
+    dim = ct.dim(K)
+    masses = np.abs(h) ** 2
+    positive = [a for a in range(dim) if masses[a] > 1e-26]
+    v = np.zeros((dim, len(positive)), dtype=np.complex128)
+    for col, a in enumerate(positive):
+        v[a, col] = h[a]
+    w = masses[positive]
+    gram = v.conj().T @ v
+    isometry_defect = max_abs(gram - np.diag(w))
+    intertwine_defect = 0.0
+    span_vecs = []
+    for t in range(K + 1):
+        for word in ct.tower.level(t).words:
+            proj = cylinder_projection(ct, word, K).astype(np.float64)
+            conj = (v.conj().T @ (proj @ v)) / w[None, :]
+            indicator = np.diag([float(proj[a, a]) for a in positive])
+            intertwine_defect = max(intertwine_defect, max_abs(conj - indicator))
+            span_vecs.append(proj @ h)
+    return RelateReport(
+        positive_atoms=len(positive),
+        isometry_defect=float(isometry_defect),
+        intertwine_defect=float(intertwine_defect),
+        range_rank=gram_rank([v[:, c] for c in range(v.shape[1])]),
+        span_rank=gram_rank(span_vecs),
+    )
+
+
+@pytest.mark.parametrize("ifs, depth", [(dyadic_ifs(), 5), (triadic_ifs(), 3)], ids=["dyadic", "triadic"])
+def test_relate_verify_matches_the_dense_route_bit_for_bit(ifs, depth):
+    rng = SplitMix64(23)
+    for K in range(1, depth + 1):
+        ct = build_cuntz_tower(build_tower(ifs, K))
+        dim = ct.dim(K)
+        panel = [np.eye(dim)[dim - 1], np.full(dim, dim**-0.5)]
+        for i in range(6):
+            h = random_unit_vector(dim, rng, complex_=i % 2 == 1)
+            if i >= 2:
+                h[:: 2 + i % 2] = 0
+            if i >= 4:
+                h[-1] = 1e-14  # mass below the positive-atom cutoff
+            panel.append(h / np.sqrt(np.vdot(h, h).real))
+        for h in panel:
+            assert repr(relate_verify(ct, h)) == repr(_dense_relate_verify(ct, h))
 
 
 def test_contraction_ratio_rho_sweep(dyadic_ct):

@@ -39,6 +39,9 @@ CASES = {
     ],
     "verify-fixed-point": ["verify-fixed-point", "--ifs", DYADIC, "--depth", "5"],
     "phi-iterate": ["phi-iterate", "--ifs", DYADIC, "--depth", "5", "--steps", "3"],
+    "relate-verify": [
+        "relate-verify", "--ifs", DYADIC, "--depth", "3", "--h", SAMPLES + "h_uniform.json",
+    ],
 }
 
 

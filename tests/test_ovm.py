@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from pvmk.cuntz import multiplication_pvm
+from pvmk.fixed_point import phi_step
 from pvmk.errors import (
     CrossProductNonzero,
     NotHermitian,
@@ -18,6 +19,7 @@ from pvmk.linalg import max_abs, spectral_norm, to_complex
 from pvmk.metric_core import validate_space
 from pvmk.ovm import (
     conjugate,
+    diagonal_pvm,
     integrate,
     measure_of,
     polarize,
@@ -272,3 +274,47 @@ def test_identity_of_measures_on_spanning_panel():
                 pair = polarize(quadratic_oracle_from(E), basis[j], basis[i])
                 rebuilt[i, j] = pair.weights[atom]
         assert np.abs(rebuilt - to_complex(E.mats[atom])).max() < 1e-12
+
+
+def test_atoms_are_one_read_only_array(dyadic_ct2):
+    truth = multiplication_pvm(dyadic_ct2, 2)
+    measures = {
+        "validate_ovm": validate_ovm(truth.space, [np.array(m) for m in truth.mats], "projection"),
+        "diagonal_pvm": diagonal_pvm(truth.space, [3, 2, 1, 0]),
+        "phi_step": phi_step(dyadic_ct2, 2, multiplication_pvm(dyadic_ct2, 1)),
+        "conjugate": conjugate(truth, random_unitary(4, SplitMix64(2))),
+    }
+    for name, E in measures.items():
+        assert type(E.mats) is np.ndarray, name
+        assert E.mats.shape == (4, 4, 4) and E.dim == 4, name
+        assert not E.mats.flags.writeable, name
+        with pytest.raises(ValueError):
+            E.mats[0, 0, 0] = 5
+
+
+def test_validate_ovm_keeps_no_view_of_its_input(dyadic_ct2):
+    truth = multiplication_pvm(dyadic_ct2, 2)
+    listed = [np.array(m) for m in truth.mats]
+    stacked = np.array(truth.mats)
+    from_list = validate_ovm(truth.space, listed, "projection")
+    from_stack = validate_ovm(truth.space, stacked, "projection")
+    for m in listed:
+        m[:] = 9
+    stacked[:] = 9
+    assert np.array_equal(from_list.mats, truth.mats)
+    assert np.array_equal(from_stack.mats, truth.mats)
+
+
+def test_exact_and_float_atoms_make_a_float_measure():
+    space = two_atom_space()
+    exact = [np.array([[F(1), 0], [0, 0]], dtype=object), np.diag([0, 1])]
+    assert validate_ovm(space, exact, "projection").is_exact
+    mixed = validate_ovm(space, [exact[0], np.diag([0.0, 1.0])], "projection")
+    assert not mixed.is_exact
+    assert mixed.mats.dtype == np.float64
+    assert np.array_equal(mixed.mats, [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
+    third = np.array([[F(1, 3), 0], [0, 0]], dtype=object)
+    rest = np.diag([2 / 3, 1.0]) + 0j
+    mixed = validate_ovm(space, [third, rest], "positive")
+    assert not mixed.is_exact
+    assert mixed.mats.dtype == np.complex128 and mixed.mats[0, 0, 0] == 1 / 3
