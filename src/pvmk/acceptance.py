@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import linalg
-from .cuntz import build_cuntz_tower, cuntz_verify, multiplication_pvm, relation_defects, s_matrix
+from .cuntz import branch_maps, build_cuntz_tower, cuntz_verify, multiplication_pvm, relation_defects
 from .fixed_point import (
     contraction_ratio_rho,
     phi_iterate,
@@ -140,7 +140,7 @@ def criterion_3(seed: int = 0) -> CriterionResult:
 
 
 def criterion_4(seed: int = 0) -> CriterionResult:
-    """Cuntz relations hold with integer exactness; a bit flip is caught."""
+    """Cuntz relations hold with integer exactness; a redirected index is caught."""
     ok = True
     levels = 0
     for ifs, depth in ((dyadic_ifs(), 6), (triadic_ifs(), 4)):
@@ -150,9 +150,9 @@ def criterion_4(seed: int = 0) -> CriterionResult:
             ok = ok and report.sum_defect == 0 and report.ortho_defect == 0
             levels += 1
     ct2 = build_cuntz_tower(build_tower(dyadic_ifs(), 2))
-    mats = [s_matrix(ct2, i, 1) for i in range(2)]
-    mats[0][0, 0] ^= 1
-    sum_defect, ortho_defect = relation_defects(mats)
+    maps = branch_maps(ct2, 1)
+    maps[0, 0] = maps[1, 0]
+    sum_defect, ortho_defect = relation_defects(maps, ct2.dim(1))
     control_caught = sum_defect > 0 or ortho_defect > 0
     return CriterionResult(
         4,

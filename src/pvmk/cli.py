@@ -4,9 +4,9 @@ Every subcommand emits one self-describing JSON document (schema_version,
 command and config echo, results, verdict, tolerances).  Reports are
 byte-identical across runs for fixed inputs and seed; wall-clock timing is
 opt-in via --timing because it would break that guarantee.  A failing
-verdict exits with code 1; usage and parse problems, measures that do not
-live on the given space or dimension, and inputs over a size cap, exit
-with code 2.
+verdict exits with code 1; usage and parse problems (an --out path that
+cannot be written among them), measures that do not live on the given
+space or dimension, and inputs over a size cap, exit with code 2.
 """
 
 from __future__ import annotations
@@ -396,13 +396,13 @@ def run(argv) -> int:
     started = time.monotonic()
     try:
         report, csv_text = args.func(args, started)
+        _emit(args, report, csv_text)
     except (InputParseError, MismatchedMeasures, SpaceTooLarge, TowerTooLarge) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except PvmkError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    _emit(args, report, csv_text)
     return 0 if report["verdict"] == "pass" else 1
 
 

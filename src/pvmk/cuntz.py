@@ -1,18 +1,24 @@
 """Level Hilbert spaces of the cylinder tower and exact Cuntz isometries.
 
 Level k carries the orthonormal basis of normalized cell indicators, one
-per length-k word, so the branch isometry S_i acts as the 0/1 matrix
-sending e_a to e_(i a).  The normalization absorbs the sqrt(N) factors of
-the L^2 picture, which makes every operator here an integer matrix: the
-Cuntz relations, the cylinder projections, and the diagonal fixed-point
-measure are all verified with integer arithmetic and no tolerance.
+per length-k word, so the branch isometry S_i is the index map e_a ->
+e_(i a) from level k-1 into level k.  The normalization absorbs the
+sqrt(N) factors of the L^2 picture, so every operator here is a 0/1
+matrix and everything is checked exactly, with no tolerance.
+
+The Cuntz relations on index maps come down to counting.  S_i S_i^* is
+the diagonal projection onto the range of S_i, so sum_i S_i S_i^* = id
+says that every level-k index is hit exactly once by some S_i, and
+S_i^* S_j = delta_ij id says that no index is hit twice.  One bincount of
+the branch maps per level checks both (:func:`relation_defects` gives the
+argument that the counts equal the dense matrix defects).
 
 Words are stored first-symbol-major, so the length-j word w has index
 idx(w) = sum_t w_t N^(j-1-t) in its level, and its cylinder at level K is
 the contiguous block of atoms [idx(w) N^(K-j), (idx(w)+1) N^(K-j)).  The
 cylinder projection S_w S_w^* is therefore the 0/1 diagonal projection on
-that block, and S_i itself is the identity placed on block i; both are
-read from the word index instead of multiplying isometries out.
+that block, read from the word index instead of multiplying isometries
+out.
 
 The relations sum_i S_i S_i* = id and S_i* S_j = delta_ij id force the
 ambient dimension to be N times itself, so no single finite level can
@@ -27,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BranchOutOfRange, LevelOutOfRange, WordTooLong
-from .ifs import CylinderTower, build_tower, IfsSystem
+from .ifs import CylinderTower
 from .ovm import OperatorValuedMeasure, diagonal_pvm
 
 
@@ -47,46 +53,43 @@ class CuntzTower:
         return len(self.tower.level(k).words)
 
 
-def build_cuntz_tower(source: CylinderTower | IfsSystem, depth: int | None = None) -> CuntzTower:
-    if isinstance(source, IfsSystem):
-        if depth is None:
-            raise LevelOutOfRange("depth is required when building from an IFS")
-        return CuntzTower(build_tower(source, depth))
-    return CuntzTower(source)
+def build_cuntz_tower(tower: CylinderTower) -> CuntzTower:
+    return CuntzTower(tower)
 
 
-def s_matrix(ct: CuntzTower, i: int, k: int) -> np.ndarray:
-    """The 0/1 matrix of S_i from level k-1 into level k (columns orthonormal):
-    the identity on rows [i N^(k-1), (i+1) N^(k-1)), zero elsewhere."""
+def branch_maps(ct: CuntzTower, k: int) -> np.ndarray:
+    """S_0, ..., S_(N-1) from level k-1 into level k as an (N, d_(k-1)) array.
+
+    Row i is S_i: column a holds the level-k index of the word (i,) + a,
+    where a is the level-(k-1) word at index a.  The indices are looked up
+    in the level's word list, not computed from the word index formula.
+    """
     if not 1 <= k <= ct.depth:
         raise LevelOutOfRange(f"level {k} outside 1..{ct.depth}")
-    cols = ct.dim(k - 1)
-    m = np.zeros((ct.dim(k), cols), dtype=np.int64)
-    m[_word_block(ct, (i,), k)] = np.eye(cols, dtype=np.int64)
-    return m
+    index = {w: j for j, w in enumerate(ct.tower.level(k).words)}
+    prev = ct.tower.level(k - 1).words
+    return np.array(
+        [[index[(i,) + a] for a in prev] for i in range(ct.n_branches)], dtype=np.int64
+    )
 
 
-def relation_defects(mats) -> tuple[int, int]:
-    """(sum defect, orthogonality defect) of candidate isometry matrices.
+def relation_defects(maps: np.ndarray, rows: int) -> tuple[int, int]:
+    """(sum defect, orthogonality defect) of the 0/1 isometries given by
+    function maps from range(cols) into range(rows), one map per row of maps.
 
-    sum defect: max abs entry of sum_i M_i M_i^T minus the identity.
-    orthogonality defect: max abs entry of M_i^T M_j minus delta_ij id.
-    Integer inputs give integer defects; zero means the relations hold
-    exactly.
+    Let M_i be the 0/1 matrix with M_i[sigma_i(a), a] = 1, and hits[r] the
+    number of pairs (i, a) with sigma_i(a) = r.  Entry (r, s) of M_i M_i^T
+    is the number of a with sigma_i(a) = r = s, so sum_i M_i M_i^T is
+    diag(hits), and the max abs entry of it minus the identity is
+    max |hits - 1|.  Entry (a, b) of M_i^T M_j is [sigma_i(a) = sigma_j(b)],
+    which is 1 on the diagonal when i = j; it is 1 off the target delta_ij
+    id exactly when two distinct pairs (i, a) and (j, b) hit one row.  So
+    the max abs entry of M_i^T M_j - delta_ij id over all i, j is 1 when
+    some row is hit twice and 0 otherwise.  Both are the dense defects,
+    computed by counting; zero means the relations hold exactly.
     """
-    mats = [np.asarray(m) for m in mats]
-    rows, cols = mats[0].shape
-    exact = all(np.issubdtype(m.dtype, np.integer) for m in mats)
-    cast = int if exact else float
-    total = sum(m @ m.T for m in mats)
-    sum_defect = cast(np.abs(total - np.eye(rows, dtype=np.int64)).max())
-    ortho_defect = cast(0)
-    for i, mi in enumerate(mats):
-        for j, mj in enumerate(mats):
-            prod = mi.T @ mj
-            target = np.eye(cols, dtype=np.int64) if i == j else 0
-            ortho_defect = max(ortho_defect, cast(np.abs(prod - target).max()))
-    return sum_defect, ortho_defect
+    hits = np.bincount(np.asarray(maps).ravel(), minlength=rows)
+    return int(np.abs(hits - 1).max()), int(hits.max() > 1)
 
 
 @dataclass(frozen=True)
@@ -102,16 +105,15 @@ class CuntzReport:
 
 def cuntz_verify(ct: CuntzTower, k: int) -> CuntzReport:
     """Exact verification of the Cuntz relations at one level."""
-    if not 1 <= k <= ct.depth:
-        raise LevelOutOfRange(f"level {k} outside 1..{ct.depth}")
-    mats = [s_matrix(ct, i, k) for i in range(ct.n_branches)]
-    sum_defect, ortho_defect = relation_defects(mats)
+    sum_defect, ortho_defect = relation_defects(branch_maps(ct, k), ct.dim(k))
     return CuntzReport(level=k, sum_defect=sum_defect, ortho_defect=ortho_defect)
 
 
 def _word_block(ct: CuntzTower, word: tuple[int, ...], ambient: int) -> slice:
     """Atom indices of the word's cylinder at the ambient level."""
-    if len(word) > ambient or ambient > ct.depth:
+    if not 0 <= ambient <= ct.depth:
+        raise LevelOutOfRange(f"level {ambient} outside 0..{ct.depth}")
+    if len(word) > ambient:
         raise WordTooLong(f"word of length {len(word)} does not fit at ambient level {ambient}")
     n = ct.n_branches
     idx = 0

@@ -400,12 +400,3 @@ def lip1_vertices(
         verts = _line_vertices(space, a0, order)
     return Lip1VertexSet(space.point_ids[a0], tuple(verts), space)
 
-
-def mcshane(space: FiniteMetricSpace, values) -> tuple:
-    """1-Lipschitz regularization f(x) = min_y (v(y) + d(x,y)) of raw values."""
-    if len(values) != space.n:
-        raise InputParseError("value vector must cover every point")
-    return tuple(
-        min(values[y] + space.dist[x][y] for y in range(space.n))
-        for x in range(space.n)
-    )

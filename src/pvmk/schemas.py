@@ -230,4 +230,7 @@ def canonical_json(value) -> str:
 
 
 def write_text(path, text: str) -> None:
-    Path(path).write_text(text, encoding="utf-8")
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise InputParseError(f"cannot write {path}: {exc}") from exc

@@ -27,9 +27,8 @@ from .metric_core import (
     Lip1VertexSet,
     LipschitzFunction,
     certify_lipschitz,
-    lip_constant,
 )
-from .rationals import as_fraction, is_rational_sequence
+from .rationals import as_fraction
 
 
 @dataclass(frozen=True)
@@ -290,15 +289,3 @@ def kantorovich_dual_oracle(
     best = max(sum([vert[i] * w for i, w in diff]) for vert in ints)
     return Fraction(best, scale * unit)
 
-
-def weak_gap(space: FiniteMetricSpace, f_values, mu: ProbMeasure, nu: ProbMeasure):
-    """(|integral of f against mu - nu|, Lip(f) * H(mu, nu)); first <= second."""
-    if len(f_values) != space.n:
-        raise DimensionMismatch("test function must cover every point")
-    exact = is_rational_sequence(f_values)
-    fv = [as_fraction(x) for x in f_values] if exact else list(f_values)
-    lhs = abs(sum(f * (a - b) for f, a, b in zip(fv, mu.weights, nu.weights)))
-    k = lip_constant(fv, space)
-    h = kantorovich(space, mu, nu).value
-    rhs = k * h
-    return (lhs, rhs)

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import pvmk.ifs
 from pvmk.cli import run
 from pvmk.cuntz import build_cuntz_tower, multiplication_pvm
 from pvmk.ifs import build_tower, dyadic_ifs
@@ -116,6 +117,19 @@ def test_cuntz_verify_command(files, capsys):
     for level in report["results"]["levels"]:
         assert level["sum_defect"] == 0
         assert level["ortho_defect"] == 0
+
+
+def test_cuntz_verify_reaches_the_cell_cap_without_distance_tables(files, capsys, monkeypatch):
+    tables = []
+    monkeypatch.setattr(pvmk.ifs, "_level_table", lambda *a: tables.append(a))
+    tmp, write = files
+    ifs = write("ifs.json", DYADIC)
+    assert run(["cuntz-verify", "--ifs", ifs, "--depth", "12"]) == 0
+    levels = _capture(capsys)["results"]["levels"]
+    assert [(lv["level"], lv["sum_defect"], lv["ortho_defect"]) for lv in levels] == [
+        (k, 0, 0) for k in range(1, 13)
+    ]
+    assert tables == []
 
 
 def test_rho_command_methods(files, capsys):
@@ -226,6 +240,31 @@ def test_out_of_range_arguments_exit_2(files, capsys, argv):
 def test_unreadable_input_exits_2(tmp_path, capsys):
     assert run(["space", "--space", str(tmp_path / "missing.json")]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv, out",
+    [
+        (["cuntz-verify", "--depth", "2"], "missing/x.json"),
+        (["cuntz-verify", "--depth", "2"], "."),
+        (["hutchinson", "--depth", "2"], "missing/x.json"),
+        (["hutchinson", "--depth", "2"], "."),
+        (["phi-iterate", "--depth", "3", "--steps", "2"], "trace.json"),
+    ],
+    ids=[
+        "cuntz-verify-missing-dir",
+        "cuntz-verify-directory",
+        "hutchinson-missing-dir",
+        "hutchinson-directory",
+        "phi-iterate-csv-sibling-directory",
+    ],
+)
+def test_unwritable_out_exits_2(files, capsys, argv, out):
+    tmp, write = files
+    ifs = write("ifs.json", DYADIC)
+    (tmp / "trace.csv").mkdir()
+    assert run(argv + ["--ifs", ifs, "--out", str(tmp / out)]) == 2
+    _one_error_line(capsys)
 
 
 def test_reports_are_byte_identical(files, capsys):

@@ -4,17 +4,56 @@ import numpy as np
 import pytest
 
 from pvmk.cuntz import (
+    _word_block,
+    branch_maps,
     build_cuntz_tower,
     cuntz_verify,
     cylinder_projection,
     multiplication_pvm,
     prefix_atoms,
     relation_defects,
-    s_matrix,
 )
 from pvmk.errors import BranchOutOfRange, LevelOutOfRange, WordTooLong
 from pvmk.ifs import build_tower, dyadic_ifs, triadic_ifs, word_id
 from pvmk.ovm import measure_of
+from pvmk.rng import SplitMix64
+
+
+def dense_isometries(maps, rows: int) -> list:
+    """The 0/1 matrices M_i with M_i[maps[i, a], a] = 1, one per row of maps."""
+    cols = maps.shape[1]
+    mats = np.zeros((len(maps), rows, cols), dtype=np.int64)
+    for i, row in enumerate(maps):
+        mats[i, row, np.arange(cols)] = 1
+    return list(mats)
+
+
+def s_matrix(ct, i: int, k: int) -> np.ndarray:
+    """The dense 0/1 matrix of S_i from level k-1 into level k, scattered
+    from the package's branch map."""
+    return dense_isometries(branch_maps(ct, k), ct.dim(k))[i]
+
+
+def dense_relation_defects(mats) -> tuple[int, int]:
+    """Oracle: max abs entries of sum_i M_i M_i^T - id and of
+    M_i^T M_j - delta_ij id, from the integer matrix products."""
+    rows, cols = mats[0].shape
+    total = sum(m @ m.T for m in mats)
+    sum_defect = int(np.abs(total - np.eye(rows, dtype=np.int64)).max())
+    ortho_defect = 0
+    for i, mi in enumerate(mats):
+        for j, mj in enumerate(mats):
+            target = np.eye(cols, dtype=np.int64) if i == j else 0
+            ortho_defect = max(ortho_defect, int(np.abs(mi.T @ mj - target).max()))
+    return sum_defect, ortho_defect
+
+
+TOWER_LEVELS = [
+    (ifs, k)
+    for ifs, depth in ((dyadic_ifs(), 6), (triadic_ifs(), 4))
+    for k in range(1, depth + 1)
+]
+TOWER_IDS = [f"N{ifs.n_branches}-k{k}" for ifs, k in TOWER_LEVELS]
 
 
 def test_cuntz_verify_builds_no_distance_table():
@@ -78,17 +117,71 @@ def test_cuntz_relations_exact():
 
 
 def test_bit_flip_negative_control(dyadic_ct):
+    # the dense oracle sees a flipped matrix bit
     mats = [s_matrix(dyadic_ct, i, 1) for i in range(2)]
     mats[0][0, 0] ^= 1
-    sum_defect, ortho_defect = relation_defects(mats)
+    sum_defect, ortho_defect = dense_relation_defects(mats)
     assert sum_defect > 0 or ortho_defect > 0
+
+
+def test_redirected_index_negative_control(dyadic_ct):
+    # the route cuntz-verify runs sees one redirected index, as the oracle does
+    for k in range(1, 4):
+        maps = branch_maps(dyadic_ct, k)
+        maps[0, 0] = maps[1, 0]
+        rows = dyadic_ct.dim(k)
+        assert relation_defects(maps, rows) == (1, 1)
+        assert dense_relation_defects(dense_isometries(maps, rows)) == (1, 1)
+
+
+@pytest.mark.parametrize("ifs, k", TOWER_LEVELS, ids=TOWER_IDS)
+def test_branch_maps_and_counting_defects_match_the_dense_route(ifs, k):
+    # S_i lands on its one-symbol word block, and the counts equal the
+    # matrix-product defects
+    ct = build_cuntz_tower(build_tower(ifs, k))
+    maps = branch_maps(ct, k)
+    assert maps.shape == (ct.n_branches, ct.dim(k - 1))
+    for i in range(ct.n_branches):
+        block = _word_block(ct, (i,), k)
+        assert maps[i].tolist() == list(range(block.start, block.start + ct.dim(k - 1)))
+    mats = [s_matrix(ct, i, k) for i in range(ct.n_branches)]
+    assert relation_defects(maps, ct.dim(k)) == dense_relation_defects(mats) == (0, 0)
+
+
+def test_counting_defects_equal_the_dense_oracle_on_random_maps():
+    # permutations (the relations hold), permutations with one index
+    # redirected, and uniform maps, which are mostly non-injective,
+    # overlapping or not covering
+    rng = SplitMix64(41)
+    seen = {"holds": 0, "non_injective": 0, "overlapping": 0, "not_covering": 0}
+    for trial in range(400):
+        n, cols = rng.randint(1, 4), rng.randint(1, 5)
+        if trial % 4 >= 2:
+            rows = rng.randint(1, n * cols + 3)
+            maps = np.array([[rng.randint(0, rows - 1) for _ in range(cols)] for _ in range(n)])
+        else:
+            rows = n * cols
+            maps = np.array(rng.distinct_indices(rows, rows)).reshape(n, cols)
+            if trial % 4 == 1:
+                maps[rng.randint(0, n - 1), rng.randint(0, cols - 1)] = rng.randint(0, rows - 1)
+        defects = relation_defects(maps, rows)
+        assert defects == dense_relation_defects(dense_isometries(maps, rows))
+        seen["holds"] += defects == (0, 0)
+        seen["non_injective"] += any(len(set(row)) < cols for row in maps.tolist())
+        seen["overlapping"] += any(
+            set(maps[i].tolist()) & set(maps[j].tolist())
+            for i in range(n) for j in range(i + 1, n)
+        )
+        seen["not_covering"] += len(set(maps.ravel().tolist())) < rows
+    assert 400 - seen["holds"] >= 200
+    assert min(seen.values()) >= 40
 
 
 def test_level_and_branch_bounds(dyadic_ct):
     with pytest.raises(LevelOutOfRange):
-        s_matrix(dyadic_ct, 0, 4)
-    with pytest.raises(BranchOutOfRange):
-        s_matrix(dyadic_ct, 2, 1)
+        branch_maps(dyadic_ct, 4)
+    with pytest.raises(LevelOutOfRange):
+        branch_maps(dyadic_ct, 0)
     with pytest.raises(LevelOutOfRange):
         cuntz_verify(dyadic_ct, 0)
     with pytest.raises(BranchOutOfRange):
@@ -140,6 +233,16 @@ def test_cylinders_match_isometry_products(ifs):
 def test_word_too_long(dyadic_ct2):
     with pytest.raises(WordTooLong):
         cylinder_projection(dyadic_ct2, (0, 1, 0), 2)
+
+
+def test_ambient_level_outside_the_tower(dyadic_ct2):
+    # the level is wrong, not the word
+    with pytest.raises(LevelOutOfRange):
+        _word_block(dyadic_ct2, (), 3)
+    with pytest.raises(LevelOutOfRange):
+        cylinder_projection(dyadic_ct2, (), 3)
+    with pytest.raises(LevelOutOfRange):
+        prefix_atoms(dyadic_ct2, (), -1)
 
 
 def test_projection_nesting(dyadic_ct):

@@ -10,7 +10,6 @@ from pvmk.cuntz import (
     cylinder_projection,
     multiplication_pvm,
     prefix_atoms,
-    s_matrix,
 )
 from pvmk.errors import LevelOutOfRange, MismatchedMeasures
 from pvmk.fixed_point import (
@@ -35,6 +34,7 @@ from pvmk.sampling import (
     random_truth_conjugate_pvm,
     random_unit_vector,
 )
+from test_cuntz import s_matrix
 
 F = Fraction
 

@@ -23,13 +23,20 @@ from pvmk.metric_core import (
     certify_lipschitz,
     lip1_vertices,
     lip_constant,
-    mcshane,
     validate_space,
 )
 from pvmk.rng import SplitMix64
 from pvmk.sampling import random_metric_space
 
 F = Fraction
+
+
+def mcshane(space: FiniteMetricSpace, values) -> tuple:
+    """1-Lipschitz regularization f(x) = min_y (v(y) + d(x,y)) of raw values."""
+    return tuple(
+        min(values[y] + space.dist[x][y] for y in range(space.n))
+        for x in range(space.n)
+    )
 
 
 def path_space():

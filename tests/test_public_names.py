@@ -1,0 +1,41 @@
+"""The README's library table and ``pvmk.__all__`` name only what exists."""
+
+import importlib
+import re
+from pathlib import Path
+
+import pytest
+
+import pvmk
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _layout_rows() -> list:
+    text = README.read_text(encoding="utf-8")
+    table = text.split("## Library layout", 1)[1].split("\n## ", 1)[0]
+    rows = []
+    for line in table.splitlines():
+        match = re.match(r"\| `(pvmk\.\w+)` \| (.*) \|$", line)
+        if match:
+            rows.append((match.group(1), re.findall(r"`(\w+)`", match.group(2))))
+    return rows
+
+
+LAYOUT = [(module, name) for module, names in _layout_rows() for name in names]
+
+
+def test_layout_table_is_read():
+    modules = {module for module, _ in _layout_rows()}
+    assert {"pvmk.cuntz", "pvmk.metric_core", "pvmk.transport", "pvmk.cli"} <= modules
+    assert len(LAYOUT) >= 30
+
+
+@pytest.mark.parametrize("module, name", LAYOUT, ids=[f"{m}.{n}" for m, n in LAYOUT])
+def test_layout_table_names_exist(module, name):
+    assert hasattr(importlib.import_module(module), name)
+
+
+@pytest.mark.parametrize("name", pvmk.__all__)
+def test_package_exports_resolve(name):
+    assert getattr(pvmk, name, None) is not None

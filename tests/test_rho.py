@@ -8,7 +8,7 @@ import pytest
 from pvmk.errors import MismatchedMeasures
 from pvmk.ifs import build_tower, dyadic_ifs, make_ifs
 from pvmk.linalg import spectral_norm, to_complex
-from pvmk.metric_core import lip_constant, lip1_vertices, mcshane, validate_space
+from pvmk.metric_core import lip_constant, lip1_vertices, validate_space
 from pvmk.ovm import diagonal_pvm, integrate, validate_ovm
 from pvmk.rho import (
     _difference_stack,
@@ -26,6 +26,7 @@ from pvmk.sampling import (
     random_pvm,
     random_rational_values,
 )
+from test_metric_core import mcshane
 
 F = Fraction
 
