@@ -77,9 +77,10 @@ def _report(args, command: str, results: dict, verdict: bool, started: float) ->
 def _emit(args, report: dict, csv_text: str | None = None) -> None:
     text = canonical_json(report) + "\n"
     if args.out:
-        write_text(args.out, text)
+        # the trace first, so that a failed write leaves no report behind
         if csv_text is not None:
             write_text(Path(args.out).with_suffix(".csv"), csv_text)
+        write_text(args.out, text)
     else:
         sys.stdout.write(text)
         if csv_text is not None:

@@ -75,18 +75,27 @@ def phi_step(ct: CuntzTower, k: int, E: OperatorValuedMeasure) -> OperatorValued
     which are orthogonal; and the atoms sum to sum_i S_i S_i^* = I by the
     Cuntz relation.  Placement copies E's entries, so a float seed keeps
     exactly the defects it was validated with.
+
+    A diagonal seed stays diagonal: S_i sends e_j to e_(i d + j), d = d_(k-1),
+    so S_i E(c) S_i^* projects onto {e_(i d + j) : a[j] = c}, and the
+    output's assignment is i d + j -> i d + a[j], built in O(d_k).
     """
     if not 1 <= k <= ct.depth:
         raise LevelOutOfRange(f"step target {k} outside 1..{ct.depth}")
     prev = ct.tower.level(k - 1)
     if E.space != prev.space or E.dim != ct.dim(k - 1):
         raise MismatchedMeasures("measure does not live on the source level")
+    space = ct.tower.level(k).space
+    d_prev = E.dim
+    if E.assignment is not None:
+        offsets = np.arange(ct.n_branches)[:, None] * d_prev
+        return diagonal_pvm(space, (offsets + E.assignment).ravel())
     d_next = ct.dim(k)
     atoms = np.zeros((d_next, d_next, d_next), dtype=E.mats.dtype)
     for i in range(ct.n_branches):
         block = _word_block(ct, (i,), k)
         atoms[block, block, block] = E.mats
-    return assemble_ovm(ct.tower.level(k).space, atoms, E.kind)
+    return assemble_ovm(space, atoms, E.kind)
 
 
 def swapped_diagonal_pvm(ct: CuntzTower, k: int) -> OperatorValuedMeasure:
@@ -131,7 +140,11 @@ def phi_iterate(
     start_level = next(
         (k for k in range(ct.depth + 1) if ct.dim(k) == seed.space.n), None
     )
-    if start_level is None or ct.tower.level(start_level).space != seed.space:
+    if (
+        start_level is None
+        or ct.tower.level(start_level).space != seed.space
+        or seed.dim != ct.dim(start_level)
+    ):
         raise MismatchedMeasures("seed does not live on any tower level")
     if start_level + steps > ct.depth:
         raise LevelOutOfRange(
@@ -170,30 +183,55 @@ def phi_iterate(
     )
 
 
-def _cylinder_identities(ct: CuntzTower, E: OperatorValuedMeasure, level: int, depth: int):
-    """Yield (t, word, holds) for every word of length t <= depth, where holds
-    says E(cylinder of word) equals the cylinder projection at ``level``:
-    exactly for exact E, within 1e-10 otherwise.
+# Entries of one dense block sum formed at a time, so that checking a
+# dense measure needs a bounded scratch array besides its atoms.
+_CHUNK_ENTRIES = 1 << 20
 
-    The cylinder is a contiguous atom block, and its projection is the
-    identity on the same block of the basis, so E(cylinder) minus the
-    projection is the block's atom sum with 1 taken off that block's
+
+def _cylinder_identities(ct: CuntzTower, E: OperatorValuedMeasure, level: int, depth: int):
+    """Yield (t, holds) for t = 0..depth, where holds[u] says E(cylinder of
+    the depth-t word with index u) equals the cylinder projection at
+    ``level``: exactly for exact E, within 1e-10 otherwise.
+
+    The cylinder of word u is the atom block [u w, (u + 1) w), w =
+    N^(level - t), and its projection is the identity on the same block of
+    the basis.  For a diagonal assignment a, E(cylinder) projects onto
+    {e_j : a[j] // w = u}, so the identity fails exactly for the words
+    a[j] // w and j // w of every j where the two differ.  A dense measure
+    sums each block of w atoms at once and takes 1 off that block's
     diagonal."""
+    n = ct.n_branches
+    if E.assignment is not None:
+        a = E.assignment
+        basis = np.arange(len(a))
+        for t in range(depth + 1):
+            w = n ** (level - t)
+            moved = a // w != basis // w
+            holds = np.ones(n**t, dtype=bool)
+            holds[a[moved] // w] = False
+            holds[basis[moved] // w] = False
+            yield t, holds
+        return
     exact = E.is_exact
-    diagonal = np.arange(E.dim)
+    d = E.dim
     for t in range(depth + 1):
-        for word in ct.tower.level(t).words:
-            block = _word_block(ct, word, level)
-            lhs = E.mats[block].sum(axis=0)
-            lhs[diagonal[block], diagonal[block]] -= 1
-            defect = linalg.max_abs(lhs)
-            yield t, word, (defect == 0) if exact else (defect <= 1e-10)
+        w = n ** (level - t)
+        blocks = E.mats.reshape(n**t, w, d, d)
+        step = max(1, _CHUNK_ENTRIES // (d * d))
+        defects = []
+        for start in range(0, n**t, step):
+            sums = blocks[start : start + step].sum(axis=1)
+            rows = np.arange(start * w, start * w + len(sums) * w)
+            sums[rows // w - start, rows, rows] -= 1
+            defects.append(np.abs(sums).max(axis=(1, 2)))
+        defects = np.concatenate(defects)
+        yield t, (defects == 0) if exact else (defects <= 1e-10)
 
 
 def _verify_prefixes(ct: CuntzTower, E: OperatorValuedMeasure, level: int, depth: int) -> int:
     """Largest t <= depth with E(every depth-t cylinder) = cylinder projection."""
-    for t, _word, holds in _cylinder_identities(ct, E, level, depth):
-        if not holds:
+    for t, holds in _cylinder_identities(ct, E, level, depth):
+        if not holds.all():
             return max(t - 1, 0)
     return depth
 
@@ -230,20 +268,20 @@ def verify_fixed_point(
     ):
         raise MismatchedMeasures("candidate does not live on the ambient level")
     target = candidate if candidate is not None else multiplication_pvm(ct, K)
-    exact = target.is_exact
     offending = []
     checked = 0
-    for _t, word, holds in _cylinder_identities(ct, target, K, K):
-        checked += 1
-        if not holds:
-            offending.append(word_id(word) if word else "<empty>")
+    for t, holds in _cylinder_identities(ct, target, K, K):
+        checked += holds.size
+        words = ct.tower.level(t).words
+        offending += [word_id(words[u]) if t else "<empty>" for u in np.flatnonzero(~holds)]
     rederived = multiplication_pvm(ct, 0)  # level 0's one measure: I on the whole space
     for k in range(1, K + 1):
         rederived = phi_step(ct, k, rederived)
-    rederived_match = all(
-        linalg.max_abs(a - b) == 0 if exact else linalg.max_abs(a - b) <= 1e-10
-        for a, b in zip(rederived.mats, target.mats)
-    )
+    if target.assignment is not None:
+        rederived_match = bool(np.array_equal(rederived.assignment, target.assignment))
+    else:
+        defect = linalg.max_abs(rederived.mats - target.mats)
+        rederived_match = defect == 0 if target.is_exact else defect <= 1e-10
     return FixedPointReport(
         depth=K,
         words_checked=checked,

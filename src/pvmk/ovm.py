@@ -1,6 +1,6 @@
 """Projection and positive operator valued measures on a finite atom space.
 
-An assignment maps each atom of a finite metric space to a Hermitian
+A measure maps each atom of a finite metric space to a Hermitian
 matrix; the atoms generate the full finite sigma-algebra, so values on
 unions are sums of atom values.  Projection kind additionally requires
 idempotent, pairwise orthogonal values.  Matrices with dtype ``object``
@@ -14,6 +14,7 @@ second throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
@@ -41,13 +42,32 @@ DEFAULT_TOL = 1e-10
 
 @dataclass(frozen=True)
 class OperatorValuedMeasure:
+    """A measure of ``kind`` on the atoms of ``space``, in one of two forms.
+
+    ``dense`` is the read-only (n, d, d) atom array, aligned with
+    ``space.point_ids``.  A 0/1 diagonal PVM instead leaves ``dense`` None
+    and holds its read-only ``assignment``: basis index j -> atom
+    assignment[j], so atom a is the projection onto {e_j : assignment[j] = a}.
+    ``mats`` is the dense array either way; for an assignment it is built
+    the first time it is read.
+    """
+
     space: FiniteMetricSpace
-    mats: np.ndarray  # read-only (n, d, d) atom array, aligned with space.point_ids
+    dense: np.ndarray | None
     kind: str
+    assignment: np.ndarray | None = None
+
+    @cached_property
+    def mats(self) -> np.ndarray:
+        if self.assignment is None:
+            return self.dense
+        return _diagonal_stack(self.space.n, self.assignment)
 
     @property
     def dim(self) -> int:
-        return self.mats.shape[1]
+        if self.assignment is not None:
+            return len(self.assignment)
+        return self.dense.shape[1]
 
     @property
     def atom_ids(self) -> tuple[str, ...]:
@@ -55,7 +75,7 @@ class OperatorValuedMeasure:
 
     @property
     def is_exact(self) -> bool:
-        return linalg.is_exact_matrix(self.mats)
+        return self.assignment is not None or linalg.is_exact_matrix(self.dense)
 
     def same_frame(self, other: "OperatorValuedMeasure") -> bool:
         """Equal spaces (ids and table, coordinates ignored) and equal dims."""
@@ -133,17 +153,33 @@ def assemble_ovm(space: FiniteMetricSpace, atoms: np.ndarray, kind: str) -> Oper
 def diagonal_pvm(space: FiniteMetricSpace, assignment) -> OperatorValuedMeasure:
     """PVM sending atom a to the projection onto {e_j : assignment[j] = a}.
 
-    Exact int64 atoms, built without validation because the result is a
-    projection valued measure by construction: every atom is a 0/1 diagonal
-    matrix, hence Hermitian and idempotent; distinct atoms have disjoint
-    diagonal supports, so their products vanish; and each basis vector is
-    assigned to exactly one atom, so the atoms sum to the identity.
+    Only the assignment is stored; its exact int64 atoms are built when
+    ``mats`` is first read.  No ``validate_ovm`` is needed, because the
+    result is a projection valued measure by construction: every atom is a
+    0/1 diagonal matrix, hence Hermitian and idempotent; distinct atoms
+    have disjoint diagonal supports, so their products vanish; and each
+    basis vector is assigned to exactly one atom, so the atoms sum to the
+    identity.  That last step needs every entry to name an atom, which is
+    checked here: an entry outside 0..n-1 raises ``DimensionMismatch``.
     """
+    assignment = np.array(assignment, dtype=np.intp)
+    outside = (assignment < 0) | (assignment >= space.n)
+    if outside.any():
+        raise DimensionMismatch(
+            f"assignment entry {assignment[outside][0]} names no atom of a {space.n}-point space"
+        )
+    assignment.setflags(write=False)
+    return OperatorValuedMeasure(space, None, PROJECTION, assignment)
+
+
+def _diagonal_stack(n: int, assignment: np.ndarray) -> np.ndarray:
+    """The read-only (n, d, d) int64 atom array of a diagonal assignment."""
     dim = len(assignment)
-    atoms = np.zeros((space.n, dim, dim), dtype=np.int64)
+    atoms = np.zeros((n, dim, dim), dtype=np.int64)
     basis = np.arange(dim)
-    atoms[np.asarray(assignment, dtype=np.intp), basis, basis] = 1
-    return assemble_ovm(space, atoms, PROJECTION)
+    atoms[assignment, basis, basis] = 1
+    atoms.setflags(write=False)
+    return atoms
 
 
 def measure_of(ovm: OperatorValuedMeasure, atom_ids) -> np.ndarray:

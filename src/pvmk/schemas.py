@@ -58,19 +58,6 @@ def space_from_obj(obj) -> FiniteMetricSpace:
     return validate_space(_rows(dist, "distance table"), ids, coords)
 
 
-def space_to_obj(space: FiniteMetricSpace) -> dict:
-    points = []
-    for i, pid in enumerate(space.point_ids):
-        entry: dict = {"id": pid}
-        if space.coords is not None:
-            entry["coord"] = [rational_str(c) for c in space.coords[i]]
-        points.append(entry)
-    return {
-        "points": points,
-        "dist": [[rational_str(x) for x in row] for row in space.dist],
-    }
-
-
 def measure_from_obj(obj, space: FiniteMetricSpace) -> ProbMeasure:
     """{"weights": [num|"p/q", ...]}"""
     try:
@@ -162,24 +149,6 @@ def ovm_from_obj(obj, space: FiniteMetricSpace) -> OperatorValuedMeasure:
         raise InputParseError("ovm atoms must match the space's point ids")
     mats = [by_id[pid] for pid in space.point_ids]
     return validate_ovm(space, mats, kind)
-
-
-def ovm_to_obj(ovm: OperatorValuedMeasure) -> dict:
-    atoms = []
-    for pid, m in zip(ovm.atom_ids, ovm.mats):
-        arr = np.asarray(m)
-        if arr.dtype == object or np.issubdtype(arr.dtype, np.integer):
-            re = [[int(x) if int(x) == x else float(x) for x in row] for row in arr]
-            matrix = {"re": re}
-        elif np.iscomplexobj(arr):
-            matrix = {
-                "re": [[float(x) for x in row] for row in arr.real],
-                "im": [[float(x) for x in row] for row in arr.imag],
-            }
-        else:
-            matrix = {"re": [[float(x) for x in row] for row in arr]}
-        atoms.append({"id": pid, "matrix": matrix})
-    return {"kind": ovm.kind, "dim": ovm.dim, "atoms": atoms}
 
 
 def vector_from_obj(obj, dim: int) -> np.ndarray:

@@ -13,7 +13,9 @@ import pvmk.ifs
 from pvmk.cli import run
 from pvmk.cuntz import build_cuntz_tower, multiplication_pvm
 from pvmk.ifs import build_tower, dyadic_ifs
-from pvmk.schemas import canonical_json, ovm_to_obj, space_to_obj
+import pvmk.ovm
+from pvmk.rationals import rational_str
+from pvmk.schemas import canonical_json
 from fractions import Fraction
 
 
@@ -32,6 +34,38 @@ def files(tmp_path):
         return str(path)
 
     return tmp_path, write
+
+
+# Writers for the space and ovm documents the CLI reads.
+def space_to_obj(space) -> dict:
+    points = []
+    for i, pid in enumerate(space.point_ids):
+        entry: dict = {"id": pid}
+        if space.coords is not None:
+            entry["coord"] = [rational_str(c) for c in space.coords[i]]
+        points.append(entry)
+    return {
+        "points": points,
+        "dist": [[rational_str(x) for x in row] for row in space.dist],
+    }
+
+
+def ovm_to_obj(ovm) -> dict:
+    atoms = []
+    for pid, m in zip(ovm.atom_ids, ovm.mats):
+        arr = np.asarray(m)
+        if arr.dtype == object or np.issubdtype(arr.dtype, np.integer):
+            re = [[int(x) if int(x) == x else float(x) for x in row] for row in arr]
+            matrix = {"re": re}
+        elif np.iscomplexobj(arr):
+            matrix = {
+                "re": [[float(x) for x in row] for row in arr.real],
+                "im": [[float(x) for x in row] for row in arr.imag],
+            }
+        else:
+            matrix = {"re": [[float(x) for x in row] for row in arr]}
+        atoms.append({"id": pid, "matrix": matrix})
+    return {"kind": ovm.kind, "dim": ovm.dim, "atoms": atoms}
 
 
 def _capture(capsys):
@@ -265,6 +299,31 @@ def test_unwritable_out_exits_2(files, capsys, argv, out):
     (tmp / "trace.csv").mkdir()
     assert run(argv + ["--ifs", ifs, "--out", str(tmp / out)]) == 2
     _one_error_line(capsys)
+    # no report is left behind, not even when only its CSV sibling failed
+    assert sorted(p.name for p in tmp.iterdir()) == ["ifs.json", "trace.csv"]
+
+
+def test_fixed_point_commands_reach_dyadic_depth_12_without_dense_atoms(files, capsys, monkeypatch):
+    # 4,096 cells, the tower cap; a diagonal measure of more than 8 atoms
+    # must stay an assignment the whole way
+    tmp, write = files
+    ifs = write("ifs.json", DYADIC)
+    build = pvmk.ovm._diagonal_stack
+
+    def small_only(n, assignment):
+        assert n <= 8, f"dense atoms built for {n} atoms"
+        return build(n, assignment)
+
+    monkeypatch.setattr(pvmk.ovm, "_diagonal_stack", small_only)
+    assert run(["verify-fixed-point", "--ifs", ifs, "--depth", "12"]) == 0
+    results = _capture(capsys)["results"]
+    assert results["words_checked"] == 8191
+    assert results["offending_words"] == [] and results["rederived_match"]
+    for kind in ("swapped", "truth"):
+        argv = ["phi-iterate", "--ifs", ifs, "--depth", "12", "--steps", "4", "--seed-kind", kind]
+        assert run(argv) == 0
+        report = json.loads(capsys.readouterr().out.split("\n", 1)[0])
+        assert report["results"]["prefix_depth_verified"] == 4
 
 
 def test_reports_are_byte_identical(files, capsys):

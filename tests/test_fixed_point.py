@@ -12,9 +12,11 @@ from pvmk.cuntz import (
     prefix_atoms,
 )
 from pvmk.errors import LevelOutOfRange, MismatchedMeasures
+from pvmk import fixed_point
 from pvmk.fixed_point import (
     RelateReport,
     _cylinder_identities,
+    _verify_prefixes,
     contraction_ratio_rho,
     phi_iterate,
     phi_step,
@@ -155,6 +157,15 @@ def test_phi_iterate_depth_guard(dyadic_ct):
         phi_iterate(dyadic_ct, swapped_diagonal_pvm(dyadic_ct, 1), 5)
 
 
+def test_phi_iterate_rejects_a_seed_of_another_size():
+    # level 4 has 16 atoms, more than rho is computed on, so with no step
+    # taken only the seed check sees a 17-dimensional seed
+    ct = build_cuntz_tower(build_tower(dyadic_ifs(), 4))
+    seed = diagonal_pvm(ct.tower.level(4).space, [j % 16 for j in range(17)])
+    with pytest.raises(MismatchedMeasures):
+        phi_iterate(ct, seed, 0)
+
+
 def test_verify_fixed_point_small_cases():
     for ifs, depth in ((dyadic_ifs(), 3), (triadic_ifs(), 2)):
         ct = build_cuntz_tower(build_tower(ifs, depth))
@@ -199,6 +210,15 @@ def _dense_cylinder_identities(ct, E, level, depth):
             yield t, word, (defect == 0) if exact else (defect <= 1e-10)
 
 
+def _per_word(ct, identities):
+    """(t, word, holds) per word from the per-level output of _cylinder_identities."""
+    return [
+        (t, word, bool(h))
+        for t, holds in identities
+        for word, h in zip(ct.tower.level(t).words, holds, strict=True)
+    ]
+
+
 def _off_block_candidate(truth, a, b, row, col, x):
     """truth with x added at (row, col) and (col, row) of atom a and taken
     from atom b: a cylinder holding both atoms still sums to its projection."""
@@ -210,7 +230,7 @@ def _off_block_candidate(truth, a, b, row, col, x):
 
 
 @pytest.mark.parametrize("ifs, depth", [(dyadic_ifs(), 6), (triadic_ifs(), 4)], ids=["dyadic", "triadic"])
-def test_cylinder_blocks_match_the_dense_route(ifs, depth):
+def test_cylinder_blocks_match_the_dense_route(ifs, depth, monkeypatch):
     ct = build_cuntz_tower(build_tower(ifs, depth))
     n = ifs.n_branches
     for K in range(1, depth + 1):
@@ -227,14 +247,62 @@ def test_cylinder_blocks_match_the_dense_route(ifs, depth):
         ]
         verdicts = []
         for E in candidates:
-            got = list(_cylinder_identities(ct, E, K, K))
+            got = _per_word(ct, _cylinder_identities(ct, E, K, K))
             assert got == list(_dense_cylinder_identities(ct, E, K, K))
+            with monkeypatch.context() as m:  # three words' block sums at a time
+                m.setattr(fixed_point, "_CHUNK_ENTRIES", 3 * d * d)
+                assert _per_word(ct, _cylinder_identities(ct, E, K, K)) == got
             verdicts.append([holds for _t, _word, holds in got])
         # the whole space holds both perturbed atoms, so only smaller
         # cylinders can see the off-block entries
         for holds in verdicts[3:5]:
             assert holds[0] and not all(holds)
         assert all(verdicts[5])
+
+
+def _assignment_mutants(E):
+    """Two atoms swapped (adjacent ones, and the first and last), and one
+    basis index sent into the neighbouring atom's block."""
+    a = E.assignment
+    d = len(a)
+    mutants = []
+    for x, y in ((a[0], a[1 % d]), (a[0], a[d - 1])):
+        mutants.append(np.where(a == x, y, np.where(a == y, x, a)))
+    moved = a.copy()
+    moved[d // 2 - 1] = (a[d // 2 - 1] + 1) % d
+    mutants.append(moved)
+    return [diagonal_pvm(E.space, m) for m in mutants]
+
+
+@pytest.mark.parametrize("ifs, depth", [(dyadic_ifs(), 6), (triadic_ifs(), 4)], ids=["dyadic", "triadic"])
+def test_assignment_route_matches_a_dense_copy(ifs, depth):
+    # the assignment checks against the dense checks on a dense copy of the
+    # same measure, and both against the per-word dense oracle
+    for K in range(1, depth + 1):
+        ct = build_cuntz_tower(build_tower(ifs, K))
+        truth = multiplication_pvm(ct, K)
+        measures = [truth, swapped_diagonal_pvm(ct, K)]
+        for start in range(1, K):
+            chain = swapped_diagonal_pvm(ct, start)
+            for k in range(start + 1, K + 1):
+                chain = phi_step(ct, k, chain)
+            measures.append(chain)
+        mutants = _assignment_mutants(truth)
+        for E in measures + mutants:
+            assert E.assignment is not None
+            dense = assemble_ovm(E.space, E.mats.copy(), E.kind)
+            assert dense.assignment is None
+            got = _per_word(ct, _cylinder_identities(ct, E, K, K))
+            assert got == _per_word(ct, _cylinder_identities(ct, dense, K, K))
+            assert got == list(_dense_cylinder_identities(ct, E, K, K))
+            report = verify_fixed_point(ct, E)
+            assert report == verify_fixed_point(ct, dense)
+            assert _verify_prefixes(ct, E, K, K) == _verify_prefixes(ct, dense, K, K)
+            if any(E is m for m in mutants):
+                assert report.offending_words and not report.passed
+        # swapped chains agree with the truth on every cylinder up to the steps taken
+        for start, chain in enumerate(measures[2:], start=1):
+            assert _verify_prefixes(ct, chain, K, K) >= K - start
 
 
 def _dense_relate_verify(ct, h):

@@ -9,6 +9,7 @@ from pvmk.cuntz import multiplication_pvm
 from pvmk.fixed_point import phi_step
 from pvmk.errors import (
     CrossProductNonzero,
+    DimensionMismatch,
     NotHermitian,
     NotIdempotent,
     NotPSD,
@@ -53,6 +54,25 @@ def test_diagonal_pvm_validates(dyadic_ct2):
     pvm = multiplication_pvm(dyadic_ct2, 2)
     again = validate_ovm(pvm.space, pvm.mats, "projection")
     assert again.kind == "projection"
+
+
+def test_diagonal_pvm_keeps_its_assignment_and_builds_atoms_when_read():
+    space = validate_space([[0, 1, 2], [1, 0, 1], [2, 1, 0]])
+    pvm = diagonal_pvm(space, [2, 0, 2, 1])
+    assert pvm.dim == 4 and pvm.is_exact
+    assert pvm.assignment.tolist() == [2, 0, 2, 1] and not pvm.assignment.flags.writeable
+    assert "mats" not in vars(pvm)  # dim and is_exact read the assignment
+    assert [np.diag(m).tolist() for m in pvm.mats] == [[0, 1, 0, 0], [0, 0, 0, 1], [1, 0, 1, 0]]
+    assert not np.count_nonzero(pvm.mats * (1 - np.eye(4, dtype=np.int64)))
+    assert pvm.mats is pvm.mats  # built once
+
+
+@pytest.mark.parametrize("assignment, entry", [([-1, 0, 1], -1), ([0, 2, 1], 2)], ids=["negative", "past-last"])
+def test_diagonal_pvm_rejects_an_entry_that_names_no_atom(assignment, entry):
+    # a negative entry would wrap to the last atom, and one past the last
+    # atom would surface only when the dense atoms are built
+    with pytest.raises(DimensionMismatch, match=f"entry {entry} "):
+        diagonal_pvm(two_atom_space(), assignment)
 
 
 def test_half_identity_is_povm_but_not_pvm():
