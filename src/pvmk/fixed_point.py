@@ -56,7 +56,7 @@ from .errors import (
 from .ifs import word_id
 from .metric_core import lip1_vertices
 from .ovm import OperatorValuedMeasure, assemble_ovm, diagonal_pvm
-from .rho import rho_exact
+from .rho import rho_assignments, rho_exact
 from .rng import SplitMix64
 from .sampling import random_povm, random_truth_conjugate_pvm
 
@@ -130,12 +130,16 @@ def phi_iterate(
     """Iterate the contraction, tracking distance to the diagonal truth.
 
     The seed starts at the level with as many atoms as it has (level k
-    has N^k), and its space must equal that level's space by value; no
-    other level's distance table is built.  Distances are recorded at
-    levels of at most ``RHO_VERTEX_CAP`` atoms; each recorded ratio must
-    respect the contraction bound.  After the run, values on all cells of
-    depth <= steps are checked against the cylinder projections (exactly
-    for exact seeds).
+    has N^k), and its space must equal that level's space by value.
+    Distances are recorded at levels of at most ``RHO_VERTEX_CAP`` atoms;
+    each recorded ratio must respect the contraction bound.  A measure
+    stored as an assignment (the truth, the swapped seed and every step of
+    them) is scored by :func:`rho_assignments`, one distance read per moved
+    slot, so no level's Lip-1 vertex list or distance table is built for
+    it.  A dense seed is scored by :func:`rho_exact` on the level's
+    vertices, which builds that level's table.  After the run, values on
+    all cells of depth <= steps are checked against the cylinder
+    projections (exactly for exact seeds).
     """
     start_level = next(
         (k for k in range(ct.depth + 1) if ct.dim(k) == seed.space.n), None
@@ -158,10 +162,13 @@ def phi_iterate(
         level = start_level + t
         rho_val: float | None = None
         if ct.dim(level) <= RHO_VERTEX_CAP:
-            space = ct.tower.level(level).space
             truth = multiplication_pvm(ct, level)
-            verts = lip1_vertices(space, cap=RHO_VERTEX_CAP)
-            rho_val = rho_exact(space, current, truth, verts).value
+            if current.assignment is not None:
+                rho_val = float(rho_assignments(current, truth))
+            else:
+                space = ct.tower.level(level).space
+                verts = lip1_vertices(space, cap=RHO_VERTEX_CAP)
+                rho_val = rho_exact(space, current, truth, verts).value
         ratio = None
         if rho_val is not None and prev_rho is not None and prev_rho > 1e-12:
             ratio = rho_val / prev_rho
@@ -319,7 +326,8 @@ def contraction_ratio_rho(
     or random positive splittings) are stepped to level k and the distance
     ratio is compared against the branch contraction bound.  The swapped
     diagonal against the truth is included as the tightness witness when
-    requested; its ratio is exact.
+    requested; its ratio is exact, read from the assignments by
+    :func:`rho_assignments`.
     """
     if not 1 <= k <= ct.depth:
         raise LevelOutOfRange(f"ratio level {k} outside 1..{ct.depth}")
@@ -359,13 +367,9 @@ def contraction_ratio_rho(
         truth = multiplication_pvm(ct, k - 1)
         if k - 1 >= 1:
             off = swapped_diagonal_pvm(ct, k - 1)
-            num = rho_exact(
-                space_next, phi_step(ct, k, off), phi_step(ct, k, truth), verts_next
-            )
-            den = rho_exact(space_prev, off, truth, verts_prev)
-            # Both sides are exact 0/1 diagonal measures, so rho_exact gives
-            # Fractions, and off != truth at level >= 1, so den > 0.
-            tight = num.exact / den.exact
+            num = rho_assignments(phi_step(ct, k, off), phi_step(ct, k, truth))
+            # off != truth at level >= 1, so the denominator is positive.
+            tight = num / rho_assignments(off, truth)
     return RhoContractionReport(
         level=k,
         kind=kind,

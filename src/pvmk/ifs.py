@@ -6,7 +6,8 @@ levels (prepending branch i to a word applies branch i to the
 representative).  Each level is a finite metric space, either with
 coordinate distance |x - y| or, optionally, with the ultrametric
 theta^(common prefix length) on words.  Its point ids are there at once;
-its distance table is built when a distance is first read.
+a distance is computed when it is read, and the distance table is built
+only when the table itself is read.
 """
 
 from __future__ import annotations
@@ -117,31 +118,37 @@ class TowerLevel:
 
     @cached_property
     def space(self) -> FiniteMetricSpace:
-        """The level's metric space: ids and coordinates now, the distance
-        table (:func:`_level_table`) on its first read.  The function that
-        builds the table holds the level's data, not the level, so no
-        reference cycle keeps a level alive."""
+        """The level's metric space: ids and coordinates now, each distance
+        (:func:`_level_distance`) when it is read.  The pair function holds
+        the level's data, not the level, so no reference cycle keeps a
+        level alive."""
         ids = tuple(word_id(w) for w in self.words)
-        table = partial(_level_table, self.words, self.reps, self.theta)
-        return FiniteMetricSpace(ids, table, tuple((x,) for x in self.reps))
+        powers = None
+        if self.theta is not None:
+            powers = tuple(self.theta**t for t in range(len(self.words[0]))) + (Fraction(0),)
+        pair = partial(_level_distance, self.words, self.reps, powers)
+        return FiniteMetricSpace(ids, pair, tuple((x,) for x in self.reps))
 
 
-def _level_table(words, reps, theta) -> tuple[tuple[Fraction, ...], ...]:
-    """A level's distance table, never validated.
+def _level_distance(words, reps, powers, i: int, j: int) -> Fraction:
+    """The distance between points i and j of a level, never validated.
+
+    ``powers`` is None on a coordinate level, which gives |x_i - x_j|.  On
+    a theta level it is (theta^0, ..., theta^(k-1), 0) for words of length
+    k, indexed by the common prefix length, which is k only for i == j;
+    a table built from it shares these k + 1 Fractions.
 
     It is a metric by construction.  Distinct words of one length name
     distinct cells, and the cells are disjoint, so distinct words have
     distinct representatives and |x - y| > 0; distinct words of length
-    k share a prefix shorter than k, so theta^lcp > 0.  Both tables are
-    symmetric with a zero diagonal, |x - y| satisfies the triangle
+    k share a prefix shorter than k, so theta^lcp > 0.  Both are
+    symmetric and vanish on the diagonal, |x - y| satisfies the triangle
     inequality, and theta^lcp the ultrametric one, since
     lcp(a, c) >= min(lcp(a, b), lcp(b, c)).
     """
-    if theta is None:
-        return tuple(tuple(abs(x - y) for y in reps) for x in reps)
-    k = len(words[0])
-    powers = [theta**t for t in range(k)] + [Fraction(0)]
-    return tuple(tuple(powers[_lcp(a, b)] for b in words) for a in words)
+    if powers is None:
+        return abs(reps[i] - reps[j])
+    return powers[_lcp(words[i], words[j])]
 
 
 @dataclass(frozen=True)

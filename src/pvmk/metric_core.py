@@ -35,11 +35,13 @@ DEFAULT_VERTEX_CAP = 7
 class FiniteMetricSpace:
     """Point ids, an exact distance table and optional coordinates.
 
-    ``dist`` is the table, or a function of no arguments that returns it.
-    A function is called on the first read of ``dist`` (or of ``scaled``
-    or ``diam``, which read it), and its table is kept.  Tower levels are
-    built this way: measures, cylinder ids and frame checks read only the
-    point ids, so a level whose distances nothing reads never builds its
+    ``dist`` is the table, or a pair function ``(i, j) -> Fraction`` that
+    gives one distance.  Given a function, ``d(i, j)`` calls it until the
+    table exists, and the first read of ``dist`` (or of ``scaled`` or
+    ``diam``, which read it) builds the table from it once and keeps it.
+    Tower levels are built this way: measures, cylinder ids and frame
+    checks read only the point ids, and a distance read through ``d``
+    costs one call, so a level whose table nothing reads never builds its
     n x n table.
 
     Spaces compare by value: two spaces are equal, and so the same frame
@@ -60,7 +62,7 @@ class FiniteMetricSpace:
         self.point_ids = point_ids
         self.coords = coords
         if callable(dist):
-            self._build_dist = dist
+            self._pair = dist
         else:
             self.__dict__["dist"] = dist
 
@@ -83,7 +85,8 @@ class FiniteMetricSpace:
 
     @cached_property
     def dist(self) -> tuple[tuple[Fraction, ...], ...]:
-        return self._build_dist()
+        pair, points = self._pair, range(self.n)
+        return tuple(tuple(pair(i, j) for j in points) for i in points)
 
     @cached_property
     def diam(self) -> Fraction:
@@ -104,7 +107,10 @@ class FiniteMetricSpace:
             raise InputParseError(f"unknown point id {point_id!r}") from None
 
     def d(self, i: int, j: int) -> Fraction:
-        return self.dist[i][j]
+        table = self.__dict__.get("dist")
+        if table is None:
+            return self._pair(i, j)
+        return table[i][j]
 
 
 def _parse_table(dist_table, point_ids):

@@ -40,7 +40,7 @@ POSITIVE = "positive"
 DEFAULT_TOL = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OperatorValuedMeasure:
     """A measure of ``kind`` on the atoms of ``space``, in one of two forms.
 
@@ -49,7 +49,8 @@ class OperatorValuedMeasure:
     and holds its read-only ``assignment``: basis index j -> atom
     assignment[j], so atom a is the projection onto {e_j : assignment[j] = a}.
     ``mats`` is the dense array either way; for an assignment it is built
-    the first time it is read.
+    the first time it is read.  Measures compare and hash by identity, as
+    arrays have no single truth value.
     """
 
     space: FiniteMetricSpace
@@ -190,7 +191,7 @@ def measure_of(ovm: OperatorValuedMeasure, atom_ids) -> np.ndarray:
     return ovm.mats[[ovm.space.index(aid) for aid in ids]].sum(axis=0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScalarMeasurePair:
     """Complex scalar measure <F(.)g, h> split into real and imaginary parts."""
 

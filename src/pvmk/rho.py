@@ -39,7 +39,7 @@ from .rng import SplitMix64
 SPHERE_ASCENT_STEPS = 50
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RhoResult:
     value: float
     exact: Fraction | None
@@ -158,6 +158,33 @@ def rho_exact(
         witness_vector=witness_vec,
         method="vertex",
     )
+
+
+def rho_assignments(E: OperatorValuedMeasure, F: OperatorValuedMeasure) -> Fraction:
+    """Exact rho of two 0/1 diagonal PVMs, read from their assignments.
+
+    Both measures must be stored as assignments a_E, a_F on the same frame.
+    Then rho(E, F) = max_j d(a_E(j), a_F(j)), found with one distance read
+    per slot where the assignments differ, and no vertex list or table.
+
+    Proof.  For any phi, integral phi dE - integral phi dF is diagonal, with
+    entry phi(a_E(j)) - phi(a_F(j)) in slot j, so its norm is the largest
+    |phi(a_E(j)) - phi(a_F(j))|.  For 1-Lipschitz phi each entry is at most
+    d(a_E(j), a_F(j)), so rho(E, F) is at most the maximum.  Conversely, let
+    slot j attain the maximum and y = a_F(j).  The McShane extension of the
+    value 0 at y, phi(x) = d(x, y) - d(anchor, y), is 1-Lipschitz by the
+    triangle inequality and vanishes at the anchor; the anchoring constant
+    cancels in the difference, and phi(a_E(j)) - phi(y) = d(a_E(j), y).  So
+    each slot's scalar Kantorovich distance W1(delta_{a_E(j)}, delta_{a_F(j)})
+    = d(a_E(j), a_F(j)) is attained, and the maximum is rho(E, F).
+    """
+    if not E.same_frame(F):
+        raise MismatchedMeasures("measures live on different spaces or dimensions")
+    if E.assignment is None or F.assignment is None:
+        raise MismatchedMeasures("both measures must be stored as assignments")
+    d = E.space.d
+    slots = zip(E.assignment.tolist(), F.assignment.tolist())
+    return max((d(a, b) for a, b in slots if a != b), default=Fraction(0))
 
 
 def rho_lower_sphere(

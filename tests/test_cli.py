@@ -154,8 +154,8 @@ def test_cuntz_verify_command(files, capsys):
 
 
 def test_cuntz_verify_reaches_the_cell_cap_without_distance_tables(files, capsys, monkeypatch):
-    tables = []
-    monkeypatch.setattr(pvmk.ifs, "_level_table", lambda *a: tables.append(a))
+    reads = []
+    monkeypatch.setattr(pvmk.ifs, "_level_distance", lambda *a: reads.append(a))
     tmp, write = files
     ifs = write("ifs.json", DYADIC)
     assert run(["cuntz-verify", "--ifs", ifs, "--depth", "12"]) == 0
@@ -163,7 +163,7 @@ def test_cuntz_verify_reaches_the_cell_cap_without_distance_tables(files, capsys
     assert [(lv["level"], lv["sum_defect"], lv["ortho_defect"]) for lv in levels] == [
         (k, 0, 0) for k in range(1, 13)
     ]
-    assert tables == []
+    assert reads == []
 
 
 def test_rho_command_methods(files, capsys):

@@ -28,11 +28,12 @@ from pvmk.ifs import build_tower, dyadic_ifs, make_ifs, triadic_ifs
 from pvmk.linalg import gram_rank, max_abs
 from pvmk.metric_core import lip1_vertices
 from pvmk.ovm import assemble_ovm, diagonal_pvm, measure_of, scalar_measure, validate_ovm
-from pvmk.rho import rho_exact
+from pvmk.rho import rho_assignments, rho_exact
 from pvmk.rng import SplitMix64
 from pvmk.sampling import (
     random_diagonal_pvm_pair,
     random_povm,
+    random_pvm,
     random_truth_conjugate_pvm,
     random_unit_vector,
 )
@@ -463,3 +464,78 @@ def test_contraction_is_an_equality_on_diagonal_pvms(ifs, depth):
             assert type(after) is Fraction and after == r * before
             nonzero += before != 0
     assert nonzero >= 10 * (depth - 1)  # level 0 has one atom, so rho is 0 there
+
+
+@pytest.mark.parametrize(
+    "ifs, depth", [case[1:] for case in EQUALITY_CASES], ids=[case[0] for case in EQUALITY_CASES]
+)
+def test_rho_assignments_matches_the_vertex_route_on_tower_levels(ifs, depth):
+    # random pairs, truth against the swapped seed, and phi_step chains of
+    # both, on every level the vertex route reaches
+    ct = build_cuntz_tower(build_tower(ifs, depth))
+    rng = SplitMix64(101)
+    chain = [multiplication_pvm(ct, 0)]
+    for k in range(depth + 1):
+        space = ct.tower.level(k).space
+        verts = lip1_vertices(space, cap=9)
+        truth = multiplication_pvm(ct, k)
+        pairs = [random_diagonal_pvm_pair(space, ct.dim(k), rng)[:2] for _ in range(10)]
+        pairs.append((swapped_diagonal_pvm(ct, k), truth))
+        if k:
+            chain = [phi_step(ct, k, E) for E in chain + [swapped_diagonal_pvm(ct, k - 1)]]
+        pairs += [(E, truth) for E in chain] + list(zip(chain, chain[1:]))
+        for E, G in pairs:
+            assert rho_assignments(E, G) == rho_exact(space, E, G, verts).exact
+
+
+@pytest.mark.parametrize("depth", range(1, 9))
+def test_contraction_is_an_equality_on_assignments_to_depth_8(depth):
+    # rho(Phi E, Phi G) == r rho(E, G) in Fractions on levels the vertex
+    # route never reaches: depth 8 has 256 atoms
+    ct = build_cuntz_tower(build_tower(dyadic_ifs(), depth))
+    rng = SplitMix64(103 + depth)
+    prev = ct.tower.level(depth - 1).space
+    r = ct.tower.contraction
+    for _ in range(10):
+        E, G, _, _ = random_diagonal_pvm_pair(prev, ct.dim(depth - 1), rng)
+        after = rho_assignments(phi_step(ct, depth, E), phi_step(ct, depth, G))
+        assert after == r * rho_assignments(E, G)
+    off = swapped_diagonal_pvm(ct, depth - 1)
+    truth = multiplication_pvm(ct, depth - 1)
+    before = rho_assignments(off, truth)
+    assert before == 1 - F(1, 2 ** (depth - 1))
+    assert rho_assignments(phi_step(ct, depth, off), phi_step(ct, depth, truth)) == r * before
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("vertex route taken")
+
+
+def test_phi_iterate_scores_assignments_without_vertices_or_tables(monkeypatch):
+    monkeypatch.setattr(fixed_point, "lip1_vertices", _refuse)
+    monkeypatch.setattr(fixed_point, "rho_exact", _refuse)
+    ct = build_cuntz_tower(build_tower(dyadic_ifs(), 5))
+    swapped = phi_iterate(ct, swapped_diagonal_pvm(ct, 1), 4)
+    assert [(r.level, r.rho_to_truth, r.ratio) for r in swapped.records] == [
+        (1, 0.5, None),
+        (2, 0.25, 0.5),
+        (3, 0.125, 0.5),
+        (4, None, None),
+        (5, None, None),
+    ]
+    truth = phi_iterate(ct, multiplication_pvm(ct, 1), 4)
+    assert [(r.level, r.rho_to_truth, r.ratio) for r in truth.records] == [
+        (1, 0.0, None),
+        (2, 0.0, None),
+        (3, 0.0, None),
+        (4, None, None),
+        (5, None, None),
+    ]
+    assert swapped.prefix_depth_verified == truth.prefix_depth_verified == 4
+    assert not any(
+        "space" in vars(level) and "dist" in vars(level.space) for level in ct.tower.levels
+    )
+    # a dense seed still goes through the vertex route
+    dense = random_pvm(ct.tower.level(1).space, 2, SplitMix64(7))
+    with pytest.raises(AssertionError, match="vertex route taken"):
+        phi_iterate(ct, dense, 4)

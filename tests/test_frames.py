@@ -2,8 +2,9 @@
 accepted on any space with the same point ids and distance table, whatever
 its coordinates, and refused on a table that differs in one distance.
 
-Tower measures, cylinder ids and frame checks read only point ids, so a
-tower level builds its distance table only when a distance is read."""
+Tower measures, cylinder ids and frame checks read only point ids, and a
+distance read computes that one distance, so a tower level builds its
+distance table only when the table itself is read."""
 
 import gc
 import weakref
@@ -130,11 +131,13 @@ def test_tower_measures_and_frame_checks_read_no_table():
     assert stepped.same_frame(multiplication_pvm(ct, 5))
     assert prefix_atoms(ct, (1, 0), 5) == [f"10{i:03b}" for i in range(8)]
     assert _levels_with_tables(ct) == []
-    # reading a distance builds the table, once
+    # reading a distance builds no table; reading the table builds it once
     space = ct.tower.level(5).space
     assert space.d(0, 1) == F(1, 32)
-    assert _levels_with_tables(ct) == [5]
+    assert _levels_with_tables(ct) == []
     assert space.dist is space.dist
+    assert _levels_with_tables(ct) == [5]
+    assert space.d(0, 1) is space.dist[0][1]
 
 
 def test_a_level_is_freed_without_the_cycle_collector():

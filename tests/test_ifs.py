@@ -234,6 +234,46 @@ def test_tower_levels_pass_full_metric_audit(ifs, depth):
         assert again == space
 
 
+def _level_table(words, reps, theta):
+    """The whole-table formula tower levels used before they read one
+    distance at a time; the oracle for ``_level_distance``."""
+    if theta is None:
+        return tuple(tuple(abs(x - y) for y in reps) for x in reps)
+    k = len(words[0])
+    powers = [theta**t for t in range(k)] + [F(0)]
+
+    def lcp(a, b):
+        n = 0
+        for x, y in zip(a, b):
+            if x != y:
+                break
+            n += 1
+        return n
+
+    return tuple(tuple(powers[lcp(a, b)] for b in words) for a in words)
+
+
+@pytest.mark.parametrize(
+    "ifs, depth",
+    [
+        (dyadic_ifs(), 5),
+        (triadic_ifs(), 5),
+        (make_ifs([(F(1, 2), 0), (F(1, 2), F(1, 2))], 0, theta=F(1, 3)), 5),
+    ],
+    ids=["dyadic", "triadic", "theta-1/3"],
+)
+def test_level_distances_match_the_table_formula(ifs, depth):
+    # every pair distance read through d, with no table built, and then
+    # the table built from them, equal the whole-table formula
+    for level in build_tower(ifs, depth).levels:
+        space = level.space
+        oracle = _level_table(level.words, level.reps, level.theta)
+        points = range(space.n)
+        assert all(space.d(i, j) == oracle[i][j] for i in points for j in points)
+        assert "dist" not in vars(space)
+        assert space.dist == oracle
+
+
 def test_hutchinson_reaches_the_cell_cap():
     tower = build_tower(dyadic_ifs(), 12)
     measure, cert = hutchinson_fixed(tower)

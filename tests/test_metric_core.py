@@ -423,21 +423,27 @@ def test_vertex_set_caches_its_scaled_ints():
 
 
 def test_a_table_given_as_a_function_is_built_on_first_read():
+    # the function gives one distance; d calls it, and dist builds the table once
     calls = []
+    path = path_space().dist
 
-    def table():
-        calls.append(1)
-        return path_space().dist
+    def pair(i, j):
+        calls.append((i, j))
+        return path[i][j]
 
-    lazy = FiniteMetricSpace(("p0", "p1", "p2"), table)
-    other = FiniteMetricSpace(("a", "b", "c"), table)
+    lazy = FiniteMetricSpace(("p0", "p1", "p2"), pair)
+    other = FiniteMetricSpace(("a", "b", "c"), pair)
     assert lazy == lazy and lazy != other and hash(lazy) == hash(lazy.point_ids)
     assert lazy.n == 3 and lazy.index("p2") == 2
     assert calls == [] and "dist" not in vars(lazy)
+    assert lazy.d(0, 2) == 2 and lazy.d(2, 1) == 1
+    assert calls == [(0, 2), (2, 1)] and "dist" not in vars(lazy)
+    calls.clear()
     assert lazy == path_space()  # equal ids: the tables are compared
-    assert calls == [1]
+    assert calls == [(i, j) for i in range(3) for j in range(3)]
+    calls.clear()
     assert lazy.scaled == path_space().scaled and lazy.diam == 2
-    assert lazy.dist is lazy.dist and calls == [1]
+    assert lazy.dist is lazy.dist and lazy.d(0, 2) == 2 and calls == []
     moved = validate_space([[0, 1, 2], [1, 0, 1], [2, 1, 0]], coords=[[5], [6], [7]])
     assert moved == lazy and moved.coords != lazy.coords
 

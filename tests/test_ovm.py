@@ -75,6 +75,21 @@ def test_diagonal_pvm_rejects_an_entry_that_names_no_atom(assignment, entry):
         diagonal_pvm(two_atom_space(), assignment)
 
 
+def test_measures_compare_and_hash_by_identity():
+    # ndarray fields have no single truth value, so comparison is identity
+    rng = SplitMix64(31)
+    space = random_metric_space(3, rng)
+    for e, f in [
+        (random_pvm(space, 3, rng), random_pvm(space, 3, rng)),
+        (diagonal_pvm(space, [0, 1, 2]), diagonal_pvm(space, [0, 1, 2])),
+    ]:
+        assert e == e and e != f and not e == f
+        assert len({e, f, e}) == 2
+    pair = scalar_measure(e, np.ones(3), np.ones(3))
+    assert pair == pair and pair != scalar_measure(e, np.ones(3), np.ones(3))
+    assert len({pair}) == 1
+
+
 def test_half_identity_is_povm_but_not_pvm():
     space = two_atom_space()
     mats = [np.eye(2) / 2, np.eye(2) / 2]

@@ -13,6 +13,7 @@ from pvmk.ovm import diagonal_pvm, integrate, validate_ovm
 from pvmk.rho import (
     _difference_stack,
     metric_axiom_suite,
+    rho_assignments,
     rho_exact,
     rho_lower_grid,
     rho_lower_sphere,
@@ -65,6 +66,42 @@ def test_rho_commuting_diagonal_closed_form():
         e, f, a, b = random_diagonal_pvm_pair(space, dim, rng)
         closed = max(space.dist[ai][bi] for ai, bi in zip(a, b))
         assert rho_exact(space, e, f, verts).exact == closed
+
+
+def test_rho_assignments_matches_the_vertex_route_on_random_spaces():
+    # 3 to 7 points, generic search spaces, so no line or ultrametric shortcut
+    rng = SplitMix64(43)
+    nonzero = 0
+    for n in range(3, 8):
+        space = random_metric_space(n, rng)
+        verts = lip1_vertices(space)
+        for _ in range(12):
+            e, f, _, _ = random_diagonal_pvm_pair(space, rng.randint(1, 6), rng)
+            value = rho_assignments(e, f)
+            assert type(value) is Fraction
+            assert value == rho_exact(space, e, f, verts).exact == rho_assignments(f, e)
+            nonzero += value != 0
+    assert nonzero >= 50
+
+
+def test_rho_assignments_needs_two_assignments_on_one_frame():
+    rng = SplitMix64(47)
+    space = random_metric_space(3, rng)
+    e, f, _, _ = random_diagonal_pvm_pair(space, 3, rng)
+    with pytest.raises(MismatchedMeasures):
+        rho_assignments(e, random_pvm(space, 3, rng))
+    with pytest.raises(MismatchedMeasures):
+        rho_assignments(e, diagonal_pvm(space, [0, 1]))
+    with pytest.raises(MismatchedMeasures):
+        rho_assignments(e, diagonal_pvm(random_metric_space(3, rng), [0, 1, 2]))
+    assert rho_assignments(e, e) == 0
+
+
+def test_rho_results_compare_by_identity():
+    space, e, f = swapped_pair()
+    verts = lip1_vertices(space)
+    a, b = rho_exact(space, e, f, verts), rho_exact(space, e, f, verts)
+    assert a == a and a != b and len({a, b}) == 2
 
 
 def test_rho_witness_reproduces_value():
