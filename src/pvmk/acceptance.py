@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import linalg
-from .cuntz import branch_maps, build_cuntz_tower, cuntz_verify, multiplication_pvm, relation_defects
+from .cuntz import branch_maps, cuntz_verify, multiplication_pvm, relation_defects
 from .fixed_point import (
     contraction_ratio_rho,
     phi_iterate,
@@ -144,15 +144,15 @@ def criterion_4(seed: int = 0) -> CriterionResult:
     ok = True
     levels = 0
     for ifs, depth in ((dyadic_ifs(), 6), (triadic_ifs(), 4)):
-        ct = build_cuntz_tower(build_tower(ifs, depth))
+        tower = build_tower(ifs, depth)
         for k in range(1, depth + 1):
-            report = cuntz_verify(ct, k)
+            report = cuntz_verify(tower, k)
             ok = ok and report.sum_defect == 0 and report.ortho_defect == 0
             levels += 1
-    ct2 = build_cuntz_tower(build_tower(dyadic_ifs(), 2))
-    maps = branch_maps(ct2, 1)
+    tower = build_tower(dyadic_ifs(), 2)
+    maps = branch_maps(tower, 1)
     maps[0, 0] = maps[1, 0]
-    sum_defect, ortho_defect = relation_defects(maps, ct2.dim(1))
+    sum_defect, ortho_defect = relation_defects(maps, tower.dim(1))
     control_caught = sum_defect > 0 or ortho_defect > 0
     return CriterionResult(
         4,
@@ -167,8 +167,8 @@ def criterion_5(seed: int = 0) -> CriterionResult:
     reports = {}
     ok = True
     for label, ifs, depth in (("N=2,K=5", dyadic_ifs(), 5), ("N=3,K=3", triadic_ifs(), 3)):
-        ct = build_cuntz_tower(build_tower(ifs, depth))
-        rep = verify_fixed_point(ct)
+        tower = build_tower(ifs, depth)
+        rep = verify_fixed_point(tower)
         reports[label] = {
             "words_checked": rep.words_checked,
             "offending": list(rep.offending_words),
@@ -185,7 +185,7 @@ def criterion_6(seed: int = 0, trials_per_level: int = 30) -> CriterionResult:
     source carries a single atom, where every measure is the identity and
     the ratio is vacuous).
     """
-    ct = build_cuntz_tower(build_tower(dyadic_ifs(), 3))
+    tower = build_tower(dyadic_ifs(), 3)
     ok = True
     tested = {"projection": 0, "positive": 0}
     worst = {"projection": 0.0, "positive": 0.0}
@@ -193,7 +193,7 @@ def criterion_6(seed: int = 0, trials_per_level: int = 30) -> CriterionResult:
     for kind in ("projection", "positive"):
         for k in (2, 3):
             report = contraction_ratio_rho(
-                ct,
+                tower,
                 k,
                 trials_per_level,
                 seed=seed ^ (0xC6 + k),
@@ -330,7 +330,7 @@ def criterion_11(seed: int = 0, instances: int = 100) -> CriterionResult:
         report = topology_bounds(space, f, E, F, vertices=vertices)
         ok = ok and report.passed
     # integral convergence along contraction traces at trace rate
-    ct = build_cuntz_tower(build_tower(dyadic_ifs(), 3))
+    tower = build_tower(dyadic_ifs(), 3)
     panel = [
         lambda x: x,
         lambda x: abs(x - Fraction(1, 2)),
@@ -339,21 +339,21 @@ def criterion_11(seed: int = 0, instances: int = 100) -> CriterionResult:
         lambda x: 1 - x,
     ]
     seeds = {
-        "swapped": swapped_diagonal_pvm(ct, 1),
-        "random-pvm": random_pvm(ct.tower.level(1).space, 2, SplitMix64(seed ^ 0x1B)),
-        "random-povm": random_povm(ct.tower.level(1).space, 2, SplitMix64(seed ^ 0x2B)),
+        "swapped": swapped_diagonal_pvm(tower, 1),
+        "random-pvm": random_pvm(tower.level(1).space, 2, SplitMix64(seed ^ 0x1B)),
+        "random-povm": random_povm(tower.level(1).space, 2, SplitMix64(seed ^ 0x2B)),
     }
-    r = float(ct.tower.contraction)
+    r = float(tower.contraction)
     trace_checks = 0
     for desc, seed_ovm in seeds.items():
-        trace = phi_iterate(ct, seed_ovm, 2, seed_desc=desc)
+        trace = phi_iterate(tower, seed_ovm, 2, seed_desc=desc)
         rho0 = trace.records[0].rho_to_truth
         current = seed_ovm
         for rec in trace.records:
             if rec.step:
-                current = phi_step(ct, rec.level, current)
-            truth = multiplication_pvm(ct, rec.level)
-            level = ct.tower.level(rec.level)
+                current = phi_step(tower, rec.level, current)
+            truth = multiplication_pvm(tower, rec.level)
+            level = tower.level(rec.level)
             for fn in panel:
                 fvals = tuple(fn(x) for x in level.reps)
                 gap = linalg.spectral_norm(
@@ -374,8 +374,8 @@ def criterion_11(seed: int = 0, instances: int = 100) -> CriterionResult:
 def criterion_12(seed: int = 0) -> CriterionResult:
     """Scalar-measure calculus: sesquilinearity, polarization, masses, norms."""
     rng = SplitMix64(seed ^ 0xCC)
-    ct = build_cuntz_tower(build_tower(dyadic_ifs(), 2))
-    diag = multiplication_pvm(ct, 2)
+    tower = build_tower(dyadic_ifs(), 2)
+    diag = multiplication_pvm(tower, 2)
     space4 = random_metric_space(4, rng)
     conj_pvm = random_pvm(space4, 4, rng, complex_=True)
     space2 = random_metric_space(2, rng)
@@ -437,7 +437,7 @@ def criterion_12(seed: int = 0) -> CriterionResult:
 
 def criterion_13(seed: int = 0, random_vectors: int = 10) -> CriterionResult:
     """The weighted-space model of the fixed point on a panel of vectors."""
-    ct = build_cuntz_tower(build_tower(dyadic_ifs(), 3))
+    tower = build_tower(dyadic_ifs(), 3)
     dim = 8
     rng = SplitMix64(seed ^ 0xCD)
     vectors = [np.eye(dim)[0], np.full(dim, dim**-0.5)]
@@ -446,7 +446,7 @@ def criterion_13(seed: int = 0, random_vectors: int = 10) -> CriterionResult:
     ok = True
     worst = 0.0
     for h in vectors:
-        rep = relate_verify(ct, h)
+        rep = relate_verify(tower, h)
         worst = max(worst, rep.isometry_defect, rep.intertwine_defect)
         ok = ok and rep.passed
     return CriterionResult(

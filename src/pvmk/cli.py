@@ -5,13 +5,15 @@ command and config echo, results, verdict, tolerances).  Reports are
 byte-identical across runs for fixed inputs and seed; wall-clock timing is
 opt-in via --timing because it would break that guarantee.  A failing
 verdict exits with code 1; usage and parse problems (an --out path that
-cannot be written among them), measures that do not live on the given
-space or dimension, and inputs over a size cap, exit with code 2.
+cannot be written, or a closed standard output, among them), measures
+that do not live on the given space or dimension, and inputs over a size
+cap, exit with code 2.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from pathlib import Path
@@ -19,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import acceptance
-from .cuntz import build_cuntz_tower, cuntz_verify, multiplication_pvm
+from .cuntz import cuntz_verify, multiplication_pvm
 from .errors import (
     InputParseError,
     MetricAxiomError,
@@ -85,6 +87,7 @@ def _emit(args, report: dict, csv_text: str | None = None) -> None:
         sys.stdout.write(text)
         if csv_text is not None:
             sys.stdout.write(csv_text)
+        sys.stdout.flush()  # a closed stdout fails here, inside run
 
 
 def _load_space(args):
@@ -132,8 +135,7 @@ def _cmd_kantorovich(args, started):
 def _cmd_hutchinson(args, started):
     if args.depth < 1:
         raise InputParseError("the invariant measure lives at level >= 1")
-    ifs = ifs_from_obj(load_json(args.ifs))
-    tower = build_tower(ifs, args.depth)
+    tower = build_tower(ifs_from_obj(load_json(args.ifs)), args.depth)
     measure, cert = hutchinson_fixed(tower)
     results = {
         "weights": list(measure.weights),
@@ -144,12 +146,11 @@ def _cmd_hutchinson(args, started):
 
 
 def _cmd_cuntz_verify(args, started):
-    ifs = ifs_from_obj(load_json(args.ifs))
-    ct = build_cuntz_tower(build_tower(ifs, args.depth))
+    tower = build_tower(ifs_from_obj(load_json(args.ifs)), args.depth)
     levels = []
     ok = True
     for k in range(1, args.depth + 1):
-        rep = cuntz_verify(ct, k)
+        rep = cuntz_verify(tower, k)
         levels.append(
             {"level": k, "sum_defect": rep.sum_defect, "ortho_defect": rep.ortho_defect}
         )
@@ -193,31 +194,25 @@ def _cmd_rho(args, started):
     return _report(args, "rho", results, True, started), None
 
 
-def _seed_ovm(args, ct, level):
-    kind = args.seed_kind
-    if kind == "truth":
-        return multiplication_pvm(ct, level), "truth"
-    if kind == "swapped":
-        return swapped_diagonal_pvm(ct, level), "swapped"
-    rng = SplitMix64(args.seed)
-    space = ct.tower.level(level).space
-    if kind == "random-pvm":
-        return random_pvm(space, ct.dim(level), rng), "random-pvm"
-    if kind == "random-povm":
-        return random_povm(space, ct.dim(level), rng), "random-povm"
-    raise InputParseError(f"unknown seed kind {kind!r}")
+def _seed_ovm(args, tower, level):
+    """The --seed-kind measure at the level; argparse admits only its choices."""
+    if args.seed_kind == "truth":
+        return multiplication_pvm(tower, level)
+    if args.seed_kind == "swapped":
+        return swapped_diagonal_pvm(tower, level)
+    sample = random_pvm if args.seed_kind == "random-pvm" else random_povm
+    return sample(tower.level(level).space, tower.dim(level), SplitMix64(args.seed))
 
 
 def _cmd_phi_iterate(args, started):
     if args.steps < 0:
         raise InputParseError("steps must be non-negative")
-    ifs = ifs_from_obj(load_json(args.ifs))
-    ct = build_cuntz_tower(build_tower(ifs, args.depth))
+    tower = build_tower(ifs_from_obj(load_json(args.ifs)), args.depth)
     start_level = args.depth - args.steps
     if start_level < 0:
         raise InputParseError("steps exceed the tower depth")
-    seed_ovm, desc = _seed_ovm(args, ct, start_level)
-    trace = phi_iterate(ct, seed_ovm, args.steps, seed_desc=desc)
+    seed_ovm = _seed_ovm(args, tower, start_level)
+    trace = phi_iterate(tower, seed_ovm, args.steps, seed_desc=args.seed_kind)
     rows = ["step,level,rho_to_truth,ratio"]
     records = []
     for rec in trace.records:
@@ -245,12 +240,11 @@ def _cmd_phi_iterate(args, started):
 
 
 def _cmd_verify_fixed_point(args, started):
-    ifs = ifs_from_obj(load_json(args.ifs))
-    ct = build_cuntz_tower(build_tower(ifs, args.depth))
+    tower = build_tower(ifs_from_obj(load_json(args.ifs)), args.depth)
     candidate = None
     if args.e:
-        candidate = ovm_from_obj(load_json(args.e), ct.tower.level(args.depth).space)
-    rep = verify_fixed_point(ct, candidate)
+        candidate = ovm_from_obj(load_json(args.e), tower.level(args.depth).space)
+    rep = verify_fixed_point(tower, candidate)
     results = {
         "depth": rep.depth,
         "words_checked": rep.words_checked,
@@ -261,10 +255,9 @@ def _cmd_verify_fixed_point(args, started):
 
 
 def _cmd_relate_verify(args, started):
-    ifs = ifs_from_obj(load_json(args.ifs))
-    ct = build_cuntz_tower(build_tower(ifs, args.depth))
-    h = vector_from_obj(load_json(args.h), ct.dim(args.depth))
-    rep = relate_verify(ct, h)
+    tower = build_tower(ifs_from_obj(load_json(args.ifs)), args.depth)
+    h = vector_from_obj(load_json(args.h), tower.dim(args.depth))
+    rep = relate_verify(tower, h)
     results = {
         "positive_atoms": rep.positive_atoms,
         "isometry_defect": rep.isometry_defect,
@@ -291,11 +284,11 @@ def _cmd_suite(args, started):
     if args.ifs:
         ifs = ifs_from_obj(load_json(args.ifs))
         depth = args.depth if args.depth is not None else 3
-        ct = build_cuntz_tower(build_tower(ifs, depth))
+        tower = build_tower(ifs, depth)
         smoke = {
             "depth": depth,
-            "cuntz": all(cuntz_verify(ct, k).passed for k in range(1, depth + 1)),
-            "fixed_point": verify_fixed_point(ct).passed,
+            "cuntz": all(cuntz_verify(tower, k).passed for k in range(1, depth + 1)),
+            "fixed_point": verify_fixed_point(tower).passed,
         }
         payload["user_system"] = smoke
     ok = all(r.passed for r in results) and all(
@@ -404,11 +397,21 @@ def run(argv) -> int:
     except PvmkError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
+    except BrokenPipeError:
+        sys.stderr.write("error: cannot write the report: standard output is closed\n")
+        return 2
     return 0 if report["verdict"] == "pass" else 1
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    code = run(sys.argv[1:])
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone: send what is left to devnull, so that the
+        # interpreter's final flush of stdout prints nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

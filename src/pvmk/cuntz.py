@@ -37,39 +37,26 @@ from .ifs import CylinderTower
 from .ovm import OperatorValuedMeasure, diagonal_pvm
 
 
-@dataclass(frozen=True)
-class CuntzTower:
-    tower: CylinderTower
-
-    @property
-    def depth(self) -> int:
-        return self.tower.depth
-
-    @property
-    def n_branches(self) -> int:
-        return self.tower.ifs.n_branches
-
-    def dim(self, k: int) -> int:
-        return len(self.tower.level(k).words)
+def build_cuntz_tower(tower: CylinderTower) -> CylinderTower:
+    """The tower itself: the Cuntz isometries are index maps between its
+    levels, so it needs no second type.  Kept only because the benchmark's
+    workloads and tracer call it; nothing in the package does."""
+    return tower
 
 
-def build_cuntz_tower(tower: CylinderTower) -> CuntzTower:
-    return CuntzTower(tower)
-
-
-def branch_maps(ct: CuntzTower, k: int) -> np.ndarray:
+def branch_maps(tower: CylinderTower, k: int) -> np.ndarray:
     """S_0, ..., S_(N-1) from level k-1 into level k as an (N, d_(k-1)) array.
 
     Row i is S_i: column a holds the level-k index of the word (i,) + a,
     where a is the level-(k-1) word at index a.  The indices are looked up
     in the level's word list, not computed from the word index formula.
     """
-    if not 1 <= k <= ct.depth:
-        raise LevelOutOfRange(f"level {k} outside 1..{ct.depth}")
-    index = {w: j for j, w in enumerate(ct.tower.level(k).words)}
-    prev = ct.tower.level(k - 1).words
+    if not 1 <= k <= tower.depth:
+        raise LevelOutOfRange(f"level {k} outside 1..{tower.depth}")
+    index = {w: j for j, w in enumerate(tower.level(k).words)}
+    prev = tower.level(k - 1).words
     return np.array(
-        [[index[(i,) + a] for a in prev] for i in range(ct.n_branches)], dtype=np.int64
+        [[index[(i,) + a] for a in prev] for i in range(tower.n_branches)], dtype=np.int64
     )
 
 
@@ -103,19 +90,19 @@ class CuntzReport:
         return self.sum_defect == 0 and self.ortho_defect == 0
 
 
-def cuntz_verify(ct: CuntzTower, k: int) -> CuntzReport:
+def cuntz_verify(tower: CylinderTower, k: int) -> CuntzReport:
     """Exact verification of the Cuntz relations at one level."""
-    sum_defect, ortho_defect = relation_defects(branch_maps(ct, k), ct.dim(k))
+    sum_defect, ortho_defect = relation_defects(branch_maps(tower, k), tower.dim(k))
     return CuntzReport(level=k, sum_defect=sum_defect, ortho_defect=ortho_defect)
 
 
-def _word_block(ct: CuntzTower, word: tuple[int, ...], ambient: int) -> slice:
+def _word_block(tower: CylinderTower, word: tuple[int, ...], ambient: int) -> slice:
     """Atom indices of the word's cylinder at the ambient level."""
-    if not 0 <= ambient <= ct.depth:
-        raise LevelOutOfRange(f"level {ambient} outside 0..{ct.depth}")
+    if not 0 <= ambient <= tower.depth:
+        raise LevelOutOfRange(f"level {ambient} outside 0..{tower.depth}")
     if len(word) > ambient:
         raise WordTooLong(f"word of length {len(word)} does not fit at ambient level {ambient}")
-    n = ct.n_branches
+    n = tower.n_branches
     idx = 0
     for symbol in word:
         if not 0 <= symbol < n:
@@ -125,29 +112,26 @@ def _word_block(ct: CuntzTower, word: tuple[int, ...], ambient: int) -> slice:
     return slice(idx * width, (idx + 1) * width)
 
 
-def cylinder_projection(ct: CuntzTower, word: tuple[int, ...], ambient: int) -> np.ndarray:
+def cylinder_projection(tower: CylinderTower, word: tuple[int, ...], ambient: int) -> np.ndarray:
     """S_word S_word^T at the ambient level: the 0/1 diagonal projection onto
     the cells descending from the word (rank N^(ambient - len(word)))."""
-    block = _word_block(ct, word, ambient)
-    diag = np.zeros(ct.dim(ambient), dtype=np.int64)
+    block = _word_block(tower, word, ambient)
+    diag = np.zeros(tower.dim(ambient), dtype=np.int64)
     diag[block] = 1
     return np.diag(diag)
 
 
-def multiplication_pvm(ct: CuntzTower, k: int | None = None) -> OperatorValuedMeasure:
+def multiplication_pvm(tower: CylinderTower, k: int) -> OperatorValuedMeasure:
     """The diagonal projection valued measure on depth-k cells.
 
     Atom a carries the rank-one projection onto its own basis vector; the
     value on any coarser cylinder equals the corresponding cylinder
     projection, which is the fixed-point identity checked downstream.
     """
-    k = ct.depth if k is None else k
-    if not 0 <= k <= ct.depth:
-        raise LevelOutOfRange(f"level {k} outside 0..{ct.depth}")
-    return diagonal_pvm(ct.tower.level(k).space, range(ct.dim(k)))
+    return diagonal_pvm(tower.level(k).space, range(tower.dim(k)))
 
 
-def prefix_atoms(ct: CuntzTower, word: tuple[int, ...], k: int) -> list[str]:
+def prefix_atoms(tower: CylinderTower, word: tuple[int, ...], k: int) -> list[str]:
     """Ids of the depth-k atoms descending from the given word."""
-    block = _word_block(ct, word, k)
-    return list(ct.tower.level(k).space.point_ids[block])
+    block = _word_block(tower, word, k)
+    return list(tower.level(k).space.point_ids[block])

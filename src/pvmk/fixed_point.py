@@ -46,14 +46,14 @@ from fractions import Fraction
 import numpy as np
 
 from . import linalg
-from .cuntz import CuntzTower, _word_block, multiplication_pvm
+from .cuntz import multiplication_pvm
 from .errors import (
     LevelOutOfRange,
     MismatchedMeasures,
     PvmkError,
     ZeroMassEverywhere,
 )
-from .ifs import word_id
+from .ifs import CylinderTower, word_id
 from .metric_core import lip1_vertices
 from .ovm import OperatorValuedMeasure, assemble_ovm, diagonal_pvm
 from .rho import rho_assignments, rho_exact
@@ -64,7 +64,7 @@ RHO_VERTEX_CAP = 8
 RATIO_TOL = 1e-8
 
 
-def phi_step(ct: CuntzTower, k: int, E: OperatorValuedMeasure) -> OperatorValuedMeasure:
+def phi_step(tower: CylinderTower, k: int, E: OperatorValuedMeasure) -> OperatorValuedMeasure:
     """One contraction step: level k-1 measure in, level k measure out.
 
     Atom (i, c) of the output is E(c) placed on block i, unvalidated: the
@@ -80,28 +80,27 @@ def phi_step(ct: CuntzTower, k: int, E: OperatorValuedMeasure) -> OperatorValued
     so S_i E(c) S_i^* projects onto {e_(i d + j) : a[j] = c}, and the
     output's assignment is i d + j -> i d + a[j], built in O(d_k).
     """
-    if not 1 <= k <= ct.depth:
-        raise LevelOutOfRange(f"step target {k} outside 1..{ct.depth}")
-    prev = ct.tower.level(k - 1)
-    if E.space != prev.space or E.dim != ct.dim(k - 1):
+    if not 1 <= k <= tower.depth:
+        raise LevelOutOfRange(f"step target {k} outside 1..{tower.depth}")
+    prev = tower.level(k - 1)
+    if E.space != prev.space or E.dim != tower.dim(k - 1):
         raise MismatchedMeasures("measure does not live on the source level")
-    space = ct.tower.level(k).space
+    space = tower.level(k).space
     d_prev = E.dim
     if E.assignment is not None:
-        offsets = np.arange(ct.n_branches)[:, None] * d_prev
+        offsets = np.arange(tower.n_branches)[:, None] * d_prev
         return diagonal_pvm(space, (offsets + E.assignment).ravel())
-    d_next = ct.dim(k)
+    d_next = tower.dim(k)
     atoms = np.zeros((d_next, d_next, d_next), dtype=E.mats.dtype)
-    for i in range(ct.n_branches):
-        block = _word_block(ct, (i,), k)
+    for i in range(tower.n_branches):
+        block = slice(i * d_prev, (i + 1) * d_prev)
         atoms[block, block, block] = E.mats
     return assemble_ovm(space, atoms, E.kind)
 
 
-def swapped_diagonal_pvm(ct: CuntzTower, k: int) -> OperatorValuedMeasure:
+def swapped_diagonal_pvm(tower: CylinderTower, k: int) -> OperatorValuedMeasure:
     """Diagonal measure with the atom order reversed; a canonical off-truth seed."""
-    dim = ct.dim(k)
-    return diagonal_pvm(ct.tower.level(k).space, range(dim - 1, -1, -1))
+    return diagonal_pvm(tower.level(k).space, range(tower.dim(k) - 1, -1, -1))
 
 
 @dataclass(frozen=True)
@@ -122,7 +121,7 @@ class PhiTrace:
 
 
 def phi_iterate(
-    ct: CuntzTower,
+    tower: CylinderTower,
     seed: OperatorValuedMeasure,
     steps: int,
     seed_desc: str = "seed",
@@ -142,31 +141,31 @@ def phi_iterate(
     projections (exactly for exact seeds).
     """
     start_level = next(
-        (k for k in range(ct.depth + 1) if ct.dim(k) == seed.space.n), None
+        (k for k in range(tower.depth + 1) if tower.dim(k) == seed.space.n), None
     )
     if (
         start_level is None
-        or ct.tower.level(start_level).space != seed.space
-        or seed.dim != ct.dim(start_level)
+        or tower.level(start_level).space != seed.space
+        or seed.dim != tower.dim(start_level)
     ):
         raise MismatchedMeasures("seed does not live on any tower level")
-    if start_level + steps > ct.depth:
+    if start_level + steps > tower.depth:
         raise LevelOutOfRange(
-            f"{steps} steps from level {start_level} exceed depth {ct.depth}"
+            f"{steps} steps from level {start_level} exceed depth {tower.depth}"
         )
-    r = float(ct.tower.contraction)
+    r = float(tower.contraction)
     records = []
     current = seed
     prev_rho: float | None = None
     for t in range(steps + 1):
         level = start_level + t
         rho_val: float | None = None
-        if ct.dim(level) <= RHO_VERTEX_CAP:
-            truth = multiplication_pvm(ct, level)
+        if tower.dim(level) <= RHO_VERTEX_CAP:
+            truth = multiplication_pvm(tower, level)
             if current.assignment is not None:
                 rho_val = float(rho_assignments(current, truth))
             else:
-                space = ct.tower.level(level).space
+                space = tower.level(level).space
                 verts = lip1_vertices(space, cap=RHO_VERTEX_CAP)
                 rho_val = rho_exact(space, current, truth, verts).value
         ratio = None
@@ -179,8 +178,8 @@ def phi_iterate(
         records.append(StepRecord(step=t, level=level, rho_to_truth=rho_val, ratio=ratio))
         prev_rho = rho_val
         if t < steps:
-            current = phi_step(ct, level + 1, current)
-    verified = _verify_prefixes(ct, current, start_level + steps, steps)
+            current = phi_step(tower, level + 1, current)
+    verified = _verify_prefixes(tower, current, start_level + steps, steps)
     return PhiTrace(
         seed_desc=seed_desc,
         records=tuple(records),
@@ -195,7 +194,7 @@ def phi_iterate(
 _CHUNK_ENTRIES = 1 << 20
 
 
-def _cylinder_identities(ct: CuntzTower, E: OperatorValuedMeasure, level: int, depth: int):
+def _cylinder_identities(tower: CylinderTower, E: OperatorValuedMeasure, level: int, depth: int):
     """Yield (t, holds) for t = 0..depth, where holds[u] says E(cylinder of
     the depth-t word with index u) equals the cylinder projection at
     ``level``: exactly for exact E, within 1e-10 otherwise.
@@ -207,7 +206,7 @@ def _cylinder_identities(ct: CuntzTower, E: OperatorValuedMeasure, level: int, d
     a[j] // w and j // w of every j where the two differ.  A dense measure
     sums each block of w atoms at once and takes 1 off that block's
     diagonal."""
-    n = ct.n_branches
+    n = tower.n_branches
     if E.assignment is not None:
         a = E.assignment
         basis = np.arange(len(a))
@@ -235,9 +234,9 @@ def _cylinder_identities(ct: CuntzTower, E: OperatorValuedMeasure, level: int, d
         yield t, (defects == 0) if exact else (defects <= 1e-10)
 
 
-def _verify_prefixes(ct: CuntzTower, E: OperatorValuedMeasure, level: int, depth: int) -> int:
+def _verify_prefixes(tower: CylinderTower, E: OperatorValuedMeasure, level: int, depth: int) -> int:
     """Largest t <= depth with E(every depth-t cylinder) = cylinder projection."""
-    for t, holds in _cylinder_identities(ct, E, level, depth):
+    for t, holds in _cylinder_identities(tower, E, level, depth):
         if not holds.all():
             return max(t - 1, 0)
     return depth
@@ -256,7 +255,7 @@ class FixedPointReport:
 
 
 def verify_fixed_point(
-    ct: CuntzTower,
+    tower: CylinderTower,
     candidate: OperatorValuedMeasure | None = None,
 ) -> FixedPointReport:
     """Check the fixed-point identities at the tower's ambient level.
@@ -269,21 +268,21 @@ def verify_fixed_point(
     compared atom by atom.  A candidate must live on the ambient level's
     space with its dimension, or ``MismatchedMeasures`` is raised.
     """
-    K = ct.depth
+    K = tower.depth
     if candidate is not None and (
-        candidate.space != ct.tower.level(K).space or candidate.dim != ct.dim(K)
+        candidate.space != tower.level(K).space or candidate.dim != tower.dim(K)
     ):
         raise MismatchedMeasures("candidate does not live on the ambient level")
-    target = candidate if candidate is not None else multiplication_pvm(ct, K)
+    target = candidate if candidate is not None else multiplication_pvm(tower, K)
     offending = []
     checked = 0
-    for t, holds in _cylinder_identities(ct, target, K, K):
+    for t, holds in _cylinder_identities(tower, target, K, K):
         checked += holds.size
-        words = ct.tower.level(t).words
+        words = tower.level(t).words
         offending += [word_id(words[u]) if t else "<empty>" for u in np.flatnonzero(~holds)]
-    rederived = multiplication_pvm(ct, 0)  # level 0's one measure: I on the whole space
+    rederived = multiplication_pvm(tower, 0)  # level 0's one measure: I on the whole space
     for k in range(1, K + 1):
-        rederived = phi_step(ct, k, rederived)
+        rederived = phi_step(tower, k, rederived)
     if target.assignment is not None:
         rederived_match = bool(np.array_equal(rederived.assignment, target.assignment))
     else:
@@ -313,7 +312,7 @@ class RhoContractionReport:
 
 
 def contraction_ratio_rho(
-    ct: CuntzTower,
+    tower: CylinderTower,
     k: int,
     trials: int,
     seed: int = 0,
@@ -329,14 +328,14 @@ def contraction_ratio_rho(
     requested; its ratio is exact, read from the assignments by
     :func:`rho_assignments`.
     """
-    if not 1 <= k <= ct.depth:
-        raise LevelOutOfRange(f"ratio level {k} outside 1..{ct.depth}")
+    if not 1 <= k <= tower.depth:
+        raise LevelOutOfRange(f"ratio level {k} outside 1..{tower.depth}")
     rng = SplitMix64(seed)
-    space_prev = ct.tower.level(k - 1).space
-    space_next = ct.tower.level(k).space
+    space_prev = tower.level(k - 1).space
+    space_next = tower.level(k).space
     verts_prev = lip1_vertices(space_prev, cap=RHO_VERTEX_CAP)
     verts_next = lip1_vertices(space_next, cap=RHO_VERTEX_CAP)
-    dim_prev = ct.dim(k - 1)
+    dim_prev = tower.dim(k - 1)
 
     def one_trial(child: SplitMix64) -> float | None:
         if kind == "projection":
@@ -349,34 +348,25 @@ def contraction_ratio_rho(
         if rho_prev <= 1e-12:
             return None
         rho_next = rho_exact(
-            space_next, phi_step(ct, k, E), phi_step(ct, k, F), verts_next
+            space_next, phi_step(tower, k, E), phi_step(tower, k, F), verts_next
         ).value
         return rho_next / rho_prev
 
-    children = [rng.spawn() for _ in range(trials)]
-    ratios = [one_trial(child) for child in children]
-    best: float | None = None
-    skipped = 0
-    for ratio in ratios:
-        if ratio is None:
-            skipped += 1
-        elif best is None or ratio > best:
-            best = ratio
+    ratios = [r for r in (one_trial(rng.spawn()) for _ in range(trials)) if r is not None]
     tight = None
-    if include_tight_pair:
-        truth = multiplication_pvm(ct, k - 1)
-        if k - 1 >= 1:
-            off = swapped_diagonal_pvm(ct, k - 1)
-            num = rho_assignments(phi_step(ct, k, off), phi_step(ct, k, truth))
-            # off != truth at level >= 1, so the denominator is positive.
-            tight = num / rho_assignments(off, truth)
+    if include_tight_pair and k >= 2:
+        truth = multiplication_pvm(tower, k - 1)
+        off = swapped_diagonal_pvm(tower, k - 1)
+        num = rho_assignments(phi_step(tower, k, off), phi_step(tower, k, truth))
+        # off != truth at level >= 1, so the denominator is positive.
+        tight = num / rho_assignments(off, truth)
     return RhoContractionReport(
         level=k,
         kind=kind,
-        pairs_tested=trials - skipped,
-        pairs_skipped=skipped,
-        max_ratio=best,
-        bound=float(ct.tower.contraction),
+        pairs_tested=len(ratios),
+        pairs_skipped=trials - len(ratios),
+        max_ratio=max(ratios, default=None),
+        bound=float(tower.contraction),
         tight_pair_ratio=tight,
     )
 
@@ -398,54 +388,55 @@ class RelateReport:
         )
 
 
-def relate_verify(ct: CuntzTower, h, k: int | None = None) -> RelateReport:
+def relate_verify(tower: CylinderTower, h) -> RelateReport:
     """Verify the unitary model of the fixed point on one cyclic vector.
 
     With E the diagonal truth at the ambient level and w the atom masses
-    <E(a)h, h>, the map sending the indicator of atom a (in the weighted
-    space over positive-mass atoms) to E(a) h is an isometry; conjugating
-    a cylinder projection through it acts as multiplication by the
-    cylinder's indicator; and its range is the span of all projected
-    vectors P h over cylinder words.
+    <E(a)h, h>, the map V sending the indicator of atom a (in the weighted
+    space over the positive-mass atoms P) to E(a) h is an isometry;
+    conjugating a cylinder projection through it acts as multiplication by
+    the cylinder's indicator; and its range is the span of all projected
+    vectors P_u h over cylinder words u.
+
+    Column c of V is h_a e_a, nonzero only in row a, so P_u V keeps column
+    c when word u keeps atom a and zeroes it otherwise.  Hence V^* P_u V is
+    diagonal: where u keeps a, its entry is the Gram diagonal's own product
+    of column c with itself, and everywhere else it is an exact zero, as is
+    every off-diagonal Gram entry.  Against the indicator of u, the defect
+    is |gram_cc / w_c - 1| on the atoms u keeps and 0 elsewhere.  The
+    empty word keeps every atom, so the maximum over all words is
+    max_abs(gram / w - I), computed once.  The span vectors are h masked
+    to each word's block [u W, (u + 1) W), W = N^(K - t), one (N^t, d)
+    array per level t, in word order.
     """
-    K = ct.depth if k is None else k
+    K = tower.depth
     h = np.asarray(h, dtype=np.complex128)
-    dim = ct.dim(K)
+    dim = tower.dim(K)
     if h.shape != (dim,):
         raise MismatchedMeasures("vector must live at the ambient level")
     norm = float(np.sqrt(np.vdot(h, h).real))
     if abs(norm - 1.0) > 1e-12:
         raise PvmkError(f"vector must be a unit vector, norm is {norm}")
     masses = np.abs(h) ** 2
-    positive = [a for a in range(dim) if masses[a] > 1e-26]
-    if not positive:
+    positive = np.flatnonzero(masses > 1e-26)
+    if not positive.size:
         raise ZeroMassEverywhere("unit vector with no atom mass")
     # columns of v: the atom images E(a) h = h_a e_a, restricted to positive atoms
     v = np.zeros((dim, len(positive)), dtype=np.complex128)
-    for col, a in enumerate(positive):
-        v[a, col] = h[a]
+    v[positive, np.arange(len(positive))] = h[positive]
     w = masses[positive]
     gram = v.conj().T @ v
     isometry_defect = linalg.max_abs(gram - np.diag(w))
-    intertwine_defect = 0.0
+    intertwine_defect = linalg.max_abs(gram / w[None, :] - np.eye(len(positive)))
+    cells = np.arange(dim)
     span_vecs = []
     for t in range(K + 1):
-        for word in ct.tower.level(t).words:
-            inside = np.zeros(dim, dtype=bool)
-            inside[_word_block(ct, word, K)] = True
-            conj = (v.conj().T @ np.where(inside[:, None], v, 0)) / w[None, :]
-            indicator = np.diag(inside[positive].astype(np.float64))
-            intertwine_defect = max(
-                intertwine_defect, linalg.max_abs(conj - indicator)
-            )
-            span_vecs.append(np.where(inside, h, 0))
-    range_rank = linalg.gram_rank(v.T)
-    span_rank = linalg.gram_rank(span_vecs)
+        width = tower.n_branches ** (K - t)
+        span_vecs.extend(np.where(cells // width == np.arange(dim // width)[:, None], h, 0))
     return RelateReport(
         positive_atoms=len(positive),
         isometry_defect=float(isometry_defect),
         intertwine_defect=float(intertwine_defect),
-        range_rank=range_rank,
-        span_rank=span_rank,
+        range_rank=linalg.gram_rank(v.T),
+        span_rank=linalg.gram_rank(span_vecs),
     )
-

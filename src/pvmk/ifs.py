@@ -161,10 +161,18 @@ class CylinderTower:
     def contraction(self) -> Fraction:
         return self.ifs.contraction
 
+    @property
+    def n_branches(self) -> int:
+        return self.ifs.n_branches
+
     def level(self, k: int) -> TowerLevel:
         if not 0 <= k <= self.depth:
             raise LevelOutOfRange(f"level {k} outside 0..{self.depth}")
         return self.levels[k]
+
+    def dim(self, k: int) -> int:
+        """Dimension of level k's Hilbert space: one basis vector per cell."""
+        return len(self.level(k).words)
 
 
 def _lcp(a: tuple[int, ...], b: tuple[int, ...]) -> int:

@@ -69,10 +69,21 @@ def measure_from_obj(obj, space: FiniteMetricSpace) -> ProbMeasure:
     return ProbMeasure.from_values(weights)
 
 
+def _known_keys(obj, keys: tuple[str, ...], what: str) -> None:
+    """Reject a key outside ``keys``: a misspelt field must not silently
+    fall back to its default."""
+    unknown = sorted(set(obj) - set(keys)) if isinstance(obj, dict) else []
+    if unknown:
+        raise InputParseError(f"{what} has unknown field {', '.join(map(repr, unknown))}")
+
+
 def ifs_from_obj(obj) -> IfsSystem:
     """{"N": int, "branches": [{"r": "p/q", "b": "p/q"}...], "base_point": "p/q",
-    "symbolic_metric": {"theta": "p/q"}?}"""
+    "symbolic_metric": {"theta": "p/q"}?}; any other key is rejected."""
+    _known_keys(obj, ("N", "branches", "base_point", "symbolic_metric"), "ifs document")
     try:
+        for br in obj["branches"]:
+            _known_keys(br, ("r", "b"), "ifs branch")
         branches = [(br["r"], br["b"]) for br in obj["branches"]]
         base = obj.get("base_point", 0)
         declared = int(obj.get("N", len(branches)))
@@ -82,6 +93,7 @@ def ifs_from_obj(obj) -> IfsSystem:
         raise InputParseError("declared branch count does not match the branches")
     theta = None
     symbolic = obj.get("symbolic_metric")
+    _known_keys(symbolic, ("theta",), "symbolic_metric")
     if symbolic is not None:
         theta = symbolic.get("theta") if isinstance(symbolic, dict) else None
         if theta is None:

@@ -1,6 +1,5 @@
 import pytest
 
-from pvmk.cuntz import build_cuntz_tower
 from pvmk.ifs import build_tower, dyadic_ifs, triadic_ifs
 
 
@@ -11,14 +10,14 @@ def dyadic_tower():
 
 @pytest.fixture(scope="session")
 def dyadic_ct():
-    return build_cuntz_tower(build_tower(dyadic_ifs(), 3))
+    return build_tower(dyadic_ifs(), 3)
 
 
 @pytest.fixture(scope="session")
 def dyadic_ct2():
-    return build_cuntz_tower(build_tower(dyadic_ifs(), 2))
+    return build_tower(dyadic_ifs(), 2)
 
 
 @pytest.fixture(scope="session")
 def triadic_ct():
-    return build_cuntz_tower(build_tower(triadic_ifs(), 2))
+    return build_tower(triadic_ifs(), 2)

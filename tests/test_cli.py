@@ -11,7 +11,7 @@ import pytest
 
 import pvmk.ifs
 from pvmk.cli import run
-from pvmk.cuntz import build_cuntz_tower, multiplication_pvm
+from pvmk.cuntz import multiplication_pvm
 from pvmk.ifs import build_tower, dyadic_ifs
 import pvmk.ovm
 from pvmk.rationals import rational_str
@@ -168,8 +168,8 @@ def test_cuntz_verify_reaches_the_cell_cap_without_distance_tables(files, capsys
 
 def test_rho_command_methods(files, capsys):
     tmp, write = files
-    ct = build_cuntz_tower(build_tower(dyadic_ifs(), 1))
-    space_obj = space_to_obj(ct.tower.level(1).space)
+    ct = build_tower(dyadic_ifs(), 1)
+    space_obj = space_to_obj(ct.level(1).space)
     space = write("space.json", space_obj)
     truth = multiplication_pvm(ct, 1)
     e = write("e.json", ovm_to_obj(truth))
@@ -224,7 +224,7 @@ def test_verify_fixed_point_command_and_tamper(files, capsys):
     report = _capture(capsys)
     assert report["results"]["offending_words"] == []
     # tampered candidate: permute two atoms of the true measure
-    ct = build_cuntz_tower(build_tower(dyadic_ifs(), 2))
+    ct = build_tower(dyadic_ifs(), 2)
     truth = multiplication_pvm(ct, 2)
     obj = ovm_to_obj(truth)
     obj["atoms"][0]["matrix"], obj["atoms"][1]["matrix"] = (
@@ -519,3 +519,40 @@ def test_python_dash_m_runs_the_cli(module):
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
     assert report["command"] == "space" and report["verdict"] == "pass"
+
+
+class _ClosedStdout:
+    """A standard output whose reader is gone."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    flush = write
+
+
+def test_closed_stdout_exits_2_with_one_error_line(files, capsys, monkeypatch):
+    tmp, write = files
+    ifs = write("ifs.json", DYADIC)
+    monkeypatch.setattr(sys, "stdout", _ClosedStdout())
+    code = run(["phi-iterate", "--ifs", ifs, "--depth", "3", "--steps", "2"])
+    monkeypatch.undo()
+    assert code == 2
+    _one_error_line(capsys)
+
+
+def test_closed_pipe_prints_no_traceback():
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src") + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # closed before the child writes its report
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "pvmk", "phi-iterate", "--ifs", "sample_inputs/dyadic_ifs.json",
+             "--depth", "3", "--steps", "2"],
+            cwd=root, env=env, stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1

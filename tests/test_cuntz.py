@@ -58,9 +58,17 @@ TOWER_IDS = [f"N{ifs.n_branches}-k{k}" for ifs, k in TOWER_LEVELS]
 
 def test_cuntz_verify_builds_no_distance_table():
     tower = build_tower(dyadic_ifs(), 8)
-    ct = build_cuntz_tower(tower)
-    assert all(cuntz_verify(ct, k).passed for k in range(1, 9))
+    assert all(cuntz_verify(tower, k).passed for k in range(1, 9))
     assert not any("space" in vars(level) for level in tower.levels)
+
+
+def test_the_cuntz_tower_is_the_cylinder_tower():
+    tower = build_tower(triadic_ifs(), 3)
+    assert build_cuntz_tower(tower) is tower
+    assert tower.n_branches == 3
+    assert [tower.dim(k) for k in range(4)] == [1, 3, 9, 27]
+    with pytest.raises(LevelOutOfRange):
+        tower.dim(4)
 
 
 def test_s_matrices_level1_frozen(dyadic_ct):
@@ -75,10 +83,9 @@ def test_s_matrix_level2_block_structure(dyadic_ct):
 
 
 def test_s_matrix_maps_words(dyadic_ct):
-    tower = dyadic_ct.tower
     for k in (1, 2, 3):
-        prev_words = tower.level(k - 1).words
-        words = tower.level(k).words
+        prev_words = dyadic_ct.level(k - 1).words
+        words = dyadic_ct.level(k).words
         for i in range(2):
             m = s_matrix(dyadic_ct, i, k)
             for col, a in enumerate(prev_words):
@@ -106,11 +113,11 @@ def test_isometry_preserves_norm(dyadic_ct):
 
 
 def test_cuntz_relations_exact():
-    ct2 = build_cuntz_tower(build_tower(dyadic_ifs(), 4))
+    ct2 = build_tower(dyadic_ifs(), 4)
     for k in range(1, 5):
         rep = cuntz_verify(ct2, k)
         assert rep.sum_defect == 0 and rep.ortho_defect == 0
-    ct3 = build_cuntz_tower(build_tower(triadic_ifs(), 3))
+    ct3 = build_tower(triadic_ifs(), 3)
     for k in range(1, 4):
         rep = cuntz_verify(ct3, k)
         assert rep.sum_defect == 0 and rep.ortho_defect == 0
@@ -138,7 +145,7 @@ def test_redirected_index_negative_control(dyadic_ct):
 def test_branch_maps_and_counting_defects_match_the_dense_route(ifs, k):
     # S_i lands on its one-symbol word block, and the counts equal the
     # matrix-product defects
-    ct = build_cuntz_tower(build_tower(ifs, k))
+    ct = build_tower(ifs, k)
     maps = branch_maps(ct, k)
     assert maps.shape == (ct.n_branches, ct.dim(k - 1))
     for i in range(ct.n_branches):
@@ -207,7 +214,7 @@ def test_cylinder_projection_examples(dyadic_ct2):
 def test_cylinder_projection_rank_and_support(triadic_ct):
     n = 3
     for j in (0, 1, 2):
-        for word in triadic_ct.tower.level(j).words:
+        for word in triadic_ct.level(j).words:
             p = cylinder_projection(triadic_ct, word, 2)
             assert int(np.trace(p)) == n ** (2 - j)
             assert np.array_equal(p @ p, p)
@@ -217,11 +224,11 @@ def test_cylinder_projection_rank_and_support(triadic_ct):
 def test_cylinders_match_isometry_products(ifs):
     # reference route: the literal product S_w S_w^T of s_matrix factors,
     # and the atoms whose words start with w
-    ct = build_cuntz_tower(build_tower(ifs, 3))
+    ct = build_tower(ifs, 3)
     for ambient in range(4):
-        atoms = ct.tower.level(ambient).words
+        atoms = ct.level(ambient).words
         for j in range(ambient + 1):
-            for word in ct.tower.level(j).words:
+            for word in ct.level(j).words:
                 s = np.eye(ct.dim(ambient - j), dtype=np.int64)
                 for t, symbol in enumerate(reversed(word)):
                     s = s_matrix(ct, symbol, ambient - j + t + 1) @ s
@@ -248,7 +255,7 @@ def test_ambient_level_outside_the_tower(dyadic_ct2):
 def test_projection_nesting(dyadic_ct):
     # P_j(a) = sum over children of P_{j+1}(a i)
     for j in (0, 1, 2):
-        for word in dyadic_ct.tower.level(j).words:
+        for word in dyadic_ct.level(j).words:
             parent = cylinder_projection(dyadic_ct, word, 3)
             children = sum(
                 cylinder_projection(dyadic_ct, word + (i,), 3) for i in range(2)
@@ -258,7 +265,7 @@ def test_projection_nesting(dyadic_ct):
 
 def test_equal_length_projections_orthogonal_and_complete(dyadic_ct):
     for j in (1, 2, 3):
-        words = dyadic_ct.tower.level(j).words
+        words = dyadic_ct.level(j).words
         projs = [cylinder_projection(dyadic_ct, w, 3) for w in words]
         total = sum(projs)
         assert np.array_equal(total, np.eye(8, dtype=np.int64))

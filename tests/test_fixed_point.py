@@ -6,13 +6,12 @@ import numpy as np
 import pytest
 
 from pvmk.cuntz import (
-    build_cuntz_tower,
     cylinder_projection,
     multiplication_pvm,
     prefix_atoms,
 )
 from pvmk.errors import LevelOutOfRange, MismatchedMeasures
-from pvmk import fixed_point
+from pvmk import cuntz, fixed_point
 from pvmk.fixed_point import (
     RelateReport,
     _cylinder_identities,
@@ -62,7 +61,7 @@ def test_phi_step_swapped_diagonal_frozen(dyadic_ct):
     # cell (i, c) receives the projection onto basis vector (i, 1-c)
     swapped = swapped_diagonal_pvm(dyadic_ct, 1)
     stepped = phi_step(dyadic_ct, 2, swapped)
-    words = dyadic_ct.tower.level(2).words
+    words = dyadic_ct.level(2).words
     for idx, (i, c) in enumerate(words):
         expect = np.zeros((4, 4), dtype=np.int64)
         target = words.index((i, 1 - c))
@@ -73,10 +72,10 @@ def test_phi_step_swapped_diagonal_frozen(dyadic_ct):
 def test_phi_step_agrees_with_explicit_isometry_products(dyadic_ct):
     # block placement equals the literal S E S^T computation
     rng = SplitMix64(3)
-    E = random_truth_conjugate_pvm(dyadic_ct.tower.level(1).space, rng)
+    E = random_truth_conjugate_pvm(dyadic_ct.level(1).space, rng)
     stepped = phi_step(dyadic_ct, 2, E)
-    words = dyadic_ct.tower.level(2).words
-    prev_words = dyadic_ct.tower.level(1).words
+    words = dyadic_ct.level(2).words
+    prev_words = dyadic_ct.level(1).words
     for idx, word in enumerate(words):
         i, c = word[0], word[1:]
         s = s_matrix(dyadic_ct, i, 2).astype(float)
@@ -95,12 +94,12 @@ THETA_IFS = make_ifs([(F(1, 2), 0), (F(1, 2), F(1, 2))], 0, theta=F(1, 3))
 def test_unvalidated_measures_pass_validate_ovm(ifs, depth):
     # diagonal measures and phi_step outputs skip validation by theorem;
     # validate_ovm checks every axiom independently on every level
-    ct = build_cuntz_tower(build_tower(ifs, depth))
+    ct = build_tower(ifs, depth)
     rng = SplitMix64(23)
     for k in range(depth + 1):
         measures = [multiplication_pvm(ct, k), swapped_diagonal_pvm(ct, k)]
         if k:
-            prev = ct.tower.level(k - 1).space
+            prev = ct.level(k - 1).space
             seeds = [
                 multiplication_pvm(ct, k - 1),
                 random_truth_conjugate_pvm(prev, rng),
@@ -108,13 +107,13 @@ def test_unvalidated_measures_pass_validate_ovm(ifs, depth):
             ]
             measures += [phi_step(ct, k, seed) for seed in seeds]
         for E in measures:
-            again = validate_ovm(ct.tower.level(k).space, E.mats, E.kind, tol=1e-9)
+            again = validate_ovm(ct.level(k).space, E.mats, E.kind, tol=1e-9)
             assert again.kind == E.kind and again.dim == ct.dim(k)
 
 
 def test_phi_step_kind_preservation_povm(dyadic_ct):
     rng = SplitMix64(5)
-    seed = random_povm(dyadic_ct.tower.level(1).space, 2, rng)
+    seed = random_povm(dyadic_ct.level(1).space, 2, rng)
     stepped = phi_step(dyadic_ct, 2, seed)
     assert stepped.kind == "positive"
 
@@ -141,13 +140,13 @@ def test_phi_iterate_truth_stays_fixed(dyadic_ct):
 
 
 def test_phi_iterate_povm_seed(dyadic_ct):
-    space1 = dyadic_ct.tower.level(1).space
+    space1 = dyadic_ct.level(1).space
     seed = validate_ovm(space1, [np.eye(2) / 2, np.eye(2) / 2], "positive")
     trace = phi_iterate(dyadic_ct, seed, 2, seed_desc="half identity")
     assert trace.final.kind == "positive"
     # depth-1 cylinders already exact after one step
     assert trace.prefix_depth_verified >= 1
-    level3 = dyadic_ct.tower.level(3)
+    level3 = dyadic_ct.level(3)
     for j in range(2):
         got = measure_of(trace.final, prefix_atoms(dyadic_ct, (j,), 3))
         assert max_abs(got - cylinder_projection(dyadic_ct, (j,), 3)) < 1e-12
@@ -161,15 +160,15 @@ def test_phi_iterate_depth_guard(dyadic_ct):
 def test_phi_iterate_rejects_a_seed_of_another_size():
     # level 4 has 16 atoms, more than rho is computed on, so with no step
     # taken only the seed check sees a 17-dimensional seed
-    ct = build_cuntz_tower(build_tower(dyadic_ifs(), 4))
-    seed = diagonal_pvm(ct.tower.level(4).space, [j % 16 for j in range(17)])
+    ct = build_tower(dyadic_ifs(), 4)
+    seed = diagonal_pvm(ct.level(4).space, [j % 16 for j in range(17)])
     with pytest.raises(MismatchedMeasures):
         phi_iterate(ct, seed, 0)
 
 
 def test_verify_fixed_point_small_cases():
     for ifs, depth in ((dyadic_ifs(), 3), (triadic_ifs(), 2)):
-        ct = build_cuntz_tower(build_tower(ifs, depth))
+        ct = build_tower(ifs, depth)
         rep = verify_fixed_point(ct)
         assert rep.passed
         n = ifs.n_branches
@@ -189,8 +188,8 @@ def test_verify_fixed_point_catches_tampering(dyadic_ct2):
 
 @pytest.mark.parametrize("dim", [1, 3, 4])
 def test_verify_fixed_point_rejects_a_candidate_of_another_size(dim):
-    ct = build_cuntz_tower(build_tower(dyadic_ifs(), 1))
-    candidate = diagonal_pvm(ct.tower.level(1).space, [j % 2 for j in range(dim)])
+    ct = build_tower(dyadic_ifs(), 1)
+    candidate = diagonal_pvm(ct.level(1).space, [j % 2 for j in range(dim)])
     with pytest.raises(MismatchedMeasures):
         verify_fixed_point(ct, candidate)
 
@@ -205,7 +204,7 @@ def _dense_cylinder_identities(ct, E, level, depth):
     the dense cylinder projection."""
     exact = E.is_exact
     for t in range(depth + 1):
-        for word in ct.tower.level(t).words:
+        for word in ct.level(t).words:
             lhs = measure_of(E, prefix_atoms(ct, word, level))
             defect = max_abs(lhs - cylinder_projection(ct, word, level))
             yield t, word, (defect == 0) if exact else (defect <= 1e-10)
@@ -216,7 +215,7 @@ def _per_word(ct, identities):
     return [
         (t, word, bool(h))
         for t, holds in identities
-        for word, h in zip(ct.tower.level(t).words, holds, strict=True)
+        for word, h in zip(ct.level(t).words, holds, strict=True)
     ]
 
 
@@ -232,12 +231,12 @@ def _off_block_candidate(truth, a, b, row, col, x):
 
 @pytest.mark.parametrize("ifs, depth", [(dyadic_ifs(), 6), (triadic_ifs(), 4)], ids=["dyadic", "triadic"])
 def test_cylinder_blocks_match_the_dense_route(ifs, depth, monkeypatch):
-    ct = build_cuntz_tower(build_tower(ifs, depth))
+    ct = build_tower(ifs, depth)
     n = ifs.n_branches
     for K in range(1, depth + 1):
         truth = multiplication_pvm(ct, K)
         d = ct.dim(K)
-        seed = random_povm(ct.tower.level(1).space, n, SplitMix64(K))
+        seed = random_povm(ct.level(1).space, n, SplitMix64(K))
         candidates = [
             truth,
             swapped_diagonal_pvm(ct, K),
@@ -280,7 +279,7 @@ def test_assignment_route_matches_a_dense_copy(ifs, depth):
     # the assignment checks against the dense checks on a dense copy of the
     # same measure, and both against the per-word dense oracle
     for K in range(1, depth + 1):
-        ct = build_cuntz_tower(build_tower(ifs, K))
+        ct = build_tower(ifs, K)
         truth = multiplication_pvm(ct, K)
         measures = [truth, swapped_diagonal_pvm(ct, K)]
         for start in range(1, K):
@@ -322,7 +321,7 @@ def _dense_relate_verify(ct, h):
     intertwine_defect = 0.0
     span_vecs = []
     for t in range(K + 1):
-        for word in ct.tower.level(t).words:
+        for word in ct.level(t).words:
             proj = cylinder_projection(ct, word, K).astype(np.float64)
             conj = (v.conj().T @ (proj @ v)) / w[None, :]
             indicator = np.diag([float(proj[a, a]) for a in positive])
@@ -337,11 +336,15 @@ def _dense_relate_verify(ct, h):
     )
 
 
-@pytest.mark.parametrize("ifs, depth", [(dyadic_ifs(), 5), (triadic_ifs(), 3)], ids=["dyadic", "triadic"])
+@pytest.mark.parametrize(
+    "ifs, depth",
+    [(dyadic_ifs(), 5), (triadic_ifs(), 3), (THETA_IFS, 4), (dyadic_ifs(), 6)],
+    ids=["dyadic", "triadic", "theta", "dyadic-d6"],
+)
 def test_relate_verify_matches_the_dense_route_bit_for_bit(ifs, depth):
     rng = SplitMix64(23)
     for K in range(1, depth + 1):
-        ct = build_cuntz_tower(build_tower(ifs, K))
+        ct = build_tower(ifs, K)
         dim = ct.dim(K)
         panel = [np.eye(dim)[dim - 1], np.full(dim, dim**-0.5)]
         for i in range(6):
@@ -353,6 +356,19 @@ def test_relate_verify_matches_the_dense_route_bit_for_bit(ifs, depth):
             panel.append(h / np.sqrt(np.vdot(h, h).real))
         for h in panel:
             assert repr(relate_verify(ct, h)) == repr(_dense_relate_verify(ct, h))
+
+
+def test_relate_verify_reads_no_word_block(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("relate_verify read a cylinder through _word_block")
+
+    monkeypatch.setattr(cuntz, "_word_block", refuse)
+    monkeypatch.setattr(fixed_point, "_word_block", refuse, raising=False)
+    ct = build_tower(dyadic_ifs(), 7)
+    rng = SplitMix64(5)
+    for h in (np.full(128, 128**-0.5), random_unit_vector(128, rng, complex_=True)):
+        rep = relate_verify(ct, h)
+        assert rep.passed and rep.positive_atoms == rep.range_rank == rep.span_rank == 128
 
 
 def test_contraction_ratio_rho_sweep(dyadic_ct):
@@ -414,7 +430,7 @@ def _scalar_pushforward_defect(ct, k, E, h) -> float:
 
 def test_scalar_pushforward_identity(dyadic_ct):
     rng = SplitMix64(13)
-    E = random_truth_conjugate_pvm(dyadic_ct.tower.level(1).space, rng)
+    E = random_truth_conjugate_pvm(dyadic_ct.level(1).space, rng)
     h = random_unit_vector(4, rng)
     assert _scalar_pushforward_defect(dyadic_ct, 2, E, h) < 1e-12
 
@@ -422,7 +438,7 @@ def test_scalar_pushforward_identity(dyadic_ct):
 def test_cauchy_proxy_along_trace(dyadic_ct):
     # successive iterates form a geometric Cauchy sequence; final validates
     rng = SplitMix64(17)
-    seed = random_truth_conjugate_pvm(dyadic_ct.tower.level(1).space, rng)
+    seed = random_truth_conjugate_pvm(dyadic_ct.level(1).space, rng)
     trace = phi_iterate(dyadic_ct, seed, 2)
     rhos = [rec.rho_to_truth for rec in trace.records]
     bound = trace.contraction_bound
@@ -448,13 +464,13 @@ EQUALITY_CASES = [
 def test_contraction_is_an_equality_on_diagonal_pvms(ifs, depth):
     # rho(Phi E, Phi F) == r rho(E, F) in Fractions, r the largest branch
     # ratio or theta (the block argument in the fixed_point docstring)
-    ct = build_cuntz_tower(build_tower(ifs, depth))
+    ct = build_tower(ifs, depth)
     rng = SplitMix64(97)
-    r = ct.tower.contraction
+    r = ct.contraction
     nonzero = 0
     for k in range(1, depth + 1):
-        prev = ct.tower.level(k - 1).space
-        nxt = ct.tower.level(k).space
+        prev = ct.level(k - 1).space
+        nxt = ct.level(k).space
         verts_prev = lip1_vertices(prev, cap=9)
         verts_next = lip1_vertices(nxt, cap=9)
         for _ in range(20):
@@ -472,11 +488,11 @@ def test_contraction_is_an_equality_on_diagonal_pvms(ifs, depth):
 def test_rho_assignments_matches_the_vertex_route_on_tower_levels(ifs, depth):
     # random pairs, truth against the swapped seed, and phi_step chains of
     # both, on every level the vertex route reaches
-    ct = build_cuntz_tower(build_tower(ifs, depth))
+    ct = build_tower(ifs, depth)
     rng = SplitMix64(101)
     chain = [multiplication_pvm(ct, 0)]
     for k in range(depth + 1):
-        space = ct.tower.level(k).space
+        space = ct.level(k).space
         verts = lip1_vertices(space, cap=9)
         truth = multiplication_pvm(ct, k)
         pairs = [random_diagonal_pvm_pair(space, ct.dim(k), rng)[:2] for _ in range(10)]
@@ -492,10 +508,10 @@ def test_rho_assignments_matches_the_vertex_route_on_tower_levels(ifs, depth):
 def test_contraction_is_an_equality_on_assignments_to_depth_8(depth):
     # rho(Phi E, Phi G) == r rho(E, G) in Fractions on levels the vertex
     # route never reaches: depth 8 has 256 atoms
-    ct = build_cuntz_tower(build_tower(dyadic_ifs(), depth))
+    ct = build_tower(dyadic_ifs(), depth)
     rng = SplitMix64(103 + depth)
-    prev = ct.tower.level(depth - 1).space
-    r = ct.tower.contraction
+    prev = ct.level(depth - 1).space
+    r = ct.contraction
     for _ in range(10):
         E, G, _, _ = random_diagonal_pvm_pair(prev, ct.dim(depth - 1), rng)
         after = rho_assignments(phi_step(ct, depth, E), phi_step(ct, depth, G))
@@ -514,7 +530,7 @@ def _refuse(*args, **kwargs):
 def test_phi_iterate_scores_assignments_without_vertices_or_tables(monkeypatch):
     monkeypatch.setattr(fixed_point, "lip1_vertices", _refuse)
     monkeypatch.setattr(fixed_point, "rho_exact", _refuse)
-    ct = build_cuntz_tower(build_tower(dyadic_ifs(), 5))
+    ct = build_tower(dyadic_ifs(), 5)
     swapped = phi_iterate(ct, swapped_diagonal_pvm(ct, 1), 4)
     assert [(r.level, r.rho_to_truth, r.ratio) for r in swapped.records] == [
         (1, 0.5, None),
@@ -533,9 +549,9 @@ def test_phi_iterate_scores_assignments_without_vertices_or_tables(monkeypatch):
     ]
     assert swapped.prefix_depth_verified == truth.prefix_depth_verified == 4
     assert not any(
-        "space" in vars(level) and "dist" in vars(level.space) for level in ct.tower.levels
+        "space" in vars(level) and "dist" in vars(level.space) for level in ct.levels
     )
     # a dense seed still goes through the vertex route
-    dense = random_pvm(ct.tower.level(1).space, 2, SplitMix64(7))
+    dense = random_pvm(ct.level(1).space, 2, SplitMix64(7))
     with pytest.raises(AssertionError, match="vertex route taken"):
         phi_iterate(ct, dense, 4)

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from pvmk.cuntz import build_cuntz_tower, multiplication_pvm, prefix_atoms
+from pvmk.cuntz import multiplication_pvm, prefix_atoms
 from pvmk.errors import MismatchedMeasures, StaleVertexSet
 from pvmk.fixed_point import phi_iterate, phi_step, swapped_diagonal_pvm, verify_fixed_point
 from pvmk.ifs import build_tower, dyadic_ifs
@@ -30,7 +30,7 @@ NU = ProbMeasure.from_values([0, 0, F(1, 4), F(3, 4)])
 
 def test_value_equal_copy_is_the_same_frame(dyadic_ct):
     ct = dyadic_ct
-    space = ct.tower.level(2).space  # points 0, 1/4, 1/2, 3/4
+    space = ct.level(2).space  # points 0, 1/4, 1/2, 3/4
     copy = validate_space(space.dist, space.point_ids, [(x + 1,) for (x,) in space.coords])
     assert copy is not space and copy.coords != space.coords
     assert copy == space
@@ -52,7 +52,7 @@ def test_value_equal_copy_is_the_same_frame(dyadic_ct):
 
 def test_one_changed_distance_is_another_frame(dyadic_ct):
     ct = dyadic_ct
-    space = ct.tower.level(2).space  # points 0, 1/4, 1/2, 3/4
+    space = ct.level(2).space  # points 0, 1/4, 1/2, 3/4
     table = [list(row) for row in space.dist]
     table[0][3] = table[3][0] = F(5, 8)  # was 3/4; still a metric
     changed = validate_space(table, space.point_ids, space.coords)
@@ -80,7 +80,7 @@ def test_one_changed_distance_is_another_frame(dyadic_ct):
 
 def test_renamed_points_are_another_frame(dyadic_ct):
     ct = dyadic_ct
-    space = ct.tower.level(2).space  # points 0, 1/4, 1/2, 3/4
+    space = ct.level(2).space  # points 0, 1/4, 1/2, 3/4
     renamed = validate_space(space.dist, ["a", "b", "c", "d"])
     assert renamed != space
     with pytest.raises(MismatchedMeasures):
@@ -88,33 +88,33 @@ def test_renamed_points_are_another_frame(dyadic_ct):
 
 
 def test_phi_iterate_builds_no_table_below_the_seed():
-    seed = swapped_diagonal_pvm(build_cuntz_tower(build_tower(dyadic_ifs(), 4)), 4)
-    ct = build_cuntz_tower(build_tower(dyadic_ifs(), 6))
+    seed = swapped_diagonal_pvm(build_tower(dyadic_ifs(), 4), 4)
+    ct = build_tower(dyadic_ifs(), 6)
     trace = phi_iterate(ct, seed, 2)
     assert [rec.level for rec in trace.records] == [4, 5, 6]
     assert trace.prefix_depth_verified == 2
     for k in range(4):
-        assert "space" not in vars(ct.tower.level(k))
+        assert "space" not in vars(ct.level(k))
 
 
 def _levels_with_tables(ct):
     """Levels of more than 8 cells whose distance table has been built."""
     return [
         k
-        for k, level in enumerate(ct.tower.levels)
+        for k, level in enumerate(ct.levels)
         if len(level.words) > 8 and "dist" in vars(level.space)
     ]
 
 
 def test_verify_fixed_point_builds_no_table_at_depth_8():
-    ct = build_cuntz_tower(build_tower(dyadic_ifs(), 8))
+    ct = build_tower(dyadic_ifs(), 8)
     report = verify_fixed_point(ct)
     assert report.passed and report.words_checked == 2**9 - 1
     assert _levels_with_tables(ct) == []
 
 
 def test_phi_iterate_builds_no_table_from_a_level_5_seed_to_depth_8():
-    ct = build_cuntz_tower(build_tower(dyadic_ifs(), 8))
+    ct = build_tower(dyadic_ifs(), 8)
     trace = phi_iterate(ct, swapped_diagonal_pvm(ct, 5), 3)
     assert [rec.level for rec in trace.records] == [5, 6, 7, 8]
     assert [rec.rho_to_truth for rec in trace.records] == [None] * 4
@@ -123,7 +123,7 @@ def test_phi_iterate_builds_no_table_from_a_level_5_seed_to_depth_8():
 
 
 def test_tower_measures_and_frame_checks_read_no_table():
-    ct = build_cuntz_tower(build_tower(dyadic_ifs(), 5))
+    ct = build_tower(dyadic_ifs(), 5)
     truth = multiplication_pvm(ct, 4)
     swapped = swapped_diagonal_pvm(ct, 4)
     assert truth.same_frame(swapped)
@@ -132,7 +132,7 @@ def test_tower_measures_and_frame_checks_read_no_table():
     assert prefix_atoms(ct, (1, 0), 5) == [f"10{i:03b}" for i in range(8)]
     assert _levels_with_tables(ct) == []
     # reading a distance builds no table; reading the table builds it once
-    space = ct.tower.level(5).space
+    space = ct.level(5).space
     assert space.d(0, 1) == F(1, 32)
     assert _levels_with_tables(ct) == []
     assert space.dist is space.dist

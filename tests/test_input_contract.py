@@ -13,7 +13,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from pvmk.cli import run
+from pvmk.ifs import dyadic_ifs, triadic_ifs
 from pvmk.rationals import rational_str
+from pvmk.schemas import ifs_from_obj, load_json
 
 SAMPLES = Path(__file__).resolve().parents[1] / "sample_inputs"
 
@@ -115,6 +117,35 @@ def test_rho_on_an_empty_space_exits_2(tmp_path):
     assert code == 2
     assert out == ""
     assert err == "error: a metric space needs at least one point\n"
+
+
+UNKNOWN_IFS_FIELDS = {
+    # "theta" belongs under "symbolic_metric"; at the top level it used to be
+    # ignored, and the run went on in the coordinate metric
+    "top-level": ({**_sample("ifs"), "theta": "1/3", "bogus": 1}, "'bogus', 'theta'"),
+    "branch": (
+        {**_sample("ifs"), "branches": [{"r": "1/2", "b": "0/1", "R": "1/3"}, {"r": "1/2", "b": "1/2"}]},
+        "'R'",
+    ),
+    "symbolic-metric": ({**_sample("ifs"), "symbolic_metric": {"theta": "1/3", "thetta": "1/4"}}, "'thetta'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNKNOWN_IFS_FIELDS))
+def test_unknown_ifs_field_exits_2_naming_it(tmp_path, case):
+    doc, named = UNKNOWN_IFS_FIELDS[case]
+    path = tmp_path / "ifs.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = _run_quietly(_argv("phi-iterate", "ifs", path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and named in err
+
+
+@pytest.mark.parametrize("name", ["dyadic_ifs.json", "triadic_ifs.json"])
+def test_sample_ifs_documents_load(name):
+    expected = {"dyadic_ifs.json": dyadic_ifs(), "triadic_ifs.json": triadic_ifs()}[name]
+    assert ifs_from_obj(load_json(SAMPLES / name)) == expected
 
 
 def test_rational_vector_matches_float_sample(tmp_path):
