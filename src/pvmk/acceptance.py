@@ -189,24 +189,16 @@ def criterion_6(seed: int = 0, trials_per_level: int = 30) -> CriterionResult:
     ok = True
     tested = {"projection": 0, "positive": 0}
     worst = {"projection": 0.0, "positive": 0.0}
-    tight: Fraction | None = None
+    tight_ok = True
     for kind in ("projection", "positive"):
         for k in (2, 3):
-            report = contraction_ratio_rho(
-                tower,
-                k,
-                trials_per_level,
-                seed=seed ^ (0xC6 + k),
-                kind=kind,
-                include_tight_pair=(kind == "projection" and k == 2),
-            )
+            report = contraction_ratio_rho(tower, k, trials_per_level, seed=seed ^ (0xC6 + k), kind=kind)
             tested[kind] += report.pairs_tested
             if report.max_ratio is not None:
                 worst[kind] = max(worst[kind], report.max_ratio)
             ok = ok and report.passed
-            if report.tight_pair_ratio is not None:
-                tight = report.tight_pair_ratio
-    tight_ok = tight == Fraction(1, 2)
+            tight = report.tight_pair_ratio  # the swapped pair's, at every k >= 2
+            tight_ok = tight_ok and tight == Fraction(1, 2)
     enough = tested["projection"] >= 50 and tested["positive"] >= 50
     return CriterionResult(
         6,

@@ -1,7 +1,7 @@
 """Command-line front end: reproducible experiments with JSON reports.
 
 Every subcommand emits one self-describing JSON document (schema_version,
-command and config echo, results, verdict, tolerances).  Reports are
+command and config echo, results, verdict).  Reports are
 byte-identical across runs for fixed inputs and seed; wall-clock timing is
 opt-in via --timing because it would break that guarantee.  A failing
 verdict exits with code 1; usage and parse problems (an --out path that
@@ -54,8 +54,6 @@ from .schemas import (
 )
 from .transport import kantorovich
 
-DEFAULT_TOL = 1e-9
-
 
 def _report(args, command: str, results: dict, verdict: bool, started: float) -> dict:
     config = {
@@ -69,7 +67,6 @@ def _report(args, command: str, results: dict, verdict: bool, started: float) ->
         "config": config,
         "results": results,
         "verdict": "pass" if verdict else "fail",
-        "tolerances": {"compare": args.tol, "eigensolver": 1e-13},
     }
     if getattr(args, "timing", False):
         report["duration_s"] = time.monotonic() - started
@@ -307,7 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, *, seed=False):
         if seed:
             p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--tol", type=float, default=DEFAULT_TOL)
         p.add_argument("--out", type=str, default=None)
         p.add_argument("--timing", action="store_true")
 

@@ -130,8 +130,3 @@ class NotUnitary(PvmkError):
 class MismatchedMeasures(PvmkError):
     """Operator valued measures live on different spaces or dimensions."""
 
-
-# --- fixed point machinery ----------------------------------------------------
-
-class ZeroMassEverywhere(PvmkError):
-    pass

@@ -47,12 +47,7 @@ import numpy as np
 
 from . import linalg
 from .cuntz import multiplication_pvm
-from .errors import (
-    LevelOutOfRange,
-    MismatchedMeasures,
-    PvmkError,
-    ZeroMassEverywhere,
-)
+from .errors import LevelOutOfRange, MismatchedMeasures, PvmkError
 from .ifs import CylinderTower, word_id
 from .metric_core import lip1_vertices
 from .ovm import OperatorValuedMeasure, assemble_ovm, diagonal_pvm
@@ -317,16 +312,14 @@ def contraction_ratio_rho(
     trials: int,
     seed: int = 0,
     kind: str = "projection",
-    include_tight_pair: bool = True,
 ) -> RhoContractionReport:
     """Max observed rho ratio across one contraction step at level k.
 
     Random pairs at level k-1 (unitary conjugates of the diagonal truth,
     or random positive splittings) are stepped to level k and the distance
-    ratio is compared against the branch contraction bound.  The swapped
-    diagonal against the truth is included as the tightness witness when
-    requested; its ratio is exact, read from the assignments by
-    :func:`rho_assignments`.
+    ratio is compared against the branch contraction bound.  From k = 2 on,
+    the swapped diagonal against the truth is the tightness witness; its
+    ratio is exact, read from the assignments by :func:`rho_assignments`.
     """
     if not 1 <= k <= tower.depth:
         raise LevelOutOfRange(f"ratio level {k} outside 1..{tower.depth}")
@@ -354,7 +347,7 @@ def contraction_ratio_rho(
 
     ratios = [r for r in (one_trial(rng.spawn()) for _ in range(trials)) if r is not None]
     tight = None
-    if include_tight_pair and k >= 2:
+    if k >= 2:
         truth = multiplication_pvm(tower, k - 1)
         off = swapped_diagonal_pvm(tower, k - 1)
         num = rho_assignments(phi_step(tower, k, off), phi_step(tower, k, truth))
@@ -369,6 +362,17 @@ def contraction_ratio_rho(
         bound=float(tower.contraction),
         tight_pair_ratio=tight,
     )
+
+
+def _word_positions(words, rows: np.ndarray, n: int) -> np.ndarray:
+    """Position in the list ``words`` of each word given as a row of
+    ``rows``, matched by a base-n code read last symbol first: the
+    position comes from the list's order, never from the code."""
+    listed = np.array(words, dtype=np.int64).reshape(len(words), rows.shape[1])
+    powers = n ** np.arange(rows.shape[1])
+    codes = listed @ powers
+    order = np.argsort(codes)
+    return order[np.searchsorted(codes[order], rows @ powers)]
 
 
 @dataclass(frozen=True)
@@ -391,23 +395,29 @@ class RelateReport:
 def relate_verify(tower: CylinderTower, h) -> RelateReport:
     """Verify the unitary model of the fixed point on one cyclic vector.
 
-    With E the diagonal truth at the ambient level and w the atom masses
-    <E(a)h, h>, the map V sending the indicator of atom a (in the weighted
-    space over the positive-mass atoms P) to E(a) h is an isometry;
-    conjugating a cylinder projection through it acts as multiplication by
-    the cylinder's indicator; and its range is the span of all projected
-    vectors P_u h over cylinder words u.
+    V sends the indicator of atom b, in L^2(mu) over the positive-mass
+    atoms, to E(b) h, with E the diagonal truth at the ambient level K.  V
+    must be an isometry, V^* P_u V must be multiplication by the indicator
+    of each cylinder u, and V's range must be the span of all P_u h.  With
+    a the truth's assignment, m_j = |h_j|^2 and mu = bincount(a, m), all of
+    this is counted; there is no linear algebra:
 
-    Column c of V is h_a e_a, nonzero only in row a, so P_u V keeps column
-    c when word u keeps atom a and zeroes it otherwise.  Hence V^* P_u V is
-    diagonal: where u keeps a, its entry is the Gram diagonal's own product
-    of column c with itself, and everywhere else it is an exact zero, as is
-    every off-diagonal Gram entry.  Against the indicator of u, the defect
-    is |gram_cc / w_c - 1| on the atoms u keeps and 0 elsewhere.  The
-    empty word keeps every atom, so the maximum over all words is
-    max_abs(gram / w - I), computed once.  The span vectors are h masked
-    to each word's block [u W, (u + 1) W), W = N^(K - t), one (N^t, d)
-    array per level t, in word order.
+    - The columns E(b) h are supported on the disjoint sets {j : a[j] = b},
+      so the nonzero ones are independent: ``positive_atoms`` =
+      ``range_rank`` = #{mu > 1e-26}.
+    - The level-K blocks are the singletons {j}, and coarser P_u h are sums
+      of the h_j e_j: ``span_rank`` = #{j : m_j > 1e-26}.
+    - The Gram matrix of disjoint columns is diag(mu), the weighted
+      space's own inner product: ``isometry_defect`` is 0.0 exactly.
+    - V^* P_u V is diagonal too, entry b the share of b's mass inside u's
+      basis block.  Against the indicator, the depth-t prefix of b has
+      defect 1 minus that share, the share outside; any other depth-t
+      word has a part of that same outside share.  So
+      ``intertwine_defect`` is the largest share of a positive atom's
+      mass outside the block j // N^(K - t) of its depth-t prefix, over
+      t = 0..K.  The prefix is looked up in level t's word list, as
+      ``cuntz.branch_maps`` does, not computed by the block formula, so
+      the two sides come by independent routes and a wrong block shows.
     """
     K = tower.depth
     h = np.asarray(h, dtype=np.complex128)
@@ -417,26 +427,25 @@ def relate_verify(tower: CylinderTower, h) -> RelateReport:
     norm = float(np.sqrt(np.vdot(h, h).real))
     if abs(norm - 1.0) > 1e-12:
         raise PvmkError(f"vector must be a unit vector, norm is {norm}")
+    a = multiplication_pvm(tower, K).assignment
     masses = np.abs(h) ** 2
-    positive = np.flatnonzero(masses > 1e-26)
-    if not positive.size:
-        raise ZeroMassEverywhere("unit vector with no atom mass")
-    # columns of v: the atom images E(a) h = h_a e_a, restricted to positive atoms
-    v = np.zeros((dim, len(positive)), dtype=np.complex128)
-    v[positive, np.arange(len(positive))] = h[positive]
-    w = masses[positive]
-    gram = v.conj().T @ v
-    isometry_defect = linalg.max_abs(gram - np.diag(w))
-    intertwine_defect = linalg.max_abs(gram / w[None, :] - np.eye(len(positive)))
-    cells = np.arange(dim)
-    span_vecs = []
+    mu = np.bincount(a, masses, minlength=dim)
+    positive = mu > 1e-26
+    n = tower.n_branches
+    atom_words = np.array(tower.level(K).words, dtype=np.int64).reshape(dim, K)
+    basis = np.arange(dim)
+    intertwine_defect = 0.0
     for t in range(K + 1):
-        width = tower.n_branches ** (K - t)
-        span_vecs.extend(np.where(cells // width == np.arange(dim // width)[:, None], h, 0))
+        prefix = _word_positions(tower.level(t).words, atom_words[:, :t], n)
+        outside_block = basis // n ** (K - t) != prefix[a]
+        outside = np.bincount(a, np.where(outside_block, masses, 0.0), minlength=dim)
+        share = (outside[positive] / mu[positive]).max(initial=0.0)
+        intertwine_defect = max(intertwine_defect, float(share))
+    atoms = int(positive.sum())
     return RelateReport(
-        positive_atoms=len(positive),
-        isometry_defect=float(isometry_defect),
-        intertwine_defect=float(intertwine_defect),
-        range_rank=linalg.gram_rank(v.T),
-        span_rank=linalg.gram_rank(span_vecs),
+        positive_atoms=atoms,
+        isometry_defect=0.0,
+        intertwine_defect=intertwine_defect,
+        range_rank=atoms,
+        span_rank=int((masses > 1e-26).sum()),
     )

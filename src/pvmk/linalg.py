@@ -88,9 +88,10 @@ def sym_matrix_function(mat: np.ndarray, fn) -> np.ndarray:
     return (vecs * fn(w)[None, :]) @ vecs.T
 
 
-def gram_rank(vectors, rel_tol: float = 1e-10) -> int:
-    """Rank of the span of the given vectors via their Gram spectrum."""
+def gram_rank(vectors) -> int:
+    """Rank of the span of the given vectors via their Gram spectrum:
+    eigenvalues above 1e-10 of the largest, and above 1e-12, count."""
     cols = np.stack([to_complex(np.asarray(v)).ravel() for v in vectors], axis=1)
     w = np.linalg.eigvalsh(cols.conj().T @ cols)
-    cutoff = max(w.max(initial=0.0) * rel_tol, 1e-12)
+    cutoff = max(w.max(initial=0.0) * 1e-10, 1e-12)
     return int((w > cutoff).sum())

@@ -306,17 +306,18 @@ def representation_check(F: OperatorValuedMeasure, seed: int = 0, extra: int = 3
     )
 
 
-def conjugate(F: OperatorValuedMeasure, u: np.ndarray, tol: float = DEFAULT_TOL) -> OperatorValuedMeasure:
-    """Atomwise u F(.) u*; kind and all axioms are preserved."""
+def conjugate(F: OperatorValuedMeasure, u: np.ndarray) -> OperatorValuedMeasure:
+    """Atomwise u F(.) u*; kind and all axioms are preserved.  u must be
+    unitary within ``DEFAULT_TOL``, and the result is validated at 1e-9."""
     u = np.asarray(u, dtype=np.complex128)
     if u.shape != (F.dim, F.dim):
         raise DimensionMismatch("conjugating matrix must match the dimension")
     defect = linalg.spectral_norm(u.conj().T @ u - np.eye(F.dim))
-    if defect > tol:
+    if defect > DEFAULT_TOL:
         raise NotUnitary(f"u*u differs from the identity by {defect}")
     mats = [u @ linalg.to_complex(m) @ u.conj().T for m in F.mats]
     mats = [(m + m.conj().T) / 2 for m in mats]
-    return validate_ovm(F.space, mats, F.kind, tol=max(tol, 1e-9))
+    return validate_ovm(F.space, mats, F.kind, tol=1e-9)
 
 
 def polarize(quadratic_oracle, g, h) -> ScalarMeasurePair:

@@ -37,6 +37,8 @@ from .ovm import OperatorValuedMeasure, atom_difference_norms, integrate
 from .rng import SplitMix64
 
 SPHERE_ASCENT_STEPS = 50
+# Slack of the float comparisons in the metric-axiom and topology checks.
+BOUND_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -305,8 +307,7 @@ def metric_axiom_suite(
     E: OperatorValuedMeasure,
     F: OperatorValuedMeasure,
     G: OperatorValuedMeasure,
-    tol: float = 1e-9,
-    vertices: Lip1VertexSet | None = None,
+    vertices: Lip1VertexSet,
 ) -> MetricAxiomReport:
     """Metric axioms of rho on a triple, with quantitative identity bridges.
 
@@ -317,8 +318,6 @@ def metric_axiom_suite(
     asserts rho <= 2 diam; whether the sharper diam bound held is recorded
     but not asserted.
     """
-    if vertices is None:
-        vertices = lip1_vertices(space)
     rho_ef = rho_exact(space, E, F, vertices)
     rho_fe = rho_exact(space, F, E, vertices)
     rho_eg = rho_exact(space, E, G, vertices)
@@ -336,13 +335,13 @@ def metric_axiom_suite(
     diam = float(space.diam)
     symmetry_ok = rho_ef.value == rho_fe.value
     # rho small forces atoms close (tent bound) and conversely.
-    if rho_ef.value <= tol:
-        identity_ok = atom_diff <= tol / min_sep + tol if min_sep > 0 else True
+    if rho_ef.value <= BOUND_TOL:
+        identity_ok = atom_diff <= BOUND_TOL / min_sep + BOUND_TOL if min_sep > 0 else True
     else:
         identity_ok = atom_diff > 0.0
     triangle_slack = rho_eg.value - (rho_ef.value + rho_fg.value)
-    triangle_ok = triangle_slack <= tol
-    bounded_ok = rho_ef.value <= 2.0 * diam + tol
+    triangle_ok = triangle_slack <= BOUND_TOL
+    bounded_ok = rho_ef.value <= 2.0 * diam + BOUND_TOL
     return MetricAxiomReport(
         rho_ef=rho_ef.value,
         rho_fe=rho_fe.value,
@@ -356,7 +355,7 @@ def metric_axiom_suite(
         identity_ok=identity_ok,
         triangle_ok=triangle_ok,
         bounded_ok=bounded_ok,
-        observed_leq_diam=rho_ef.value <= diam + tol,
+        observed_leq_diam=rho_ef.value <= diam + BOUND_TOL,
     )
 
 
@@ -379,8 +378,7 @@ def topology_bounds(
     f_values,
     E: OperatorValuedMeasure,
     F: OperatorValuedMeasure,
-    tol: float = 1e-9,
-    vertices: Lip1VertexSet | None = None,
+    vertices: Lip1VertexSet,
 ) -> TopologyBoundsReport:
     """Quantitative two-sided comparison of rho with weak convergence.
 
@@ -390,8 +388,6 @@ def topology_bounds(
     Together these make convergence in rho equivalent to convergence of
     all test integrals on a finite space.
     """
-    if vertices is None:
-        vertices = lip1_vertices(space)
     gap = linalg.spectral_norm(
         linalg.to_complex(integrate(f_values, E)) - linalg.to_complex(integrate(f_values, F))
     )
@@ -404,6 +400,6 @@ def topology_bounds(
         lip_times_rho=k * rho,
         rho=rho,
         diam_times_atom_sum=diam * atom_sum,
-        first_ok=gap <= k * rho + tol,
-        second_ok=rho <= diam * atom_sum + tol,
+        first_ok=gap <= k * rho + BOUND_TOL,
+        second_ok=rho <= diam * atom_sum + BOUND_TOL,
     )

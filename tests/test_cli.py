@@ -459,11 +459,10 @@ def test_exact_and_float_atoms_keep_the_float_report(files, capsys):
     assert run(["rho", "--space", space, "--e", e, "--f", f]) == 0
     expected = (
         '{"command":"rho","config":{"e":%s,"f":%s,"method":"vertex","restarts":50,'
-        '"seed":0,"space":%s,"tol":1.0000000000000001e-09,"trials":200,"vertex_cap":7},'
+        '"seed":0,"space":%s,"trials":200,"vertex_cap":7},'
         '"results":{"exact":null,"method":"vertex","value":0.5,'
         '"witness_phi":{"constant":1,"values":[0,-0.5]},'
         '"witness_vector":{"im":[0,0],"re":[0,1]}},"schema_version":1,'
-        '"tolerances":{"compare":1.0000000000000001e-09,"eigensolver":1e-13},'
         '"verdict":"pass"}\n'
     ) % (json.dumps(e), json.dumps(f), json.dumps(space))
     assert capsys.readouterr().out == expected

@@ -11,7 +11,7 @@ from pvmk.cuntz import (
     prefix_atoms,
 )
 from pvmk.errors import LevelOutOfRange, MismatchedMeasures
-from pvmk import cuntz, fixed_point
+from pvmk import cuntz, fixed_point, linalg
 from pvmk.fixed_point import (
     RelateReport,
     _cylinder_identities,
@@ -341,7 +341,9 @@ def _dense_relate_verify(ct, h):
     [(dyadic_ifs(), 5), (triadic_ifs(), 3), (THETA_IFS, 4), (dyadic_ifs(), 6)],
     ids=["dyadic", "triadic", "theta", "dyadic-d6"],
 )
-def test_relate_verify_matches_the_dense_route_bit_for_bit(ifs, depth):
+def test_relate_verify_matches_the_dense_route(ifs, depth):
+    # the counts and verdicts agree; the counting route's defects are exact
+    # zeros, where the dense route's carry rounding noise from complex h
     rng = SplitMix64(23)
     for K in range(1, depth + 1):
         ct = build_tower(ifs, K)
@@ -355,20 +357,102 @@ def test_relate_verify_matches_the_dense_route_bit_for_bit(ifs, depth):
                 h[-1] = 1e-14  # mass below the positive-atom cutoff
             panel.append(h / np.sqrt(np.vdot(h, h).real))
         for h in panel:
-            assert repr(relate_verify(ct, h)) == repr(_dense_relate_verify(ct, h))
+            got, dense = relate_verify(ct, h), _dense_relate_verify(ct, h)
+            counts = (got.positive_atoms, got.range_rank, got.span_rank, got.passed)
+            assert counts == (dense.positive_atoms, dense.range_rank, dense.span_rank, dense.passed)
+            assert got.passed
+            assert got.isometry_defect == got.intertwine_defect == 0.0
+            assert dense.isometry_defect <= 1e-15 and dense.intertwine_defect <= 1e-15
+
+
+def _relate_mutants(d):
+    """Wrong truths, as assignments: the swapped truth, the first and last
+    atoms swapped, the last atom in every slot, and the last atom moved
+    into the first block."""
+    basis = np.arange(d)
+    return {
+        "swapped": basis[::-1],
+        "two-swapped": np.where(basis == 0, d - 1, np.where(basis == d - 1, 0, basis)),
+        "last-everywhere": np.full(d, d - 1),
+        "last-in-first-block": np.where(basis == 0, d - 1, basis),
+    }
+
+
+def _patch_truth(monkeypatch, assignment):
+    def mutant(tower, k):
+        return diagonal_pvm(tower.level(k).space, assignment)
+
+    monkeypatch.setattr(fixed_point, "multiplication_pvm", mutant)
+
+
+@pytest.mark.parametrize(
+    "mutant, defect, ranks_differ",
+    [
+        ("swapped", 1.0, False),
+        ("two-swapped", 1.0, False),
+        ("last-everywhere", 0.875, True),
+        ("last-in-first-block", 0.5, True),
+    ],
+    ids=["swapped", "two-swapped", "last-everywhere", "last-in-first-block"],
+)
+def test_relate_verify_fails_every_mutant_truth(monkeypatch, mutant, defect, ranks_differ):
+    ct = build_tower(dyadic_ifs(), 3)
+    _patch_truth(monkeypatch, _relate_mutants(8)[mutant])
+    rep = relate_verify(ct, np.full(8, 8**-0.5))
+    assert not rep.passed
+    assert rep.intertwine_defect == pytest.approx(defect, abs=1e-12)
+    assert (rep.range_rank != rep.span_rank) == ranks_differ
+    assert rep.isometry_defect == 0.0
+
+
+@pytest.mark.parametrize(
+    "ifs, depth",
+    [(dyadic_ifs(), 5), (triadic_ifs(), 3), (THETA_IFS, 4)],
+    ids=["dyadic", "triadic", "theta"],
+)
+def test_relate_verify_mutants_fail_on_full_support_vectors(monkeypatch, ifs, depth):
+    ct = build_tower(ifs, depth)
+    d = ct.dim(depth)
+    rng = SplitMix64(31)
+    vectors = [np.full(d, d**-0.5)] + [random_unit_vector(d, rng, complex_=c) for c in (False, True)]
+    for name, assignment in _relate_mutants(d).items():
+        _patch_truth(monkeypatch, assignment)
+        for h in vectors:
+            assert not relate_verify(ct, h).passed, name
+
+
+def test_relate_verify_counts_a_small_positive_atom():
+    # mass 1e-12 / 7 is above the 1e-26 cutoff: all eight atoms count, and
+    # all eight level-3 span vectors are nonzero
+    h = np.array([1e-6] + [1.0] * 7)
+    rep = relate_verify(build_tower(dyadic_ifs(), 3), h / np.linalg.norm(h))
+    assert (rep.positive_atoms, rep.range_rank, rep.span_rank) == (8, 8, 8)
+    assert rep.passed
+
+
+def test_relate_verify_at_depth_zero():
+    rep = relate_verify(build_tower(dyadic_ifs(), 0), np.array([1.0]))
+    assert rep == RelateReport(
+        positive_atoms=1, isometry_defect=0.0, intertwine_defect=0.0, range_rank=1, span_rank=1
+    )
 
 
 def test_relate_verify_reads_no_word_block(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("relate_verify read a cylinder through _word_block")
+    # nor runs any float linear algebra: no Gram rank, no eigen-solve
+    def refuse(*args, **kwargs):
+        raise AssertionError("relate_verify read a word block or ran linear algebra")
 
     monkeypatch.setattr(cuntz, "_word_block", refuse)
     monkeypatch.setattr(fixed_point, "_word_block", refuse, raising=False)
-    ct = build_tower(dyadic_ifs(), 7)
+    monkeypatch.setattr(linalg, "gram_rank", refuse)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
     rng = SplitMix64(5)
-    for h in (np.full(128, 128**-0.5), random_unit_vector(128, rng, complex_=True)):
-        rep = relate_verify(ct, h)
-        assert rep.passed and rep.positive_atoms == rep.range_rank == rep.span_rank == 128
+    for depth in (7, 12):
+        ct = build_tower(dyadic_ifs(), depth)
+        d = 2**depth
+        for h in (np.full(d, d**-0.5), random_unit_vector(d, rng, complex_=True)):
+            rep = relate_verify(ct, h)
+            assert rep.passed and rep.positive_atoms == rep.range_rank == rep.span_rank == d
 
 
 def test_contraction_ratio_rho_sweep(dyadic_ct):
