@@ -18,8 +18,6 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from . import acceptance
 from .cuntz import cuntz_verify, multiplication_pvm
 from .errors import (
@@ -55,7 +53,9 @@ from .schemas import (
 from .transport import kantorovich
 
 
-def _report(args, command: str, results: dict, verdict: bool, started: float) -> dict:
+def _report(args, results, passed: bool, started: float) -> dict:
+    """The report of one command, which returns (results, passed) and, for
+    phi-iterate, its CSV trace."""
     config = {
         k: v
         for k, v in sorted(vars(args).items())
@@ -63,12 +63,12 @@ def _report(args, command: str, results: dict, verdict: bool, started: float) ->
     }
     report = {
         "schema_version": SCHEMA_VERSION,
-        "command": command,
+        "command": args.command,
         "config": config,
         "results": results,
-        "verdict": "pass" if verdict else "fail",
+        "verdict": "pass" if passed else "fail",
     }
-    if getattr(args, "timing", False):
+    if args.timing:
         report["duration_s"] = time.monotonic() - started
     return report
 
@@ -91,7 +91,11 @@ def _load_space(args):
     return space_from_obj(load_json(args.space))
 
 
-def _cmd_space(args, started):
+def _load_tower(args):
+    return build_tower(ifs_from_obj(load_json(args.ifs)), args.depth)
+
+
+def _cmd_space(args):
     doc = load_json(args.space)
     try:
         space = space_from_obj(doc)
@@ -104,12 +108,11 @@ def _cmd_space(args, started):
                 {"axiom": type(v).__name__, "witness": list(v.witness)} for v in violations
             ],
         }
-        return _report(args, "space", results, False, started), None
-    results = {"valid": True, "points": space.n, "diam": space.diam, "violations": []}
-    return _report(args, "space", results, True, started), None
+        return results, False
+    return {"valid": True, "points": space.n, "diam": space.diam, "violations": []}, True
 
 
-def _cmd_kantorovich(args, started):
+def _cmd_kantorovich(args):
     space = _load_space(args)
     mu = measure_from_obj(load_json(args.mu), space)
     nu = measure_from_obj(load_json(args.nu), space)
@@ -119,43 +122,33 @@ def _cmd_kantorovich(args, started):
     ) - res.value
     results = {
         "value": res.value,
-        "plan": [list(row) for row in res.plan],
-        "potential": {
-            "values": list(res.potential.values),
-            "constant": res.potential.constant,
-        },
+        "plan": res.plan,
+        "potential": res.potential,
         "gap": int(gap) if gap == 0 else gap,
     }
-    return _report(args, "kantorovich", results, gap == 0, started), None
+    return results, gap == 0
 
 
-def _cmd_hutchinson(args, started):
+def _cmd_hutchinson(args):
     if args.depth < 1:
         raise InputParseError("the invariant measure lives at level >= 1")
-    tower = build_tower(ifs_from_obj(load_json(args.ifs)), args.depth)
+    tower = _load_tower(args)
     measure, cert = hutchinson_fixed(tower)
     results = {
-        "weights": list(measure.weights),
+        "weights": measure.weights,
         "certificate": cert,
         "contraction": tower.contraction,
     }
-    return _report(args, "hutchinson", results, bool(cert["invariant"]), started), None
+    return results, bool(cert["invariant"])
 
 
-def _cmd_cuntz_verify(args, started):
-    tower = build_tower(ifs_from_obj(load_json(args.ifs)), args.depth)
-    levels = []
-    ok = True
-    for k in range(1, args.depth + 1):
-        rep = cuntz_verify(tower, k)
-        levels.append(
-            {"level": k, "sum_defect": rep.sum_defect, "ortho_defect": rep.ortho_defect}
-        )
-        ok = ok and rep.passed
-    return _report(args, "cuntz-verify", {"levels": levels}, ok, started), None
+def _cmd_cuntz_verify(args):
+    tower = _load_tower(args)
+    levels = [cuntz_verify(tower, k) for k in range(1, args.depth + 1)]
+    return {"levels": levels}, all(rep.passed for rep in levels)
 
 
-def _cmd_rho(args, started):
+def _cmd_rho(args):
     space = _load_space(args)
     E = ovm_from_obj(load_json(args.e), space)
     F = ovm_from_obj(load_json(args.f), space)
@@ -181,14 +174,9 @@ def _cmd_rho(args, started):
             "values": [float(x) for x in res.witness_phi.values],
             "constant": float(res.witness_phi.constant),
         },
-        "witness_vector": None
-        if witness is None
-        else {
-            "re": [float(x) for x in np.asarray(witness).real],
-            "im": [float(x) for x in np.asarray(witness).imag],
-        },
+        "witness_vector": None if witness is None else {"re": witness.real, "im": witness.imag},
     }
-    return _report(args, "rho", results, True, started), None
+    return results, True
 
 
 def _seed_ovm(args, tower, level):
@@ -201,72 +189,49 @@ def _seed_ovm(args, tower, level):
     return sample(tower.level(level).space, tower.dim(level), SplitMix64(args.seed))
 
 
-def _cmd_phi_iterate(args, started):
+def _cmd_phi_iterate(args):
     if args.steps < 0:
         raise InputParseError("steps must be non-negative")
-    tower = build_tower(ifs_from_obj(load_json(args.ifs)), args.depth)
+    tower = _load_tower(args)
     start_level = args.depth - args.steps
     if start_level < 0:
         raise InputParseError("steps exceed the tower depth")
     seed_ovm = _seed_ovm(args, tower, start_level)
     trace = phi_iterate(tower, seed_ovm, args.steps, seed_desc=args.seed_kind)
     rows = ["step,level,rho_to_truth,ratio"]
-    records = []
     for rec in trace.records:
         rho_txt = "" if rec.rho_to_truth is None else format(rec.rho_to_truth, ".17g")
         ratio_txt = "" if rec.ratio is None else format(rec.ratio, ".17g")
         rows.append(f"{rec.step},{rec.level},{rho_txt},{ratio_txt}")
-        records.append(
-            {
-                "step": rec.step,
-                "level": rec.level,
-                "rho_to_truth": rec.rho_to_truth,
-                "ratio": rec.ratio,
-            }
-        )
     csv_text = "\n".join(rows) + "\n"
-    ok = trace.prefix_depth_verified >= args.steps
     results = {
         "seed_desc": trace.seed_desc,
-        "records": records,
+        "records": trace.records,
         "contraction_bound": trace.contraction_bound,
         "prefix_depth_verified": trace.prefix_depth_verified,
         "trace_csv": csv_text,
     }
-    return _report(args, "phi-iterate", results, ok, started), csv_text
+    return results, trace.prefix_depth_verified >= args.steps, csv_text
 
 
-def _cmd_verify_fixed_point(args, started):
-    tower = build_tower(ifs_from_obj(load_json(args.ifs)), args.depth)
+def _cmd_verify_fixed_point(args):
+    tower = _load_tower(args)
     candidate = None
     if args.e:
         candidate = ovm_from_obj(load_json(args.e), tower.level(args.depth).space)
     rep = verify_fixed_point(tower, candidate)
-    results = {
-        "depth": rep.depth,
-        "words_checked": rep.words_checked,
-        "offending_words": list(rep.offending_words),
-        "rederived_match": rep.rederived_match,
-    }
-    return _report(args, "verify-fixed-point", results, rep.passed, started), None
+    return rep, rep.passed
 
 
-def _cmd_relate_verify(args, started):
-    tower = build_tower(ifs_from_obj(load_json(args.ifs)), args.depth)
-    h = vector_from_obj(load_json(args.h), tower.dim(args.depth))
-    rep = relate_verify(tower, h)
-    results = {
-        "positive_atoms": rep.positive_atoms,
-        "isometry_defect": rep.isometry_defect,
-        "intertwine_defect": rep.intertwine_defect,
-        "range_rank": rep.range_rank,
-        "span_rank": rep.span_rank,
-    }
-    return _report(args, "relate-verify", results, rep.passed, started), None
+def _cmd_relate_verify(args):
+    tower = _load_tower(args)
+    rep = relate_verify(tower, vector_from_obj(load_json(args.h), tower.dim(args.depth)))
+    return rep, rep.passed
 
 
-def _cmd_suite(args, started):
+def _cmd_suite(args):
     results = acceptance.run_all(seed=args.seed)
+    ok = all(r.passed for r in results)
     payload = {
         "criteria": [
             {
@@ -288,10 +253,8 @@ def _cmd_suite(args, started):
             "fixed_point": verify_fixed_point(tower).passed,
         }
         payload["user_system"] = smoke
-    ok = all(r.passed for r in results) and all(
-        bool(v) for v in payload.get("user_system", {}).values() if isinstance(v, bool)
-    )
-    return _report(args, "suite", payload, ok, started), None
+        ok = ok and smoke["cuntz"] and smoke["fixed_point"]
+    return payload, ok
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -385,8 +348,9 @@ def run(argv) -> int:
         return int(exc.code or 0)
     started = time.monotonic()
     try:
-        report, csv_text = args.func(args, started)
-        _emit(args, report, csv_text)
+        results, passed, *csv_text = args.func(args)
+        report = _report(args, results, passed, started)
+        _emit(args, report, *csv_text)
     except (InputParseError, MismatchedMeasures, SpaceTooLarge, TowerTooLarge) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -44,20 +44,30 @@ def build_cuntz_tower(tower: CylinderTower) -> CylinderTower:
     return tower
 
 
+def word_positions(words, rows: np.ndarray, n: int) -> np.ndarray:
+    """Position in the list ``words`` of each word given as a row of
+    ``rows``, matched by a base-n code read last symbol first: the
+    position comes from the list's order, never from the code."""
+    listed = np.array(words, dtype=np.int64).reshape(len(words), rows.shape[1])
+    powers = n ** np.arange(rows.shape[1])
+    codes = listed @ powers
+    order = np.argsort(codes)
+    return order[np.searchsorted(codes[order], rows @ powers)]
+
+
 def branch_maps(tower: CylinderTower, k: int) -> np.ndarray:
     """S_0, ..., S_(N-1) from level k-1 into level k as an (N, d_(k-1)) array.
 
     Row i is S_i: column a holds the level-k index of the word (i,) + a,
     where a is the level-(k-1) word at index a.  The indices are looked up
-    in the level's word list, not computed from the word index formula.
+    in the level's word list (:func:`word_positions`), not computed from
+    the word index formula.
     """
     if not 1 <= k <= tower.depth:
         raise LevelOutOfRange(f"level {k} outside 1..{tower.depth}")
-    index = {w: j for j, w in enumerate(tower.level(k).words)}
-    prev = tower.level(k - 1).words
-    return np.array(
-        [[index[(i,) + a] for a in prev] for i in range(tower.n_branches)], dtype=np.int64
-    )
+    n, prev = tower.n_branches, tower.level(k - 1).words
+    rows = np.array([(i,) + a for i in range(n) for a in prev], dtype=np.int64)
+    return word_positions(tower.level(k).words, rows, n).reshape(n, len(prev))
 
 
 def relation_defects(maps: np.ndarray, rows: int) -> tuple[int, int]:

@@ -46,7 +46,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import linalg
-from .cuntz import multiplication_pvm
+from .cuntz import multiplication_pvm, word_positions
 from .errors import LevelOutOfRange, MismatchedMeasures, PvmkError
 from .ifs import CylinderTower, word_id
 from .metric_core import lip1_vertices
@@ -364,17 +364,6 @@ def contraction_ratio_rho(
     )
 
 
-def _word_positions(words, rows: np.ndarray, n: int) -> np.ndarray:
-    """Position in the list ``words`` of each word given as a row of
-    ``rows``, matched by a base-n code read last symbol first: the
-    position comes from the list's order, never from the code."""
-    listed = np.array(words, dtype=np.int64).reshape(len(words), rows.shape[1])
-    powers = n ** np.arange(rows.shape[1])
-    codes = listed @ powers
-    order = np.argsort(codes)
-    return order[np.searchsorted(codes[order], rows @ powers)]
-
-
 @dataclass(frozen=True)
 class RelateReport:
     positive_atoms: int
@@ -415,9 +404,9 @@ def relate_verify(tower: CylinderTower, h) -> RelateReport:
       word has a part of that same outside share.  So
       ``intertwine_defect`` is the largest share of a positive atom's
       mass outside the block j // N^(K - t) of its depth-t prefix, over
-      t = 0..K.  The prefix is looked up in level t's word list, as
-      ``cuntz.branch_maps`` does, not computed by the block formula, so
-      the two sides come by independent routes and a wrong block shows.
+      t = 0..K.  The prefix is looked up in level t's word list by
+      ``cuntz.word_positions``, not computed by the block formula, so the
+      two sides come by independent routes and a wrong block shows.
     """
     K = tower.depth
     h = np.asarray(h, dtype=np.complex128)
@@ -436,7 +425,7 @@ def relate_verify(tower: CylinderTower, h) -> RelateReport:
     basis = np.arange(dim)
     intertwine_defect = 0.0
     for t in range(K + 1):
-        prefix = _word_positions(tower.level(t).words, atom_words[:, :t], n)
+        prefix = word_positions(tower.level(t).words, atom_words[:, :t], n)
         outside_block = basis // n ** (K - t) != prefix[a]
         outside = np.bincount(a, np.where(outside_block, masses, 0.0), minlength=dim)
         share = (outside[positive] / mu[positive]).max(initial=0.0)

@@ -1,11 +1,12 @@
 """Contractive interval IFS with disjoint branches and its cylinder tower.
 
-The tower discretizes the attractor: level k holds one representative per
-length-k branch word, with exact rational coordinates that cohere across
-levels (prepending branch i to a word applies branch i to the
-representative).  Each level is a finite metric space, either with
+The tower discretizes the attractor: level k holds one cell per length-k
+branch word, and each cell has an exact rational representative; these
+cohere across levels (prepending branch i to a word applies branch i to
+the representative).  Each level is a finite metric space, either with
 coordinate distance |x - y| or, optionally, with the ultrametric
-theta^(common prefix length) on words.  Its point ids are there at once;
+theta^(common prefix length) on words.  A level's words are there at once;
+its representatives are built from its parent's when they are first read,
 a distance is computed when it is read, and the distance table is built
 only when the table itself is read.
 """
@@ -112,31 +113,42 @@ def word_id(word: tuple[int, ...]) -> str:
 
 @dataclass(frozen=True)
 class TowerLevel:
+    ifs: IfsSystem
     words: tuple[tuple[int, ...], ...]
-    reps: tuple[Fraction, ...]
-    theta: Fraction | None
+    parent: TowerLevel | None  # the level above; None at level 0
+
+    @cached_property
+    def reps(self) -> tuple[Fraction, ...]:
+        """Built from the parent's on first read, coherent by construction:
+        word (i, a) gets branch i applied to the representative of a."""
+        if self.parent is None:
+            return (self.ifs.base_point,)
+        apply = self.ifs.apply
+        return tuple(apply(i, x) for i in range(self.ifs.n_branches) for x in self.parent.reps)
 
     @cached_property
     def space(self) -> FiniteMetricSpace:
-        """The level's metric space: ids and coordinates now, each distance
+        """The level's metric space: ids now, each distance
         (:func:`_level_distance`) when it is read.  The pair function holds
-        the level's data, not the level, so no reference cycle keeps a
-        level alive."""
+        the parent and the level's data, not the level, so no reference
+        cycle keeps a level alive."""
         ids = tuple(word_id(w) for w in self.words)
-        powers = None
-        if self.theta is not None:
-            powers = tuple(self.theta**t for t in range(len(self.words[0]))) + (Fraction(0),)
-        pair = partial(_level_distance, self.words, self.reps, powers)
-        return FiniteMetricSpace(ids, pair, tuple((x,) for x in self.reps))
+        theta, powers = self.ifs.theta, None
+        if theta is not None or self.parent is None:
+            # level 0's one point is at distance 0 from itself on either metric
+            powers = tuple(theta**t for t in range(len(self.words[0]))) + (Fraction(0),)
+        pair = partial(_level_distance, self.ifs, self.parent, self.words, powers)
+        return FiniteMetricSpace(ids, pair)
 
 
-def _level_distance(words, reps, powers, i: int, j: int) -> Fraction:
+def _level_distance(ifs, parent, words, powers, i: int, j: int) -> Fraction:
     """The distance between points i and j of a level, never validated.
 
-    ``powers`` is None on a coordinate level, which gives |x_i - x_j|.  On
-    a theta level it is (theta^0, ..., theta^(k-1), 0) for words of length
-    k, indexed by the common prefix length, which is k only for i == j;
-    a table built from it shares these k + 1 Fractions.
+    ``powers`` is None on a coordinate level, which gives |x_i - x_j| with
+    x_i = branch i // d applied to y[i % d], y the parent's d
+    representatives.  On a theta level it is (theta^0, ..., theta^(k-1), 0)
+    for words of length k, indexed by the common prefix length, which is k
+    only for i == j; a table built from it shares these k + 1 Fractions.
 
     It is a metric by construction.  Distinct words of one length name
     distinct cells, and the cells are disjoint, so distinct words have
@@ -146,9 +158,10 @@ def _level_distance(words, reps, powers, i: int, j: int) -> Fraction:
     inequality, and theta^lcp the ultrametric one, since
     lcp(a, c) >= min(lcp(a, b), lcp(b, c)).
     """
-    if powers is None:
-        return abs(reps[i] - reps[j])
-    return powers[_lcp(words[i], words[j])]
+    if powers is not None:
+        return powers[_lcp(words[i], words[j])]
+    y, d = parent.reps, len(parent.words)
+    return abs(ifs.apply(i // d, y[i % d]) - ifs.apply(j // d, y[j % d]))
 
 
 @dataclass(frozen=True)
@@ -185,22 +198,18 @@ def _lcp(a: tuple[int, ...], b: tuple[int, ...]) -> int:
 
 
 def build_tower(ifs: IfsSystem, depth: int) -> CylinderTower:
-    """Cylinder tower of the IFS down to the given depth.
-
-    Coherence is by construction: the representative of word (i, a) at
-    level k is branch i applied to the representative of a at level k - 1.
-    """
+    """Cylinder tower of the IFS down to the given depth: the words of
+    every level, first-symbol-major, and nothing else until it is read."""
     if depth < 0:
         raise InputParseError("depth must be non-negative")
     n = ifs.n_branches
     if n**depth > DEFAULT_CELL_CAP:
         raise TowerTooLarge(n**depth, DEFAULT_CELL_CAP)
-    levels = [TowerLevel(((),), (ifs.base_point,), ifs.theta)]
+    levels = [TowerLevel(ifs, ((),), None)]
     for _ in range(depth):
         prev = levels[-1]
         words = tuple((i,) + a for i in range(n) for a in prev.words)
-        reps = tuple(ifs.apply(i, x) for i in range(n) for x in prev.reps)
-        levels.append(TowerLevel(words, reps, ifs.theta))
+        levels.append(TowerLevel(ifs, words, prev))
     return CylinderTower(ifs, depth, tuple(levels))
 
 
@@ -208,7 +217,9 @@ def hutchinson_step(tower: CylinderTower, k: int, nu: ProbMeasure) -> ProbMeasur
     """Averaged pushforward from level k to level k + 1.
 
     The cell (i, c) receives nu(c) / N: pulling (i, c) back through branch
-    j is empty unless j = i, where it is the cell c.
+    j is empty unless j = i, where it is the cell c.  Unvalidated, as
+    ``phi_step``'s atoms: the weights are nu's over N, N times over, so
+    they are non-negative and sum to 1 by construction.
     """
     if not 0 <= k < tower.depth:
         raise LevelOutOfRange(f"step needs 0 <= k < depth, got k={k}")
@@ -216,8 +227,7 @@ def hutchinson_step(tower: CylinderTower, k: int, nu: ProbMeasure) -> ProbMeasur
         raise InputParseError("measure does not match the level")
     n = tower.ifs.n_branches
     frac = Fraction(1, n)
-    out = [w * frac for _ in range(n) for w in nu.weights]
-    return ProbMeasure.from_values(out)
+    return ProbMeasure(tuple(w * frac for _ in range(n) for w in nu.weights))
 
 
 def hutchinson_fixed(tower: CylinderTower, k: int | None = None):

@@ -11,7 +11,6 @@ is what the transport and operator-metric layers consume.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -27,13 +26,13 @@ from .errors import (
     TriangleViolation,
     ZeroDistanceDistinctPoints,
 )
-from .rationals import as_fraction, is_rational_sequence
+from .rationals import as_fraction, cleared, is_rational_sequence
 
 DEFAULT_VERTEX_CAP = 7
 
 
 class FiniteMetricSpace:
-    """Point ids, an exact distance table and optional coordinates.
+    """Point ids and an exact distance table.
 
     ``dist`` is the table, or a pair function ``(i, j) -> Fraction`` that
     gives one distance.  Given a function, ``d(i, j)`` calls it until the
@@ -46,10 +45,9 @@ class FiniteMetricSpace:
 
     Spaces compare by value: two spaces are equal, and so the same frame
     for measures, vertex sets and tower steps, when their point ids and
-    distance tables are equal.  Coordinates are ignored.  Equality tests
-    identity first, then the ids, then the tables, so a space compared
-    with itself, or with one of other ids, reads no table.  The hash is
-    that of the ids.
+    distance tables are equal.  Equality tests identity first, then the
+    ids, then the tables, so a space compared with itself, or with one of
+    other ids, reads no table.  The hash is that of the ids.
 
     ``scaled`` caches the table as ``(L, L*dist)``: L is the lcm of the
     table's denominators and every entry of ``L*dist`` is a Python int, so
@@ -58,9 +56,8 @@ class FiniteMetricSpace:
     transport simplex and certificates of ``transport.kantorovich``.
     """
 
-    def __init__(self, point_ids: tuple[str, ...], dist, coords=None):
+    def __init__(self, point_ids: tuple[str, ...], dist):
         self.point_ids = point_ids
-        self.coords = coords
         if callable(dist):
             self._pair = dist
         else:
@@ -94,11 +91,9 @@ class FiniteMetricSpace:
 
     @cached_property
     def scaled(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
-        scale = math.lcm(*(x.denominator for row in self.dist for x in row))
-        table = tuple(
-            tuple(x.numerator * (scale // x.denominator) for x in row) for row in self.dist
-        )
-        return scale, table
+        n = self.n
+        scale, flat = cleared([x for row in self.dist for x in row])
+        return scale, tuple(tuple(flat[i : i + n]) for i in range(0, n * n, n))
 
     def index(self, point_id: str) -> int:
         try:
@@ -163,7 +158,7 @@ def audit_space(dist_table, point_ids=None) -> list[MetricAxiomError]:
     return list(_violations(*_parse_table(dist_table, point_ids)))
 
 
-def validate_space(dist_table, point_ids=None, coords=None) -> FiniteMetricSpace:
+def validate_space(dist_table, point_ids=None) -> FiniteMetricSpace:
     """Validated metric space from a distance table.
 
     Raises the first violated axiom (use :func:`audit_space` for the full
@@ -173,11 +168,7 @@ def validate_space(dist_table, point_ids=None, coords=None) -> FiniteMetricSpace
     bad = next(_violations(ids, dist), None)
     if bad is not None:
         raise bad
-    if coords is not None:
-        coords = tuple(tuple(as_fraction(c) for c in pt) for pt in coords)
-        if len(coords) != len(ids):
-            raise InputParseError("coords must match the number of points")
-    return FiniteMetricSpace(ids, dist, coords)
+    return FiniteMetricSpace(ids, dist)
 
 
 def lip_constant(values, space: FiniteMetricSpace):
@@ -199,8 +190,7 @@ def lip_constant(values, space: FiniteMetricSpace):
                     best = ratio
         return best
     scale, d = space.scaled
-    den = math.lcm(*(x.denominator for x in values))
-    f = [x.numerator * (den // x.denominator) for x in values]
+    den, f = cleared(values)
     top, bottom = 0, 1
     for i, (fi, row) in enumerate(zip(f, d)):
         for j in range(i + 1, space.n):
@@ -260,17 +250,17 @@ class Lip1VertexSet:
 
     @cached_property
     def scaled(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
-        """The vertices as ``(L, L*vertices)`` in Python ints, L from
-        ``space.scaled``.
+        """The vertices as ``(L, L*vertices)`` in Python ints, L the lcm of
+        their values' denominators.
 
-        Every vertex value is an int over L (the vertex routes build them
-        as ``Fraction(x, L)``), so each L*phi is a tuple of ints, in vertex
-        order; the first ``len(half)`` of them are the half's.
+        The vertex routes build every value as ``Fraction(x, L')`` with L'
+        from ``space.scaled``, so L divides L'.  Each L*phi is a tuple of
+        ints, in vertex order; the first ``len(half)`` of them are the
+        half's.
         """
-        scale = self.space.scaled[0]
-        return scale, tuple(
-            tuple(x.numerator * (scale // x.denominator) for x in vert) for vert in self.vertices
-        )
+        n = self.space.n
+        scale, flat = cleared([x for vert in self.vertices for x in vert])
+        return scale, tuple(tuple(flat[i : i + n]) for i in range(0, len(flat), n))
 
 
 def _line_order(space: FiniteMetricSpace) -> list[int] | None:

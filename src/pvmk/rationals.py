@@ -30,6 +30,13 @@ def as_fraction(value) -> Fraction:
     raise InputParseError(f"not a rational: {value!r}")
 
 
+def cleared(values) -> tuple[int, list[int]]:
+    """``(L, [L*x for x in values])`` in Python ints, L the lcm of the
+    denominators (1 for none), for a sequence of Fractions and ints."""
+    scale = math.lcm(*(x.denominator for x in values))
+    return scale, [x.numerator * (scale // x.denominator) for x in values]
+
+
 def rational_str(q) -> str:
     """Render as "p/q", denominator kept even when it is 1."""
     q = Fraction(q)

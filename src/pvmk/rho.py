@@ -18,7 +18,6 @@ plain sampling of regularized Lipschitz functions.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -34,6 +33,7 @@ from .metric_core import (
     lip1_vertices,
 )
 from .ovm import OperatorValuedMeasure, atom_difference_norms, integrate
+from .rationals import cleared
 from .rng import SplitMix64
 
 SPHERE_ASCENT_STEPS = 50
@@ -97,12 +97,11 @@ def _best_diagonal_vertex(vertices: Lip1VertexSet, deltas) -> tuple[Fraction, in
     its non-zero atoms.
     """
     scale, ints = vertices.scaled
-    diags = deltas.diagonal(axis1=1, axis2=2).tolist()
-    unit = math.lcm(*(x.denominator for diag in diags for x in diag))
-    cleared = [[x.numerator * (unit // x.denominator) for x in diag] for diag in diags]
+    d = deltas.shape[1]
+    unit, flat = cleared(deltas.diagonal(axis1=1, axis2=2).ravel().tolist())
     slots = []
-    for j, col in enumerate(zip(*cleared)):
-        nonzero = [(a, w) for a, w in enumerate(col) if w]
+    for j in range(d):
+        nonzero = [(a, w) for a, w in enumerate(flat[j::d]) if w]
         if nonzero:
             slots.append((j, nonzero))
     best, best_i, best_j = 0, 0, 0

@@ -7,6 +7,7 @@ runs with the same inputs and seed.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -45,17 +46,18 @@ def _float(value) -> float:
 
 
 def space_from_obj(obj) -> FiniteMetricSpace:
-    """{"points": [{"id": str, "coord": [num...]?}...], "dist": [[num|"p/q"...]...]}"""
+    """{"points": [{"id": str, "coord": [num...]?}...], "dist": [[num|"p/q"...]...]};
+    each coordinate must parse as a rational, and none is kept."""
     try:
         points = obj["points"]
         dist = obj["dist"]
         ids = [str(p["id"]) for p in points]
-        coords = None
-        if any("coord" in p for p in points):
-            coords = [tuple(as_fraction(c) for c in p.get("coord", ())) for p in points]
+        for p in points:
+            for c in p.get("coord", ()):
+                as_fraction(c)
     except (KeyError, TypeError) as exc:
         raise InputParseError(f"space document missing or malformed field: {exc!r}") from exc
-    return validate_space(_rows(dist, "distance table"), ids, coords)
+    return validate_space(_rows(dist, "distance table"), ids)
 
 
 def measure_from_obj(obj, space: FiniteMetricSpace) -> ProbMeasure:
@@ -202,11 +204,14 @@ def _emit(value) -> str:
         return _emit(value.tolist())
     if isinstance(value, (list, tuple)):
         return "[" + ",".join(_emit(v) for v in value) + "]"
+    if dataclasses.is_dataclass(value):
+        return _emit({f.name: getattr(value, f.name) for f in dataclasses.fields(value)})
     raise InputParseError(f"cannot serialize value of type {type(value).__name__}")
 
 
 def canonical_json(value) -> str:
-    """Deterministic JSON: sorted keys, "p/q" rationals, 17-digit floats."""
+    """Deterministic JSON: sorted keys, "p/q" rationals, 17-digit floats; a
+    dataclass is the object of its fields, so a property is not emitted."""
     return _emit(value)
 
 

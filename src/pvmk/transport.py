@@ -17,7 +17,6 @@ the non-zero plan entries and the potential.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -28,7 +27,7 @@ from .metric_core import (
     LipschitzFunction,
     certify_lipschitz,
 )
-from .rationals import as_fraction
+from .rationals import as_fraction, cleared
 
 
 @dataclass(frozen=True)
@@ -227,9 +226,8 @@ def kantorovich(space: FiniteMetricSpace, mu: ProbMeasure, nu: ProbMeasure) -> T
     _check_measure(space, mu)
     _check_measure(space, nu)
     scale, d = space.scaled
-    unit = math.lcm(*(w.denominator for w in mu.weights + nu.weights))
-    a = [w.numerator * (unit // w.denominator) for w in mu.weights]
-    b = [w.numerator * (unit // w.denominator) for w in nu.weights]
+    unit, ab = cleared(mu.weights + nu.weights)
+    a, b = ab[: space.n], ab[space.n :]
     rows = mu.support()
     cols = nu.support()
     value, flow, _u, v = _transport_simplex(
@@ -282,9 +280,8 @@ def kantorovich_dual_oracle(
     _check_measure(space, mu)
     _check_measure(space, nu)
     scale, ints = vertices.scaled
-    unit = math.lcm(*(w.denominator for w in mu.weights + nu.weights))
-    a = [w.numerator * (unit // w.denominator) for w in mu.weights]
-    b = [w.numerator * (unit // w.denominator) for w in nu.weights]
+    unit, ab = cleared(mu.weights + nu.weights)
+    a, b = ab[: space.n], ab[space.n :]
     diff = [(i, x - y) for i, (x, y) in enumerate(zip(a, b)) if x != y]
     best = max(sum([vert[i] * w for i, w in diff]) for vert in ints)
     return Fraction(best, scale * unit)

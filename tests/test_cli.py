@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import pvmk.cli
 import pvmk.ifs
 from pvmk.cli import run
 from pvmk.cuntz import multiplication_pvm
@@ -38,14 +39,8 @@ def files(tmp_path):
 
 # Writers for the space and ovm documents the CLI reads.
 def space_to_obj(space) -> dict:
-    points = []
-    for i, pid in enumerate(space.point_ids):
-        entry: dict = {"id": pid}
-        if space.coords is not None:
-            entry["coord"] = [rational_str(c) for c in space.coords[i]]
-        points.append(entry)
     return {
-        "points": points,
+        "points": [{"id": pid} for pid in space.point_ids],
         "dist": [[rational_str(x) for x in row] for row in space.dist],
     }
 
@@ -164,6 +159,36 @@ def test_cuntz_verify_reaches_the_cell_cap_without_distance_tables(files, capsys
         (k, 0, 0) for k in range(1, 13)
     ]
     assert reads == []
+
+
+def test_commands_that_read_no_coordinate_build_no_representatives(files, capsys, monkeypatch):
+    # with IfsSystem.apply raising, every command that reads no coordinate
+    # distance still passes; a dyadic phi-iterate scores levels of at most
+    # 8 atoms, which read their parent's representatives and no deeper ones
+    def refuse(self, i, x):
+        raise AssertionError("a representative was built")
+
+    towers = []
+
+    def recording(ifs, depth):
+        towers.append(build_tower(ifs, depth))
+        return towers[-1]
+
+    monkeypatch.setattr(pvmk.cli, "build_tower", recording)
+    tmp, write = files
+    dyadic = write("ifs.json", DYADIC)
+    theta = write("theta.json", {**DYADIC, "symbolic_metric": {"theta": "1/3"}})
+    with monkeypatch.context() as patched:
+        patched.setattr(pvmk.ifs.IfsSystem, "apply", refuse)
+        for command in ("cuntz-verify", "verify-fixed-point", "hutchinson"):
+            assert run([command, "--ifs", dyadic, "--depth", "12"]) == 0
+        assert run(["phi-iterate", "--ifs", theta, "--depth", "6", "--steps", "4"]) == 0
+        assert run(["phi-iterate", "--ifs", dyadic, "--depth", "12", "--steps", "4"]) == 0
+    assert run(["phi-iterate", "--ifs", dyadic, "--depth", "5", "--steps", "4"]) == 0
+    capsys.readouterr()
+    assert not any("reps" in vars(level) for tower in towers[:-1] for level in tower.levels)
+    built = [k for k, level in enumerate(towers[-1].levels) if "reps" in vars(level)]
+    assert built == [0, 1, 2]
 
 
 def test_rho_command_methods(files, capsys):

@@ -14,7 +14,7 @@ from pvmk.cuntz import (
     relation_defects,
 )
 from pvmk.errors import BranchOutOfRange, LevelOutOfRange, WordTooLong
-from pvmk.ifs import build_tower, dyadic_ifs, triadic_ifs, word_id
+from pvmk.ifs import CylinderTower, TowerLevel, build_tower, dyadic_ifs, triadic_ifs, word_id
 from pvmk.ovm import measure_of
 from pvmk.rng import SplitMix64
 
@@ -153,6 +153,22 @@ def test_branch_maps_and_counting_defects_match_the_dense_route(ifs, k):
         assert maps[i].tolist() == list(range(block.start, block.start + ct.dim(k - 1)))
     mats = [s_matrix(ct, i, k) for i in range(ct.n_branches)]
     assert relation_defects(maps, ct.dim(k)) == dense_relation_defects(mats) == (0, 0)
+
+
+@pytest.mark.parametrize("ifs, k", TOWER_LEVELS, ids=TOWER_IDS)
+def test_branch_maps_read_the_word_list(ifs, k):
+    # with level k's words shuffled, S_i follows each word (i,) + a to its
+    # listed position, which the index formula would not give
+    ct = build_tower(ifs, k)
+    words = list(ct.level(k).words)
+    shuffled = [words[j] for j in SplitMix64(k).distinct_indices(len(words), len(words))]
+    level = TowerLevel(ct.ifs, tuple(shuffled), ct.level(k - 1))
+    moved = CylinderTower(ct.ifs, k, ct.levels[:k] + (level,))
+    maps = branch_maps(moved, k)
+    prev = ct.level(k - 1).words
+    for i in range(ct.n_branches):
+        assert maps[i].tolist() == [shuffled.index((i,) + a) for a in prev]
+    assert relation_defects(maps, ct.dim(k)) == (0, 0)
 
 
 def test_counting_defects_equal_the_dense_oracle_on_random_maps():

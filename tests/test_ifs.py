@@ -20,6 +20,8 @@ from pvmk.ifs import (
     make_ifs,
     triadic_ifs,
 )
+from pvmk.rng import SplitMix64
+from pvmk.sampling import random_rational_measure
 from pvmk.transport import ProbMeasure, kantorovich
 
 F = Fraction
@@ -226,10 +228,9 @@ def test_tower_levels_pass_full_metric_audit(ifs, depth):
     for level in tower.levels:
         space = level.space
         assert audit_space(space.dist, space.point_ids) == []
-        again = validate_space(space.dist, space.point_ids, space.coords)
+        again = validate_space(space.dist, space.point_ids)
         assert again.dist == space.dist
         assert again.point_ids == space.point_ids
-        assert again.coords == space.coords
         assert again.diam == space.diam
         assert again == space
 
@@ -264,14 +265,68 @@ def _level_table(words, reps, theta):
 )
 def test_level_distances_match_the_table_formula(ifs, depth):
     # every pair distance read through d, with no table built, and then
-    # the table built from them, equal the whole-table formula
-    for level in build_tower(ifs, depth).levels:
+    # the table built from them, equal the whole-table formula on the
+    # eagerly built representatives; a level's distances read its parent's
+    # representatives, not its own, and a theta level reads none
+    tower = build_tower(ifs, depth)
+    for level, reps in zip(tower.levels, _eager_reps(ifs, depth)):
         space = level.space
-        oracle = _level_table(level.words, level.reps, level.theta)
+        oracle = _level_table(level.words, reps, ifs.theta)
         points = range(space.n)
         assert all(space.d(i, j) == oracle[i][j] for i in points for j in points)
         assert "dist" not in vars(space)
         assert space.dist == oracle
+        assert "reps" not in vars(level)
+    built = ["reps" in vars(level) for level in tower.levels]
+    assert built == [ifs.theta is None and k < depth for k in range(depth + 1)]
+
+
+def _eager_reps(ifs, depth):
+    """Every level's representatives by the loop ``build_tower`` ran before
+    they were built on first read; the oracle for ``TowerLevel.reps``."""
+    levels = [(ifs.base_point,)]
+    for _ in range(depth):
+        levels.append(tuple(ifs.apply(i, x) for i in range(ifs.n_branches) for x in levels[-1]))
+    return levels
+
+
+def _random_base_systems(seed):
+    rng = SplitMix64(seed)
+    half, quarter = F(1, 2), F(1, 4)
+    for _ in range(3):
+        base = F(rng.randint(0, 63), 64)
+        yield make_ifs([(half, 0), (half, half)], base), 6
+        yield make_ifs([(quarter, 0), (quarter, F(3, 8)), (quarter, F(3, 4))], base), 4
+        yield make_ifs([(half, 0), (half, half)], base, theta=F(1, 3)), 6
+
+
+def test_representatives_equal_the_eager_loop():
+    # read deepest level first, then in shuffled order: each level builds
+    # its representatives from its parent's, whichever is read first
+    rng = SplitMix64(5)
+    for ifs, depth in _random_base_systems(71):
+        oracle = _eager_reps(ifs, depth)
+        tower = build_tower(ifs, depth)
+        assert not any("reps" in vars(level) for level in tower.levels)
+        assert tower.level(depth).reps == oracle[depth]
+        assert all("reps" in vars(level) for level in tower.levels)
+        fresh = build_tower(ifs, depth)
+        for k in rng.distinct_indices(depth + 1, depth + 1):
+            assert fresh.level(k).reps == oracle[k]
+
+
+def test_hutchinson_step_equals_the_validated_measure():
+    # the pushforward is built unvalidated; the validating constructor
+    # accepts its weights and gives the same measure at every level
+    rng = SplitMix64(9)
+    for ifs, depth in _random_base_systems(72):
+        tower = build_tower(ifs, depth)
+        n = ifs.n_branches
+        for k in range(depth):
+            nu = random_rational_measure(tower.dim(k), rng)
+            pushed = hutchinson_step(tower, k, nu)
+            assert pushed == ProbMeasure.from_values(pushed.weights)
+            assert pushed.weights == tuple(w / n for _ in range(n) for w in nu.weights)
 
 
 def test_hutchinson_reaches_the_cell_cap():

@@ -417,7 +417,7 @@ def test_vertex_set_caches_its_scaled_ints():
         verts = lip1_vertices(space, cap=8)
         scale, ints = verts.scaled
         assert verts.scaled is verts.scaled
-        assert scale == space.scaled[0]
+        assert space.scaled[0] % scale == 0
         assert all(type(x) is int for vert in ints for x in vert)
         assert tuple(tuple(F(x, scale) for x in vert) for vert in ints) == verts.vertices
 
@@ -444,8 +444,8 @@ def test_a_table_given_as_a_function_is_built_on_first_read():
     calls.clear()
     assert lazy.scaled == path_space().scaled and lazy.diam == 2
     assert lazy.dist is lazy.dist and lazy.d(0, 2) == 2 and calls == []
-    moved = validate_space([[0, 1, 2], [1, 0, 1], [2, 1, 0]], coords=[[5], [6], [7]])
-    assert moved == lazy and moved.coords != lazy.coords
+    validated = validate_space([[0, 1, 2], [1, 0, 1], [2, 1, 0]])
+    assert validated == lazy
 
 
 def test_anchored_lip1_membership_lp():

@@ -470,7 +470,7 @@ def test_lipschitz_certificate_rejects_a_non_metric_table():
     # on a metric table, so only a table that breaks the triangle
     # inequality (built without validate_space) can fail this certificate.
     dist = tuple(tuple(F(x) for x in row) for row in ((0, 1, 5), (1, 0, 1), (5, 1, 0)))
-    space = FiniteMetricSpace(("a", "b", "c"), dist, None)
+    space = FiniteMetricSpace(("a", "b", "c"), dist)
     with pytest.raises(PvmkError, match="1-Lipschitz certificate"):
         kantorovich(space, ProbMeasure.dirac(3, 0), ProbMeasure.dirac(3, 2))
 
