@@ -13,7 +13,6 @@ from .metric_core import (
 )
 from .transport import (
     ProbMeasure,
-    SignedMeasure,
     TransportResult,
     kantorovich,
     kantorovich_dual_oracle,
@@ -38,7 +37,6 @@ from .cuntz import (
 )
 from .ovm import (
     OperatorValuedMeasure,
-    ScalarMeasurePair,
     conjugate,
     diagonal_pvm,
     integrate,
@@ -77,7 +75,6 @@ __all__ = [
     "lip_constant",
     "validate_space",
     "ProbMeasure",
-    "SignedMeasure",
     "TransportResult",
     "kantorovich",
     "kantorovich_dual_oracle",
@@ -96,7 +93,6 @@ __all__ = [
     "cylinder_projection",
     "multiplication_pvm",
     "OperatorValuedMeasure",
-    "ScalarMeasurePair",
     "conjugate",
     "diagonal_pvm",
     "integrate",

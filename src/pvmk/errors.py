@@ -50,10 +50,6 @@ class SpaceTooLarge(PvmkError):
 
 # --- transport --------------------------------------------------------------
 
-class DimensionMismatch(PvmkError):
-    pass
-
-
 class StaleVertexSet(PvmkError):
     """Vertex set was generated from a different space."""
 
@@ -128,5 +124,7 @@ class NotUnitary(PvmkError):
 
 
 class MismatchedMeasures(PvmkError):
-    """Operator valued measures live on different spaces or dimensions."""
+    """An input is not on the given space or dimension: measures on different
+    frames, or a weight list, vector, integrand, matrix or assignment whose
+    length or shape does not match the space or the Hilbert dimension."""
 

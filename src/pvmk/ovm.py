@@ -22,7 +22,6 @@ import numpy as np
 from . import linalg
 from .errors import (
     CrossProductNonzero,
-    DimensionMismatch,
     InputParseError,
     MismatchedMeasures,
     NotHermitian,
@@ -33,7 +32,6 @@ from .errors import (
 )
 from .metric_core import FiniteMetricSpace
 from .rng import SplitMix64
-from .transport import SignedMeasure
 
 PROJECTION = "projection"
 POSITIVE = "positive"
@@ -79,7 +77,7 @@ class OperatorValuedMeasure:
         return self.assignment is not None or linalg.is_exact_matrix(self.dense)
 
     def same_frame(self, other: "OperatorValuedMeasure") -> bool:
-        """Equal spaces (ids and table, coordinates ignored) and equal dims."""
+        """Equal spaces (ids and distance table) and equal dims."""
         return self.space == other.space and self.dim == other.dim
 
 
@@ -99,11 +97,11 @@ def validate_ovm(
         raise InputParseError(f"unknown kind {kind!r}")
     mats = [np.asarray(m) for m in mats]
     if len(mats) != space.n:
-        raise DimensionMismatch("one matrix per atom is required")
+        raise MismatchedMeasures("one matrix per atom is required")
     dim = mats[0].shape[0] if mats[0].ndim == 2 else -1
     for m in mats:
         if m.ndim != 2 or m.shape != (dim, dim):
-            raise DimensionMismatch("atom matrices must be square and equally sized")
+            raise MismatchedMeasures("atom matrices must be square and equally sized")
     floats = [m.dtype for m in mats if not linalg.is_exact_matrix(m)]
     # One float atom makes the whole measure float: stacked as they are,
     # exact atoms would turn the stack into an object array claiming exactness.
@@ -161,12 +159,12 @@ def diagonal_pvm(space: FiniteMetricSpace, assignment) -> OperatorValuedMeasure:
     have disjoint diagonal supports, so their products vanish; and each
     basis vector is assigned to exactly one atom, so the atoms sum to the
     identity.  That last step needs every entry to name an atom, which is
-    checked here: an entry outside 0..n-1 raises ``DimensionMismatch``.
+    checked here: an entry outside 0..n-1 raises ``MismatchedMeasures``.
     """
     assignment = np.array(assignment, dtype=np.intp)
     outside = (assignment < 0) | (assignment >= space.n)
     if outside.any():
-        raise DimensionMismatch(
+        raise MismatchedMeasures(
             f"assignment entry {assignment[outside][0]} names no atom of a {space.n}-point space"
         )
     assignment.setflags(write=False)
@@ -191,61 +189,31 @@ def measure_of(ovm: OperatorValuedMeasure, atom_ids) -> np.ndarray:
     return ovm.mats[[ovm.space.index(aid) for aid in ids]].sum(axis=0)
 
 
-@dataclass(frozen=True, eq=False)
-class ScalarMeasurePair:
-    """Complex scalar measure <F(.)g, h> split into real and imaginary parts."""
-
-    real: SignedMeasure
-    imag: SignedMeasure
-    g: np.ndarray
-    h: np.ndarray
-    conjugate_symmetry_defect: float | None
-
-    @property
-    def weights(self) -> np.ndarray:
-        return np.array(self.real.weights) + 1j * np.array(self.imag.weights)
-
-    @property
-    def total_variation(self) -> float:
-        return float(np.abs(self.weights).sum())
-
-    def total_mass(self) -> complex:
-        return complex(self.weights.sum())
-
-
-def scalar_measure(F: OperatorValuedMeasure, g, h) -> ScalarMeasurePair:
-    """Atom weights <F(atom) g, h>, linear in g, conjugate-linear in h."""
+def scalar_measure(F: OperatorValuedMeasure, g, h) -> np.ndarray:
+    """Complex atom weights <F(atom) g, h>, linear in g, conjugate-linear in h."""
     g = np.asarray(g, dtype=np.complex128)
     h = np.asarray(h, dtype=np.complex128)
     if g.shape != (F.dim,) or h.shape != (F.dim,):
-        raise DimensionMismatch("vectors must match the Hilbert dimension")
-    weights = np.array([np.vdot(h, linalg.to_complex(m) @ g) for m in F.mats])
-    reversed_weights = np.array([np.vdot(g, linalg.to_complex(m) @ h) for m in F.mats])
-    defect = float(np.abs(weights - reversed_weights.conj()).max()) if len(weights) else 0.0
-    return ScalarMeasurePair(
-        real=SignedMeasure(tuple(float(x) for x in weights.real)),
-        imag=SignedMeasure(tuple(float(x) for x in weights.imag)),
-        g=g,
-        h=h,
-        conjugate_symmetry_defect=defect,
-    )
+        raise MismatchedMeasures("vectors must match the Hilbert dimension")
+    return np.einsum("i,aij,j->a", h.conj(), linalg.to_complex(F.mats), g)
 
 
 def integrate(psi, F: OperatorValuedMeasure) -> np.ndarray:
-    """sum over atoms of psi(atom) * F(atom); exact when both sides are exact."""
-    psi = list(psi)
-    if len(psi) != F.space.n:
-        raise DimensionMismatch("integrand must assign a value to every atom")
-    exact = F.is_exact and all(isinstance(x, (int, Fraction)) for x in psi)
-    if exact:
-        out = np.zeros((F.dim, F.dim), dtype=object)
-        for x, m in zip(psi, F.mats):
-            out = out + x * m
-        return out
-    out = np.zeros((F.dim, F.dim), dtype=np.complex128)
-    for x, m in zip(psi, F.mats):
-        out = out + complex(x) * linalg.to_complex(m)
-    return out
+    """sum over atoms of psi(atom) * F(atom); a 2-D psi, one function per
+    row, gives the stack of integrals.
+
+    The result is exact (object entries) when F is exact and every value is
+    a Python int or a Fraction, and complex128 otherwise.
+    """
+    stacked = np.ndim(psi) == 2
+    rows = [list(f) for f in psi] if stacked else [list(psi)]
+    exact = F.is_exact and all(isinstance(x, (int, Fraction)) for f in rows for x in f)
+    values = np.array(rows, dtype=object if exact else np.complex128)
+    if values.shape[-1] != F.space.n:
+        raise MismatchedMeasures("integrand must assign a value to every atom")
+    mats = F.mats if exact else linalg.to_complex(F.mats)
+    out = np.tensordot(values, mats, axes=(1, 0))
+    return out if stacked else out[0]
 
 
 @dataclass(frozen=True)
@@ -273,31 +241,23 @@ def representation_check(F: OperatorValuedMeasure, seed: int = 0, extra: int = 3
     """
     n = F.space.n
     rng = SplitMix64(seed)
-    panel: list[np.ndarray] = [np.eye(n, dtype=np.complex128)[i] for i in range(n)]
-    for _ in range(extra):
-        panel.append(
-            np.array([complex(rng.gauss(), rng.gauss()) for _ in range(n)])
-        )
-    ints = [linalg.to_complex(integrate(f, F)) for f in panel]
+    panel = np.eye(n + extra, n, dtype=np.complex128)
+    for f in panel[n:]:
+        f[:] = [complex(rng.gauss(), rng.gauss()) for _ in range(n)]
+    ints = integrate(panel, F)
     unital = linalg.max_abs(integrate([1] * n, F) - np.eye(F.dim))
-    adjoint = max(
-        linalg.max_abs(linalg.to_complex(integrate(np.conj(f), F)) - m.conj().T)
-        for f, m in zip(panel, ints)
+    adjoint = linalg.max_abs(integrate(panel.conj(), F) - ints.conj().transpose(0, 2, 1))
+    # one row of products f * g at a time keeps every temporary at (n + extra) d^2
+    mult = max(
+        linalg.max_abs(integrate(f * panel, F) - ints[i] @ ints) for i, f in enumerate(panel)
     )
-    mult = 0.0
-    for i, f in enumerate(panel):
-        for j, g in enumerate(panel):
-            prod = linalg.to_complex(integrate(f * g, F))
-            mult = max(mult, linalg.max_abs(prod - ints[i] @ ints[j]))
     lin = 0.0
     for _ in range(3):
         a = complex(rng.gauss(), rng.gauss())
-        f = panel[rng.randint(0, len(panel) - 1)]
-        g = panel[rng.randint(0, len(panel) - 1)]
-        combo = linalg.to_complex(integrate(a * f + g, F))
-        fi = linalg.to_complex(integrate(f, F))
-        gi = linalg.to_complex(integrate(g, F))
-        lin = max(lin, linalg.max_abs(combo - (a * fi + gi)))
+        i = rng.randint(0, len(panel) - 1)
+        j = rng.randint(0, len(panel) - 1)
+        combo = integrate(a * panel[i] + panel[j], F)
+        lin = max(lin, linalg.max_abs(combo - (a * ints[i] + ints[j])))
     return RepresentationReport(
         linearity=float(lin),
         multiplicativity=float(mult),
@@ -311,7 +271,7 @@ def conjugate(F: OperatorValuedMeasure, u: np.ndarray) -> OperatorValuedMeasure:
     unitary within ``DEFAULT_TOL``, and the result is validated at 1e-9."""
     u = np.asarray(u, dtype=np.complex128)
     if u.shape != (F.dim, F.dim):
-        raise DimensionMismatch("conjugating matrix must match the dimension")
+        raise MismatchedMeasures("conjugating matrix must match the dimension")
     defect = linalg.spectral_norm(u.conj().T @ u - np.eye(F.dim))
     if defect > DEFAULT_TOL:
         raise NotUnitary(f"u*u differs from the identity by {defect}")
@@ -320,7 +280,7 @@ def conjugate(F: OperatorValuedMeasure, u: np.ndarray) -> OperatorValuedMeasure:
     return validate_ovm(F.space, mats, F.kind, tol=1e-9)
 
 
-def polarize(quadratic_oracle, g, h) -> ScalarMeasurePair:
+def polarize(quadratic_oracle, g, h) -> np.ndarray:
     """Recover the complex measure from the quadratic diagonal v -> A_{v,v}.
 
     Re A_{g,h} = (A_{g+h,g+h} - A_{g,g} - A_{h,h}) / 2 and
@@ -334,22 +294,12 @@ def polarize(quadratic_oracle, g, h) -> ScalarMeasurePair:
     a_isum = np.asarray(quadratic_oracle(1j * g + h), dtype=np.float64)
     re = (a_sum - a_gg - a_hh) / 2.0
     im = -(a_isum - a_gg - a_hh) / 2.0
-    return ScalarMeasurePair(
-        real=SignedMeasure(tuple(float(x) for x in re)),
-        imag=SignedMeasure(tuple(float(x) for x in im)),
-        g=g,
-        h=h,
-        conjugate_symmetry_defect=None,
-    )
+    return re + 1j * im
 
 
 def quadratic_oracle_from(F: OperatorValuedMeasure):
     """The diagonal map v -> real atom weights of <F(.)v, v>."""
-
-    def oracle(v):
-        return np.array(scalar_measure(F, v, v).real.weights)
-
-    return oracle
+    return lambda v: scalar_measure(F, v, v).real
 
 
 def atom_difference_norms(E: OperatorValuedMeasure, F: OperatorValuedMeasure) -> np.ndarray:

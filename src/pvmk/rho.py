@@ -29,12 +29,14 @@ from .metric_core import (
     FiniteMetricSpace,
     Lip1VertexSet,
     LipschitzFunction,
+    certify_lipschitz,
     lip_constant,
     lip1_vertices,
 )
 from .ovm import OperatorValuedMeasure, atom_difference_norms, integrate
 from .rationals import cleared
 from .rng import SplitMix64
+from .sampling import random_unit_vector
 
 SPHERE_ASCENT_STEPS = 50
 # Slack of the float comparisons in the metric-axiom and topology checks.
@@ -143,7 +145,7 @@ def rho_exact(
         return RhoResult(
             value=float(best),
             exact=best,
-            witness_phi=LipschitzFunction(best_vert, lip_constant(best_vert, space)),
+            witness_phi=certify_lipschitz(space, best_vert),
             witness_vector=witness_vec,
             method="vertex",
         )
@@ -155,7 +157,7 @@ def rho_exact(
     return RhoResult(
         value=float(norms[best_i]),
         exact=None,
-        witness_phi=LipschitzFunction(best_vert, lip_constant(best_vert, space)),
+        witness_phi=certify_lipschitz(space, best_vert),
         witness_vector=witness_vec,
         method="vertex",
     )
@@ -217,8 +219,6 @@ def rho_lower_sphere(
     best = -1.0
     best_h = None
     best_vert = half[0]
-    from .sampling import random_unit_vector  # local import to avoid a cycle
-
     for _ in range(restarts):
         h = random_unit_vector(E.dim, rng, complex_=complex_case)
         prev = -1.0
@@ -237,7 +237,7 @@ def rho_lower_sphere(
     return RhoResult(
         value=best,
         exact=None,
-        witness_phi=LipschitzFunction(best_vert, lip_constant(best_vert, space)),
+        witness_phi=certify_lipschitz(space, best_vert),
         witness_vector=best_h,
         method="sphere",
     )
@@ -274,7 +274,7 @@ def rho_lower_grid(
     return RhoResult(
         value=float(norms[best_i]),
         exact=None,
-        witness_phi=LipschitzFunction(phi_best, lip_constant(phi_best, space)),
+        witness_phi=certify_lipschitz(space, phi_best),
         witness_vector=witness_vec,
         method="grid",
     )

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DimensionMismatch, InputParseError, PvmkError, StaleVertexSet
+from .errors import InputParseError, MismatchedMeasures, PvmkError, StaleVertexSet
 from .metric_core import (
     FiniteMetricSpace,
     Lip1VertexSet,
@@ -55,20 +55,6 @@ class ProbMeasure:
 
     def support(self) -> tuple[int, ...]:
         return tuple(i for i, w in enumerate(self.weights) if w != 0)
-
-    def __len__(self) -> int:
-        return len(self.weights)
-
-
-@dataclass(frozen=True)
-class SignedMeasure:
-    """Finite signed (or one component of a complex) measure on the atoms."""
-
-    weights: tuple
-
-    @property
-    def total_variation(self):
-        return sum(abs(w) for w in self.weights)
 
     def __len__(self) -> int:
         return len(self.weights)
@@ -209,7 +195,7 @@ def _transport_simplex(cost, supply, demand):
 
 def _check_measure(space: FiniteMetricSpace, mu: ProbMeasure):
     if len(mu) != space.n:
-        raise DimensionMismatch(
+        raise MismatchedMeasures(
             f"measure has {len(mu)} weights, space has {space.n} points"
         )
 

@@ -502,12 +502,12 @@ def _scalar_pushforward_defect(ct, k, E, h) -> float:
     """
     stepped = phi_step(ct, k, E)
     h = np.asarray(h, dtype=np.complex128)
-    lhs = np.array(scalar_measure(stepped, h, h).real.weights)
+    lhs = scalar_measure(stepped, h, h).real
     d_prev = ct.dim(k - 1)
     rhs = np.empty_like(lhs)
     for i in range(ct.n_branches):
         pulled = s_matrix(ct, i, k).astype(np.float64).T @ h
-        part = np.array(scalar_measure(E, pulled, pulled).real.weights)
+        part = scalar_measure(E, pulled, pulled).real
         rhs[i * d_prev : (i + 1) * d_prev] = part
     return float(np.abs(lhs - rhs).max())
 

@@ -9,7 +9,7 @@ from pvmk.cuntz import multiplication_pvm
 from pvmk.fixed_point import phi_step
 from pvmk.errors import (
     CrossProductNonzero,
-    DimensionMismatch,
+    MismatchedMeasures,
     NotHermitian,
     NotIdempotent,
     NotPSD,
@@ -71,7 +71,7 @@ def test_diagonal_pvm_keeps_its_assignment_and_builds_atoms_when_read():
 def test_diagonal_pvm_rejects_an_entry_that_names_no_atom(assignment, entry):
     # a negative entry would wrap to the last atom, and one past the last
     # atom would surface only when the dense atoms are built
-    with pytest.raises(DimensionMismatch, match=f"entry {entry} "):
+    with pytest.raises(MismatchedMeasures, match=f"entry {entry} "):
         diagonal_pvm(two_atom_space(), assignment)
 
 
@@ -85,9 +85,6 @@ def test_measures_compare_and_hash_by_identity():
     ]:
         assert e == e and e != f and not e == f
         assert len({e, f, e}) == 2
-    pair = scalar_measure(e, np.ones(3), np.ones(3))
-    assert pair == pair and pair != scalar_measure(e, np.ones(3), np.ones(3))
-    assert len({pair}) == 1
 
 
 def test_half_identity_is_povm_but_not_pvm():
@@ -131,9 +128,9 @@ def test_measure_of_additivity(dyadic_ct2):
 def test_scalar_measure_dirac(dyadic_ct2):
     pvm = multiplication_pvm(dyadic_ct2, 1)
     e0 = np.array([1.0, 0.0])
-    pair = scalar_measure(pvm, e0, e0)
-    assert pair.real.weights == (1.0, 0.0)
-    assert pair.imag.weights == (0.0, 0.0)
+    weights = scalar_measure(pvm, e0, e0)
+    assert weights.dtype == np.complex128
+    assert weights.tolist() == [1.0, 0.0]
 
 
 def test_scalar_measure_diagonal_is_positive_with_mass():
@@ -141,9 +138,9 @@ def test_scalar_measure_diagonal_is_positive_with_mass():
     space = random_metric_space(3, rng)
     povm = random_povm(space, 3, rng)
     h = 2.0 * random_unit_vector(3, rng, complex_=True)
-    pair = scalar_measure(povm, h, h)
-    weights = np.array(pair.real.weights)
-    assert np.abs(pair.imag.weights).max() < 1e-12
+    complex_weights = scalar_measure(povm, h, h)
+    weights = complex_weights.real
+    assert np.abs(complex_weights.imag).max() < 1e-12
     assert weights.min() > -1e-12
     assert abs(weights.sum() - np.vdot(h, h).real) < 1e-12
 
@@ -155,9 +152,9 @@ def test_scalar_measure_total_variation_bound():
         povm = random_povm(space, 3, rng)
         g = 1.5 * random_unit_vector(3, rng, complex_=True)
         h = 0.5 * random_unit_vector(3, rng, complex_=True)
-        pair = scalar_measure(povm, g, h)
-        assert pair.total_variation <= 0.75 + 1e-10
-        assert pair.conjugate_symmetry_defect < 1e-12
+        weights = scalar_measure(povm, g, h)
+        assert np.abs(weights).sum() <= 0.75 + 1e-10
+        assert np.abs(weights - scalar_measure(povm, h, g).conj()).max() < 1e-12
 
 
 def test_integrate_constant_gives_scaled_identity(dyadic_ct2):
@@ -181,7 +178,7 @@ def test_integrate_defining_identity():
     h = random_unit_vector(3, rng, complex_=True)
     m = to_complex(integrate(psi, povm))
     lhs = np.vdot(h, m @ g)
-    rhs = (psi * scalar_measure(povm, g, h).weights).sum()
+    rhs = (psi * scalar_measure(povm, g, h)).sum()
     assert abs(lhs - rhs) < 1e-12
 
 
@@ -211,6 +208,133 @@ def test_representation_check_discriminates(dyadic_ct2):
     assert rep.unital < 1e-15
 
 
+def _exact_measures():
+    """An assignment PVM, an int64 dense PVM and a rational object PVM."""
+    space = validate_space([[0, 1, 2], [1, 0, 1], [2, 1, 0]])
+    half = np.array([[F(1, 2), F(1, 2)], [F(1, 2), F(1, 2)]], dtype=object)
+    return {
+        "assignment": diagonal_pvm(space, [2, 0, 2, 1]),
+        "int64": validate_ovm(
+            space, [np.diag([1, 0, 0]), np.diag([0, 1, 0]), np.diag([0, 0, 1])], "projection"
+        ),
+        "rational": validate_ovm(
+            two_atom_space(), [half, np.eye(2, dtype=np.int64) - half], "projection"
+        ),
+    }
+
+
+def _fraction_integral(values, E) -> list:
+    """Entry (i, j) of the integral as a Fraction sum over atoms, one entry at a time."""
+    return [
+        [sum(F(values[a]) * F(E.mats[a, i, j]) for a in range(E.space.n)) for j in range(E.dim)]
+        for i in range(E.dim)
+    ]
+
+
+@pytest.mark.parametrize("kind", ["assignment", "int64", "rational"])
+def test_integrate_exact_values_on_exact_measures_is_exact(kind):
+    E = _exact_measures()[kind]
+    n = E.space.n
+    for values in ([3, -1, 2][:n], [F(1, 3), F(-5, 7), 4][:n], [True, 0, F(2, 9)][:n]):
+        out = integrate(values, E)
+        assert out.dtype == object, values
+        assert all(type(x) in (int, F) for x in out.flat), values
+        assert out.tolist() == _fraction_integral(values, E), values
+    # a float or complex value anywhere makes the integral complex128
+    for values in ([0.5] + [1] * (n - 1), [1j] + [F(1, 2)] * (n - 1)):
+        out = integrate(values, E)
+        assert out.dtype == np.complex128
+        oracle = sum(complex(x) * to_complex(m) for x, m in zip(values, E.mats))
+        assert max_abs(out - oracle) < 1e-15
+    # numpy integers are not Python ints, so they take the float route
+    assert integrate(np.arange(n), E).dtype == np.complex128
+
+
+@pytest.mark.parametrize("kind", ["assignment", "int64", "rational"])
+def test_integrate_stack_equals_row_by_row(kind):
+    E = _exact_measures()[kind]
+    n = E.space.n
+    rows = [[F(k + a, a + 2) - k for a in range(n)] for k in range(4)]
+    stacked = integrate(rows, E)
+    assert stacked.shape == (4, E.dim, E.dim) and stacked.dtype == object
+    for row, one in zip(rows, stacked):
+        assert np.array_equal(one, integrate(row, E))
+    rng = SplitMix64(41)
+    panel = np.array([[complex(rng.gauss(), rng.gauss()) for _ in range(n)] for _ in range(5)])
+    stacked = integrate(panel, E)
+    assert stacked.dtype == np.complex128
+    for row, one in zip(panel, stacked):
+        assert max_abs(one - integrate(row, E)) < 1e-12
+
+
+def _random_float_measures(seed):
+    rng = SplitMix64(seed)
+    space = random_metric_space(4, rng)
+    povm = random_povm(space, 3, rng)
+    return rng, {
+        "real-pvm": random_pvm(space, 3, rng),
+        "complex-pvm": random_pvm(space, 3, rng, complex_=True),
+        "povm": povm,
+        "complex-povm": conjugate(povm, random_unitary(3, rng)),
+    }
+
+
+def test_scalar_measure_matches_per_atom_loop():
+    for seed in range(5):
+        rng, measures = _random_float_measures(seed)
+        for name, E in measures.items():
+            g = 1.5 * random_unit_vector(3, rng, complex_=True)
+            h = random_unit_vector(3, rng, complex_=True)
+            oracle = np.array([np.vdot(h, to_complex(m) @ g) for m in E.mats])
+            weights = scalar_measure(E, g, h)
+            assert weights.shape == (4,) and weights.dtype == np.complex128, name
+            assert np.abs(weights - oracle).max() < 1e-12, name
+
+
+def _loop_representation_check(E, seed=0, extra=3):
+    """The per-pair route: one integral per panel function and per product."""
+
+    def integral(psi):
+        out = np.zeros((E.dim, E.dim), dtype=np.complex128)
+        for x, m in zip(psi, E.mats):
+            out = out + complex(x) * to_complex(m)
+        return out
+
+    n = E.space.n
+    rng = SplitMix64(seed)
+    panel = [np.eye(n, dtype=np.complex128)[i] for i in range(n)]
+    for _ in range(extra):
+        panel.append(np.array([complex(rng.gauss(), rng.gauss()) for _ in range(n)]))
+    ints = [integral(f) for f in panel]
+    unital = max_abs(integral([1] * n) - np.eye(E.dim))
+    adjoint = max(max_abs(integral(np.conj(f)) - m.conj().T) for f, m in zip(panel, ints))
+    mult = max(
+        max_abs(integral(f * g) - ints[i] @ ints[j])
+        for i, f in enumerate(panel)
+        for j, g in enumerate(panel)
+    )
+    lin = 0.0
+    for _ in range(3):
+        a = complex(rng.gauss(), rng.gauss())
+        f = panel[rng.randint(0, len(panel) - 1)]
+        g = panel[rng.randint(0, len(panel) - 1)]
+        lin = max(lin, max_abs(integral(a * f + g) - (a * integral(f) + integral(g))))
+    return lin, mult, adjoint, unital
+
+
+def test_representation_check_matches_per_pair_loop(dyadic_ct2):
+    _, measures = _random_float_measures(7)
+    measures["diagonal"] = multiplication_pvm(dyadic_ct2, 2)
+    measures["half-identity"] = half_identity_povm()
+    for name, E in measures.items():
+        for seed, extra in ((0, 3), (5, 0), (9, 2)):
+            rep = representation_check(E, seed=seed, extra=extra)
+            got = (rep.linearity, rep.multiplicativity, rep.adjoint, rep.unital)
+            want = _loop_representation_check(E, seed=seed, extra=extra)
+            assert np.abs(np.subtract(got, want)).max() < 1e-12, (name, seed, got, want)
+    assert representation_check(measures["povm"]).multiplicativity > 1e-3
+
+
 def test_conjugate_examples(dyadic_ct2):
     pvm = multiplication_pvm(dyadic_ct2, 1)
     same = conjugate(pvm, np.eye(2))
@@ -227,18 +351,18 @@ def test_polarize_collapses_on_diagonal():
     space = random_metric_space(3, rng)
     povm = random_povm(space, 3, rng)
     h = random_unit_vector(3, rng, complex_=True)
-    pair = polarize(quadratic_oracle_from(povm), h, h)
+    rebuilt = polarize(quadratic_oracle_from(povm), h, h)
     direct = scalar_measure(povm, h, h)
-    assert np.abs(pair.weights - direct.weights).max() < 1e-12
-    assert np.abs(pair.weights.imag).max() < 1e-12
+    assert np.abs(rebuilt - direct).max() < 1e-12
+    assert np.abs(rebuilt.imag).max() < 1e-12
 
 
 def test_polarize_orthogonal_atoms_zero(dyadic_ct2):
     pvm = multiplication_pvm(dyadic_ct2, 2)
     e0 = np.eye(4)[0]
     e1 = np.eye(4)[1]
-    pair = polarize(quadratic_oracle_from(pvm), e0, e1)
-    assert np.abs(pair.weights).max() < 1e-12
+    rebuilt = polarize(quadratic_oracle_from(pvm), e0, e1)
+    assert np.abs(rebuilt).max() < 1e-12
 
 
 def test_polarize_matches_scalar_measure_randomly():
@@ -248,8 +372,8 @@ def test_polarize_matches_scalar_measure_randomly():
         povm = random_povm(space, 3, rng)
         g = random_unit_vector(3, rng, complex_=True)
         h = random_unit_vector(3, rng, complex_=True)
-        rebuilt = polarize(quadratic_oracle_from(povm), g, h).weights
-        direct = scalar_measure(povm, g, h).weights
+        rebuilt = polarize(quadratic_oracle_from(povm), g, h)
+        direct = scalar_measure(povm, g, h)
         assert np.abs(rebuilt - direct).max() < 1e-12
 
 
@@ -261,11 +385,11 @@ def test_sesquilinearity():
     h = random_unit_vector(3, rng, complex_=True)
     k = random_unit_vector(3, rng, complex_=True)
     alpha = complex(rng.gauss(), rng.gauss())
-    lhs = scalar_measure(povm, alpha * g + k, h).weights
-    rhs = alpha * scalar_measure(povm, g, h).weights + scalar_measure(povm, k, h).weights
+    lhs = scalar_measure(povm, alpha * g + k, h)
+    rhs = alpha * scalar_measure(povm, g, h) + scalar_measure(povm, k, h)
     assert np.abs(lhs - rhs).max() < 1e-12
-    lhs2 = scalar_measure(povm, g, alpha * h).weights
-    rhs2 = np.conj(alpha) * scalar_measure(povm, g, h).weights
+    lhs2 = scalar_measure(povm, g, alpha * h)
+    rhs2 = np.conj(alpha) * scalar_measure(povm, g, h)
     assert np.abs(lhs2 - rhs2).max() < 1e-12
 
 
@@ -284,10 +408,7 @@ def test_identity_of_measures_on_spanning_panel():
 
     def equal_on_panel(a, b):
         return all(
-            np.abs(
-                np.array(scalar_measure(a, h, h).real.weights)
-                - np.array(scalar_measure(b, h, h).real.weights)
-            ).max()
+            np.abs(scalar_measure(a, h, h).real - scalar_measure(b, h, h).real).max()
             < 1e-12
             for h in panel
         )
@@ -306,8 +427,7 @@ def test_identity_of_measures_on_spanning_panel():
         rebuilt = np.zeros((3, 3), dtype=complex)
         for i in range(3):
             for j in range(3):
-                pair = polarize(quadratic_oracle_from(E), basis[j], basis[i])
-                rebuilt[i, j] = pair.weights[atom]
+                rebuilt[i, j] = polarize(quadratic_oracle_from(E), basis[j], basis[i])[atom]
         assert np.abs(rebuilt - to_complex(E.mats[atom])).max() < 1e-12
 
 

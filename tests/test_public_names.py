@@ -1,4 +1,5 @@
-"""The README's library table and ``pvmk.__all__`` name only what exists."""
+"""The README's library table and ``pvmk.__all__`` name only what exists, and
+the table names every package export."""
 
 import importlib
 import re
@@ -39,3 +40,8 @@ def test_layout_table_names_exist(module, name):
 @pytest.mark.parametrize("name", pvmk.__all__)
 def test_package_exports_resolve(name):
     assert getattr(pvmk, name, None) is not None
+
+
+def test_layout_table_names_every_export():
+    listed = {name for _, name in LAYOUT}
+    assert sorted(set(pvmk.__all__) - listed) == []

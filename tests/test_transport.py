@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pvmk import transport
-from pvmk.errors import DimensionMismatch, PvmkError, StaleVertexSet
+from pvmk.errors import MismatchedMeasures, PvmkError, StaleVertexSet
 from pvmk.ifs import build_tower, dyadic_ifs
 from pvmk.metric_core import FiniteMetricSpace, lip1_vertices, lip_constant, validate_space
 from pvmk.rationals import as_fraction, is_rational_sequence
@@ -14,7 +14,6 @@ from pvmk.rng import SplitMix64
 from pvmk.sampling import random_metric_space, random_rational_measure
 from pvmk.transport import (
     ProbMeasure,
-    SignedMeasure,
     kantorovich,
     kantorovich_dual_oracle,
 )
@@ -100,7 +99,7 @@ def test_dual_oracle_dirac_attained_at_distance_vertex():
 
 
 def test_dimension_mismatch():
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(MismatchedMeasures):
         kantorovich(two_point_space(), ProbMeasure.dirac(3, 0), ProbMeasure.dirac(3, 1))
 
 
@@ -195,11 +194,6 @@ def test_weak_gap_random_bound():
         nu = random_rational_measure(n, rng)
         lhs, rhs = weak_gap(space, f, mu, nu)
         assert lhs <= rhs
-
-
-def test_signed_measure_total_variation():
-    s = SignedMeasure((F(1, 2), F(-1, 3), F(0)))
-    assert s.total_variation == F(5, 6)
 
 
 # ---------------------------------------------------------------- Fraction reference
