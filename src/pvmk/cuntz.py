@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BranchOutOfRange, LevelOutOfRange, WordTooLong
-from .ifs import CylinderTower
+from .ifs import CylinderTower, TowerLevel
 from .ovm import OperatorValuedMeasure, diagonal_pvm
 
 
@@ -44,30 +44,27 @@ def build_cuntz_tower(tower: CylinderTower) -> CylinderTower:
     return tower
 
 
-def word_positions(words, rows: np.ndarray, n: int) -> np.ndarray:
-    """Position in the list ``words`` of each word given as a row of
-    ``rows``, matched by a base-n code read last symbol first: the
-    position comes from the list's order, never from the code."""
-    listed = np.array(words, dtype=np.int64).reshape(len(words), rows.shape[1])
-    powers = n ** np.arange(rows.shape[1])
-    codes = listed @ powers
-    order = np.argsort(codes)
-    return order[np.searchsorted(codes[order], rows @ powers)]
+def word_positions(level: TowerLevel, codes) -> np.ndarray:
+    """Position in the level's word list of each word given by its base-N
+    code (:class:`ifs.WordCodes`): the position comes from the list's
+    order, never from the code."""
+    view = level.word_codes
+    return view.order[view.sorted.searchsorted(codes)]
 
 
 def branch_maps(tower: CylinderTower, k: int) -> np.ndarray:
     """S_0, ..., S_(N-1) from level k-1 into level k as an (N, d_(k-1)) array.
 
     Row i is S_i: column a holds the level-k index of the word (i,) + a,
-    where a is the level-(k-1) word at index a.  The indices are looked up
-    in the level's word list (:func:`word_positions`), not computed from
-    the word index formula.
+    where a is the level-(k-1) word at index a.  That word's code is
+    i + N code(a), and its index is looked up in the level's word list
+    (:func:`word_positions`), not computed from the word index formula.
     """
     if not 1 <= k <= tower.depth:
         raise LevelOutOfRange(f"level {k} outside 1..{tower.depth}")
-    n, prev = tower.n_branches, tower.level(k - 1).words
-    rows = np.array([(i,) + a for i in range(n) for a in prev], dtype=np.int64)
-    return word_positions(tower.level(k).words, rows, n).reshape(n, len(prev))
+    n = tower.n_branches
+    rows = np.arange(n)[:, None] + n * tower.level(k - 1).word_codes.codes
+    return word_positions(tower.level(k), rows)
 
 
 def relation_defects(maps: np.ndarray, rows: int) -> tuple[int, int]:
@@ -78,15 +75,17 @@ def relation_defects(maps: np.ndarray, rows: int) -> tuple[int, int]:
     number of pairs (i, a) with sigma_i(a) = r.  Entry (r, s) of M_i M_i^T
     is the number of a with sigma_i(a) = r = s, so sum_i M_i M_i^T is
     diag(hits), and the max abs entry of it minus the identity is
-    max |hits - 1|.  Entry (a, b) of M_i^T M_j is [sigma_i(a) = sigma_j(b)],
-    which is 1 on the diagonal when i = j; it is 1 off the target delta_ij
-    id exactly when two distinct pairs (i, a) and (j, b) hit one row.  So
-    the max abs entry of M_i^T M_j - delta_ij id over all i, j is 1 when
-    some row is hit twice and 0 otherwise.  Both are the dense defects,
-    computed by counting; zero means the relations hold exactly.
+    max |hits - 1| = max(max hits - 1, 1 - min hits).  Entry (a, b) of
+    M_i^T M_j is [sigma_i(a) = sigma_j(b)], which is 1 on the diagonal
+    when i = j; it is 1 off the target delta_ij id exactly when two
+    distinct pairs (i, a) and (j, b) hit one row.  So the max abs entry
+    of M_i^T M_j - delta_ij id over all i, j is 1 when some row is hit
+    twice and 0 otherwise.  Both are the dense defects, computed by
+    counting; zero means the relations hold exactly.
     """
     hits = np.bincount(np.asarray(maps).ravel(), minlength=rows)
-    return int(np.abs(hits - 1).max()), int(hits.max() > 1)
+    most, fewest = int(hits.max()), int(hits.min())
+    return max(most - 1, 1 - fewest), int(most > 1)
 
 
 @dataclass(frozen=True)

@@ -48,7 +48,7 @@ import numpy as np
 from . import linalg
 from .cuntz import multiplication_pvm, word_positions
 from .errors import LevelOutOfRange, MismatchedMeasures, PvmkError
-from .ifs import CylinderTower, word_id
+from .ifs import CylinderTower
 from .metric_core import lip1_vertices
 from .ovm import OperatorValuedMeasure, assemble_ovm, diagonal_pvm
 from .rho import rho_assignments, rho_exact
@@ -273,8 +273,8 @@ def verify_fixed_point(
     checked = 0
     for t, holds in _cylinder_identities(tower, target, K, K):
         checked += holds.size
-        words = tower.level(t).words
-        offending += [word_id(words[u]) if t else "<empty>" for u in np.flatnonzero(~holds)]
+        ids = tower.level(t).point_ids
+        offending += [ids[u] if t else "<empty>" for u in np.flatnonzero(~holds)]
     rederived = multiplication_pvm(tower, 0)  # level 0's one measure: I on the whole space
     for k in range(1, K + 1):
         rederived = phi_step(tower, k, rederived)
@@ -404,9 +404,10 @@ def relate_verify(tower: CylinderTower, h) -> RelateReport:
       word has a part of that same outside share.  So
       ``intertwine_defect`` is the largest share of a positive atom's
       mass outside the block j // N^(K - t) of its depth-t prefix, over
-      t = 0..K.  The prefix is looked up in level t's word list by
-      ``cuntz.word_positions``, not computed by the block formula, so the
-      two sides come by independent routes and a wrong block shows.
+      t = 0..K.  The prefix, the code of b's word mod N^t, is looked up in
+      level t's word list by ``cuntz.word_positions``, not computed by the
+      block formula, so the two sides come by independent routes and a
+      wrong block shows.
     """
     K = tower.depth
     h = np.asarray(h, dtype=np.complex128)
@@ -421,11 +422,11 @@ def relate_verify(tower: CylinderTower, h) -> RelateReport:
     mu = np.bincount(a, masses, minlength=dim)
     positive = mu > 1e-26
     n = tower.n_branches
-    atom_words = np.array(tower.level(K).words, dtype=np.int64).reshape(dim, K)
+    codes = tower.level(K).word_codes.codes
     basis = np.arange(dim)
     intertwine_defect = 0.0
     for t in range(K + 1):
-        prefix = word_positions(tower.level(t).words, atom_words[:, :t], n)
+        prefix = word_positions(tower.level(t), codes % n**t)
         outside_block = basis // n ** (K - t) != prefix[a]
         outside = np.bincount(a, np.where(outside_block, masses, 0.0), minlength=dim)
         share = (outside[positive] / mu[positive]).max(initial=0.0)

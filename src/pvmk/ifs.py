@@ -9,6 +9,15 @@ theta^(common prefix length) on words.  A level's words are there at once;
 its representatives are built from its parent's when they are first read,
 a distance is computed when it is read, and the distance table is built
 only when the table itself is read.
+
+Coordinate distances run on integers.  When a child's distance is first
+read, its parent level clears the branches, Q the lcm of the denominators
+of every r_i and b_i, R_i = Q r_i and B_i = Q b_i, and its own
+representatives, L and the ints Y = L y.  The child cell (a, u) then sits at
+(R_a Y_u + B_a L) / (Q L), so a distance is one integer difference over
+Q L, turned into a Fraction once.  A level's ids are its parent's with the
+first symbol prepended, and its words are read into int arrays once
+(:class:`WordCodes`).
 """
 
 from __future__ import annotations
@@ -16,6 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
+from typing import NamedTuple
+
+import numpy as np
 
 from .errors import (
     InputParseError,
@@ -24,7 +36,7 @@ from .errors import (
     TowerTooLarge,
 )
 from .metric_core import FiniteMetricSpace
-from .rationals import as_fraction
+from .rationals import as_fraction, cleared
 from .rng import SplitMix64
 from .sampling import random_rational_measure
 from .transport import ProbMeasure, kantorovich
@@ -107,12 +119,28 @@ def triadic_ifs() -> IfsSystem:
     )
 
 
-def word_id(word: tuple[int, ...]) -> str:
-    return "".join(str(s) for s in word)
+class WordCodes(NamedTuple):
+    """A level's word list read into ints once.
+
+    ``codes`` reads each word of the (d, k) array in base N, first symbol least significant, so word (i,) + a has code
+    i + N code(a) and its depth-t prefix has code code % N^t.  ``order``
+    sorts the codes, and ``sorted`` is the sorted codes, so the position of
+    a code in the list is ``order[searchsorted(sorted, code)]``: it comes
+    from the list's order, never from the code."""
+
+    codes: np.ndarray
+    order: np.ndarray
+    sorted: np.ndarray
 
 
 @dataclass(frozen=True)
 class TowerLevel:
+    """One level of a tower: its words and its parent level.
+
+    The words are the parent's, each prefixed by every branch symbol,
+    first-symbol-major, as :func:`build_tower` lists them; representatives,
+    ids and coordinate distances are read off the parent in that order."""
+
     ifs: IfsSystem
     words: tuple[tuple[int, ...], ...]
     parent: TowerLevel | None  # the level above; None at level 0
@@ -127,28 +155,61 @@ class TowerLevel:
         return tuple(apply(i, x) for i in range(self.ifs.n_branches) for x in self.parent.reps)
 
     @cached_property
+    def int_branches(self) -> tuple[int, tuple[tuple[int, int], ...]]:
+        """The branches cleared, (Q, ((R_i, B_i), ...)), which the
+        children's distances read."""
+        q, flat = cleared([x for branch in self.ifs.branches for x in branch])
+        return q, tuple(zip(flat[::2], flat[1::2]))
+
+    @cached_property
+    def cleared_reps(self) -> tuple[int, list[int]]:
+        """(L, [L x for x in reps]), which the children's distances read."""
+        return cleared(self.reps)
+
+    @cached_property
+    def point_ids(self) -> tuple[str, ...]:
+        """Each word's symbols joined as a string, from the parent's ids:
+        word (i,) + a has id str(i) + id(a).  Reading them builds no
+        ancestor's space."""
+        if self.parent is None:
+            return ("",)
+        parent_ids = self.parent.point_ids
+        return tuple(s + p for s in map(str, range(self.ifs.n_branches)) for p in parent_ids)
+
+    @cached_property
+    def word_codes(self) -> WordCodes:
+        symbols = np.array(self.words, dtype=np.int64)  # shape (1, 0) at level 0
+        codes = symbols @ self.ifs.n_branches ** np.arange(symbols.shape[1])
+        order = codes.argsort()
+        return WordCodes(codes, order, codes[order])
+
+    @cached_property
     def space(self) -> FiniteMetricSpace:
         """The level's metric space: ids now, each distance
         (:func:`_level_distance`) when it is read.  The pair function holds
         the parent and the level's data, not the level, so no reference
         cycle keeps a level alive."""
-        ids = tuple(word_id(w) for w in self.words)
         theta, powers = self.ifs.theta, None
         if theta is not None or self.parent is None:
             # level 0's one point is at distance 0 from itself on either metric
             powers = tuple(theta**t for t in range(len(self.words[0]))) + (Fraction(0),)
-        pair = partial(_level_distance, self.ifs, self.parent, self.words, powers)
-        return FiniteMetricSpace(ids, pair)
+        pair = partial(_level_distance, self.parent, self.words, powers)
+        return FiniteMetricSpace(self.point_ids, pair)
 
 
-def _level_distance(ifs, parent, words, powers, i: int, j: int) -> Fraction:
+def _level_distance(parent, words, powers, i: int, j: int) -> Fraction:
     """The distance between points i and j of a level, never validated.
 
     ``powers`` is None on a coordinate level, which gives |x_i - x_j| with
     x_i = branch i // d applied to y[i % d], y the parent's d
-    representatives.  On a theta level it is (theta^0, ..., theta^(k-1), 0)
-    for words of length k, indexed by the common prefix length, which is k
-    only for i == j; a table built from it shares these k + 1 Fractions.
+    representatives.  With the parent's cleared branches (Q, (R, B)) and
+    cleared representatives (L, Y), that is
+    |R_a Y_u + B_a L - R_c Y_v - B_c L| / (Q L) for (a, u) = divmod(i, d)
+    and (c, v) = divmod(j, d): integer arithmetic and one Fraction, in
+    lowest terms.  On a theta level ``powers`` is (theta^0, ...,
+    theta^(k-1), 0) for words of length k, indexed by the common prefix
+    length, which is k only for i == j; a table built from it shares these
+    k + 1 Fractions.
 
     It is a metric by construction.  Distinct words of one length name
     distinct cells, and the cells are disjoint, so distinct words have
@@ -160,8 +221,11 @@ def _level_distance(ifs, parent, words, powers, i: int, j: int) -> Fraction:
     """
     if powers is not None:
         return powers[_lcp(words[i], words[j])]
-    y, d = parent.reps, len(parent.words)
-    return abs(ifs.apply(i // d, y[i % d]) - ifs.apply(j // d, y[j % d]))
+    q, scaled = parent.int_branches
+    scale, y = parent.cleared_reps
+    (a, u), (c, v) = divmod(i, len(y)), divmod(j, len(y))
+    (r_a, b_a), (r_c, b_c) = scaled[a], scaled[c]
+    return Fraction(abs(r_a * y[u] - r_c * y[v] + (b_a - b_c) * scale), q * scale)
 
 
 @dataclass(frozen=True)
@@ -217,17 +281,20 @@ def hutchinson_step(tower: CylinderTower, k: int, nu: ProbMeasure) -> ProbMeasur
     """Averaged pushforward from level k to level k + 1.
 
     The cell (i, c) receives nu(c) / N: pulling (i, c) back through branch
-    j is empty unless j = i, where it is the cell c.  Unvalidated, as
-    ``phi_step``'s atoms: the weights are nu's over N, N times over, so
-    they are non-negative and sum to 1 by construction.
+    j is empty unless j = i, where it is the cell c.  So the weights are
+    one row, nu's over N, repeated N times; the row is formed on nu's
+    cleared ints, one Fraction per distinct weight.  Unvalidated, as
+    ``phi_step``'s atoms: they are non-negative and sum to 1 by
+    construction.
     """
     if not 0 <= k < tower.depth:
         raise LevelOutOfRange(f"step needs 0 <= k < depth, got k={k}")
     if len(nu) != len(tower.levels[k].words):
         raise InputParseError("measure does not match the level")
     n = tower.ifs.n_branches
-    frac = Fraction(1, n)
-    return ProbMeasure(tuple(w * frac for _ in range(n) for w in nu.weights))
+    scale, masses = cleared(nu.weights)
+    shares = {m: Fraction(m, scale * n) for m in set(masses)}
+    return ProbMeasure(tuple(shares[m] for m in masses) * n)
 
 
 def hutchinson_fixed(tower: CylinderTower, k: int | None = None):

@@ -51,7 +51,7 @@ class ProbMeasure:
 
     @staticmethod
     def uniform(n: int) -> "ProbMeasure":
-        return ProbMeasure(tuple(Fraction(1, n) for _ in range(n)))
+        return ProbMeasure((Fraction(1, n),) * n)
 
     def support(self) -> tuple[int, ...]:
         return tuple(i for i, w in enumerate(self.weights) if w != 0)

@@ -17,6 +17,7 @@ from pvmk.ifs import build_tower, dyadic_ifs
 import pvmk.ovm
 from pvmk.rationals import rational_str
 from pvmk.schemas import canonical_json
+from pvmk.transport import ProbMeasure
 from fractions import Fraction
 
 
@@ -136,6 +137,19 @@ def test_hutchinson_command(files, capsys):
     report = _capture(capsys)
     assert report["results"]["weights"] == ["1/8"] * 8
     assert report["results"]["certificate"]["invariant"] is True
+
+
+def test_hutchinson_exits_1_when_the_pushforward_is_not_invariant(files, capsys, monkeypatch):
+    # a pushforward that forgets the 1/N factor fails the certificate
+    def no_average(tower, k, nu):
+        return ProbMeasure(nu.weights * tower.n_branches)
+
+    monkeypatch.setattr(pvmk.ifs, "hutchinson_step", no_average)
+    tmp, write = files
+    assert run(["hutchinson", "--ifs", write("ifs.json", DYADIC), "--depth", "3"]) == 1
+    report = _capture(capsys)
+    assert report["verdict"] == "fail"
+    assert report["results"]["certificate"]["invariant"] is False
 
 
 def test_cuntz_verify_command(files, capsys):

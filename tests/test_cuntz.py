@@ -14,9 +14,10 @@ from pvmk.cuntz import (
     relation_defects,
 )
 from pvmk.errors import BranchOutOfRange, LevelOutOfRange, WordTooLong
-from pvmk.ifs import CylinderTower, TowerLevel, build_tower, dyadic_ifs, triadic_ifs, word_id
+from pvmk.ifs import CylinderTower, TowerLevel, build_tower, dyadic_ifs, triadic_ifs
 from pvmk.ovm import measure_of
 from pvmk.rng import SplitMix64
+from test_ifs import word_id
 
 
 def dense_isometries(maps, rows: int) -> list:
@@ -169,6 +170,43 @@ def test_branch_maps_read_the_word_list(ifs, k):
     for i in range(ct.n_branches):
         assert maps[i].tolist() == [shuffled.index((i,) + a) for a in prev]
     assert relation_defects(maps, ct.dim(k)) == (0, 0)
+
+
+def tuple_route_branch_maps(ct, k) -> np.ndarray:
+    """S_i's columns by the route ``branch_maps`` took before each level
+    cached its word codes: the words (i,) + a built as tuples, turned into
+    arrays, and looked up in the level's word list by base-N code."""
+    n, prev, words = ct.n_branches, ct.level(k - 1).words, ct.level(k).words
+    rows = np.array([(i,) + a for i in range(n) for a in prev], dtype=np.int64)
+    listed = np.array(words, dtype=np.int64).reshape(len(words), rows.shape[1])
+    powers = n ** np.arange(rows.shape[1])
+    codes = listed @ powers
+    order = np.argsort(codes)
+    return order[np.searchsorted(codes[order], rows @ powers)].reshape(n, len(prev))
+
+
+@pytest.mark.parametrize("ifs, k", TOWER_LEVELS, ids=TOWER_IDS)
+def test_branch_maps_equal_the_tuple_route(ifs, k):
+    # on the built tower; with level k's words shuffled as in
+    # test_branch_maps_read_the_word_list; and with levels k - 1 and k both
+    # shuffled, so that the columns follow a shuffled parent
+    ct = build_tower(ifs, k)
+
+    def shuffled(level, parent, rng):
+        order = rng.distinct_indices(len(level.words), len(level.words))
+        return TowerLevel(ct.ifs, tuple(level.words[j] for j in order), parent)
+
+    child = shuffled(ct.level(k), ct.level(k - 1), SplitMix64(k))
+    rng = SplitMix64(100 + k)
+    parent = shuffled(ct.level(k - 1), ct.level(k - 2) if k >= 2 else None, rng)
+    for tower in (
+        ct,
+        CylinderTower(ct.ifs, k, ct.levels[:k] + (child,)),
+        CylinderTower(ct.ifs, k, ct.levels[: k - 1] + (parent, shuffled(child, parent, rng))),
+    ):
+        maps = branch_maps(tower, k)
+        assert np.array_equal(maps, tuple_route_branch_maps(tower, k))
+        assert relation_defects(maps, ct.dim(k)) == (0, 0)
 
 
 def test_counting_defects_equal_the_dense_oracle_on_random_maps():

@@ -23,7 +23,7 @@ from pvmk.fixed_point import (
     swapped_diagonal_pvm,
     verify_fixed_point,
 )
-from pvmk.ifs import build_tower, dyadic_ifs, make_ifs, triadic_ifs
+from pvmk.ifs import CylinderTower, TowerLevel, build_tower, dyadic_ifs, make_ifs, triadic_ifs
 from pvmk.linalg import gram_rank, max_abs
 from pvmk.metric_core import lip1_vertices
 from pvmk.ovm import assemble_ovm, diagonal_pvm, measure_of, scalar_measure, validate_ovm
@@ -453,6 +453,22 @@ def test_relate_verify_reads_no_word_block(monkeypatch):
         for h in (np.full(d, d**-0.5), random_unit_vector(d, rng, complex_=True)):
             rep = relate_verify(ct, h)
             assert rep.passed and rep.positive_atoms == rep.range_rank == rep.span_rank == d
+
+
+@pytest.mark.parametrize("t", [1, 2, 3])
+def test_relate_verify_reads_each_levels_word_list(t):
+    # with level t's words shuffled, the prefixes looked up in its list no
+    # longer match the blocks, and the model fails; the block formula alone
+    # would not see it
+    ct = build_tower(dyadic_ifs(), 4)
+    words = ct.level(t).words
+    order = SplitMix64(t).distinct_indices(len(words), len(words))
+    level = TowerLevel(ct.ifs, tuple(words[j] for j in order), ct.level(t - 1))
+    moved = CylinderTower(ct.ifs, 4, ct.levels[:t] + (level,) + ct.levels[t + 1 :])
+    h = np.full(16, 0.25)
+    assert relate_verify(ct, h).passed
+    rep = relate_verify(moved, h)
+    assert not rep.passed and rep.intertwine_defect == 1.0
 
 
 def test_contraction_ratio_rho_sweep(dyadic_ct):

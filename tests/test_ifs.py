@@ -1,9 +1,11 @@
 """Cylinder towers, the averaged pushforward, and its invariant measure."""
 
+import math
 from fractions import Fraction
 
 import pytest
 
+import pvmk.ifs
 from pvmk.errors import (
     InputParseError,
     LevelOutOfRange,
@@ -12,6 +14,8 @@ from pvmk.errors import (
 )
 from pvmk.metric_core import audit_space, validate_space
 from pvmk.ifs import (
+    TowerLevel,
+    _level_distance,
     build_tower,
     contraction_ratio_scalar,
     dyadic_ifs,
@@ -336,3 +340,118 @@ def test_hutchinson_reaches_the_cell_cap():
     assert measure.weights == (F(1, 4096),) * 4096
     # Neither step reads a distance table, so none was built.
     assert not any("space" in vars(level) for level in tower.levels)
+
+
+# Coprime, non-dyadic ratios and offsets: every level's Q L is a product of
+# unrelated primes, so a wrong scale or a dropped offset term shows.
+AWKWARD = [
+    ([(F(2, 7), 0), (F(3, 11), F(5, 13))], 5),
+    ([(F(2, 7), F(1, 17)), (F(3, 11), F(5, 13)), (F(1, 6), F(4, 5))], 4),
+]
+
+
+def test_integer_distances_match_the_fraction_table_on_awkward_systems():
+    # every pair read through d, then the built table, equal the Fraction
+    # formula on the eagerly built representatives, each distance a
+    # Fraction in lowest terms; every level clears the same branches
+    rng = SplitMix64(73)
+    for branches, depth in AWKWARD:
+        for _ in range(3):
+            ifs = make_ifs(branches, F(rng.randint(0, 1008), 1009))
+            tower = build_tower(ifs, depth)
+            q = math.lcm(*(x.denominator for branch in ifs.branches for x in branch))
+            cleared = (q, tuple((int(q * r), int(q * b)) for r, b in ifs.branches))
+            assert all(level.int_branches == cleared for level in tower.levels)
+            for level, reps in zip(tower.levels, _eager_reps(ifs, depth)):
+                space = level.space
+                oracle = _level_table(level.words, reps, None)
+                points = range(space.n)
+                read = tuple(tuple(space.d(i, j) for j in points) for i in points)
+                assert read == oracle
+                assert all(
+                    type(x) is F and x.denominator > 0 and math.gcd(x.numerator, x.denominator) == 1
+                    for row in read
+                    for x in row
+                )
+                assert space.dist == oracle
+
+
+def test_level_distance_is_a_fraction_in_lowest_terms():
+    ifs = make_ifs(AWKWARD[0][0], F(3, 5))
+    tower = build_tower(ifs, 3)
+    level = tower.level(3)
+    for i in range(8):
+        for j in range(8):
+            x = _level_distance(level.parent, level.words, None, i, j)
+            assert type(x) is F and x == abs(level.reps[i] - level.reps[j])
+            assert math.gcd(x.numerator, x.denominator) == 1
+
+
+def test_a_level_built_by_hand_reads_its_distances():
+    # a child level made from its words and parent alone, as the shuffled
+    # levels of the cuntz and fixed-point tests are, derives the cleared
+    # branches from its parent and reads the same distances
+    ifs = make_ifs(AWKWARD[1][0], F(2, 9))
+    tower = build_tower(ifs, 3)
+    for k in (1, 2, 3):
+        built = tower.level(k)
+        level = TowerLevel(ifs, built.words, built.parent)
+        points = range(level.space.n)
+        assert [[level.space.d(i, j) for j in points] for i in points] == [
+            [abs(built.reps[i] - built.reps[j]) for j in points] for i in points
+        ]
+
+
+def word_id(word) -> str:
+    """A word's id by the join every level ran for each of its words
+    before ids were built from the parent's; the oracle for
+    ``TowerLevel.point_ids``."""
+    return "".join(str(s) for s in word)
+
+
+THETA_IFS = make_ifs([(F(1, 2), 0), (F(1, 2), F(1, 2))], 0, theta=F(1, 3))
+TEN_BRANCHES = make_ifs([(F(1, 20), F(k, 10)) for k in range(10)], 0)
+
+
+@pytest.mark.parametrize(
+    "ifs, depth",
+    [(dyadic_ifs(), 6), (triadic_ifs(), 6), (THETA_IFS, 6), (TEN_BRANCHES, 2)],
+    ids=["dyadic", "triadic", "theta-1/3", "ten-branches"],
+)
+def test_point_ids_are_the_joined_words(ifs, depth):
+    # ids built from the parent's equal the joined words at every level,
+    # read deepest first, and the level's space carries them
+    tower = build_tower(ifs, depth)
+    for level in reversed(tower.levels):
+        assert level.point_ids == tuple(word_id(w) for w in level.words)
+        assert "space" not in vars(level)
+        assert level.space.point_ids is level.point_ids
+
+
+def _no_average(tower, k, nu):
+    """A pushforward that forgets the 1/N factor."""
+    return ProbMeasure(nu.weights * tower.n_branches)
+
+
+def _moved_mass(tower, k, nu):
+    """The true pushforward with cell 1's mass moved onto cell 0."""
+    w = list(hutchinson_step(tower, k, nu).weights)
+    w[0], w[1] = w[0] + w[1], F(0)
+    return ProbMeasure(tuple(w))
+
+
+def _one_cell_short(tower, k, nu):
+    """The true pushforward without its last cell: every weight is still
+    1/cells, so only the count shows it."""
+    return ProbMeasure(hutchinson_step(tower, k, nu).weights[:-1])
+
+
+@pytest.mark.parametrize("wrong", [_no_average, _moved_mass, _one_cell_short])
+def test_invariance_certificate_fails_on_a_wrong_pushforward(monkeypatch, wrong):
+    # the certificate is computed from the pushforward, so a wrong one fails it
+    for tower in (build_tower(dyadic_ifs(), 4), build_tower(triadic_ifs(), 3)):
+        monkeypatch.setattr(pvmk.ifs, "hutchinson_step", wrong)
+        _measure, cert = hutchinson_fixed(tower)
+        monkeypatch.undo()
+        assert cert["invariant"] is False
+        assert hutchinson_fixed(tower)[1]["invariant"] is True
