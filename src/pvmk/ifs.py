@@ -69,8 +69,15 @@ class IfsSystem:
         return r * x + b
 
 
+# Point ids join the symbols' decimal strings, so they are distinct only
+# while every symbol is one digit: with 11 branches, (10, 1, 0) and
+# (1, 0, 10) would both be "1010".
+MAX_BRANCHES = 10
+
+
 def make_ifs(branches, base_point, theta=None) -> IfsSystem:
-    """Validated IFS; branch cells must be pairwise disjoint.
+    """Validated IFS of 2 to ``MAX_BRANCHES`` branches; branch cells must be
+    pairwise disjoint.
 
     The space is modeled as [0, 1) and branch i carries it onto the
     half-open cell [b_i, b_i + r_i), so the cells genuinely partition
@@ -82,6 +89,11 @@ def make_ifs(branches, base_point, theta=None) -> IfsSystem:
     parsed = tuple((as_fraction(r), as_fraction(b)) for r, b in branches)
     if len(parsed) < 2:
         raise InputParseError("an IFS needs at least two branches")
+    if len(parsed) > MAX_BRANCHES:
+        raise InputParseError(
+            f"an IFS has at most {MAX_BRANCHES} branches: tower point ids join one"
+            " decimal digit per symbol"
+        )
     for r, b in parsed:
         if not 0 < r < 1:
             raise InputParseError("branch ratios must satisfy 0 < r < 1")

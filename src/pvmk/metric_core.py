@@ -11,7 +11,8 @@ is what the transport and operator-metric layers consume.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
@@ -219,11 +220,18 @@ class Lip1VertexSet:
 
     It serves any space equal to ``space`` (same ids and table).  The
     vertices are sorted, as :func:`lip1_vertices` returns them.
+
+    ``scaled`` is ``(L, L*vertices)`` in Python ints, L the lcm of the
+    vertex values' denominators, so L divides the scale of
+    ``space.scaled``.  Each L*phi is a tuple of ints, in vertex order; the
+    first ``len(half)`` of them are the half's.  The vertex routes hand it
+    over with the vertices, and it takes no part in equality.
     """
 
     anchor: str
     vertices: tuple[tuple[Fraction, ...], ...]
     space: FiniteMetricSpace
+    scaled: tuple[int, tuple[tuple[int, ...], ...]] = field(compare=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -243,24 +251,15 @@ class Lip1VertexSet:
 
     @cached_property
     def half_floats(self) -> np.ndarray:
-        """``half`` as a read-only float64 matrix, one row per vertex."""
-        arr = np.array([[float(x) for x in vert] for vert in self.half])
+        """``half`` as a read-only float64 matrix, one row per vertex.
+
+        Each entry is a / L from ``scaled``: Python int true division is
+        correctly rounded, so it is bitwise the ``float`` of the Fraction.
+        """
+        scale, ints = self.scaled
+        arr = np.array([[a / scale for a in vert] for vert in ints[: len(self.half)]])
         arr.setflags(write=False)
         return arr
-
-    @cached_property
-    def scaled(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
-        """The vertices as ``(L, L*vertices)`` in Python ints, L the lcm of
-        their values' denominators.
-
-        The vertex routes build every value as ``Fraction(x, L')`` with L'
-        from ``space.scaled``, so L divides L'.  Each L*phi is a tuple of
-        ints, in vertex order; the first ``len(half)`` of them are the
-        half's.
-        """
-        n = self.space.n
-        scale, flat = cleared([x for vert in self.vertices for x in vert])
-        return scale, tuple(tuple(flat[i : i + n]) for i in range(0, len(flat), n))
 
 
 def _line_order(space: FiniteMetricSpace) -> list[int] | None:
@@ -282,24 +281,55 @@ def _line_order(space: FiniteMetricSpace) -> list[int] | None:
     return sorted(range(space.n), key=x.__getitem__)
 
 
-def _certified(space: FiniteMetricSpace, verts) -> list[tuple]:
-    """Scaled integer vertices, certified and returned as sorted Fractions.
+def _value_dtype(space: FiniteMetricSpace):
+    """``np.int64`` when every integer of a vertex route fits it, else
+    ``object`` (Python ints, which never wrap).
 
-    Each vertex must satisfy |f_i - f_j| <= L*d(i, j) in ints, which is
-    ``lip_constant <= 1`` for f / L.  Sorting the ints sorts the Fractions,
-    since L > 0.
+    With M the largest entry of the scaled table, every value a route
+    assigns is a signed sum of at most n-1 distances (a tree path from the
+    anchor), so it lies in [-(n-1)M, (n-1)M].  A window end is such a value
+    plus or minus one distance, at most nM in size; the search's sentinel
+    is (n+1)M + 1; and a certified difference f_i - f_j is at most
+    2(n-1)M.  All of these are below (2n+2)M for M >= 1, so when
+    (2n+2)M < 2^63 no int64 operation of the routes can wrap.
+    """
+    _, d = space.scaled
+    top = max(map(max, d))
+    return np.int64 if (2 * space.n + 2) * top < 2**63 else object
+
+
+def _check_lip1(rows: np.ndarray, d) -> None:
+    """Raise unless every row f of the (m, n) int array has
+    |f_i - f_j| <= d[i][j] for every pair, which is ``lip_constant <= 1``
+    for f / L on the scaled table d.  One pass per column i covers the
+    pairs (i, j > i), so no (m, n, n) array is built."""
+    table = np.array(d, rows.dtype)
+    for i in range(rows.shape[1] - 1):
+        gaps = np.abs(rows[:, i + 1 :] - rows[:, i : i + 1])
+        if (gaps > table[i, i + 1 :]).any():
+            raise MetricAxiomError("enumerated vertex exceeds Lipschitz constant 1")
+
+
+def _certified(space: FiniteMetricSpace, a0: int, rows: np.ndarray) -> Lip1VertexSet:
+    """The vertex set of a route's scaled integer rows, certified.
+
+    Sorting the ints sorts the Fractions, since the scale L' > 0.  With g
+    the gcd of L' and every value, L = L'/g is the lcm of the reduced
+    denominators, and the set keeps the rows divided by g as ``scaled``.
+    One Fraction is built per distinct value.
     """
     scale, d = space.scaled
-    pairs = [(i, j, d[i][j]) for i in range(space.n) for j in range(i + 1, space.n)]
-    for vert in verts:
-        for i, j, dij in pairs:
-            if abs(vert[i] - vert[j]) > dij:  # pragma: no cover - construction invariant
-                raise MetricAxiomError("enumerated vertex exceeds Lipschitz constant 1")
-    as_q = {x: Fraction(x, scale) for x in {x for vert in verts for x in vert}}
-    return [tuple(as_q[x] for x in vert) for vert in sorted(verts)]
+    _check_lip1(rows, d)
+    rows = rows[np.lexsort(rows.T[::-1])]
+    values = set(rows.ravel().tolist())
+    g = math.gcd(scale, *values)
+    ints = tuple(map(tuple, (rows // g).tolist()))
+    as_q = {x // g: Fraction(x, scale) for x in values}
+    verts = tuple(tuple(map(as_q.__getitem__, vert)) for vert in ints)
+    return Lip1VertexSet(space.point_ids[a0], verts, space, (scale // g, ints))
 
 
-def _line_vertices(space: FiniteMetricSpace, a0: int, order: list[int]) -> list[tuple]:
+def _line_vertices(space: FiniteMetricSpace, a0: int, order: list[int]) -> Lip1VertexSet:
     """Every slope-sign pattern of a line, walking outward from the anchor.
 
     On a line each pair constraint follows from those on neighbours, so the
@@ -310,20 +340,30 @@ def _line_vertices(space: FiniteMetricSpace, a0: int, order: list[int]) -> list[
     p = order.index(a0)
     steps = [(order[k - 1], order[k]) for k in range(p + 1, space.n)]
     steps += [(order[k + 1], order[k]) for k in range(p - 1, -1, -1)]
-    verts = [[0] * space.n]
+    verts = np.zeros((1, space.n), _value_dtype(space))
     for prev, v in steps:
         gap = d[prev][v]
-        grown = []
-        for vert in verts:
-            for val in (vert[prev] + gap, vert[prev] - gap):
-                new = vert.copy()
-                new[v] = val
-                grown.append(new)
-        verts = grown
-    return _certified(space, [tuple(vert) for vert in verts])
+        col = verts[:, prev]
+        verts = np.concatenate([verts, verts])
+        verts[:, v] = np.concatenate([col + gap, col - gap])
+    return _certified(space, a0, verts)
 
 
-def _search_vertices(space: FiniteMetricSpace, a0: int) -> list[tuple]:
+def _distinct_rows(rows: np.ndarray) -> np.ndarray:
+    """Indices of one row of each group of equal rows: the rows are ranked
+    lexicographically and a row is kept where it differs from the one
+    ranked before it, compared one column at a time so that no ranked
+    copy of the rows is built."""
+    order = np.lexsort(rows.T)
+    starts = np.zeros(len(order), bool)
+    starts[0] = True
+    for col in rows.T:
+        ranked = col[order]
+        starts[1:] |= ranked[1:] != ranked[:-1]
+    return order[starts]
+
+
+def _search_vertices(space: FiniteMetricSpace, a0: int) -> Lip1VertexSet:
     """Vertices of the anchored polytope of any space, by tree growing.
 
     A vertex is a feasible point with n-1 linearly independent tight
@@ -332,42 +372,49 @@ def _search_vertices(space: FiniteMetricSpace, a0: int) -> list[tuple]:
     spanning tree of tight edges.  The search grows all such trees: states
     are partial assignments, each extension fixes a new point at
     value(u) +/- d(u, v) for an assigned u, and infeasible extensions are
-    pruned.  Different growth orders of one tree collapse in the frontier
-    set, and final assignments are deduplicated.
+    pruned.  Different growth orders of one tree give equal states, which
+    are merged at every layer.
 
-    The search runs on the scaled integer table, and a state is an n-slot
-    tuple with None for unassigned points.  A value x for point v is
-    feasible when |x - f_w| <= d(v, w) for every assigned w, that is when x
-    lies in every interval [f_w - d(v, w), f_w + d(v, w)], so in their
-    intersection, the window [lo, hi] = [max_w(f_w - d(v, w)),
-    min_w(f_w + d(v, w))].  Testing a candidate against the window, built
-    once per state and point, is therefore the same test as checking it
-    against every assigned w.  Every candidate f_u + d(u, v) is at least hi
-    and every f_u - d(u, v) is at most lo, so the candidates inside the
-    window are exactly its two ends.  The window is never empty: a state
-    is 1-Lipschitz, so f_w - f_w' <= d(w, w') <= d(w, v) + d(v, w') for
-    every pair of assigned points (McShane's extension).
+    A value x for point v is feasible when |x - f_w| <= d(v, w) for every
+    assigned w, that is when x lies in the window [lo, hi] =
+    [max_w(f_w - d(v, w)), min_w(f_w + d(v, w))].  Every candidate
+    f_u + d(u, v) is at least hi and every f_u - d(u, v) is at most lo, so
+    the candidates inside the window are exactly its two ends.  The window
+    is never empty: a state is 1-Lipschitz, so f_w - f_w' <= d(w, w') <=
+    d(w, v) + d(v, w') for every pair of assigned points (McShane's
+    extension).
+
+    The search runs on the scaled integer table, one layer of states at a
+    time.  A layer is an (m, n) array, one state per row, with a sentinel
+    above every reachable value in the unassigned slots, and it carries
+    the windows of every state and point as two more (m, n) arrays LO and
+    HI.  A layer makes two children per (state, unassigned v), setting v
+    to LO or HI, and keeps one of each group of equal rows.  Only
+    then are the children's windows built, each from its parent's in O(n):
+    fixing v := x adds x - d(v, .) to the maxima and x + d(v, .) to the
+    minima.  The arrays are int64 when :func:`_value_dtype` proves no value
+    can wrap, and Python ints (``object``) otherwise, on the same code.
     """
     n = space.n
     _, d = space.scaled
-    start = [None] * n
-    start[a0] = 0
-    frontier = {tuple(start)}
+    dtype = _value_dtype(space)
+    table = np.array(d, dtype)
+    sentinel = (n + 1) * max(map(max, d)) + 1
+    states = np.full((1, n), sentinel, dtype)
+    states[0, a0] = 0
+    lo, hi = -table[a0 : a0 + 1], table[a0 : a0 + 1]
     for _ in range(n - 1):
-        grown = set()
-        for state in frontier:
-            assigned = [(u, f) for u, f in enumerate(state) if f is not None]
-            for v in range(n):
-                if state[v] is not None:
-                    continue
-                row = d[v]
-                lo = max([f - row[u] for u, f in assigned])
-                hi = min([f + row[u] for u, f in assigned])
-                head, tail = state[:v], state[v + 1 :]
-                grown.add(head + (lo,) + tail)
-                grown.add(head + (hi,) + tail)
-        frontier = grown
-    return _certified(space, list(frontier))
+        rows, cols = np.nonzero(states == sentinel)
+        ends = np.concatenate([lo[rows, cols], hi[rows, cols]])
+        rows, cols = np.tile(rows, 2), np.tile(cols, 2)
+        states = states[rows]
+        states[np.arange(len(rows)), cols] = ends
+        keep = _distinct_rows(states)
+        states, rows, ends = states[keep], rows[keep], ends[keep, None]
+        reach = table[cols[keep]]
+        lo = np.maximum(lo[rows], ends - reach)
+        hi = np.minimum(hi[rows], ends + reach)
+    return _certified(space, a0, states)
 
 
 def lip1_vertices(
@@ -380,10 +427,13 @@ def lip1_vertices(
     Two routes give the same sorted tuple.  When the distances embed
     isometrically into the real line (checked exactly), the vertices are
     the 2^(n-1) slope-sign patterns, built in closed form.  Every other
-    space goes through the generic spanning-tree search.  Both routes run on
-    the space's scaled integer table and turn vertices into Fractions only
-    when they return.  The point cap applies to both routes, and every
-    vertex is certified 1-Lipschitz.
+    space goes through the generic spanning-tree search, which grows its
+    states as array layers.  Both routes run on the space's scaled integer
+    table, in int64 where :func:`_value_dtype` proves it cannot wrap and in
+    Python ints otherwise, and share one certification: every vertex is
+    checked 1-Lipschitz in integers, the rows are sorted, and Fractions
+    are built once per distinct value.  The point cap applies to both
+    routes.
     """
     n = space.n
     if n > cap:
@@ -391,8 +441,5 @@ def lip1_vertices(
     a0 = 0 if anchor is None else space.index(anchor)
     order = _line_order(space)
     if order is None:
-        verts = _search_vertices(space, a0)
-    else:
-        verts = _line_vertices(space, a0, order)
-    return Lip1VertexSet(space.point_ids[a0], tuple(verts), space)
-
+        return _search_vertices(space, a0)
+    return _line_vertices(space, a0, order)

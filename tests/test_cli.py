@@ -310,6 +310,16 @@ def test_out_of_range_arguments_exit_2(files, capsys, argv):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+def test_eleven_branch_ifs_exits_2(files, capsys):
+    tmp, write = files
+    branches = [{"r": "1/11", "b": f"{k}/11"} for k in range(11)]
+    ifs = write("ifs.json", {"N": 11, "branches": branches, "base_point": "0/1"})
+    assert run(["cuntz-verify", "--ifs", ifs, "--depth", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err.startswith("error: ") and "at most 10 branches" in captured.err
+
+
 def test_unreadable_input_exits_2(tmp_path, capsys):
     assert run(["space", "--space", str(tmp_path / "missing.json")]) == 2
     capsys.readouterr()

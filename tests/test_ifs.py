@@ -103,6 +103,17 @@ def test_bad_branch_parameters_rejected():
         make_ifs([(F(1, 2), 0), (F(1, 2), F(1, 2))], 1)  # base point outside [0,1)
 
 
+def test_more_than_ten_branches_rejected():
+    # one-digit symbols keep ids distinct; with 11 branches (10, 1, 0) and
+    # (1, 0, 10) would share the id "1010"
+    ten = [(F(1, 10), F(k, 10)) for k in range(10)]
+    ids = build_tower(make_ifs(ten, 0), 3).level(3).space.point_ids
+    assert len(set(ids)) == len(ids) == 1000
+    assert ids[:3] == ("000", "001", "002") and ids[-1] == "999"
+    with pytest.raises(InputParseError, match="at most 10 branches"):
+        make_ifs([(F(1, 11), F(k, 11)) for k in range(11)], 0)
+
+
 def test_tower_cap():
     with pytest.raises(TowerTooLarge):
         build_tower(dyadic_ifs(), 13)

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from pvmk.errors import (
     AsymmetricDistance,
+    MetricAxiomError,
     SpaceTooLarge,
     TriangleViolation,
     ZeroDistanceDistinctPoints,
@@ -17,14 +18,17 @@ from pvmk.errors import (
 from pvmk.ifs import build_tower, dyadic_ifs, make_ifs, triadic_ifs
 from pvmk.metric_core import (
     FiniteMetricSpace,
+    _check_lip1,
     _line_order,
     _search_vertices,
+    _value_dtype,
     audit_space,
     certify_lipschitz,
     lip1_vertices,
     lip_constant,
     validate_space,
 )
+from pvmk.rationals import cleared
 from pvmk.rng import SplitMix64
 from pvmk.sampling import random_metric_space
 
@@ -221,7 +225,7 @@ def test_line_vertices_match_search(space, shuffled):
     assert [space.dist[order[0]][i] for i in order] == sorted(space.dist[order[0]])
     if shuffled and space.n >= 3:
         assert order not in (sorted(order), sorted(order, reverse=True))
-    reference = tuple(_search_vertices(space, 0))
+    reference = _search_vertices(space, 0).vertices
     assert len(reference) == 2 ** (space.n - 1)
     for b, point in enumerate(space.point_ids):
         verts = lip1_vertices(space, point, cap=8).vertices
@@ -230,7 +234,7 @@ def test_line_vertices_match_search(space, shuffled):
             assert lip_constant(vert, space) <= 1
         if space.n <= 4:
             assert set(verts) == brute_force_vertices(space, b)
-            assert verts == tuple(_search_vertices(space, b))
+            assert verts == _search_vertices(space, b).vertices
 
 
 def test_reanchoring_matches_search_at_every_anchor():
@@ -238,9 +242,9 @@ def test_reanchoring_matches_search_at_every_anchor():
     spaces = [random_metric_space(n, rng) for n in (3, 4, 5)]
     spaces.append(_shuffled_line_space(5, rng))
     for space in spaces:
-        reference = _search_vertices(space, 0)
+        reference = _search_vertices(space, 0).vertices
         for b in range(space.n):
-            assert tuple(_search_vertices(space, b)) == _reanchored(reference, b)
+            assert _search_vertices(space, b).vertices == _reanchored(reference, b)
 
 
 def _strict_space(n, rng):
@@ -261,7 +265,7 @@ def test_non_line_spaces_keep_the_search():
     for space in searched:
         assert _line_order(space) is None
         for b, point in enumerate(space.point_ids):
-            assert lip1_vertices(space, point).vertices == tuple(_search_vertices(space, b))
+            assert lip1_vertices(space, point).vertices == _search_vertices(space, b).vertices
     theta_deep = _tower_spaces(theta, 3)[3]
     assert _line_order(theta_deep) is None
 
@@ -321,11 +325,74 @@ CROSS_CHECK = (
     "space, a0", [case[1:] for case in CROSS_CHECK], ids=[case[0] for case in CROSS_CHECK]
 )
 def test_integer_search_matches_fraction_search(space, a0):
-    verts = _search_vertices(space, a0)
-    assert verts == _fraction_search_vertices(space, a0)
+    verts = _search_vertices(space, a0).vertices
+    assert list(verts) == _fraction_search_vertices(space, a0)
     assert all(type(x) is Fraction for vert in verts for x in vert)
     if space.n == 8:
         assert len(verts) == 1458
+
+
+_RANDOM_SEARCH = [random_metric_space(n, SplitMix64(71)) for n in range(1, 9)]
+
+
+@pytest.mark.parametrize("space", _RANDOM_SEARCH, ids=[f"n{n}" for n in range(1, 9)])
+def test_array_search_matches_both_oracles_at_every_anchor(space):
+    # the Fraction oracle runs at every anchor up to 6 points; at 7 and 8
+    # points, where it is the slowest check in the suite, it runs once and
+    # its translates give every other anchor.  The subset oracle is
+    # C(n(n-1), n-1) solves, so it runs up to 4 points.
+    reference = _fraction_search_vertices(space, 0)
+    for b in range(space.n):
+        verts = _search_vertices(space, b).vertices
+        if space.n <= 6:
+            assert list(verts) == _fraction_search_vertices(space, b)
+        else:
+            assert verts == _reanchored(reference, b)
+        if space.n <= 4:
+            assert set(verts) == brute_force_vertices(space, b)
+
+
+def test_array_search_on_one_point_and_nine_point_theta_levels():
+    assert _search_vertices(validate_space([[0]]), 0).vertices == ((F(0),),)
+    # the 9-point triadic theta level, out of reach of the Fraction oracle:
+    # 2,058 is the count the earlier tuple-and-set search gave at both thetas
+    for theta in (F(1, 3), F(1, 2)):
+        triadic = make_ifs([(F(1, 3), 0), (F(1, 3), F(1, 3)), (F(1, 3), F(2, 3))], 0, theta=theta)
+        space = _tower_spaces(triadic, 2)[2]
+        assert space.n == 9 and _line_order(space) is None
+        assert len(_search_vertices(space, 0)) == 2058
+
+
+def _equilateral(side):
+    return validate_space([[0, side, side], [side, 0, side], [side, side, 0]])
+
+
+def test_large_tables_take_the_python_int_route():
+    # (2n + 2) * max(L*d) < 2^63 keeps int64; at and above it, object
+    floats = dict((case[0], case[1]) for case in CROSS_CHECK)["float-5"]
+    assert floats.scaled[0] > 2**63
+    assert _value_dtype(floats) is object
+    assert _value_dtype(CROSS_CHECK[0][1]) is np.int64
+    below, at = _equilateral(2**60 - 1), _equilateral(2**60)
+    assert _value_dtype(below) is np.int64 and _value_dtype(at) is object
+    for space in (below, at, floats):
+        assert list(_search_vertices(space, 1).vertices) == _fraction_search_vertices(space, 1)
+
+
+def test_certification_rejects_a_row_one_over_a_distance():
+    space = _strict_space(5, SplitMix64(79))
+    _, d = space.scaled
+    good = _search_vertices(space, 0).scaled[1]
+    table = [list(row) for row in good]
+    for dtype in (np.int64, object):
+        _check_lip1(np.array(table, dtype), d)
+    # d(0, .) is 1-Lipschitz; one more at point 1 breaks the pair (0, 1) by 1
+    bad = list(d[0])
+    bad[1] += 1
+    assert all(abs(bad[i] - bad[j]) <= d[i][j] for i in range(5) for j in range(5) if {i, j} != {0, 1})
+    for dtype in (np.int64, object):
+        with pytest.raises(MetricAxiomError):
+            _check_lip1(np.array(table + [bad], dtype), d)
 
 
 def test_scaled_table_is_a_cache_outside_equality():
@@ -406,7 +473,9 @@ def test_vertex_set_caches_its_sign_half():
         arr = verts.half_floats
         assert arr is verts.half_floats
         assert arr.dtype == np.float64 and not arr.flags.writeable
-        assert np.array_equal(arr, [[float(x) for x in vert] for vert in verts.half])
+        # bitwise the floats of the Fractions, though built from the scaled ints
+        floats = np.array([[float(x) for x in vert] for vert in verts.half])
+        assert np.array_equal(arr.view(np.uint64), floats.view(np.uint64))
         with pytest.raises(ValueError):
             arr[0, 0] = 1.0
 
@@ -420,6 +489,10 @@ def test_vertex_set_caches_its_scaled_ints():
         assert space.scaled[0] % scale == 0
         assert all(type(x) is int for vert in ints for x in vert)
         assert tuple(tuple(F(x, scale) for x in vert) for vert in ints) == verts.vertices
+        # L is the lcm of the vertex denominators, not the table's scale
+        assert (scale, [x for vert in ints for x in vert]) == cleared(
+            [x for vert in verts.vertices for x in vert]
+        )
 
 
 def test_a_table_given_as_a_function_is_built_on_first_read():
