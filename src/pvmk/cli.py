@@ -230,6 +230,8 @@ def _cmd_relate_verify(args):
 
 
 def _cmd_suite(args):
+    if args.depth is not None and not args.ifs:
+        raise InputParseError("--depth is the depth of the --ifs tower and needs --ifs")
     results = acceptance.run_all(seed=args.seed)
     ok = all(r.passed for r in results)
     payload = {

@@ -29,16 +29,18 @@ def to_complex(a) -> np.ndarray:
     return np.asarray(a, dtype=np.complex128)
 
 
-def max_abs(a) -> float:
+def max_abs(a):
+    """Largest entry modulus: exact (a Fraction or int) for an object array,
+    so that an exact defect too small for a float does not read as 0."""
     a = np.asarray(a)
     if a.size == 0:
         return 0.0
     if a.dtype == object:
-        return float(max(abs(x) for x in a.ravel()))
+        return max(abs(x) for x in a.ravel())
     return float(np.abs(a).max())
 
 
-def hermitian_defect(a) -> float:
+def hermitian_defect(a):
     a = np.asarray(a)
     if a.dtype == object:
         return max_abs(a - a.T.conj())

@@ -88,72 +88,33 @@ def _northwest_corner(supply, demand):
     return flow
 
 
-def _tree_adjacency(flow, m, n):
-    """Row and column adjacency lists of the basis tree."""
-    row_adj: list[list[int]] = [[] for _ in range(m)]
-    col_adj: list[list[int]] = [[] for _ in range(n)]
-    for i, j in flow:
-        row_adj[i].append(j)
-        col_adj[j].append(i)
-    return row_adj, col_adj
+def _basis_tree(flow, cost, m, n):
+    """One walk of the basis tree from row 0: potentials, parents and depths.
 
-
-def _tree_duals(adj, cost):
-    """Potentials u, v with u_i + v_j = cost on every basic cell (u_0 = 0)."""
-    row_adj, col_adj = adj
-    u: list[int | None] = [None] * len(row_adj)
-    v: list[int | None] = [None] * len(col_adj)
-    u[0] = 0
-    stack = [("r", 0)]
-    while stack:
-        side, k = stack.pop()
-        if side == "r":
-            for j in row_adj[k]:
-                if v[j] is None:
-                    v[j] = cost[k][j] - u[k]
-                    stack.append(("c", j))
-        else:
-            for i in col_adj[k]:
-                if u[i] is None:
-                    u[i] = cost[i][k] - v[k]
-                    stack.append(("r", i))
-    if None in u or None in v:
-        raise PvmkError("transport basis is not a spanning tree")
-    return u, v
-
-
-def _tree_path(adj, start_row, end_col):
-    """Cells along the tree path from row node to column node.
-
-    The path in a tree is unique, so the search order does not matter.
+    Node i < m is row i and node m + j is column j.  The potentials satisfy
+    u_i + v_j = cost on every basic cell with u_0 = 0, u_i at node i and v_j
+    at node m + j.  The root's parent is -1.
     """
-    row_adj, col_adj = adj
-    parent: dict[tuple[str, int], tuple[tuple[str, int], tuple[int, int]] | None] = {
-        ("r", start_row): None
-    }
-    stack = [("r", start_row)]
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(m + n)]
+    for i, j in flow:
+        adj[i].append((m + j, cost[i][j]))
+        adj[m + j].append((i, cost[i][j]))
+    pot: list[int | None] = [None] * (m + n)
+    parent = [-1] * (m + n)
+    depth = [0] * (m + n)
+    pot[0] = 0
+    stack = [0]
     while stack:
-        node = stack.pop()
-        side, k = node
-        if side == "r":
-            for j in row_adj[k]:
-                nxt = ("c", j)
-                if nxt not in parent:
-                    parent[nxt] = (node, (k, j))
-                    stack.append(nxt)
-        else:
-            for i in col_adj[k]:
-                nxt = ("r", i)
-                if nxt not in parent:
-                    parent[nxt] = (node, (i, k))
-                    stack.append(nxt)
-    path = []
-    node = ("c", end_col)
-    while parent[node] is not None:
-        node, edge = parent[node]
-        path.append(edge)
-    path.reverse()
-    return path
+        k = stack.pop()
+        for nxt, c in adj[k]:
+            if pot[nxt] is None:
+                pot[nxt] = c - pot[k]
+                parent[nxt] = k
+                depth[nxt] = depth[k] + 1
+                stack.append(nxt)
+    if None in pot:
+        raise PvmkError("transport basis is not a spanning tree")
+    return pot, parent, depth
 
 
 def _transport_simplex(cost, supply, demand):
@@ -167,8 +128,8 @@ def _transport_simplex(cost, supply, demand):
     m, n = len(supply), len(demand)
     flow = _northwest_corner(supply, demand)
     while True:
-        adj = _tree_adjacency(flow, m, n)
-        u, v = _tree_duals(adj, cost)
+        pot, parent, depth = _basis_tree(flow, cost, m, n)
+        u, v = pot[:m], pot[m:]
         entering = next(
             (
                 (i, j)
@@ -181,7 +142,19 @@ def _transport_simplex(cost, supply, demand):
         if entering is None:
             value = sum(f * cost[i][j] for (i, j), f in flow.items())
             return value, flow, u, v
-        path = _tree_path(adj, *entering)
+        # The tree path from the entering row to the entering column: climb
+        # from the deeper end until the two ends meet.  A tree edge joins a
+        # row node and a column node, so its cell is (min, max - m).
+        a, b = entering[0], m + entering[1]
+        head, tail = [], []
+        while a != b:
+            if depth[a] > depth[b]:
+                head.append((min(a, parent[a]), max(a, parent[a]) - m))
+                a = parent[a]
+            else:
+                tail.append((min(b, parent[b]), max(b, parent[b]) - m))
+                b = parent[b]
+        path = head + tail[::-1]
         minus = path[0::2]  # cycle alternates starting beside the entering cell
         theta = min(flow[c] for c in minus)
         leaving = min(c for c in minus if flow[c] == theta)

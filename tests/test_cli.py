@@ -445,6 +445,17 @@ def test_suite_command_plumbing(files, capsys, monkeypatch):
     capsys.readouterr()
 
 
+def test_suite_depth_without_ifs_exits_2_before_the_sweep(capsys, monkeypatch):
+    from pvmk import cli as cli_mod
+
+    def no_sweep(seed=0):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(cli_mod.acceptance, "run_all", no_sweep)
+    assert run(["suite", "--depth", "2"]) == 2
+    _one_error_line(capsys)
+
+
 SWAPPED_ATOMS = [
     {"id": "a", "matrix": {"re": [[0, 0], [0, 1]]}},
     {"id": "b", "matrix": {"re": [[1, 0], [0, 0]]}},
@@ -478,6 +489,16 @@ def test_large_integer_entries_are_checked_exactly(files, capsys):
     big = 2**32
     atoms = [{"id": "a", "matrix": {"re": [[1, big], [big, 0]]}},
              {"id": "b", "matrix": {"re": [[0, -big], [-big, 1]]}}]
+    space, e, f = _two_point_rho_files(files[1], atoms)
+    assert run(["rho", "--space", space, "--e", e, "--f", f]) == 1
+    assert "not idempotent" in capsys.readouterr().err
+
+
+def test_exact_defect_below_the_float_range_exits_1(files, capsys):
+    # both atoms have A^2 - A = 10^-400 I, which is 0.0 as a float
+    eps = "1/1" + "0" * 200
+    atoms = [{"id": "a", "matrix": {"re": [[1, eps], [eps, 0]]}},
+             {"id": "b", "matrix": {"re": [[0, "-" + eps], ["-" + eps, 1]]}}]
     space, e, f = _two_point_rho_files(files[1], atoms)
     assert run(["rho", "--space", space, "--e", e, "--f", f]) == 1
     assert "not idempotent" in capsys.readouterr().err

@@ -95,6 +95,16 @@ def test_half_identity_is_povm_but_not_pvm():
         validate_ovm(space, mats, "projection")
 
 
+def test_exact_defect_below_the_float_range_is_not_idempotent():
+    # A^2 - A = eps^2 I for both atoms, and eps^2 = 1e-400 is 0.0 as a float
+    eps = Fraction(1, 10**200)
+    a = np.array([[1, eps], [eps, 0]], dtype=object)
+    b = np.array([[0, -eps], [-eps, 1]], dtype=object)
+    assert max_abs(a @ a - a) == eps**2
+    with pytest.raises(NotIdempotent, match="'p0'"):
+        validate_ovm(two_atom_space(), [a, b], "projection")
+
+
 def test_random_conjugate_of_pvm_validates():
     rng = SplitMix64(3)
     space = random_metric_space(3, rng)

@@ -485,9 +485,9 @@ def test_duality_gap_certificate_rejects_a_non_optimal_basis(monkeypatch):
     def edit(cost, supply, demand, value, flow, u, v):
         # the starting basis, returned without a pivot
         start = transport._northwest_corner(supply, demand)
-        adj = transport._tree_adjacency(start, len(supply), len(demand))
-        u, v = transport._tree_duals(adj, cost)
-        return sum(f * cost[i][j] for (i, j), f in start.items()), start, u, v
+        m = len(supply)
+        pot, _parent, _depth = transport._basis_tree(start, cost, m, len(demand))
+        return sum(f * cost[i][j] for (i, j), f in start.items()), start, pot[:m], pot[m:]
 
     space = _triangle_space()
     mu = ProbMeasure.from_values(["0", "1/2", "1/2"])
@@ -497,6 +497,15 @@ def test_duality_gap_certificate_rejects_a_non_optimal_basis(monkeypatch):
     # the starting basis costs 3, above every dual value (weak duality)
     with pytest.raises(PvmkError, match="duality gap is nonzero: -"):
         kantorovich(space, mu, nu)
+
+
+def test_basis_tree_rejects_a_basis_that_does_not_span():
+    cost = [[0, 1, 2], [1, 0, 1], [2, 1, 0]]
+    # five cells, as many as a spanning tree of 3 + 3 nodes has edges, but
+    # they close the cycle r0-c0-r1-c1 and leave row 2 and column 2 apart
+    cells = {(0, 0): 1, (0, 1): 0, (1, 0): 0, (1, 1): 1, (2, 2): 1}
+    with pytest.raises(PvmkError, match="transport basis is not a spanning tree"):
+        transport._basis_tree(cells, cost, 3, 3)
 
 
 @pytest.mark.parametrize("side", ["row", "column"])
