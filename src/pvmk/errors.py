@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 
 class PvmkError(Exception):
     """Base class for all library errors."""
@@ -82,19 +84,44 @@ class WordTooLong(PvmkError):
 # --- operator valued measures -------------------------------------------------
 
 class OvmAxiomError(PvmkError):
-    """An operator assignment violates a measure axiom."""
+    """An operator assignment violates a measure axiom.
+
+    ``defect`` is a float for float atoms and the exact value (an int or a
+    Fraction) for exact atoms, so a defect below the float range does not
+    read 0; messages print an exact defect in scientific notation.
+    """
+
+
+def _defect_text(defect) -> str:
+    """A defect for a message: a float as Python prints it; an exact one to
+    six significant digits, m.mmmmme<exponent>, found in integers, so that
+    10^-400 prints as 1e-400 and not as 0.0."""
+    if isinstance(defect, float):
+        return str(defect)
+    q = abs(Fraction(defect))
+    if not q:
+        return "0"
+    exp = len(str(q.numerator)) - len(str(q.denominator))
+    if q < Fraction(10) ** exp:
+        exp -= 1
+    digits = round(q / Fraction(10) ** (exp - 5))
+    if digits == 10**6:
+        digits, exp = 10**5, exp + 1
+    text = str(digits).rstrip("0")
+    mantissa = text[0] + ("." + text[1:] if len(text) > 1 else "")
+    return f"{mantissa}e{exp:+03d}"
 
 
 class NotHermitian(OvmAxiomError):
-    def __init__(self, atom: str, defect: float):
-        super().__init__(f"atom {atom!r}: matrix not Hermitian (defect {defect})")
+    def __init__(self, atom: str, defect: float | Fraction):
+        super().__init__(f"atom {atom!r}: matrix not Hermitian (defect {_defect_text(defect)})")
         self.atom = atom
         self.defect = defect
 
 
 class NotIdempotent(OvmAxiomError):
-    def __init__(self, atom: str, defect: float):
-        super().__init__(f"atom {atom!r}: matrix not idempotent (defect {defect})")
+    def __init__(self, atom: str, defect: float | Fraction):
+        super().__init__(f"atom {atom!r}: matrix not idempotent (defect {_defect_text(defect)})")
         self.atom = atom
         self.defect = defect
 
@@ -107,14 +134,16 @@ class NotPSD(OvmAxiomError):
 
 
 class SumNotIdentity(OvmAxiomError):
-    def __init__(self, defect: float):
-        super().__init__(f"atom matrices do not sum to the identity (defect {defect})")
+    def __init__(self, defect: float | Fraction):
+        super().__init__(f"atom matrices do not sum to the identity (defect {_defect_text(defect)})")
         self.defect = defect
 
 
 class CrossProductNonzero(OvmAxiomError):
-    def __init__(self, a: str, b: str, defect: float):
-        super().__init__(f"projections of atoms {a!r}, {b!r} not orthogonal (defect {defect})")
+    def __init__(self, a: str, b: str, defect: float | Fraction):
+        super().__init__(
+            f"projections of atoms {a!r}, {b!r} not orthogonal (defect {_defect_text(defect)})"
+        )
         self.atoms = (a, b)
         self.defect = defect
 

@@ -50,7 +50,7 @@ from .cuntz import multiplication_pvm, word_positions
 from .errors import LevelOutOfRange, MismatchedMeasures, PvmkError
 from .ifs import CylinderTower
 from .metric_core import lip1_vertices
-from .ovm import OperatorValuedMeasure, assemble_ovm, diagonal_pvm
+from .ovm import PROJECTION, OperatorValuedMeasure, assemble_ovm, diagonal_pvm
 from .rho import rho_assignments, rho_exact
 from .rng import SplitMix64
 from .sampling import random_povm, random_truth_conjugate_pvm
@@ -73,7 +73,9 @@ def phi_step(tower: CylinderTower, k: int, E: OperatorValuedMeasure) -> Operator
 
     A diagonal seed stays diagonal: S_i sends e_j to e_(i d + j), d = d_(k-1),
     so S_i E(c) S_i^* projects onto {e_(i d + j) : a[j] = c}, and the
-    output's assignment is i d + j -> i d + a[j], built in O(d_k).
+    output's assignment is i d + j -> i d + a[j], built in O(d_k).  It is
+    wrapped as it is, without ``diagonal_pvm``'s copy and range check: a[j]
+    < n_(k-1) = d, so every entry names one of the N d atoms of level k.
     """
     if not 1 <= k <= tower.depth:
         raise LevelOutOfRange(f"step target {k} outside 1..{tower.depth}")
@@ -83,8 +85,10 @@ def phi_step(tower: CylinderTower, k: int, E: OperatorValuedMeasure) -> Operator
     space = tower.level(k).space
     d_prev = E.dim
     if E.assignment is not None:
-        offsets = np.arange(tower.n_branches)[:, None] * d_prev
-        return diagonal_pvm(space, (offsets + E.assignment).ravel())
+        offsets = np.arange(tower.n_branches, dtype=np.intp)[:, None] * d_prev
+        assignment = (offsets + E.assignment).ravel()
+        assignment.setflags(write=False)
+        return OperatorValuedMeasure(space, None, PROJECTION, assignment)
     d_next = tower.dim(k)
     atoms = np.zeros((d_next, d_next, d_next), dtype=E.mats.dtype)
     for i in range(tower.n_branches):

@@ -68,9 +68,10 @@ def spectral_norm(mat) -> float:
 def eigendecomposition(mat) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and matching unit eigenvectors (columns).
 
-    ``mat`` must be Hermitian; the eigenvectors are real when it is real.
+    ``mat`` must be Hermitian, or a stack of Hermitian matrices, solved in
+    one batched call; the eigenvectors are real when every matrix is real.
     """
-    return np.linalg.eigh(_hermitian_stack([mat])[0])
+    return np.linalg.eigh(_hermitian_stack(mat))
 
 
 def top_eigenpair(mat) -> tuple[float, np.ndarray]:

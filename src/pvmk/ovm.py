@@ -112,18 +112,18 @@ def validate_ovm(
     for aid, m in zip(ids, stack):
         h = linalg.hermitian_defect(m)
         if (h != 0) if exact else (h > tol):
-            raise NotHermitian(aid, float(h))
+            raise NotHermitian(aid, h)
     if kind == PROJECTION:
         for aid, m in zip(ids, stack):
             mm = np.dot(m, m)
             defect = linalg.max_abs(mm - m)
             if (defect != 0) if exact else (defect > tol):
-                raise NotIdempotent(aid, float(defect))
+                raise NotIdempotent(aid, defect)
         for i in range(len(stack)):
             for j in range(i + 1, len(stack)):
                 defect = linalg.max_abs(np.dot(stack[i], stack[j]))
                 if (defect != 0) if exact else (defect > tol):
-                    raise CrossProductNonzero(ids[i], ids[j], float(defect))
+                    raise CrossProductNonzero(ids[i], ids[j], defect)
     else:
         for aid, m in zip(ids, stack):
             min_eig = linalg.min_eigenvalue(m)
@@ -132,7 +132,7 @@ def validate_ovm(
     eye = np.eye(dim, dtype=np.int64) if exact else np.eye(dim)
     defect = linalg.max_abs(stack.sum(axis=0) - eye)
     if (defect != 0) if exact else (defect > tol):
-        raise SumNotIdentity(float(defect))
+        raise SumNotIdentity(defect)
     stack.setflags(write=False)
     return OperatorValuedMeasure(space, stack, kind)
 

@@ -36,7 +36,7 @@ from .metric_core import (
 from .ovm import OperatorValuedMeasure, atom_difference_norms, integrate
 from .rationals import cleared
 from .rng import SplitMix64
-from .sampling import random_unit_vector
+from .sampling import random_unit_vectors
 
 SPHERE_ASCENT_STEPS = 50
 # Slack of the float comparisons in the metric-axiom and topology checks.
@@ -202,43 +202,67 @@ def rho_lower_sphere(
 
     Each restart alternates between the best vertex for the current h and
     the top eigenvector of the resulting witness operator; both moves are
-    non-decreasing, so the iteration climbs and the best value over all
-    restarts is reported.  Always at most rho_exact (up to float noise).
+    non-decreasing, so the iteration climbs, and it stops once a step no
+    longer gains (or after ``SPHERE_ASCENT_STEPS`` steps).  Always at most
+    rho_exact (up to float noise).
+
+    The restarts run in lockstep.  Their R start vectors are drawn up
+    front, in restart order, as one block of the ``SplitMix64(seed)``
+    stream (``random_unit_vectors``).  Each step serves every live restart
+    at once: one (R, n) quadratic form, one (R, |half|) score matrix with a
+    row-wise argmax (the first maximum), one (R, d, d) witness stack and
+    one batched ``linalg.eigendecomposition``, in real arithmetic when the
+    differences are real.  A restart leaves the batch when its own stop
+    test fires.  Each restart keeps its first best step under a strict
+    ``>``, and the result is the first restart holding the maximum: the
+    first maximum in (restart, step) order.
+
+    Scores and witnesses are one matrix-vector product per restart (a
+    stacked ``matmul`` on a trailing column), the witnesses in complex
+    arithmetic, so every restart's arithmetic is that of the restart run
+    alone, bit for bit.  That matters: a step can meet vertices whose
+    scores tie up to rounding, and a last-bit change there can pick
+    another vertex and climb to another local maximum.
     """
     _check_frames(space, E, F, vertices)
     if restarts < 1:
         raise InputParseError("restarts must be >= 1")
     if vertices is None:
         vertices = lip1_vertices(space)
-    deltas, _ = _difference_stack(E, F)
-    cdeltas = linalg.to_complex(deltas)
-    complex_case = bool(np.abs(cdeltas.imag).max() > 0.0) if cdeltas.size else False
-    half = vertices.half
+    cdeltas = linalg.to_complex(_difference_stack(E, F)[0])
+    complex_case = bool(cdeltas.imag.any())
+    deltas = cdeltas if complex_case else cdeltas.real
+    n, d = cdeltas.shape[:2]
+    rows = cdeltas.reshape(n, d * d)
     phis = vertices.half_floats
-    rng = SplitMix64(seed)
-    best = -1.0
-    best_h = None
-    best_vert = half[0]
-    for _ in range(restarts):
-        h = random_unit_vector(E.dim, rng, complex_=complex_case)
-        prev = -1.0
-        for _step in range(SPHERE_ASCENT_STEPS):
-            svec = np.real(np.einsum("i,aij,j->a", h.conj(), cdeltas, h))
-            vals = np.abs(phis @ svec)
-            iv = int(np.argmax(vals))
-            val = float(vals[iv])
-            if val > best:
-                best, best_h, best_vert = val, h, half[iv]
-            if val <= prev * (1.0 + 1e-15):
-                break
-            prev = val
-            witness = np.tensordot(phis[iv], cdeltas, axes=(0, 0))
-            _, h = linalg.top_eigenpair(witness)
+    h = random_unit_vectors(restarts, d, SplitMix64(seed), complex_=complex_case)
+    best = np.full(restarts, -1.0)
+    best_h = h.copy()
+    best_iv = np.zeros(restarts, dtype=np.intp)
+    prev = np.full(restarts, -1.0)
+    live = np.arange(restarts)
+    for _step in range(SPHERE_ASCENT_STEPS):
+        svec = np.einsum("ri,aij,rj->ra", h.conj(), deltas, h).real
+        vals = np.abs(np.matmul(phis, svec[:, :, None])[..., 0])
+        iv = np.argmax(vals, axis=1)
+        val = vals[np.arange(len(live)), iv]
+        up = val > best[live]
+        best[live[up]], best_h[live[up]], best_iv[live[up]] = val[up], h[up], iv[up]
+        go = ~(val <= prev[live] * (1.0 + 1e-15))
+        prev[live] = val
+        live, h, iv = live[go], h[go], iv[go]
+        if not live.size:
+            break
+        witness = np.matmul(phis[iv][:, None, :], rows).reshape(len(live), d, d)
+        w, vecs = linalg.eigendecomposition(witness)
+        top = np.argmax(np.abs(w), axis=1)
+        h = vecs[np.arange(len(live)), :, top]
+    r = int(np.argmax(best))
     return RhoResult(
-        value=best,
+        value=float(best[r]),
         exact=None,
-        witness_phi=certify_lipschitz(space, best_vert),
-        witness_vector=best_h,
+        witness_phi=certify_lipschitz(space, vertices.half[best_iv[r]]),
+        witness_vector=best_h[r],
         method="sphere",
     )
 
@@ -255,16 +279,22 @@ def rho_lower_grid(
     Raw random values are regularized to be 1-Lipschitz (min-plus with the
     distance, phi(x) = min_y (raw(y) + d(x, y)) on a float64 copy of the
     table), anchored, and scored by the operator-norm objective.
+
+    The samples x n raw values are one block draw,
+    ``SplitMix64(seed).uniforms``, bit for bit the scalar ``uniform`` draws
+    in sample-major order.  The float table is read from ``space.scaled``:
+    each entry is L*d / L in Python ints, correctly rounded, so it is the
+    ``float`` of the exact distance.
     """
     _check_frames(space, E, F)
     if samples < 1:
         raise InputParseError("samples must be >= 1")
     deltas, _ = _difference_stack(E, F)
-    rng = SplitMix64(seed)
     diam = float(space.diam)
-    dist = np.array([[float(x) for x in row] for row in space.dist])
-    raw = np.array([[rng.uniform(-diam, diam) for _ in range(space.n)] for _ in range(samples)])
-    phis = np.stack([(raw + row).min(axis=1) for row in dist], axis=1)
+    scale, ints = space.scaled
+    dist = np.array([[x / scale for x in row] for row in ints])
+    raw = SplitMix64(seed).uniforms(samples * space.n, -diam, diam).reshape(samples, space.n)
+    phis = (raw[:, None, :] + dist).min(axis=2)
     phis = phis - phis[:, :1]
     mats = _objective_stack(phis, deltas)
     norms = linalg.spectral_norms_stack(mats)

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 MASK64 = (1 << 64) - 1
 GAMMA = 0x9E3779B97F4A7C15
 MIX1 = 0xBF58476D1CE4E5B9
@@ -37,6 +39,23 @@ class SplitMix64:
         u = (self.next_u64() >> 11) * 2.0 ** -53
         return lo + (hi - lo) * u
 
+    def _top53(self, k: int) -> np.ndarray:
+        """The next k ``next_u64() >> 11`` as one uint64 array, leaving the
+        state where k scalar draws would.  Draw i reads state s + i*GAMMA,
+        so the k states are one uint64 array, whose arithmetic wraps mod
+        2^64 silently, as ``MASK64`` does for the scalar."""
+        z = np.uint64(self._state) + np.arange(1, k + 1, dtype=np.uint64) * np.uint64(GAMMA)
+        self._state = (self._state + k * GAMMA) & MASK64
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(MIX1)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(MIX2)
+        return (z ^ (z >> np.uint64(31))) >> np.uint64(11)
+
+    def uniforms(self, k: int, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
+        """The next k ``uniform(lo, hi)`` draws as one float64 array, bit for
+        bit: a value below 2^53 converts to float64 exactly, and the rest
+        is the same float arithmetic, element by element."""
+        return lo + (hi - lo) * (self._top53(k).astype(np.float64) * 2.0 ** -53)
+
     def randint(self, lo: int, hi: int) -> int:
         """Integer in [lo, hi]; modulo reduction (bias immaterial at these ranges)."""
         if hi < lo:
@@ -48,6 +67,21 @@ class SplitMix64:
         u1 = ((self.next_u64() >> 11) + 1) * 2.0 ** -53
         u2 = (self.next_u64() >> 11) * 2.0 ** -53
         return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
+
+    def gausses(self, k: int) -> np.ndarray:
+        """The next k ``gauss()`` draws as one float64 array, bit for bit.
+
+        The 2k integer draws are one block; the logs and cosines stay the
+        scalar's ``math`` calls, one per draw, since numpy's may round
+        differently.
+        """
+        top = self._top53(2 * k)
+        u1 = ((top[0::2] + np.uint64(1)).astype(np.float64) * 2.0 ** -53).tolist()
+        u2 = (top[1::2].astype(np.float64) * 2.0 ** -53).tolist()
+        return np.array(
+            [math.sqrt(-2.0 * math.log(a)) * math.cos(2.0 * math.pi * b) for a, b in zip(u1, u2)],
+            dtype=np.float64,
+        )
 
     def distinct_indices(self, n: int, k: int) -> list[int]:
         """k distinct indices from range(n), by partial Fisher-Yates."""

@@ -78,16 +78,24 @@ def random_unitary(dim: int, rng: SplitMix64) -> np.ndarray:
 
 
 def random_unit_vector(dim: int, rng: SplitMix64, complex_: bool = False) -> np.ndarray:
-    if complex_:
-        v = np.array([complex(rng.gauss(), rng.gauss()) for _ in range(dim)])
-    else:
-        v = np.array([rng.gauss() for _ in range(dim)])
-    norm = np.sqrt(np.vdot(v, v).real)
-    if norm == 0.0:  # pragma: no cover - measure-zero draw
-        v = np.zeros(dim)
-        v[0] = 1.0
-        return v
-    return v / norm
+    return random_unit_vectors(1, dim, rng, complex_)[0]
+
+
+def random_unit_vectors(count: int, dim: int, rng: SplitMix64, complex_: bool = False) -> np.ndarray:
+    """count random unit vectors as the rows of one array, drawn as one
+    block of Gaussians: row r is bit for bit the r-th of count
+    ``random_unit_vector`` calls (entries re, im, re, im, ... when complex)."""
+    g = rng.gausses(count * dim * (2 if complex_ else 1))
+    rows = (g.view(np.complex128) if complex_ else g).reshape(count, dim)
+    out = np.empty_like(rows)
+    for v, unit in zip(rows, out):
+        norm = np.sqrt(np.vdot(v, v).real)
+        if norm == 0.0:  # pragma: no cover - measure-zero draw
+            unit[:] = 0.0
+            unit[0] = 1.0
+        else:
+            unit[:] = v / norm
+    return out
 
 
 def random_diagonal_pvm_pair(space: FiniteMetricSpace, dim: int, rng: SplitMix64):

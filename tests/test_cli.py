@@ -501,7 +501,7 @@ def test_exact_defect_below_the_float_range_exits_1(files, capsys):
              {"id": "b", "matrix": {"re": [[0, "-" + eps], ["-" + eps, 1]]}}]
     space, e, f = _two_point_rho_files(files[1], atoms)
     assert run(["rho", "--space", space, "--e", e, "--f", f]) == 1
-    assert "not idempotent" in capsys.readouterr().err
+    assert "atom 'a': matrix not idempotent (defect 1e-400)" in capsys.readouterr().err
 
 
 def test_malformed_atom_exits_2(files, capsys):

@@ -69,6 +69,26 @@ def test_phi_step_swapped_diagonal_frozen(dyadic_ct):
         assert np.array_equal(stepped.mats[idx], expect)
 
 
+@pytest.mark.parametrize("ifs, depth", [(dyadic_ifs(), 6), (triadic_ifs(), 4)], ids=["dyadic", "triadic"])
+def test_assignment_steps_equal_the_diagonal_pvm_route(ifs, depth):
+    # phi_step wraps the stepped assignment as it is; diagonal_pvm copies and
+    # range-checks the same entries
+    ct = build_tower(ifs, depth)
+    rng = SplitMix64(29)
+    for k in range(1, depth + 1):
+        prev = ct.level(k - 1).space
+        random_seed = diagonal_pvm(prev, [rng.randint(0, prev.n - 1) for _ in range(ct.dim(k - 1))])
+        for E in (multiplication_pvm(ct, k - 1), swapped_diagonal_pvm(ct, k - 1), random_seed):
+            got = phi_step(ct, k, E)
+            offsets = np.arange(ct.n_branches)[:, None] * ct.dim(k - 1)
+            want = diagonal_pvm(ct.level(k).space, (offsets + E.assignment).ravel())
+            assert got.space == want.space and got.kind == want.kind and got.dense is None
+            assert got.assignment.dtype == want.assignment.dtype
+            assert np.array_equal(got.assignment, want.assignment)
+            assert not got.assignment.flags.writeable
+            assert got.mats.dtype == want.mats.dtype and np.array_equal(got.mats, want.mats)
+
+
 def test_phi_step_agrees_with_explicit_isometry_products(dyadic_ct):
     # block placement equals the literal S E S^T computation
     rng = SplitMix64(3)

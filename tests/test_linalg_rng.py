@@ -1,6 +1,7 @@
 """Eigensolver checks against known spectra and generator reproducibility."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from pvmk.linalg import (
@@ -15,7 +16,7 @@ from pvmk.linalg import (
     top_eigenpair,
 )
 from pvmk.rng import SplitMix64
-from pvmk.sampling import random_orthogonal, random_unitary
+from pvmk.sampling import random_orthogonal, random_unit_vector, random_unit_vectors, random_unitary
 
 
 def test_splitmix64_reference_stream():
@@ -36,6 +37,64 @@ def test_splitmix64_determinism_and_ranges():
         assert 2 <= rng.randint(2, 7) <= 7
     idx = rng.distinct_indices(10, 4)
     assert len(set(idx)) == 4
+
+
+MASK64 = (1 << 64) - 1
+GAMMA = 0x9E3779B97F4A7C15
+# s + 3 GAMMA = 0 mod 2^64: the third state of a block wraps to exactly 0
+WRAPS_AT_THREE = (-3 * GAMMA) & MASK64
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("seed", [0, MASK64, WRAPS_AT_THREE], ids=["0", "2^64-1", "wraps-mid-block"])
+@pytest.mark.parametrize("k", [0, 1, 7, 1000])
+def test_block_uniforms_are_the_scalar_draws(seed, k):
+    block, scalar = SplitMix64(seed), SplitMix64(seed)
+    got = block.uniforms(k, -1.75, 2.5)
+    want = np.array([scalar.uniform(-1.75, 2.5) for _ in range(k)], dtype=np.float64)
+    assert got.dtype == np.float64 and got.shape == (k,)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert block._state == scalar._state
+    assert block.next_u64() == scalar.next_u64()
+
+
+def test_block_uniforms_default_to_the_unit_interval():
+    block, scalar = SplitMix64(11), SplitMix64(11)
+    assert block.uniforms(5).tolist() == [scalar.uniform() for _ in range(5)]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("seed", [0, MASK64, WRAPS_AT_THREE], ids=["0", "2^64-1", "wraps-mid-block"])
+@pytest.mark.parametrize("k", [0, 1, 7, 1000])
+def test_block_gausses_are_the_scalar_draws(seed, k):
+    block, scalar = SplitMix64(seed), SplitMix64(seed)
+    got = block.gausses(k)
+    want = np.array([scalar.gauss() for _ in range(k)], dtype=np.float64)
+    assert got.dtype == np.float64 and got.shape == (k,)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert block._state == scalar._state
+
+
+def _loop_unit_vector(dim, rng, complex_):
+    """Reference for ``random_unit_vector``: one scalar draw per entry."""
+    if complex_:
+        v = np.array([complex(rng.gauss(), rng.gauss()) for _ in range(dim)])
+    else:
+        v = np.array([rng.gauss() for _ in range(dim)])
+    return v / np.sqrt(np.vdot(v, v).real)
+
+
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("dim", [1, 3, 7])
+def test_block_unit_vectors_are_the_scalar_draws(dim, complex_):
+    block, single, scalar = SplitMix64(dim), SplitMix64(dim), SplitMix64(dim)
+    rows = random_unit_vectors(9, dim, block, complex_)
+    for row in rows:
+        want = _loop_unit_vector(dim, scalar, complex_)
+        got = random_unit_vector(dim, single, complex_)
+        assert row.dtype == got.dtype == want.dtype
+        assert np.array_equal(row, want) and np.array_equal(got, want)
+    assert block._state == single._state == scalar._state
 
 
 def _random_symmetric(rng, n):

@@ -101,8 +101,45 @@ def test_exact_defect_below_the_float_range_is_not_idempotent():
     a = np.array([[1, eps], [eps, 0]], dtype=object)
     b = np.array([[0, -eps], [-eps, 1]], dtype=object)
     assert max_abs(a @ a - a) == eps**2
-    with pytest.raises(NotIdempotent, match="'p0'"):
+    with pytest.raises(NotIdempotent, match=r"'p0': matrix not idempotent \(defect 1e-400\)$") as err:
         validate_ovm(two_atom_space(), [a, b], "projection")
+    assert err.value.defect == eps**2
+
+
+def _exact(rows):
+    return np.array([[F(x) for x in row] for row in rows], dtype=object)
+
+
+TINY = F(1, 10**400)  # 0.0 as a float
+# w = (TINY, 1) spans a line at angle ~1e-400 from e_2: its projection
+# ww^T / |w|^2 is exact, Hermitian and idempotent, and meets e_1's.
+W_PROJ = _exact([[TINY**2, TINY], [TINY, 1]]) / (1 + TINY**2)
+EXACT_DEFECT_CASES = {
+    "hermitian": (NotHermitian, [_exact([[1, TINY], [0, 0]]), _exact([[0, -TINY], [0, 1]])], "positive",
+                  r"'p0': matrix not Hermitian \(defect 1e-400\)$", TINY),
+    "cross-product": (CrossProductNonzero, [_exact([[1, 0], [0, 0]]), W_PROJ], "projection",
+                      r"'p0', 'p1' not orthogonal \(defect 1e-400\)$", TINY / (1 + TINY**2)),
+    "sum": (SumNotIdentity, [_exact([[1, 0], [0, 0]]), _exact([[0, 0], [0, 1 - TINY]])], "positive",
+            r"identity \(defect 1e-400\)$", TINY),
+}
+
+
+@pytest.mark.parametrize("case", EXACT_DEFECT_CASES.values(), ids=EXACT_DEFECT_CASES.keys())
+def test_exact_defects_below_the_float_range_are_named_non_zero(case):
+    error, mats, kind, message, defect = case
+    with pytest.raises(error, match=message) as err:
+        validate_ovm(two_atom_space(), mats, kind)
+    assert err.value.defect == defect and type(err.value.defect) is Fraction
+
+
+def test_float_defects_print_as_floats_and_exact_ones_in_scientific_notation():
+    with pytest.raises(SumNotIdentity, match=r"\(defect 0\.25\)$") as err:
+        validate_ovm(two_atom_space(), [np.eye(2) / 2, np.eye(2) / 4], "positive")
+    assert type(err.value.defect) is float
+    half = _exact([[F(1, 2), 0], [0, F(1, 2)]])
+    with pytest.raises(NotIdempotent, match=r"\(defect 2\.5e-01\)$") as err:
+        validate_ovm(two_atom_space(), [half, half], "projection")
+    assert err.value.defect == F(1, 4)
 
 
 def test_random_conjugate_of_pvm_validates():

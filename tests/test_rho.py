@@ -7,10 +7,11 @@ import pytest
 
 from pvmk.errors import MismatchedMeasures
 from pvmk.ifs import build_tower, dyadic_ifs, make_ifs
-from pvmk.linalg import spectral_norm, to_complex
+from pvmk.linalg import spectral_norm, to_complex, top_eigenpair
 from pvmk.metric_core import lip_constant, lip1_vertices, validate_space
-from pvmk.ovm import diagonal_pvm, integrate, validate_ovm
+from pvmk.ovm import conjugate, diagonal_pvm, integrate, validate_ovm
 from pvmk.rho import (
+    SPHERE_ASCENT_STEPS,
     _difference_stack,
     metric_axiom_suite,
     rho_assignments,
@@ -26,6 +27,8 @@ from pvmk.sampling import (
     random_povm,
     random_pvm,
     random_rational_values,
+    random_unit_vector,
+    random_unitary,
 )
 from test_metric_core import mcshane
 
@@ -209,6 +212,80 @@ def test_sphere_and_grid_are_lower_bounds():
         assert grid <= exact + 1e-10
         assert abs(sphere - exact) <= 1e-4
         assert grid <= sphere + 1e-10
+
+
+def _loop_sphere(space, e, f, restarts, seed, verts):
+    """Reference for ``rho_lower_sphere``: the restarts one after another,
+    each drawing its start vector when it starts, and the first maximum in
+    (restart, step) order under a strict >.  Returns (value, vertex, h)."""
+    cdeltas = to_complex(_difference_stack(e, f)[0])
+    complex_case = bool(np.abs(cdeltas.imag).max() > 0.0)
+    phis = verts.half_floats
+    rng = SplitMix64(seed)
+    best, best_h, best_vert = -1.0, None, verts.half[0]
+    for _ in range(restarts):
+        h = random_unit_vector(e.dim, rng, complex_=complex_case)
+        prev = -1.0
+        for _step in range(SPHERE_ASCENT_STEPS):
+            svec = np.real(np.einsum("i,aij,j->a", h.conj(), cdeltas, h))
+            vals = np.abs(phis @ svec)
+            iv = int(np.argmax(vals))
+            val = float(vals[iv])
+            if val > best:
+                best, best_h, best_vert = val, h, verts.half[iv]
+            if val <= prev * (1.0 + 1e-15):
+                break
+            prev = val
+            witness = np.tensordot(phis[iv], cdeltas, axes=(0, 0))
+            _, h = top_eigenpair(witness)
+    return best, best_vert, best_h
+
+
+def strict_space(n, rng):
+    """Every distance in [3/2, 2], so every triangle inequality is strict."""
+    d = [[F(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            d[i][j] = d[j][i] = F(rng.randint(12, 16), 8)
+    return validate_space(d)
+
+
+def _sphere_panel():
+    rng = SplitMix64(97)
+    cases = []
+    for n in (5, 6, 7):
+        space = strict_space(n, rng)
+        e, f = (random_pvm(space, 3, rng, complex_=True) for _ in range(2))
+        u = random_unitary(3, rng)
+        pairs = {
+            "real-pvm": (random_pvm(space, 6, rng), random_pvm(space, 6, rng)),
+            "complex-pvm": (e, f),
+            "povm": (random_povm(space, 4, rng), random_povm(space, 4, rng)),
+            "conjugated": (conjugate(e, u), conjugate(f, u)),
+        }
+        cases += [(f"n{n}-{name}", space, pair) for name, pair in pairs.items()]
+    return cases
+
+
+SPHERE_PANEL = _sphere_panel()
+
+
+@pytest.mark.parametrize("restarts", [1, 6, 60])
+@pytest.mark.parametrize(
+    "space, pair", [case[1:] for case in SPHERE_PANEL], ids=[case[0] for case in SPHERE_PANEL]
+)
+def test_lockstep_sphere_matches_the_per_restart_loop(space, pair, restarts):
+    e, f = pair
+    verts = lip1_vertices(space)
+    res = rho_lower_sphere(space, e, f, restarts, seed=restarts + space.n, vertices=verts)
+    value, vert, loop_h = _loop_sphere(space, e, f, restarts, restarts + space.n, verts)
+    assert abs(res.value - value) <= 1e-12 * max(1.0, value)
+    if res.value == value:  # same bits, so the same first maximum
+        assert res.witness_phi.values == vert and np.array_equal(res.witness_vector, loop_h)
+    h = res.witness_vector
+    assert abs(np.vdot(h, h).real - 1.0) <= 1e-12
+    m = to_complex(integrate(res.witness_phi.values, e)) - to_complex(integrate(res.witness_phi.values, f))
+    assert abs(abs(np.vdot(h, m @ h)) - res.value) <= 1e-12
 
 
 def test_grid_constant_sample_is_zero():
