@@ -41,7 +41,14 @@ from .ovm import (
     scalar_measure,
     validate_ovm,
 )
-from .rho import metric_axiom_suite, rho_exact, rho_lower_grid, rho_lower_sphere, topology_bounds
+from .rho import (
+    metric_axiom_suite,
+    rho_assignments,
+    rho_exact,
+    rho_lower_grid,
+    rho_lower_sphere,
+    topology_bounds,
+)
 from .rng import SplitMix64
 from .sampling import (
     random_diagonal_pvm_pair,
@@ -274,13 +281,8 @@ def criterion_9(seed: int = 0, instances: int = 50) -> CriterionResult:
         dim = rng.randint(2, 4)
         space = random_metric_space(n, rng)
         vertices = lip1_vertices(space)
-        E, F, a, b = random_diagonal_pvm_pair(space, dim, rng)
-        value = rho_exact(space, E, F, vertices)
-        closed = max(space.dist[ai][bi] for ai, bi in zip(a, b))
-        if value.exact is not None:
-            ok = ok and value.exact == closed
-        else:
-            ok = ok and abs(value.value - float(closed)) <= 1e-10
+        E, F, _, _ = random_diagonal_pvm_pair(space, dim, rng)
+        ok = ok and rho_exact(space, E, F, vertices).exact == rho_assignments(E, F)
     return CriterionResult(9, "diagonal closed form", ok, {"instances": instances})
 
 

@@ -82,8 +82,6 @@ def _emit(args, report: dict, csv_text: str | None = None) -> None:
         write_text(args.out, text)
     else:
         sys.stdout.write(text)
-        if csv_text is not None:
-            sys.stdout.write(csv_text)
         sys.stdout.flush()  # a closed stdout fails here, inside run
 
 

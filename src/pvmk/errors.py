@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import decimal
 from fractions import Fraction
 
 
@@ -94,22 +95,17 @@ class OvmAxiomError(PvmkError):
 
 def _defect_text(defect) -> str:
     """A defect for a message: a float as Python prints it; an exact one to
-    six significant digits, m.mmmmme<exponent>, found in integers, so that
-    10^-400 prints as 1e-400 and not as 0.0."""
+    six significant digits, m.mmmmme<exponent>, by one correctly rounded
+    ``decimal`` division, so that 10^-400 prints as 1e-400 and not as 0.0,
+    and no numerator or denominator is ever converted to a string."""
     if isinstance(defect, float):
         return str(defect)
     q = abs(Fraction(defect))
     if not q:
         return "0"
-    exp = len(str(q.numerator)) - len(str(q.denominator))
-    if q < Fraction(10) ** exp:
-        exp -= 1
-    digits = round(q / Fraction(10) ** (exp - 5))
-    if digits == 10**6:
-        digits, exp = 10**5, exp + 1
-    text = str(digits).rstrip("0")
-    mantissa = text[0] + ("." + text[1:] if len(text) > 1 else "")
-    return f"{mantissa}e{exp:+03d}"
+    ctx = decimal.Context(prec=6, Emin=decimal.MIN_EMIN, Emax=decimal.MAX_EMAX)
+    mantissa, exp = f"{ctx.divide(q.numerator, q.denominator):.5e}".split("e")
+    return f"{mantissa.rstrip('0').rstrip('.')}e{int(exp):+03d}"
 
 
 class NotHermitian(OvmAxiomError):

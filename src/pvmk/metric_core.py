@@ -261,6 +261,22 @@ class Lip1VertexSet:
         arr.setflags(write=False)
         return arr
 
+    def best(self, weights) -> tuple[int, int, int]:
+        """``(top, i, j)``: the largest |L*phi_i . w_j| over the half's
+        scaled vertices L*phi_i (``scaled``) and the columns w_j of
+        ``weights``, an (n, k) table of Python ints, at its first position
+        in (vertex, column) order, so (0, 0, 0) when every score is 0.
+
+        The scores are one object-dtype product, in Python ints that never
+        wrap, and one ``argmax`` over them flattened.  The vertex list is
+        closed under negation (see ``half``), so ``top`` is also the
+        largest L*phi . w_j over every vertex.
+        """
+        half = np.array(self.scaled[1][: len(self.half)], dtype=object)
+        scores = np.abs(half @ np.array(weights, dtype=object))
+        i, j = divmod(int(np.argmax(scores)), scores.shape[1])
+        return scores[i, j], i, j
+
 
 def _line_order(space: FiniteMetricSpace) -> list[int] | None:
     """Point indices sorted along an isometric embedding into the real line.

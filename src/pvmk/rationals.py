@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 from .errors import InputParseError
@@ -38,9 +39,11 @@ def cleared(values) -> tuple[int, list[int]]:
 
 
 def rational_str(q) -> str:
-    """Render as "p/q", denominator kept even when it is 1."""
+    """Render as "p/q", denominator kept even when it is 1.  The ints are
+    printed through ``Decimal``, digit for digit their ``str``, which has
+    no limit on the number of digits."""
     q = Fraction(q)
-    return f"{q.numerator}/{q.denominator}"
+    return f"{Decimal(q.numerator)}/{Decimal(q.denominator)}"
 
 
 def is_rational_sequence(values) -> bool:

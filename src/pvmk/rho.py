@@ -31,7 +31,6 @@ from .metric_core import (
     LipschitzFunction,
     certify_lipschitz,
     lip_constant,
-    lip1_vertices,
 )
 from .ovm import OperatorValuedMeasure, atom_difference_norms, integrate
 from .rationals import cleared
@@ -86,33 +85,22 @@ def _all_diagonal(deltas: np.ndarray) -> bool:
     return not np.count_nonzero(deltas[:, ~np.eye(deltas.shape[1], dtype=bool)])
 
 
-def _objective_stack(phis: np.ndarray, deltas: np.ndarray) -> np.ndarray:
-    return np.tensordot(phis, linalg.to_complex(deltas), axes=(1, 0))
-
-
-def _best_diagonal_vertex(vertices: Lip1VertexSet, deltas) -> tuple[Fraction, int, int]:
-    """(max value, half index, slot) of |sum_a phi(a) delta_a(j)| over the
-    half and the diagonal slots j, for exact diagonal differences.
-
-    A slot where every difference is zero scores 0, which never beats the
-    running best under ``>``, so only the other slots are scored, each on
-    its non-zero atoms.
-    """
-    scale, ints = vertices.scaled
-    d = deltas.shape[1]
-    unit, flat = cleared(deltas.diagonal(axis1=1, axis2=2).ravel().tolist())
-    slots = []
-    for j in range(d):
-        nonzero = [(a, w) for a, w in enumerate(flat[j::d]) if w]
-        if nonzero:
-            slots.append((j, nonzero))
-    best, best_i, best_j = 0, 0, 0
-    for i, vert in enumerate(ints[: len(vertices.half)]):
-        for j, col in slots:
-            val = abs(sum([vert[a] * w for a, w in col]))
-            if val > best:
-                best, best_i, best_j = val, i, j
-    return Fraction(best, scale * unit), best_i, best_j
+def _best_float(space, phis: np.ndarray, deltas: np.ndarray, witnesses, method: str) -> RhoResult:
+    """The float tail of the vertex and grid routes: the objective stack of
+    the rows of ``phis`` against the differences, its spectral norms, the
+    first maximum and its top eigenvector, and the certified witness
+    ``witnesses[i]`` (the values behind row i)."""
+    mats = np.tensordot(phis, linalg.to_complex(deltas), axes=(1, 0))
+    norms = linalg.spectral_norms_stack(mats)
+    best_i = int(np.argmax(norms))
+    _, witness_vec = linalg.top_eigenpair(mats[best_i])
+    return RhoResult(
+        value=float(norms[best_i]),
+        exact=None,
+        witness_phi=certify_lipschitz(space, witnesses[best_i]),
+        witness_vector=witness_vec,
+        method=method,
+    )
 
 
 def rho_exact(
@@ -126,41 +114,31 @@ def rho_exact(
     Returns the optimizing vertex and a unit vector achieving the operator
     norm of the witness operator.  When both measures carry exact diagonal
     matrices, the witness operator is diagonal and its norm is the largest
-    |sum_a phi(a) delta_a(j)| over vertices phi and diagonal slots j.  That
-    maximum is found in Python ints: the vertices are scored as L*phi
-    (``vertices.scaled``) against the diagonals cleared by M, the lcm of
-    their denominators, so every score is L*M times its rational value.
-    The scan runs vertex-major and j-minor with a strict ``>``, so it keeps
-    the first maximum, and the ``exact`` field is the one Fraction built
-    at the end, best / (L*M).
+    |sum_a phi(a) delta_a(j)| over vertices phi and diagonal slots j: rho
+    is then the largest scalar Kantorovich distance W1 over the slots, of
+    which ``transport.kantorovich_dual_oracle`` is the one-slot case.
+    ``vertices.best`` finds that maximum in Python ints, on the diagonals
+    cleared by M, the lcm of their denominators, and keeps the first
+    maximum in (vertex, slot) order.  The ``exact`` field is the one
+    Fraction built at the end, top / (L*M).
     """
     _check_frames(space, E, F, vertices)
     deltas, exact = _difference_stack(E, F)
-    half = vertices.half
     if exact and _all_diagonal(deltas):
-        best, best_i, best_j = _best_diagonal_vertex(vertices, deltas)
-        best_vert = half[best_i]
+        n, d = deltas.shape[:2]
+        unit, flat = cleared(deltas.diagonal(axis1=1, axis2=2).ravel().tolist())
+        top, best_i, best_j = vertices.best([flat[a * d : (a + 1) * d] for a in range(n)])
+        best = Fraction(top, vertices.scaled[0] * unit)
         witness_vec = np.zeros(E.dim)
         witness_vec[best_j] = 1.0
         return RhoResult(
             value=float(best),
             exact=best,
-            witness_phi=certify_lipschitz(space, best_vert),
+            witness_phi=certify_lipschitz(space, vertices.half[best_i]),
             witness_vector=witness_vec,
             method="vertex",
         )
-    mats = _objective_stack(vertices.half_floats, deltas)
-    norms = linalg.spectral_norms_stack(mats)
-    best_i = int(np.argmax(norms))
-    _, witness_vec = linalg.top_eigenpair(mats[best_i])
-    best_vert = half[best_i]
-    return RhoResult(
-        value=float(norms[best_i]),
-        exact=None,
-        witness_phi=certify_lipschitz(space, best_vert),
-        witness_vector=witness_vec,
-        method="vertex",
-    )
+    return _best_float(space, vertices.half_floats, deltas, vertices.half, "vertex")
 
 
 def rho_assignments(E: OperatorValuedMeasure, F: OperatorValuedMeasure) -> Fraction:
@@ -196,7 +174,8 @@ def rho_lower_sphere(
     F: OperatorValuedMeasure,
     restarts: int,
     seed: int = 0,
-    vertices: Lip1VertexSet | None = None,
+    *,
+    vertices: Lip1VertexSet,
 ) -> RhoResult:
     """Lower bound from unit vectors: sup_h of the scalar dual of <(E-F)h, h>.
 
@@ -227,8 +206,6 @@ def rho_lower_sphere(
     _check_frames(space, E, F, vertices)
     if restarts < 1:
         raise InputParseError("restarts must be >= 1")
-    if vertices is None:
-        vertices = lip1_vertices(space)
     cdeltas = linalg.to_complex(_difference_stack(E, F)[0])
     complex_case = bool(cdeltas.imag.any())
     deltas = cdeltas if complex_case else cdeltas.real
@@ -296,18 +273,7 @@ def rho_lower_grid(
     raw = SplitMix64(seed).uniforms(samples * space.n, -diam, diam).reshape(samples, space.n)
     phis = (raw[:, None, :] + dist).min(axis=2)
     phis = phis - phis[:, :1]
-    mats = _objective_stack(phis, deltas)
-    norms = linalg.spectral_norms_stack(mats)
-    best_i = int(np.argmax(norms))
-    _, witness_vec = linalg.top_eigenpair(mats[best_i])
-    phi_best = tuple(float(x) for x in phis[best_i])
-    return RhoResult(
-        value=float(norms[best_i]),
-        exact=None,
-        witness_phi=certify_lipschitz(space, phi_best),
-        witness_vector=witness_vec,
-        method="grid",
-    )
+    return _best_float(space, phis, deltas, phis.tolist(), "grid")
 
 
 @dataclass(frozen=True)

@@ -18,13 +18,20 @@ from .ovm import OperatorValuedMeasure, POSITIVE, PROJECTION, diagonal_pvm, vali
 from .rng import SplitMix64
 from .transport import ProbMeasure
 
+# Draws: space edge weights k/SPACE_DENOM with 1 <= k <= SPACE_MAX_NUM, raw
+# measure weights 1..MEASURE_MAX_WEIGHT, point values in steps of 1/VALUES_DENOM.
+SPACE_DENOM = 8
+SPACE_MAX_NUM = 16
+MEASURE_MAX_WEIGHT = 16
+VALUES_DENOM = 16
 
-def random_metric_space(n: int, rng: SplitMix64, denom: int = 8, max_num: int = 16) -> FiniteMetricSpace:
+
+def random_metric_space(n: int, rng: SplitMix64) -> FiniteMetricSpace:
     """Random n-point metric: shortest-path closure of random positive weights."""
     d = [[Fraction(0)] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            d[i][j] = d[j][i] = Fraction(rng.randint(1, max_num), denom)
+            d[i][j] = d[j][i] = Fraction(rng.randint(1, SPACE_MAX_NUM), SPACE_DENOM)
     for k in range(n):
         for i in range(n):
             for j in range(n):
@@ -33,14 +40,12 @@ def random_metric_space(n: int, rng: SplitMix64, denom: int = 8, max_num: int = 
     return validate_space(d)
 
 
-def random_rational_measure(
-    n: int, rng: SplitMix64, max_support: int | None = None, max_weight: int = 16
-) -> ProbMeasure:
+def random_rational_measure(n: int, rng: SplitMix64, max_support: int | None = None) -> ProbMeasure:
     """Random rational probability weights on a sparse random support."""
     cap = n if max_support is None else min(max_support, n)
     size = rng.randint(1, cap)
     support = rng.distinct_indices(n, size)
-    raw = [rng.randint(1, max_weight) for _ in support]
+    raw = [rng.randint(1, MEASURE_MAX_WEIGHT) for _ in support]
     total = sum(raw)
     weights = [Fraction(0)] * n
     for idx, w in zip(support, raw):
@@ -48,12 +53,12 @@ def random_rational_measure(
     return ProbMeasure(tuple(weights))
 
 
-def random_rational_values(space: FiniteMetricSpace, rng: SplitMix64, denom: int = 16):
+def random_rational_values(space: FiniteMetricSpace, rng: SplitMix64):
     """Random rational point values within +/- 2 diam (arbitrary Lipschitz constant)."""
     hi = max(2 * space.diam, Fraction(1))
-    steps = int(2 * hi * denom)
+    steps = int(2 * hi * VALUES_DENOM)
     return tuple(
-        -hi + Fraction(rng.randint(0, steps), denom) for _ in range(space.n)
+        -hi + Fraction(rng.randint(0, steps), VALUES_DENOM) for _ in range(space.n)
     )
 
 

@@ -229,19 +229,16 @@ def kantorovich_dual_oracle(
 ) -> Fraction:
     """max over polytope vertices of sum phi (mu - nu); equals the LP value.
 
-    Scored in Python ints: each vertex as L*phi (``vertices.scaled``)
-    against the weight differences scaled by M, the lcm of the two
-    measures' denominators, on the points where they differ.  The maximum
-    is L*M times the value, which is returned as one Fraction.
+    This is rho on a one-dimensional Hilbert space: ``vertices.best``
+    scores each vertex as L*phi (``vertices.scaled``) against the one
+    column of weight differences scaled by M, the lcm of the two measures'
+    denominators.  The maximum is L*M times the value, which is returned as
+    one Fraction.
     """
     if vertices.space != space:
         raise StaleVertexSet("vertex set was built from a different space")
     _check_measure(space, mu)
     _check_measure(space, nu)
-    scale, ints = vertices.scaled
     unit, ab = cleared(mu.weights + nu.weights)
-    a, b = ab[: space.n], ab[space.n :]
-    diff = [(i, x - y) for i, (x, y) in enumerate(zip(a, b)) if x != y]
-    best = max(sum([vert[i] * w for i, w in diff]) for vert in ints)
-    return Fraction(best, scale * unit)
-
+    top, _, _ = vertices.best([[x - y] for x, y in zip(ab[: space.n], ab[space.n :])])
+    return Fraction(top, vertices.scaled[0] * unit)

@@ -18,6 +18,7 @@ import pvmk.ovm
 from pvmk.rationals import rational_str
 from pvmk.schemas import canonical_json
 from pvmk.transport import ProbMeasure
+from decimal import Decimal
 from fractions import Fraction
 
 
@@ -502,6 +503,29 @@ def test_exact_defect_below_the_float_range_exits_1(files, capsys):
     space, e, f = _two_point_rho_files(files[1], atoms)
     assert run(["rho", "--space", space, "--e", e, "--f", f]) == 1
     assert "atom 'a': matrix not idempotent (defect 1e-400)" in capsys.readouterr().err
+
+
+def test_exact_defect_past_the_int_string_limit_exits_1(files, capsys):
+    # the defect 10^-4400 has a denominator of 4,401 digits, past the
+    # interpreter's int-to-str limit
+    eps = "1/1" + "0" * 2200
+    atoms = [{"id": "a", "matrix": {"re": [[1, eps], [eps, 0]]}},
+             {"id": "b", "matrix": {"re": [[0, "-" + eps], ["-" + eps, 1]]}}]
+    space, e, f = _two_point_rho_files(files[1], atoms)
+    assert run(["rho", "--space", space, "--e", e, "--f", f]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: atom 'a': matrix not idempotent (defect 1e-4400)\n"
+
+
+def test_exact_value_past_the_int_string_limit_is_reported(files, capsys):
+    # W1 = (1/p - 1/q) / 2 = 1/(pq), whose denominator has about 4,400 digits
+    p, q = 10**2200 + 1, 10**2200 + 3
+    space, _, _ = _two_point_rho_files(files[1], SWAPPED_ATOMS)
+    mu = files[1]("mu.json", {"weights": [f"1/{p}", f"{p - 1}/{p}"]})
+    nu = files[1]("nu.json", {"weights": [f"1/{q}", f"{q - 1}/{q}"]})
+    assert run(["kantorovich", "--space", space, "--mu", mu, "--nu", nu]) == 0
+    num, den = _capture(capsys)["results"]["value"].split("/")
+    assert Fraction(int(Decimal(num)), int(Decimal(den))) == Fraction(1, p * q)
 
 
 def test_malformed_atom_exits_2(files, capsys):

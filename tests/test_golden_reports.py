@@ -4,13 +4,15 @@ Each case runs ``cli.run`` from the repository root on ``sample_inputs/``
 and compares stdout with ``tests/golden/<case>.txt``.  Only commands whose
 output is fixed by exact arithmetic are pinned; the sphere, grid and random
 seeds end in float bits that depend on the BLAS build.  After a deliberate
-change of a report, rewrite the files with
+change of a report, rewrite the files of the named cases (all cases when
+none is named; an unknown name exits non-zero) with
 
-    PYTHONPATH=src python tests/test_golden_reports.py
+    PYTHONPATH=src python tests/test_golden_reports.py [case ...]
 """
 
 import contextlib
 import io
+import json
 import os
 import sys
 from pathlib import Path
@@ -58,12 +60,17 @@ def test_report_matches_golden(case, monkeypatch):
     code, text = _report(CASES[case])
     assert code == 0
     assert text == (GOLDEN / f"{case}.txt").read_text(encoding="utf-8")
+    assert json.loads(text)["command"] == CASES[case][0]  # stdout is one JSON document
 
 
 if __name__ == "__main__":
     os.chdir(ROOT)
-    for case, argv in CASES.items():
-        code, text = _report(argv)
+    names = sys.argv[1:] or list(CASES)
+    unknown = [case for case in names if case not in CASES]
+    if unknown:
+        sys.exit(f"unknown case(s): {', '.join(unknown)}; known: {', '.join(CASES)}")
+    for case in names:
+        code, text = _report(CASES[case])
         if code != 0:
             sys.exit(f"{case} exited {code}")
         (GOLDEN / f"{case}.txt").write_text(text, encoding="utf-8")

@@ -15,6 +15,7 @@ from pvmk.errors import (
     NotPSD,
     NotUnitary,
     SumNotIdentity,
+    _defect_text,
 )
 from pvmk.linalg import max_abs, spectral_norm, to_complex
 from pvmk.metric_core import validate_space
@@ -140,6 +141,47 @@ def test_float_defects_print_as_floats_and_exact_ones_in_scientific_notation():
     with pytest.raises(NotIdempotent, match=r"\(defect 2\.5e-01\)$") as err:
         validate_ovm(two_atom_space(), [half, half], "projection")
     assert err.value.defect == F(1, 4)
+
+
+def _string_defect_text(defect) -> str:
+    """Reference for ``errors._defect_text`` on exact defects: the digit
+    count of the numerator and denominator strings, then one rounding of the
+    exact quotient (half to even, as Python's ``round``)."""
+    q = abs(Fraction(defect))
+    if not q:
+        return "0"
+    exp = len(str(q.numerator)) - len(str(q.denominator))
+    if q < Fraction(10) ** exp:
+        exp -= 1
+    digits = round(q / Fraction(10) ** (exp - 5))
+    if digits == 10**6:
+        digits, exp = 10**5, exp + 1
+    text = str(digits).rstrip("0")
+    mantissa = text[0] + ("." + text[1:] if len(text) > 1 else "")
+    return f"{mantissa}e{exp:+03d}"
+
+
+def _defect_panel():
+    rng = SplitMix64(97)
+    panel = [0, 1, -3, 10**6, F(1, 4), F(-1, 4), F(9999995, 10**7), F(9999985, 10**7),
+             F(1, 10**400), F(123456789, 10**1000), F(2, 3) ** 300, F(10**2000 + 1, 7)]
+    panel += [F(10) ** k for k in range(-40, 41)]
+    panel += [F(10**k - 5, 10**k) for k in range(6, 16)]  # 0.9999995 and on round up to 1
+    panel += [F(rng.randint(1, 10**rng.randint(1, 30)), rng.randint(1, 10**rng.randint(1, 30)))
+              for _ in range(400)]
+    return panel
+
+
+def test_exact_defect_text_matches_the_string_reference():
+    for q in _defect_panel():
+        assert _defect_text(q) == _string_defect_text(q), q
+    assert (_defect_text(F(1, 4)), _defect_text(F(9999995, 10**7))) == ("2.5e-01", "1e+00")
+
+
+def test_exact_defect_text_has_no_digit_limit():
+    # 10^-4400 has a denominator of 4,401 digits, past the int-to-str limit
+    assert _defect_text(F(1, 10**4400)) == "1e-4400"
+    assert _defect_text(F(2, 3 * 10**5000)) == "6.66667e-5001"
 
 
 def test_random_conjugate_of_pvm_validates():

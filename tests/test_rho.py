@@ -20,6 +20,7 @@ from pvmk.rho import (
     rho_lower_sphere,
     topology_bounds,
 )
+from pvmk.rationals import cleared
 from pvmk.rng import SplitMix64
 from pvmk.sampling import (
     random_diagonal_pvm_pair,
@@ -30,7 +31,8 @@ from pvmk.sampling import (
     random_unit_vector,
     random_unitary,
 )
-from test_metric_core import mcshane
+from pvmk.transport import ProbMeasure, kantorovich
+from test_metric_core import _float_space, mcshane
 
 F = Fraction
 
@@ -174,15 +176,11 @@ def test_sphere_same_with_fresh_or_shared_vertex_set():
     f = random_pvm(space, 3, rng, complex_=True)
     shared = lip1_vertices(space)
     rho_exact(space, e, f, shared)  # fills the shared set's caches first
-    runs = [
-        rho_lower_sphere(space, e, f, restarts=4, seed=5, vertices=shared),
-        rho_lower_sphere(space, e, f, restarts=4, seed=5, vertices=lip1_vertices(space)),
-        rho_lower_sphere(space, e, f, restarts=4, seed=5),
-    ]
-    for res in runs[1:]:
-        assert res.value == runs[0].value
-        assert res.witness_phi.values == runs[0].witness_phi.values
-        assert np.array_equal(res.witness_vector, runs[0].witness_vector)
+    shared_run = rho_lower_sphere(space, e, f, restarts=4, seed=5, vertices=shared)
+    fresh_run = rho_lower_sphere(space, e, f, restarts=4, seed=5, vertices=lip1_vertices(space))
+    assert fresh_run.value == shared_run.value
+    assert fresh_run.witness_phi.values == shared_run.witness_phi.values
+    assert np.array_equal(fresh_run.witness_vector, shared_run.witness_vector)
 
 
 def test_sphere_on_swapped_pair():
@@ -406,6 +404,28 @@ def _fraction_rho_diagonal(space, e, f, verts):
     return best, best_vert, best_j
 
 
+def _int_scan_diagonal_vertex(verts, deltas):
+    """Reference for ``Lip1VertexSet.best`` on the diagonals: the former
+    ``rho._best_diagonal_vertex``, a vertex-major, slot-minor scan in Python
+    ints with a strict ``>`` that scores only the slots with a non-zero
+    difference, each on its non-zero atoms."""
+    scale, ints = verts.scaled
+    d = deltas.shape[1]
+    unit, flat = cleared(deltas.diagonal(axis1=1, axis2=2).ravel().tolist())
+    slots = []
+    for j in range(d):
+        nonzero = [(a, w) for a, w in enumerate(flat[j::d]) if w]
+        if nonzero:
+            slots.append((j, nonzero))
+    best, best_i, best_j = 0, 0, 0
+    for i, vert in enumerate(ints[: len(verts.half)]):
+        for j, col in slots:
+            val = abs(sum([vert[a] * w for a, w in col]))
+            if val > best:
+                best, best_i, best_j = val, i, j
+    return F(best, scale * unit), best_i, best_j
+
+
 def _rational_diagonal_povm(space, dim, rng, denom):
     """Diagonal positive measure: basis slot j split over the atoms in
     random parts of 1/denom, as an exact object matrix per atom."""
@@ -458,6 +478,22 @@ def _diagonal_reference_cases():
     g = validate_ovm(path, [np.diag([0, 1, 0]), np.diag([1, 0, 1]), np.diag([0, 0, 0])], "projection")
     cases.append(("path-ties", path, e, g))
     cases.append(("path-ties-flipped", path, g, e))
+    # slots 0, 2 and 4 agree, so their differences are all zero
+    space = random_metric_space(4, rng)
+    cases.append(("zero-slots", space, diagonal_pvm(space, [0, 1, 2, 3, 1]),
+                  diagonal_pvm(space, [0, 3, 2, 1, 1])))
+    one = validate_space([[0]])
+    cases.append(("one-point", one, diagonal_pvm(one, [0, 0]), diagonal_pvm(one, [0, 0])))
+    # cleared values past 2^63: a table scaled past 2^63, and weights over
+    # denominators past 2^64
+    space = _float_space(5, rng)
+    e, f, _, _ = random_diagonal_pvm_pair(space, 4, rng)
+    cases.append(("float-space", space, e, f))
+    space = random_metric_space(3, rng)
+    p, q = F(1, 2**64 + 13), F(1, 2**65 + 7)
+    huge = [np.diag(w).astype(object) for w in ([p, q], [q, p], [1 - p - q, 1 - p - q])]
+    e = validate_ovm(space, huge, "positive")
+    cases.append(("huge-weights", space, e, diagonal_pvm(space, [0, 2])))
     return cases
 
 
@@ -471,6 +507,11 @@ def test_integer_diagonal_rho_matches_fraction_reference(space, e, f):
     verts = lip1_vertices(space, cap=8)
     res = rho_exact(space, e, f, verts)
     best, best_vert, best_j = _fraction_rho_diagonal(space, e, f, verts)
+    deltas, _ = _difference_stack(e, f)
+    unit, flat = cleared(deltas.diagonal(axis1=1, axis2=2).ravel().tolist())
+    top, i, j = verts.best(np.array(flat, dtype=object).reshape(deltas.shape[:2]))
+    expected = _int_scan_diagonal_vertex(verts, deltas)
+    assert (F(top, verts.scaled[0] * unit), i, j) == expected == (best, verts.half.index(best_vert), best_j)
     assert type(res.exact) is Fraction and res.exact == best
     assert res.value == float(best)
     assert res.witness_phi.values == best_vert
@@ -480,6 +521,40 @@ def test_integer_diagonal_rho_matches_fraction_reference(space, e, f):
     assert np.array_equal(res.witness_vector, expected_vec)
     if e is f:
         assert res.exact == 0 and best_j == 0 and best_vert == verts.half[0]
+
+
+@pytest.mark.parametrize(
+    "space, e, f", [case[1:] for case in DIAGONAL_CASES], ids=[case[0] for case in DIAGONAL_CASES]
+)
+def test_commuting_rho_is_the_largest_slot_w1(space, e, f):
+    # Slot j carries the signed measure a -> E_a[j, j] - F_a[j, j]; W1 of
+    # its positive and negative parts (equal masses m) is m * W1 of the
+    # normalized parts, found by the transport simplex.
+    slots = []
+    for j in range(e.dim):
+        diff = [F(x) for x in (e.mats[:, j, j] - f.mats[:, j, j]).tolist()]
+        mass = sum(x for x in diff if x > 0)
+        if mass:
+            pos = ProbMeasure(tuple(max(x, 0) / mass for x in diff))
+            neg = ProbMeasure(tuple(max(-x, 0) / mass for x in diff))
+            slots.append(mass * kantorovich(space, pos, neg).value)
+    expected = max(slots, default=F(0))
+    assert rho_exact(space, e, f, lip1_vertices(space, cap=8)).exact == expected
+
+
+def test_best_keeps_the_first_maximum_and_scores_the_one_point_space():
+    path = validate_space([[0, 1, 2], [1, 0, 1], [2, 1, 0]])
+    verts = lip1_vertices(path)
+    scale = verts.scaled[0]
+    # every vertex has phi(p1) = +/-1, so every (vertex, slot) ties at L
+    assert verts.best([[0, 0], [1, 1], [0, 0]]) == (scale, 0, 0)
+    assert verts.best([[0, 0, 0]] * 3) == (0, 0, 0)
+    # |phi(p2)| is largest (2) at the half's vertex with slopes (-, -), in
+    # both slots
+    top, i, j = verts.best([[0, 0], [0, 0], [1, -1]])
+    assert (top, j) == (2 * scale, 0) and verts.half[i] == (0, -1, -2)
+    one = lip1_vertices(validate_space([[0]]))
+    assert one.best([[2**70, -3]]) == (0, 0, 0)
 
 
 def test_difference_stack_sign_matches_the_entry_walk():

@@ -9,7 +9,7 @@ from pvmk import transport
 from pvmk.errors import MismatchedMeasures, PvmkError, StaleVertexSet
 from pvmk.ifs import build_tower, dyadic_ifs
 from pvmk.metric_core import FiniteMetricSpace, lip1_vertices, lip_constant, validate_space
-from pvmk.rationals import as_fraction, is_rational_sequence
+from pvmk.rationals import as_fraction, cleared, is_rational_sequence
 from pvmk.rng import SplitMix64
 from pvmk.sampling import random_metric_space, random_rational_measure
 from pvmk.transport import (
@@ -417,7 +417,30 @@ def _fraction_dual_oracle(mu, nu, verts):
     return max(sum(p * w for p, w in zip(vert, diff)) for vert in verts.vertices)
 
 
+def _int_dual_oracle(mu, nu, verts):
+    """Reference for ``kantorovich_dual_oracle``: the former generator,
+    every vertex's L*phi (with no absolute value) against the cleared
+    differences on the points where they are non-zero, in Python ints."""
+    scale, ints = verts.scaled
+    unit, ab = cleared(mu.weights + nu.weights)
+    a, b = ab[: len(mu)], ab[len(mu) :]
+    diff = [(i, x - y) for i, (x, y) in enumerate(zip(a, b)) if x != y]
+    return F(max(sum([vert[i] * w for i, w in diff]) for vert in ints), scale * unit)
+
+
+def _huge_measure(n, rng):
+    """Weights over denominators past 2^64, so the cleared weights pass 2^63."""
+    weights = [F(rng.randint(1, 10**6), 2**64 + 13 + k) for k in range(n - 1)]
+    return ProbMeasure(tuple(weights + [1 - sum(weights)]))
+
+
 ORACLE_CASES = [case for case in REFERENCE_CASES if case[1].n <= 7] + [
+    ("one-point", validate_space([[0]]), ProbMeasure.dirac(1, 0), ProbMeasure.dirac(1, 0)),
+    ("huge-weights", REFERENCE_CASES[0][1], _huge_measure(5, SplitMix64(77)),
+     _huge_measure(5, SplitMix64(78))),
+    ("huge-weights-float-space", _float_space(5, SplitMix64(79)), _huge_measure(5, SplitMix64(80)),
+     random_rational_measure(5, SplitMix64(81))),
+] + [
     (f"{name}-3-{t}", tower.level(3).space, *pair)
     for name, tower in (("dyadic", _DYADIC_TOWER), ("theta", _THETA_TOWER))
     for t, pair in enumerate(
@@ -436,7 +459,7 @@ def test_integer_dual_oracle_matches_fraction_reference(space, mu, nu):
     verts = lip1_vertices(space, cap=8)
     value = kantorovich_dual_oracle(space, mu, nu, verts)
     assert type(value) is Fraction
-    assert value == _fraction_dual_oracle(mu, nu, verts)
+    assert value == _fraction_dual_oracle(mu, nu, verts) == _int_dual_oracle(mu, nu, verts)
     assert value == kantorovich(space, mu, nu).value
 
 
