@@ -16,9 +16,13 @@ from __future__ import annotations
 import numpy as np
 
 
+def is_exact_dtype(dtype) -> bool:
+    """Object (exact entries) or integer."""
+    return dtype.kind in "Oiu"
+
+
 def is_exact_matrix(a) -> bool:
-    a = np.asarray(a)
-    return a.dtype == object or np.issubdtype(a.dtype, np.integer)
+    return is_exact_dtype(np.asarray(a).dtype)
 
 
 def to_complex(a) -> np.ndarray:
@@ -40,17 +44,12 @@ def max_abs(a):
     return float(np.abs(a).max())
 
 
-def hermitian_defect(a):
-    a = np.asarray(a)
-    if a.dtype == object:
-        return max_abs(a - a.T.conj())
-    c = to_complex(a)
-    return max_abs(c - c.conj().T)
-
-
 def _hermitian_stack(mats) -> np.ndarray:
     """Stack of Hermitian matrices: complex128, or float64 when all are real."""
-    stack = to_complex(mats)
+    stack = np.asarray(mats)
+    if stack.dtype.kind in "biuf":
+        return stack.astype(np.float64, copy=False)
+    stack = to_complex(stack)
     return stack if stack.imag.any() else stack.real
 
 
@@ -81,8 +80,24 @@ def top_eigenpair(mat) -> tuple[float, np.ndarray]:
     return float(w[i]), vecs[:, i]
 
 
+def min_eigenvalues(mats) -> np.ndarray:
+    """Smallest eigenvalue of each Hermitian matrix of a stack, in at most
+    two batched solves: the real matrices in real arithmetic and the rest
+    in complex, so each value is bit for bit ``min_eigenvalue`` of its
+    matrix alone."""
+    stack = _hermitian_stack(mats)
+    if stack.dtype.kind == "f":
+        return np.linalg.eigvalsh(stack)[:, 0]
+    real = ~stack.imag.any(axis=(1, 2))
+    out = np.empty(len(stack))
+    for part, group in ((real, stack.real), (~real, stack)):
+        if part.any():
+            out[part] = np.linalg.eigvalsh(group[part])[:, 0]
+    return out
+
+
 def min_eigenvalue(mat) -> float:
-    return float(np.linalg.eigvalsh(_hermitian_stack([mat]))[0, 0])
+    return float(min_eigenvalues([mat])[0])
 
 
 def sym_matrix_function(mat: np.ndarray, fn) -> np.ndarray:

@@ -124,7 +124,7 @@ def _parse_table(dist_table, point_ids):
         if len(row) != n:
             raise InputParseError("distance table must be square")
         frow = tuple(as_fraction(x) for x in row)
-        if any(x < 0 for x in frow):
+        if any(x.numerator < 0 for x in frow):  # the sign of a Fraction
             raise InputParseError("distances must be non-negative")
         rows.append(frow)
     return point_ids, tuple(rows)
@@ -159,16 +159,38 @@ def audit_space(dist_table, point_ids=None) -> list[MetricAxiomError]:
     return list(_violations(*_parse_table(dist_table, point_ids)))
 
 
+def _is_metric(dist) -> bool:
+    """Whether a parsed table of non-negative distances has no violation
+    of :func:`_violations`, decided on its cleared integer table T.
+
+    T is int64 when its largest entry M has 2M < 2^63, so that no sum of
+    two entries can wrap, and Python ints (``object``) otherwise.  Each
+    intermediate point k costs one (n, n) comparison T > T[:, k] + T[k, :].
+    That comparison also covers the cases k = i, k = j and i = j, which
+    ``_violations`` skips, without a false alarm: with non-negative
+    entries and a zero diagonal none of them can hold.  With a zero
+    diagonal, a zero distance between distinct points shows as fewer
+    than n(n - 1) non-zero entries.
+    """
+    n = len(dist)
+    _, flat = cleared([x for row in dist for x in row])
+    table = np.array(flat, dtype=np.int64 if 2 * max(flat) < 2**63 else object).reshape(n, n)
+    if table.diagonal().any() or (table != table.T).any() or np.count_nonzero(table) < n * (n - 1):
+        return False
+    return not any((table > table[:, k : k + 1] + table[k]).any() for k in range(n))
+
+
 def validate_space(dist_table, point_ids=None) -> FiniteMetricSpace:
     """Validated metric space from a distance table.
 
     Raises the first violated axiom (use :func:`audit_space` for the full
-    list).
+    list): the table is checked in integers by :func:`_is_metric`, and
+    only a table that fails is scanned by ``_violations``, to name the
+    first violation.
     """
     ids, dist = _parse_table(dist_table, point_ids)
-    bad = next(_violations(ids, dist), None)
-    if bad is not None:
-        raise bad
+    if not _is_metric(dist):
+        raise next(_violations(ids, dist))
     return FiniteMetricSpace(ids, dist)
 
 

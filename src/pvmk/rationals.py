@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 from decimal import Decimal
 from fractions import Fraction
 
@@ -12,23 +13,50 @@ from .errors import InputParseError
 def as_fraction(value) -> Fraction:
     """Coerce *value* to an exact Fraction.
 
-    Accepts ints, Fractions, "p/q" or decimal strings, and floats (taken at
-    their exact binary value, so dyadic literals like 0.25 stay exact).
+    Accepts ints, Fractions (returned as they are), "p/q" or decimal
+    strings, and floats (taken at their exact binary value, so dyadic
+    literals like 0.25 stay exact).
+
+    A string is read in ``Fraction``'s syntax, but its digits are converted
+    by ``decimal.Decimal``, which has no limit on their number, where
+    ``Fraction(str)`` stops at Python's int-from-string limit of 4,300
+    digits.  An error message echoes at most ``ECHO_CHARS`` characters of
+    the input.
     """
+    if isinstance(value, Fraction):
+        return value
     if isinstance(value, bool):
-        raise InputParseError(f"not a rational: {value!r}")
-    if isinstance(value, (int, Fraction)):
+        raise InputParseError(f"not a rational: {_echo(value)}")
+    if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, float):
         if not math.isfinite(value):
             raise InputParseError(f"not a finite number: {value!r}")
         return Fraction(value)
     if isinstance(value, str):
-        try:
-            return Fraction(value.strip())
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InputParseError(f"not a rational: {value!r}") from exc
-    raise InputParseError(f"not a rational: {value!r}")
+        match = _RATIONAL.fullmatch(value)
+        if match is not None and match["den"] is None:
+            return Fraction(Decimal(match["dec"]))
+        if match is not None and int(Decimal(match["den"])) != 0:
+            return Fraction(int(Decimal(match["num"])), int(Decimal(match["den"])))
+    raise InputParseError(f"not a rational: {_echo(value)}")
+
+
+# Fraction's string syntax, surrounding whitespace allowed: a signed
+# integer over an unsigned one, or a signed decimal with an optional
+# exponent.  Digits may be grouped by single underscores.
+_INT = r"\d+(?:_\d+)*"
+_RATIONAL = re.compile(
+    rf"\s*(?:(?P<num>[-+]?{_INT})/(?P<den>{_INT})"
+    rf"|(?P<dec>[-+]?(?=\.?\d)(?:{_INT})?(?:\.(?:{_INT})?)?(?:[eE][-+]?{_INT})?))\s*"
+)
+ECHO_CHARS = 80
+
+
+def _echo(value) -> str:
+    """``repr`` of a rejected input, cut to ``ECHO_CHARS`` characters."""
+    text = repr(value)
+    return text if len(text) <= ECHO_CHARS else f"{text[: ECHO_CHARS - 3]}... ({len(text)} characters)"
 
 
 def cleared(values) -> tuple[int, list[int]]:

@@ -64,19 +64,16 @@ def random_rational_values(space: FiniteMetricSpace, rng: SplitMix64):
 
 def random_orthogonal(dim: int, rng: SplitMix64) -> np.ndarray:
     """Haar-like real orthogonal matrix from Gaussian QR with sign fixing."""
-    g = np.array([[rng.gauss() for _ in range(dim)] for _ in range(dim)])
-    q, r = np.linalg.qr(g)
+    q, r = np.linalg.qr(rng.gausses(dim * dim).reshape(dim, dim))
     signs = np.sign(np.diag(r))
     signs[signs == 0] = 1.0
     return q * signs[None, :]
 
 
 def random_unitary(dim: int, rng: SplitMix64) -> np.ndarray:
-    """Haar-like complex unitary from Gaussian QR with phase fixing."""
-    g = np.array(
-        [[complex(rng.gauss(), rng.gauss()) for _ in range(dim)] for _ in range(dim)]
-    )
-    q, r = np.linalg.qr(g)
+    """Haar-like complex unitary from Gaussian QR with phase fixing.  The
+    entries are drawn row by row, each as (re, im), in one block."""
+    q, r = np.linalg.qr(rng.gausses(2 * dim * dim).view(np.complex128).reshape(dim, dim))
     diag = np.diag(r)
     phases = diag / np.abs(diag)
     return q * phases.conj()[None, :]
@@ -113,15 +110,13 @@ def random_diagonal_pvm_pair(space: FiniteMetricSpace, dim: int, rng: SplitMix64
 def random_pvm(
     space: FiniteMetricSpace, dim: int, rng: SplitMix64, complex_: bool = False
 ) -> OperatorValuedMeasure:
-    """Unitary (or orthogonal) conjugate of a random diagonal PVM."""
-    assignment = [rng.randint(0, space.n - 1) for _ in range(dim)]
+    """Unitary (or orthogonal) conjugate of a random diagonal PVM.  The
+    atoms go to ``validate_ovm`` as they are made, so no list of them
+    outlives its stacking."""
+    assignment = np.array([rng.randint(0, space.n - 1) for _ in range(dim)])
     u = random_unitary(dim, rng) if complex_ else random_orthogonal(dim, rng)
-    mats = []
-    for atom_index in range(space.n):
-        cols = [j for j, a in enumerate(assignment) if a == atom_index]
-        block = u[:, cols]
-        mats.append(block @ block.conj().T)
-    return validate_ovm(space, mats, PROJECTION)
+    blocks = (u[:, assignment == atom] for atom in range(space.n))
+    return validate_ovm(space, (b @ b.conj().T for b in blocks), PROJECTION)
 
 
 def random_truth_conjugate_pvm(
@@ -135,16 +130,18 @@ def random_truth_conjugate_pvm(
 
 
 def random_povm(space: FiniteMetricSpace, dim: int, rng: SplitMix64) -> OperatorValuedMeasure:
-    """Normalized random PSD splitting of the identity (real symmetric)."""
+    """Normalized random PSD splitting of the identity (real symmetric).
+
+    Each attempt draws the n Gaussian d x d factors as one block, atom by
+    atom and row by row; an attempt whose sum is nearly singular is drawn
+    again.
+    """
     while True:
-        parts = []
-        for _ in range(space.n):
-            g = np.array([[rng.gauss() for _ in range(dim)] for _ in range(dim)])
-            parts.append(g.T @ g)
+        g = rng.gausses(space.n * dim * dim).reshape(space.n, dim, dim)
+        parts = g.transpose(0, 2, 1) @ g
         total = sum(parts)
         if linalg.min_eigenvalue(total) > 1e-6:
             break
     inv_sqrt = linalg.sym_matrix_function(total, lambda w: 1.0 / np.sqrt(w))
-    mats = [inv_sqrt @ p @ inv_sqrt for p in parts]
-    mats = [(m + m.T) / 2 for m in mats]
-    return validate_ovm(space, mats, POSITIVE, tol=1e-9)
+    mats = inv_sqrt @ parts @ inv_sqrt
+    return validate_ovm(space, (mats + mats.transpose(0, 2, 1)) / 2, POSITIVE, tol=1e-9)

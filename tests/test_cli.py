@@ -96,16 +96,23 @@ def test_space_command_invalid(files, capsys):
 
 
 def test_space_command_scans_a_valid_document_once(files, capsys, monkeypatch):
+    # A valid document is decided once, on the integer table, and never
+    # reaches the scan that names a violation.
     import pvmk.metric_core as metric_core
 
-    scans = []
-    scan = metric_core._violations
+    checks, scans = [], []
+    check, scan = metric_core._is_metric, metric_core._violations
 
-    def counted(ids, dist):
+    def counted_check(dist):
+        checks.append(len(dist))
+        return check(dist)
+
+    def counted_scan(ids, dist):
         scans.append(len(ids))
         return scan(ids, dist)
 
-    monkeypatch.setattr(metric_core, "_violations", counted)
+    monkeypatch.setattr(metric_core, "_is_metric", counted_check)
+    monkeypatch.setattr(metric_core, "_violations", counted_scan)
     tmp, write = files
     space = write(
         "space.json",
@@ -114,7 +121,8 @@ def test_space_command_scans_a_valid_document_once(files, capsys, monkeypatch):
     )
     assert run(["space", "--space", space]) == 0
     assert _capture(capsys)["results"]["points"] == 3
-    assert scans == [3]
+    assert checks == [3]
+    assert scans == []
 
 
 def test_kantorovich_command(files, capsys):
@@ -129,6 +137,17 @@ def test_kantorovich_command(files, capsys):
     report = _capture(capsys)
     assert report["results"]["value"] == "1/2"
     assert report["results"]["gap"] == 0
+
+
+def test_kantorovich_reads_a_weight_longer_than_the_int_string_limit(files, capsys):
+    tmp, write = files
+    space = write("space.json", {"points": [{"id": "a"}, {"id": "b"}], "dist": [[0, 1], [1, 0]]})
+    zeros = "0" * 5000
+    mu = write("mu.json", {"weights": ["1/1" + zeros, "9" * 5000 + "/1" + zeros]})
+    nu = write("nu.json", {"weights": ["1/2", "1/2"]})
+    assert run(["kantorovich", "--space", space, "--mu", mu, "--nu", nu]) == 0
+    value = _capture(capsys)["results"]["value"]
+    assert Fraction(*map(int, map(Decimal, value.split("/")))) == Fraction(1, 2) - Fraction(1, 10**5000)
 
 
 def test_hutchinson_command(files, capsys):

@@ -19,9 +19,12 @@ from pvmk.ifs import build_tower, dyadic_ifs, make_ifs, triadic_ifs
 from pvmk.metric_core import (
     FiniteMetricSpace,
     _check_lip1,
+    _is_metric,
     _line_order,
+    _parse_table,
     _search_vertices,
     _value_dtype,
+    _violations,
     audit_space,
     certify_lipschitz,
     lip1_vertices,
@@ -81,6 +84,76 @@ def test_zero_distance_distinct_points_rejected():
 def test_audit_collects_all_violations():
     bad = audit_space([[0, 1, 5], [1, 0, 1], [5, 1, 0]])
     assert any(isinstance(v, TriangleViolation) for v in bad)
+
+
+def _planted_table(rng):
+    """A random table of a shortest-path metric with, most of the time, one
+    planted violation: a non-zero self distance, an asymmetric pair, a zero
+    distance or a broken triangle.  Entries are ints, Fractions, or ints or
+    Fractions whose cleared table passes 2^63."""
+    n = rng.randint(1, 7)
+    d = [[0 if i == j else rng.randint(1, 9) for j in range(n)] for i in range(n)]
+    for i in range(n):
+        for j in range(i):
+            d[i][j] = d[j][i]
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                d[i][j] = min(d[i][j], d[i][k] + d[k][j])
+    plant = rng.randint(0, 4)
+    i, j, k = (rng.randint(0, n - 1) for _ in range(3))
+    if plant == 1:
+        d[i][i] = rng.randint(1, 3)
+    elif plant == 2 and i != j:
+        d[i][j] += rng.randint(1, 3)
+    elif plant == 3 and i != j:
+        d[i][j] = d[j][i] = 0
+    elif plant == 4 and len({i, j, k}) == 3:
+        d[i][j] = d[j][i] = d[i][k] + d[k][j] + rng.randint(1, 2)
+    style = rng.randint(0, 3)
+    if style == 1:
+        den = rng.randint(2, 12)
+        return [[F(x, den) for x in row] for row in d]
+    if style == 2:
+        return [[x * (2**64 + 13) for x in row] for row in d]
+    if style == 3:
+        return [[F(x * 2**70, 3) for x in row] for row in d]
+    return d
+
+
+def test_integer_space_check_raises_what_the_scan_names_first():
+    rng = SplitMix64(907)
+    seen = set()
+    for _ in range(600):
+        table = _planted_table(rng)
+        ids, dist = _parse_table(table, None)
+        want = next(_violations(ids, dist), None)
+        assert _is_metric(dist) == (want is None)
+        seen.add(type(want).__name__)
+        if want is None:
+            assert validate_space(table).dist == dist
+            continue
+        with pytest.raises(MetricAxiomError) as got:
+            validate_space(table)
+        assert type(got.value) is type(want)
+        assert str(got.value) == str(want)
+        assert got.value.witness == want.witness
+    assert seen == {
+        "NoneType",
+        "NonzeroSelfDistance",
+        "AsymmetricDistance",
+        "ZeroDistanceDistinctPoints",
+        "TriangleViolation",
+    }
+
+
+def test_integer_space_check_runs_on_python_ints_above_int64():
+    big = 2**62
+    assert _is_metric(_parse_table([[0, big, big], [big, 0, big], [big, big, 0]], None)[1])
+    # 2^62 + 2^62 = 2^63 wraps in int64; in Python ints the triangle holds
+    far = _parse_table([[0, 2**63, big], [2**63, 0, big], [big, big, 0]], None)[1]
+    assert _is_metric(far)
+    assert not _is_metric(_parse_table([[0, 2**63 + 1, big], [2**63 + 1, 0, big], [big, big, 0]], None)[1])
 
 
 def test_lip_constant_examples():
