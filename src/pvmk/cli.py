@@ -7,7 +7,7 @@ opt-in via --timing because it would break that guarantee.  A failing
 verdict exits with code 1; usage and parse problems (an --out path that
 cannot be written, or a closed standard output, among them), measures
 that do not live on the given space or dimension, and inputs over a size
-cap, exit with code 2.
+cap or past the memory at hand, exit with code 2.
 """
 
 from __future__ import annotations
@@ -359,6 +359,9 @@ def run(argv) -> int:
         return 1
     except BrokenPipeError:
         sys.stderr.write("error: cannot write the report: standard output is closed\n")
+        return 2
+    except MemoryError:
+        sys.stderr.write("error: out of memory: the input is too large for this machine\n")
         return 2
     return 0 if report["verdict"] == "pass" else 1
 

@@ -91,7 +91,7 @@ def validate_ovm(
 
     Exact matrices (integer/object dtype) must satisfy the axioms with
     exact equality; float matrices within ``tol`` (max-abs for algebraic
-    identities, min eigenvalue for positivity).
+    identities, min eigenvalue for positivity; NaN is never within ``tol``).
 
     The checks run in a fixed order and raise the first failure: every
     atom Hermitian; then, for projections, every atom idempotent and every
@@ -107,20 +107,19 @@ def validate_ovm(
         raise InputParseError(f"unknown kind {kind!r}")
     stack, exact = _stacked(space, mats)
     ids = space.point_ids
-    fails = (lambda x: x != 0) if exact else (lambda x: x > tol)
-    herm = _each(stack, _hermitian_defects)
-    _raise_first(NotHermitian, ids, herm, fails)
+    fails = (lambda x: x != 0) if exact else (lambda x: np.logical_not(x <= tol))
+    _raise_first(NotHermitian, ids, _each(stack, _hermitian_defects), fails)
     dim = stack.shape[1]
     total = stack.sum(axis=0)
     sum_defect = linalg.max_abs(total - (np.eye(dim, dtype=np.int64) if exact else np.eye(dim)))
     if kind == PROJECTION:
         _raise_first(NotIdempotent, ids, _each(stack, lambda b: _max_abs_each(b @ b - b)), fails)
-        for i, j in _unsettled_pairs(stack, exact, herm, total, sum_defect, tol):
+        for i, j in _unsettled_pairs(stack, exact, total, sum_defect, tol):
             defect = linalg.max_abs(np.dot(stack[i], stack[j]))
             if fails(defect):
                 raise CrossProductNonzero(ids[i], ids[j], defect)
     else:
-        _raise_first(NotPSD, ids, _each(stack, linalg.min_eigenvalues), lambda x: x < -tol)
+        _raise_first(NotPSD, ids, _each(stack, linalg.min_eigenvalues), lambda x: np.logical_not(x >= -tol))
     if fails(sum_defect):
         raise SumNotIdentity(sum_defect)
     stack.setflags(write=False)
@@ -183,7 +182,7 @@ def _raise_first(error, ids, defects: np.ndarray, fails) -> None:
         raise error(ids[i], defects.item(i))
 
 
-def _unsettled_pairs(stack, exact, herm, total, sum_defect, tol) -> list[tuple[int, int]]:
+def _unsettled_pairs(stack, exact, total, sum_defect, tol) -> list[tuple[int, int]]:
     """The pairs i < j, in row order, whose product must still be computed.
 
     Both routes find the atoms that could have a failing product; a pair
@@ -200,73 +199,62 @@ def _unsettled_pairs(stack, exact, herm, total, sum_defect, tol) -> list[tuple[i
     int64, as the loop did: a document gives int64 atoms only for entries
     -1, 0 and 1, whose products cannot wrap.
 
-    Float atoms are unsettled when :func:`_frame_bounds` exceeds ``tol``.
+    Float atoms, then pairs, are unsettled past ``tol`` in :func:`_frame_bounds`.
     """
     if not exact:
-        atoms = np.flatnonzero(~(_frame_bounds(stack, herm) <= tol))
+        m, bound = _frame_bounds(stack)
+        atoms = np.flatnonzero(~(bound(m, m.max()) <= tol))
     elif sum_defect != 0:
         excess = _each(stack, lambda b: (b * total.T).sum(axis=(1, 2)) != b.trace(axis1=1, axis2=2))
         atoms = np.flatnonzero(excess)
     else:
         atoms = np.empty(0, int)
     atoms = atoms.tolist()
-    return [(i, j) for k, i in enumerate(atoms) for j in atoms[k + 1 :]]
+    return [(i, j) for k, i in enumerate(atoms) for j in atoms[k + 1 :] if exact or not bound(m[i], m[j]) <= tol]
 
 
-def _frame_bounds(stack: np.ndarray, herm: np.ndarray) -> np.ndarray:
-    """b_i with the loop's max_abs(np.dot(P_i, P_j)) <= b_i for every
-    j != i, for float atoms P_i with Hermitian defects ``herm``, from one
-    Gram matrix of eigenframes instead of n(n-1)/2 products.
+def _frame_bounds(stack: np.ndarray):
+    """(m, bound): the loop's max_abs(np.dot(P_i, P_j)) <= bound(m_i, m_j)
+    for i != j and any float atoms P_i, from one eigendecomposition.
 
-    Write u = 2^-52 (twice the unit roundoff) and c = 4du.  With h_i the
-    Hermitian defect, A_i = (P_i + P_i*)/2 is Hermitian and
-    ||P_i - A_i|| <= ||(P_i - P_i*)/2||_F <= d h_i / 2.  ``eigh`` of A_i gives
-    eigenvalues w and unit eigenvectors; V_i holds those with w > 1/2.
-    LAPACK's Hermitian solvers are backward stable: A_i + F = U diag(w) U*
-    for an exactly unitary U with ||F|| <= c ||A_i|| and ||V_i - U_i|| <= c,
-    U_i the matching columns of U (LAPACK states the constant only as a
-    slowly growing p(d); 4d is taken).  So the projection Q_i = U_i U_i*
-    has ||A_i - Q_i|| <= e_i + c (1 + max|w|) <= e_i (1 + c) + 2c, e_i the
-    largest distance of a w from 1 (selected) or 0 (not), as max|w| <=
-    1 + e_i.  Hence ||P_i - Q_i|| <= delta_i = (d h_i / 2 + e_i)(1 + c) + 2c.
-    Writing P_i = Q_i + E_i with ||E_i|| <= delta_i and ||Q_i|| <= 1,
+    A PVM is the spectral measure of H = sum_i (i + 1) P_i.  ``eigh`` of H,
+    symmetrized, gives w and eigenvectors v_k; v_k is atom i's when w_k
+    rounds to i + 1, and V takes P_i v_k for it, undoing to first order the
+    turn that other atoms' noise, weighted by up to n, gives v_k.  With
+    V_i atom i's columns, Q_i = V_i V_i*, eta >= ||V* V - I|| and
+    m_i >= ||P_i - Q_i||_F, ||Q_i|| = ||V_i* V_i|| <= 1 + eta, and for
+    i != j, V_i* V_j is a block of V* V - I, so ||Q_i Q_j|| <= (1 + eta) eta
+    and, as P_i = Q_i + E_i with ||E_i|| <= m_i,
 
-        ||P_i P_j|| <= ||Q_i Q_j|| + delta_i + delta_j + delta_i delta_j,
+        ||P_i P_j|| <= (1 + eta)(eta + m_i + m_j) + m_i m_j.
 
-    and ||Q_i Q_j|| = ||U_i* U_j|| <= ||V_i* V_j||_F + 3c <= r_i + 3c, where
-    r_i is the Frobenius norm of V_i* against every other atom's vectors,
-    read off the one Gram matrix V* V of all selected vectors.  When they
-    number at most d, that block is computed with a Frobenius error below
-    d^2 u.  The loop's max_abs of the float product exceeds ||P_i P_j||,
-    which bounds every entry, by at most 2(d + 2)u ||P_i|| ||P_j||, and
-    ||P_i|| <= 1 + delta_i.  With D the largest delta, b_i sums r_i,
-    delta_i (1 + D) + D and these margins, which dwarf the rounding of b
-    itself.  When more than d vectors are selected, b is infinite and no
-    atom is cleared.  Atoms are solved one block at a time, so the
-    eigenvectors never take more room than a block, and V* V is at most
-    d x d.
+    Nothing is assumed of the solver or the atoms.  With eps = 2^-52,
+    c = (d + 2) eps and f = (d^2 + 2) eps, a float sum of products a_k b_k,
+    k <= d, errs by at most c sum_k |a_k| |b_k|, real or complex, so
+    (Cauchy-Schwarz) fl(V* V) and fl(Q_i) err in Frobenius norm by at most
+    c d (1 + eta) and c r_i (1 + eta), with r_i columns in V_i; a computed
+    Frobenius norm of a float difference is within a factor 1 + f.  So
+    from the computed a = ||fl(V* V) - I||_F and a_i = ||P_i - fl(Q_i)||_F,
+    eta = (a (1 + f) + c d) / (1 - c d) and m_i = a_i (1 + f) + c r_i (1 + eta).
+    The loop's float product exceeds ||P_i P_j|| in max_abs by at most
+    c ||P_i|| ||P_j||, with ||P_i|| <= 1 + eta + m_i; the bound takes twice
+    that, half for its own rounding below 1/2.
     """
     n, dim = stack.shape[:2]
-    unit = np.finfo(np.float64).eps
-    slack = 4 * dim * unit
-    delta = dim * herm / 2
-    frames, owner = [], []
+    c, f = (dim + 2) * 2.0**-52, (dim * dim + 2) * 2.0**-52
+    h = (np.arange(1.0, n + 1) @ stack.reshape(n, -1)).reshape(dim, dim)
+    w, vecs = linalg.eigendecomposition((h + h.conj().T) / 2)
+    owner, vecs = np.rint(w).astype(np.intp) - 1, vecs.astype(np.result_type(vecs, stack))
+    m = np.empty(n)
     for lo, block in _blocks(stack):
-        w, vecs = linalg.eigendecomposition((block + block.conj().transpose(0, 2, 1)) / 2)
-        keep = w > 0.5
-        delta[lo : lo + len(block)] += np.abs(w - keep).max(axis=1, initial=0)
-        frames.append(vecs.transpose(0, 2, 1)[keep])
-        owner.append(lo + np.nonzero(keep)[0])
-    frames, owner = np.concatenate(frames), np.concatenate(owner)
-    if len(frames) > dim:
-        return np.full(n, np.inf)
-    delta = delta * (1 + slack) + 2 * slack
-    gram = np.abs(frames.conj() @ frames.T) ** 2
-    gram[owner[:, None] == owner] = 0
-    cross = np.sqrt(np.bincount(owner, gram.sum(axis=1), minlength=n))
-    top = delta.max(initial=0)
-    rounding = 3 * slack + dim * dim * unit + 2 * (dim + 2) * unit * (1 + top) ** 2
-    return cross + delta * (1 + top) + top + rounding
+        cols = np.flatnonzero((owner >= lo) & (owner < lo + len(block)))
+        mask = owner[cols] - lo == np.arange(len(block))[:, None, None]
+        vecs[:, cols] = (block @ (vecs[:, cols] * mask)).sum(axis=0)
+        q = (vecs[:, cols] * mask) @ vecs[:, cols].conj().T
+        m[lo : lo + len(block)] = np.linalg.norm(block - q, axis=(1, 2))
+    eta = (np.linalg.norm(vecs.conj().T @ vecs - np.eye(dim)) * (1 + f) + c * dim) / (1 - c * dim)
+    m = m * (1 + f) + c * (1 + eta) * np.bincount(owner[(owner >= 0) & (owner < n)], minlength=n)
+    return m, lambda a, b: (1 + eta) * (eta + a + b) + a * b + 2 * c * (1 + eta + a) * (1 + eta + b)
 
 
 def assemble_ovm(space: FiniteMetricSpace, atoms: np.ndarray, kind: str) -> OperatorValuedMeasure:
@@ -404,8 +392,9 @@ def conjugate(F: OperatorValuedMeasure, u: np.ndarray) -> OperatorValuedMeasure:
     u = np.asarray(u, dtype=np.complex128)
     if u.shape != (F.dim, F.dim):
         raise MismatchedMeasures("conjugating matrix must match the dimension")
-    defect = linalg.spectral_norm(u.conj().T @ u - np.eye(F.dim))
-    if defect > DEFAULT_TOL:
+    gap = u.conj().T @ u - np.eye(F.dim)
+    defect = linalg.spectral_norm(gap) if np.isfinite(gap).all() else linalg.max_abs(gap)  # LAPACK refuses NaN
+    if not defect <= DEFAULT_TOL:
         raise NotUnitary(f"u*u differs from the identity by {defect}")
     mats = u @ linalg.to_complex(F.mats) @ u.conj().T
     return validate_ovm(F.space, (mats + mats.conj().transpose(0, 2, 1)) / 2, F.kind, tol=1e-9)

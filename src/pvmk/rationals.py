@@ -20,8 +20,10 @@ def as_fraction(value) -> Fraction:
     A string is read in ``Fraction``'s syntax, but its digits are converted
     by ``decimal.Decimal``, which has no limit on their number, where
     ``Fraction(str)`` stops at Python's int-from-string limit of 4,300
-    digits.  An error message echoes at most ``ECHO_CHARS`` characters of
-    the input.
+    digits.  A decimal whose exponent reaches more than ``EXPONENT_REACH``
+    digits past the string's length is refused, as its power of ten would
+    be: "1e999999999" has a billion digits.  An error message echoes at
+    most ``ECHO_CHARS`` characters of the input.
     """
     if isinstance(value, Fraction):
         return value
@@ -36,7 +38,10 @@ def as_fraction(value) -> Fraction:
     if isinstance(value, str):
         match = _RATIONAL.fullmatch(value)
         if match is not None and match["den"] is None:
-            return Fraction(Decimal(match["dec"]))
+            dec = Decimal(match["dec"])
+            if abs(dec.as_tuple().exponent) > len(value) + EXPONENT_REACH:
+                raise InputParseError(f"decimal exponent too large: {_echo(value)}")
+            return Fraction(dec)
         if match is not None and int(Decimal(match["den"])) != 0:
             return Fraction(int(Decimal(match["num"])), int(Decimal(match["den"])))
     raise InputParseError(f"not a rational: {_echo(value)}")
@@ -51,6 +56,8 @@ _RATIONAL = re.compile(
     rf"|(?P<dec>[-+]?(?=\.?\d)(?:{_INT})?(?:\.(?:{_INT})?)?(?:[eE][-+]?{_INT})?))\s*"
 )
 ECHO_CHARS = 80
+# a power of 10^5 digits takes milliseconds; every 7-character decimal is in reach
+EXPONENT_REACH = 100_000
 
 
 def _echo(value) -> str:

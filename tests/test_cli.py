@@ -652,6 +652,17 @@ def test_closed_stdout_exits_2_with_one_error_line(files, capsys, monkeypatch):
     _one_error_line(capsys)
 
 
+def test_running_out_of_memory_exits_2_with_one_error_line(files, capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    tmp, write = files
+    ifs = write("ifs.json", DYADIC)
+    monkeypatch.setattr(pvmk.cli, "phi_iterate", exhausted)
+    assert run(["phi-iterate", "--ifs", ifs, "--depth", "3", "--steps", "2"]) == 2
+    assert capsys.readouterr().err == "error: out of memory: the input is too large for this machine\n"
+
+
 def test_closed_pipe_prints_no_traceback():
     root = Path(__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(root / "src") + os.pathsep + os.environ.get("PYTHONPATH", "")}

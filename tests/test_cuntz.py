@@ -17,22 +17,7 @@ from pvmk.errors import BranchOutOfRange, LevelOutOfRange, WordTooLong
 from pvmk.ifs import CylinderTower, TowerLevel, build_tower, dyadic_ifs, triadic_ifs
 from pvmk.ovm import measure_of
 from pvmk.rng import SplitMix64
-from test_ifs import word_id
-
-
-def dense_isometries(maps, rows: int) -> list:
-    """The 0/1 matrices M_i with M_i[maps[i, a], a] = 1, one per row of maps."""
-    cols = maps.shape[1]
-    mats = np.zeros((len(maps), rows, cols), dtype=np.int64)
-    for i, row in enumerate(maps):
-        mats[i, row, np.arange(cols)] = 1
-    return list(mats)
-
-
-def s_matrix(ct, i: int, k: int) -> np.ndarray:
-    """The dense 0/1 matrix of S_i from level k-1 into level k, scattered
-    from the package's branch map."""
-    return dense_isometries(branch_maps(ct, k), ct.dim(k))[i]
+from oracles import dense_isometries, s_matrix, word_id
 
 
 def dense_relation_defects(mats) -> tuple[int, int]:

@@ -36,7 +36,7 @@ from pvmk.sampling import (
     random_truth_conjugate_pvm,
     random_unit_vector,
 )
-from test_cuntz import s_matrix
+from oracles import s_matrix
 
 F = Fraction
 

@@ -27,6 +27,7 @@ from pvmk.ifs import (
 from pvmk.rng import SplitMix64
 from pvmk.sampling import random_rational_measure
 from pvmk.transport import ProbMeasure, kantorovich
+from oracles import word_id
 
 F = Fraction
 
@@ -411,13 +412,6 @@ def test_a_level_built_by_hand_reads_its_distances():
         assert [[level.space.d(i, j) for j in points] for i in points] == [
             [abs(built.reps[i] - built.reps[j]) for j in points] for i in points
         ]
-
-
-def word_id(word) -> str:
-    """A word's id by the join every level ran for each of its words
-    before ids were built from the parent's; the oracle for
-    ``TowerLevel.point_ids``."""
-    return "".join(str(s) for s in word)
 
 
 THETA_IFS = make_ifs([(F(1, 2), 0), (F(1, 2), F(1, 2))], 0, theta=F(1, 3))

@@ -5,6 +5,9 @@ import contextlib
 import copy
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -107,6 +110,19 @@ def test_malformed_document_exits_2(tmp_path, case):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_a_huge_decimal_exponent_exits_2_at_once(tmp_path):
+    # 10^999999999 takes longer to build than any timeout here, so the
+    # input runs in a child process that the timeout can end
+    mu = tmp_path / "mu.json"
+    mu.write_text(json.dumps({"weights": ["1e999999999", "0"]}))
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src") + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    argv = [sys.executable, "-m", "pvmk", *_argv("kantorovich", "mu", mu)]
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == "error: decimal exponent too large: '1e999999999'\n"
+
+
 def test_rho_on_an_empty_space_exits_2(tmp_path):
     space = tmp_path / "space.json"
     space.write_text(json.dumps({"points": [], "dist": []}))
@@ -169,6 +185,8 @@ LEAVES = st.one_of(
     ),
     st.just([]),
     st.just({}),
+    # an exponent far past its digits is refused before its power is built
+    st.builds("1e{}".format, st.integers(-(10**12), 10**12)),
 )
 
 

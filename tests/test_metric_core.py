@@ -34,16 +34,9 @@ from pvmk.metric_core import (
 from pvmk.rationals import cleared
 from pvmk.rng import SplitMix64
 from pvmk.sampling import random_metric_space
+from oracles import _THETA, _float_space, _loop_lip_constant, mcshane
 
 F = Fraction
-
-
-def mcshane(space: FiniteMetricSpace, values) -> tuple:
-    """1-Lipschitz regularization f(x) = min_y (v(y) + d(x,y)) of raw values."""
-    return tuple(
-        min(values[y] + space.dist[x][y] for y in range(space.n))
-        for x in range(space.n)
-    )
 
 
 def path_space():
@@ -373,19 +366,6 @@ def _fraction_search_vertices(space, a0):
     return sorted({tuple(dict(state)[i] for i in range(n)) for state in frontier})
 
 
-def _float_space(n, rng):
-    # distances 1.5 + k/100 as JSON floats, which are exact binary fractions
-    # with denominators up to 2^52, mixed with 3/2 + k/15015: the scale of
-    # the table passes 2^63, where an int64 table would wrap
-    d = [[0.0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            k = rng.randint(0, 50)
-            d[i][j] = d[j][i] = 1.5 + k / 100 if (i + j) % 2 else F(3, 2) + F(7 * k, 15015)
-    return validate_space(d)
-
-
-_THETA = make_ifs([(F(1, 2), 0), (F(1, 2), F(1, 2))], 0, theta=F(1, 3))
 _CROSS_RNG = SplitMix64(61)
 CROSS_CHECK = (
     [(f"random-{n}", random_metric_space(n, _CROSS_RNG), n - 1) for n in range(3, 8)]
@@ -480,17 +460,6 @@ def test_scaled_table_is_a_cache_outside_equality():
         assert all(type(x) is int for row in table for x in row)
         assert all(F(x, scale) == q for row, qrow in zip(table, space.dist) for x, q in zip(row, qrow))
     assert _float_space(4, rng).scaled[0] > 2**63
-
-
-def _loop_lip_constant(values, space, best):
-    """Reference for ``lip_constant``: the pairwise ratio loop, started at
-    ``best`` (Fraction(0) for rational values, 0.0 for floats)."""
-    for i in range(space.n):
-        for j in range(i + 1, space.n):
-            ratio = abs(values[i] - values[j]) / space.dist[i][j]
-            if ratio > best:
-                best = ratio
-    return best
 
 
 _LIP_RNG = SplitMix64(73)

@@ -16,8 +16,10 @@ from pvmk.errors import (
     NotHermitian,
     NotIdempotent,
     NotPSD,
+    NotUnitary,
     SumNotIdentity,
 )
+from pvmk.ifs import build_tower, dyadic_ifs
 from pvmk.metric_core import validate_space
 from pvmk.ovm import DEFAULT_TOL, conjugate, diagonal_pvm, validate_ovm
 from pvmk.rng import SplitMix64
@@ -213,8 +215,6 @@ def test_two_overlapping_atoms():
 
 def test_more_frame_vectors_than_the_dimension_clear_no_pair():
     stack = np.array([np.eye(2), np.eye(2)])
-    herm = np.zeros(2)
-    assert np.isinf(ovm_module._frame_bounds(stack, herm)).all()
     err = same_verdict(space_of(2), stack, "projection")
     assert isinstance(err, CrossProductNonzero)
 
@@ -243,13 +243,13 @@ def test_exact_cross_products_are_found_past_the_first_pair():
     err = same_verdict(space, mats, "projection")
     assert isinstance(err, CrossProductNonzero) and err.atoms == (space.point_ids[1], space.point_ids[3])
     stack = np.array(mats)
-    pairs = ovm_module._unsettled_pairs(stack, True, None, stack.sum(axis=0), 1, DEFAULT_TOL)
+    pairs = ovm_module._unsettled_pairs(stack, True, stack.sum(axis=0), 1, DEFAULT_TOL)
     assert pairs == [(1, 3)]
 
 
 def test_exact_atoms_summing_to_the_identity_compute_no_product():
     stack = np.array(diagonal_pvm(space_of(3), [2, 0, 1, 0]).mats)
-    assert ovm_module._unsettled_pairs(stack, True, None, stack.sum(axis=0), 0, DEFAULT_TOL) == []
+    assert ovm_module._unsettled_pairs(stack, True, stack.sum(axis=0), 0, DEFAULT_TOL) == []
 
 
 @pytest.mark.parametrize(
@@ -268,18 +268,92 @@ def test_non_hermitian_non_idempotent_and_non_psd_atoms(mats, kind, error):
     assert isinstance(same_verdict(space_of(2), mats, kind), error)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("kind", ["projection", "positive"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_a_nan_or_infinite_atom_is_not_hermitian(kind, bad):
+    # every float test is "not within tol", which a NaN defect fails
+    space = space_of(2)
+    with pytest.raises(NotHermitian) as err:
+        validate_ovm(space, [np.diag([1.0, bad]), np.diag([0.0, 1.0])], kind)
+    assert err.value.atom == space.point_ids[0]
+    off = np.array([[0.0, bad], [bad, 1.0]])
+    with pytest.raises(NotHermitian):
+        validate_ovm(space, [np.diag([1.0, 0.0]), off], kind)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200], ids=["nan", "inf", "overflow"])
+def test_a_nan_or_infinite_conjugator_is_not_unitary(bad):
+    E = diagonal_pvm(space_of(2), [0, 1])
+    u = np.eye(2)
+    u[1, 1] = bad
+    with pytest.raises(NotUnitary):
+        conjugate(E, u)
+
+
 def test_frame_bounds_hold_for_every_pair():
+    # the bound holds for any float atoms, Hermitian and idempotent or not,
+    # and clears every atom of a measure as sampled
     rng = SplitMix64(404)
     for trial in range(80):
         space, mats = _random_measure(rng, "projection", bool(trial % 2))
-        if trial % 4 == 3:
+        mutated = trial % 4 == 3
+        if mutated:
             mats = _mutant(rng, mats)
-        if isinstance(loop_check(space, mats, "projection"), (NotHermitian, NotIdempotent)):
-            continue  # the bound is for atoms that pass both checks
-        herm = ovm_module._each(mats, ovm_module._hermitian_defects)
-        bounds = ovm_module._frame_bounds(mats, herm)
+        m, bound = ovm_module._frame_bounds(mats)
         for (i, j), defect in pair_defects(mats).items():
-            assert defect <= bounds[i], (trial, i, j)
+            assert defect <= bound(m[i], m[j]) <= bound(m[i], m.max()), (trial, i, j)
+        assert mutated or (bound(m, m.max()) <= DEFAULT_TOL).all(), trial
+
+
+def test_float_pairs_are_cleared_by_their_own_bound():
+    # Hermitian noise of 2e-12 an entry on one atom of a 64 x 64 PVM that
+    # still passes: no atom is cleared against the largest distance m, but
+    # most pairs are cleared by the bound of their own two atoms
+    space = validate_space([[abs(i - j) for j in range(64)] for i in range(64)])
+    mats = np.array(random_pvm(space, 64, SplitMix64(0)).mats)
+    noise = SplitMix64(9).gausses(64 * 64).reshape(64, 64)
+    mats[5] += 2e-12 * (noise + noise.T) / np.sqrt(2)
+    m, bound = ovm_module._frame_bounds(mats)
+    assert not (bound(m, m.max()) <= DEFAULT_TOL).any()
+    pairs = ovm_module._unsettled_pairs(mats, False, mats.sum(axis=0), 0.0, DEFAULT_TOL)
+    assert 0 < len(pairs) < 64 * 63 / 2 / 10
+    assert same_verdict(space, mats, "projection") is None
+
+
+@pytest.mark.parametrize("n", [1, 3, 40])
+def test_a_float_projection_check_makes_one_eigendecomposition(monkeypatch, n):
+    solves = []
+
+    def counted(name):
+        real = getattr(np.linalg, name)
+        return lambda *args, **kwargs: solves.append(name) or real(*args, **kwargs)
+
+    rng = SplitMix64(n)
+    space = space_of(n)
+    mats = np.array(random_pvm(space, 6, rng, complex_=True).mats)
+    for name in ("eigh", "eigvalsh", "eig", "eigvals", "svd"):
+        monkeypatch.setattr(np.linalg, name, counted(name))
+    validate_ovm(space, mats, "projection")
+    assert solves == ["eigh"]
+
+
+def test_the_dyadic_depth_8_seed_leaves_no_pair_unsettled(monkeypatch):
+    # the phi-iterate --depth 8 --steps 0 --seed-kind random-pvm seed:
+    # 256 atoms of 256 x 256
+    unsettled = []
+    real = ovm_module._unsettled_pairs
+
+    def recorded(*args):
+        unsettled.append(real(*args))
+        return unsettled[-1]
+
+    monkeypatch.setattr(ovm_module, "_unsettled_pairs", recorded)
+    tower = build_tower(dyadic_ifs(), 8)
+    E = random_pvm(tower.level(8).space, tower.dim(8), SplitMix64(0))
+    assert E.mats.shape == (256, 256, 256)
+    assert unsettled == [[]]
 
 
 def test_no_temporary_grows_with_the_number_of_pairs():

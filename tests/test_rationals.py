@@ -96,6 +96,24 @@ def test_as_fraction_has_no_digit_limit_and_echoes_a_short_input():
     assert "5006 characters" in message
 
 
+def test_as_fraction_refuses_an_exponent_far_past_its_digits():
+    import pytest
+
+    from pvmk.errors import InputParseError
+    from pvmk.rationals import EXPONENT_REACH, as_fraction
+
+    for sign in ("", "-"):
+        # "1e100008" is 8 characters long, so its exponent is just in reach
+        reach = EXPONENT_REACH + len(f"1e{sign}{EXPONENT_REACH}")
+        assert as_fraction(f"1e{sign}{reach}") == F(10) ** int(f"{sign}{reach}")
+        with pytest.raises(InputParseError) as err:
+            as_fraction(f"1e{sign}{reach + 1}")
+        assert str(err.value).startswith("decimal exponent too large: ")
+    # written-out digits reach as far as the string is long
+    zeros = 2 * EXPONENT_REACH
+    assert as_fraction("0." + "0" * zeros + "1") == F(1, 10 ** (zeros + 1))
+
+
 def test_as_fraction_returns_a_fraction_as_it_is():
     from pvmk.rationals import as_fraction
 

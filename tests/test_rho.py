@@ -32,7 +32,7 @@ from pvmk.sampling import (
     random_unitary,
 )
 from pvmk.transport import ProbMeasure, kantorovich
-from test_metric_core import _float_space, mcshane
+from oracles import _float_space, mcshane
 
 F = Fraction
 

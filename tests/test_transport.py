@@ -17,7 +17,7 @@ from pvmk.transport import (
     kantorovich,
     kantorovich_dual_oracle,
 )
-from test_metric_core import _THETA, _float_space, _loop_lip_constant
+from oracles import _THETA, _float_space, _loop_lip_constant
 
 F = Fraction
 
