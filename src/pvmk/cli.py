@@ -26,6 +26,7 @@ from .errors import (
     MismatchedMeasures,
     PvmkError,
     SpaceTooLarge,
+    StackTooLarge,
     TowerTooLarge,
 )
 from .fixed_point import (
@@ -351,7 +352,7 @@ def run(argv) -> int:
         results, passed, *csv_text = args.func(args)
         report = _report(args, results, passed, started)
         _emit(args, report, *csv_text)
-    except (InputParseError, MismatchedMeasures, SpaceTooLarge, TowerTooLarge) as exc:
+    except (InputParseError, MismatchedMeasures, SpaceTooLarge, StackTooLarge, TowerTooLarge) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except PvmkError as exc:

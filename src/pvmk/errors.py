@@ -148,6 +148,15 @@ class NotUnitary(PvmkError):
     pass
 
 
+class StackTooLarge(PvmkError):
+    def __init__(self, shape: tuple[int, int, int], nbytes: int, budget: int):
+        n, d, _ = shape
+        super().__init__(f"an atom stack of shape ({n}, {d}, {d}) needs {nbytes} bytes, budget is {budget}")
+        self.shape = shape
+        self.nbytes = nbytes
+        self.budget = budget
+
+
 class MismatchedMeasures(PvmkError):
     """An input is not on the given space or dimension: measures on different
     frames, or a weight list, vector, integrand, matrix or assignment whose

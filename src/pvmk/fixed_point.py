@@ -50,7 +50,7 @@ from .cuntz import multiplication_pvm, word_positions
 from .errors import LevelOutOfRange, MismatchedMeasures, PvmkError
 from .ifs import CylinderTower
 from .metric_core import lip1_vertices
-from .ovm import PROJECTION, OperatorValuedMeasure, assemble_ovm, diagonal_pvm
+from .ovm import PROJECTION, OperatorValuedMeasure, assemble_ovm, check_stack_budget, diagonal_pvm
 from .rho import rho_assignments, rho_exact
 from .rng import SplitMix64
 from .sampling import random_povm, random_truth_conjugate_pvm
@@ -90,6 +90,7 @@ def phi_step(tower: CylinderTower, k: int, E: OperatorValuedMeasure) -> Operator
         assignment.setflags(write=False)
         return OperatorValuedMeasure(space, None, PROJECTION, assignment)
     d_next = tower.dim(k)
+    check_stack_budget(d_next, d_next, E.mats.dtype)
     atoms = np.zeros((d_next, d_next, d_next), dtype=E.mats.dtype)
     for i in range(tower.n_branches):
         block = slice(i * d_prev, (i + 1) * d_prev)

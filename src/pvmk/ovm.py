@@ -28,6 +28,7 @@ from .errors import (
     NotIdempotent,
     NotPSD,
     NotUnitary,
+    StackTooLarge,
     SumNotIdentity,
 )
 from .metric_core import FiniteMetricSpace
@@ -36,6 +37,18 @@ from .rng import SplitMix64
 PROJECTION = "projection"
 POSITIVE = "positive"
 DEFAULT_TOL = 1e-10
+# The largest dense (n, d, d) atom stack, in bytes, that sampling, a
+# contraction step or an assignment's ``mats`` builds; a larger one raises
+# ``StackTooLarge`` before any of it is allocated.
+STACK_BYTES_BUDGET = 1 << 28
+
+
+def check_stack_budget(n: int, d: int, dtype) -> None:
+    """Raise ``StackTooLarge`` when an (n, d, d) stack of ``dtype`` would
+    exceed ``STACK_BYTES_BUDGET``."""
+    nbytes = n * d * d * np.dtype(dtype).itemsize
+    if nbytes > STACK_BYTES_BUDGET:
+        raise StackTooLarge((n, d, d), nbytes, STACK_BYTES_BUDGET)
 
 
 @dataclass(frozen=True, eq=False)
@@ -294,6 +307,7 @@ def diagonal_pvm(space: FiniteMetricSpace, assignment) -> OperatorValuedMeasure:
 def _diagonal_stack(n: int, assignment: np.ndarray) -> np.ndarray:
     """The read-only (n, d, d) int64 atom array of a diagonal assignment."""
     dim = len(assignment)
+    check_stack_budget(n, dim, np.int64)
     atoms = np.zeros((n, dim, dim), dtype=np.int64)
     basis = np.arange(dim)
     atoms[assignment, basis, basis] = 1
@@ -323,7 +337,10 @@ def integrate(psi, F: OperatorValuedMeasure) -> np.ndarray:
     row, gives the stack of integrals.
 
     The result is exact (object entries) when F is exact and every value is
-    a Python int or a Fraction, and complex128 otherwise.
+    a Python int or a Fraction, and complex128 otherwise, with every zero
+    +0: the sign a BLAS kernel gives a sum of zeros depends on the number
+    of rows.  A measure stored as an assignment a gives diag(psi[a])
+    without building its atoms (``_assigned_integrals``).
     """
     stacked = np.ndim(psi) == 2
     rows = [list(f) for f in psi] if stacked else [list(psi)]
@@ -331,9 +348,30 @@ def integrate(psi, F: OperatorValuedMeasure) -> np.ndarray:
     values = np.array(rows, dtype=object if exact else np.complex128)
     if values.shape[-1] != F.space.n:
         raise MismatchedMeasures("integrand must assign a value to every atom")
-    mats = F.mats if exact else linalg.to_complex(F.mats)
-    out = np.tensordot(values, mats, axes=(1, 0))
+    if F.assignment is not None:
+        out = _assigned_integrals(values, F.assignment)
+    else:
+        out = np.tensordot(values, F.mats if exact else linalg.to_complex(F.mats), axes=(1, 0))
+    if not exact:
+        out += 0.0
     return out if stacked else out[0]
+
+
+def _assigned_integrals(values: np.ndarray, assignment: np.ndarray) -> np.ndarray:
+    """diag(row[assignment]) for every row of ``values``, entry for entry
+    what the product with the dense 0/1 atoms gives.  Each entry of that
+    product sums every value of its row, times 1 or 0, so in an exact row
+    every entry is a Fraction if one value is, and an int otherwise."""
+    dim = len(assignment)
+    out = np.zeros((len(values), dim, dim), dtype=values.dtype)
+    diag = values[:, assignment]
+    if values.dtype == object:
+        for r, row in enumerate(values):
+            kind = Fraction if any(isinstance(x, Fraction) for x in row) else int
+            out[r] = kind(0)
+            diag[r] = [kind(x) for x in diag[r]]
+    out[:, range(dim), range(dim)] = diag
+    return out
 
 
 @dataclass(frozen=True)

@@ -66,13 +66,17 @@ def _difference_stack(E: OperatorValuedMeasure, F: OperatorValuedMeasure):
     The sign flip makes rho(E, F) and rho(F, E) bitwise identical: the
     objective only sees the differences, and the spectral norm is even.
     The sign is that of the first non-zero entry, in atom-major, row-major
-    order (its real part, for complex entries).
+    order (its real part, for complex entries).  The differences are exact
+    when both measures are, complex128 when either is complex, and float64
+    otherwise.
     """
     exact = E.is_exact and F.is_exact
     if exact:
         deltas = E.mats - F.mats
-    else:
+    elif np.iscomplexobj(E.mats) or np.iscomplexobj(F.mats):
         deltas = linalg.to_complex(E.mats) - linalg.to_complex(F.mats)
+    else:
+        deltas = np.asarray(E.mats, dtype=np.float64) - np.asarray(F.mats, dtype=np.float64)
     nonzero = np.flatnonzero(deltas)
     if nonzero.size:
         x = deltas.flat[nonzero[0]]
@@ -87,15 +91,17 @@ def _all_diagonal(deltas: np.ndarray) -> bool:
 
 def _best_float(space, phis: np.ndarray, deltas: np.ndarray, witnesses, method: str) -> RhoResult:
     """The float tail of the vertex and grid routes: the objective stack of
-    the rows of ``phis`` against the differences, its spectral norms, the
-    first maximum and its top eigenvector, and the certified witness
-    ``witnesses[i]`` (the values behind row i)."""
-    mats = np.tensordot(phis, linalg.to_complex(deltas), axes=(1, 0))
-    norms = linalg.spectral_norms_stack(mats)
-    best_i = int(np.argmax(norms))
+    the rows of ``phis`` against the differences (in real arithmetic unless
+    they are complex), the first maximum of its spectral norms and that
+    row's top eigenvector, and the certified witness ``witnesses[i]`` (the
+    values behind row i)."""
+    if linalg.is_exact_dtype(deltas.dtype):
+        deltas = deltas.astype(np.float64)
+    mats = np.tensordot(phis, deltas, axes=(1, 0))
+    best_i, value = linalg.max_spectral_norm(mats)
     _, witness_vec = linalg.top_eigenpair(mats[best_i])
     return RhoResult(
-        value=float(norms[best_i]),
+        value=value,
         exact=None,
         witness_phi=certify_lipschitz(space, witnesses[best_i]),
         witness_vector=witness_vec,

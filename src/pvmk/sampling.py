@@ -14,7 +14,7 @@ import numpy as np
 
 from . import linalg
 from .metric_core import FiniteMetricSpace, validate_space
-from .ovm import OperatorValuedMeasure, POSITIVE, PROJECTION, diagonal_pvm, validate_ovm
+from .ovm import OperatorValuedMeasure, POSITIVE, PROJECTION, check_stack_budget, diagonal_pvm, validate_ovm
 from .rng import SplitMix64
 from .transport import ProbMeasure
 
@@ -113,6 +113,7 @@ def random_pvm(
     """Unitary (or orthogonal) conjugate of a random diagonal PVM.  The
     atoms go to ``validate_ovm`` as they are made, so no list of them
     outlives its stacking."""
+    check_stack_budget(space.n, dim, np.complex128 if complex_ else np.float64)
     assignment = np.array([rng.randint(0, space.n - 1) for _ in range(dim)])
     u = random_unitary(dim, rng) if complex_ else random_orthogonal(dim, rng)
     blocks = (u[:, assignment == atom] for atom in range(space.n))
@@ -136,6 +137,7 @@ def random_povm(space: FiniteMetricSpace, dim: int, rng: SplitMix64) -> Operator
     atom and row by row; an attempt whose sum is nearly singular is drawn
     again.
     """
+    check_stack_budget(space.n, dim, np.float64)
     while True:
         g = rng.gausses(space.n * dim * dim).reshape(space.n, dim, dim)
         parts = g.transpose(0, 2, 1) @ g

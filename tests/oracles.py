@@ -7,6 +7,7 @@ import numpy as np
 
 from pvmk.cuntz import branch_maps
 from pvmk.ifs import make_ifs
+from pvmk.linalg import spectral_norms_stack, to_complex, top_eigenpair
 from pvmk.metric_core import FiniteMetricSpace, validate_space
 
 F = Fraction
@@ -42,6 +43,15 @@ def mcshane(space: FiniteMetricSpace, values) -> tuple:
     )
 
 
+def strict_space(n, rng):
+    """Every distance in [3/2, 2], so every triangle inequality is strict."""
+    d = [[F(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            d[i][j] = d[j][i] = F(rng.randint(12, 16), 8)
+    return validate_space(d)
+
+
 def _float_space(n, rng):
     # distances 1.5 + k/100 as JSON floats, which are exact binary fractions
     # with denominators up to 2^52, mixed with 3/2 + k/15015: the scale of
@@ -66,3 +76,32 @@ def _loop_lip_constant(values, space, best):
             if ratio > best:
                 best = ratio
     return best
+
+
+def complex_differences(e, f):
+    """The atomwise differences as rho took them before it kept real ones
+    real: exact differences of exact measures and complex differences of
+    the rest, negated when the first non-zero entry (its real part) is
+    negative, then made complex."""
+    if e.is_exact and f.is_exact:
+        deltas = e.mats - f.mats
+    else:
+        deltas = to_complex(e.mats) - to_complex(f.mats)
+    nonzero = np.flatnonzero(deltas)
+    if nonzero.size and complex(deltas.flat[nonzero[0]]).real < 0:
+        deltas = -deltas
+    return to_complex(deltas)
+
+
+def full_route_rho(phis, e, f):
+    """Reference for the float tail of rho's vertex and grid routes: every
+    row eigen-solved, in complex arithmetic, as the routes ran before they
+    skipped rows by a bound; the objective stack is the product of the
+    rows of ``phis`` with ``complex_differences``.  Returns the first
+    maximum of its spectral norms, that norm and the row's top
+    eigenvector."""
+    deltas = complex_differences(e, f)
+    mats = np.tensordot(phis, deltas, axes=(1, 0))
+    norms = spectral_norms_stack(mats)
+    i = int(np.argmax(norms))
+    return i, float(norms[i]), top_eigenpair(mats[i])[1]

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import pvmk.cli
+import pvmk.errors
 import pvmk.ifs
 from pvmk.cli import run
 from pvmk.cuntz import multiplication_pvm
@@ -661,6 +662,29 @@ def test_running_out_of_memory_exits_2_with_one_error_line(files, capsys, monkey
     monkeypatch.setattr(pvmk.cli, "phi_iterate", exhausted)
     assert run(["phi-iterate", "--ifs", ifs, "--depth", "3", "--steps", "2"]) == 2
     assert capsys.readouterr().err == "error: out of memory: the input is too large for this machine\n"
+
+
+@pytest.mark.parametrize("seed_kind, steps", [("random-povm", 0), ("random-pvm", 0), ("random-povm", 1)])
+def test_a_stack_over_the_byte_budget_exits_2_with_one_error_line(capsys, monkeypatch, seed_kind, steps):
+    # 64 atoms of 64 x 64 float64: 2 MiB, drawn as the seed or built by
+    # the step from level 5
+    root = Path(__file__).resolve().parents[1]
+    monkeypatch.setattr(pvmk.ovm, "STACK_BYTES_BUDGET", 1 << 20)
+    argv = ["phi-iterate", "--ifs", str(root / "sample_inputs" / "dyadic_ifs.json"), "--depth", "6",
+            "--steps", str(steps), "--seed-kind", seed_kind]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: an atom stack of shape (64, 64, 64) needs 2097152 bytes, budget is 1048576\n"
+
+
+def test_reading_the_atoms_of_a_large_assignment_is_refused(monkeypatch):
+    pvm = multiplication_pvm(build_tower(dyadic_ifs(), 6), 6)
+    monkeypatch.setattr(pvmk.ovm, "STACK_BYTES_BUDGET", 1 << 20)
+    with pytest.raises(pvmk.errors.StackTooLarge, match=r"\(64, 64, 64\) needs 2097152 bytes"):
+        pvm.mats
+    monkeypatch.setattr(pvmk.ovm, "STACK_BYTES_BUDGET", 1 << 21)
+    assert pvm.mats.shape == (64, 64, 64)
 
 
 def test_closed_pipe_prints_no_traceback():

@@ -20,6 +20,7 @@ from pvmk.errors import (
 from pvmk.linalg import max_abs, spectral_norm, to_complex
 from pvmk.metric_core import validate_space
 from pvmk.ovm import (
+    OperatorValuedMeasure,
     conjugate,
     diagonal_pvm,
     integrate,
@@ -284,6 +285,36 @@ def test_integrate_real_function_is_hermitian():
     psi = [rng.gauss() for _ in range(3)]
     out = to_complex(integrate(psi, pvm))
     assert max_abs(out - out.conj().T) < 1e-12
+
+
+_ASSIGNED_PSI = [
+    [3, 0, -2, 7],
+    [F(1, 2), 3, 0, F(-5, 7)],
+    [True, 0, 2, 1],
+    [[1, 2, 3, 4], [F(1, 3), 0, 0, -1], [0, 0, 0, 0]],
+    [1.5, -0.0, 0.0, -2.25],
+    [complex(-0.0, -0.0), 1j, -2.0 - 0j, complex(0.0, -3.0)],
+    [[1.0, -0.0, 2.0, -1e-300], [-1.0, -2.0, -0.0, -0.0], [1e300, 0.0, -0.0, 5.0]],
+    [[1, F(1, 2), 0, 0], [0.5, 1, 2, 3]],
+]
+
+
+@pytest.mark.parametrize("psi", _ASSIGNED_PSI)
+def test_integrate_on_an_assignment_matches_the_dense_atoms(psi):
+    space = random_metric_space(4, SplitMix64(19))
+    # atom 1 owns no basis vector
+    pvm = diagonal_pvm(space, [2, 0, 3, 0, 2, 3, 3])
+    dense = OperatorValuedMeasure(space, pvm.mats, pvm.kind)
+    assert dense.assignment is None
+    out, expected = integrate(psi, pvm), integrate(psi, dense)
+    assert out.shape == expected.shape and out.dtype == expected.dtype
+    if out.dtype == object:
+        assert [type(x) for x in out.ravel()] == [type(x) for x in expected.ravel()]
+        assert np.array_equal(out, expected)
+    else:
+        # every zero of either route is +0
+        assert out.tobytes() == expected.tobytes()
+        assert not np.signbit(expected.view(np.float64)[expected.view(np.float64) == 0]).any()
 
 
 def test_representation_check_discriminates(dyadic_ct2):

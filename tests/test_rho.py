@@ -32,7 +32,7 @@ from pvmk.sampling import (
     random_unitary,
 )
 from pvmk.transport import ProbMeasure, kantorovich
-from oracles import _float_space, mcshane
+from oracles import _float_space, mcshane, strict_space
 
 F = Fraction
 
@@ -239,15 +239,6 @@ def _loop_sphere(space, e, f, restarts, seed, verts):
     return best, best_vert, best_h
 
 
-def strict_space(n, rng):
-    """Every distance in [3/2, 2], so every triangle inequality is strict."""
-    d = [[F(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            d[i][j] = d[j][i] = F(rng.randint(12, 16), 8)
-    return validate_space(d)
-
-
 def _sphere_panel():
     rng = SplitMix64(97)
     cases = []
@@ -376,12 +367,15 @@ def test_topology_bounds_random():
 
 def _loop_difference_stack(e, f):
     """Reference for ``rho._difference_stack``: the sign of the first
-    non-zero entry, found by walking every entry in a Python list."""
+    non-zero entry, found by walking every entry in a Python list; exact,
+    complex when either measure is, and real otherwise."""
     exact = e.is_exact and f.is_exact
     if exact:
         deltas = [a - b for a, b in zip(e.mats, f.mats)]
-    else:
+    elif np.iscomplexobj(e.mats) or np.iscomplexobj(f.mats):
         deltas = [to_complex(a) - to_complex(b) for a, b in zip(e.mats, f.mats)]
+    else:
+        deltas = [np.asarray(a, dtype=float) - np.asarray(b, dtype=float) for a, b in zip(e.mats, f.mats)]
     for x in [x for m in deltas for x in np.asarray(m).ravel()]:
         if x != 0:
             if (x.real if isinstance(x, complex) else x) < 0:
@@ -566,7 +560,7 @@ def test_difference_stack_sign_matches_the_entry_walk():
         (random_povm(space, 3, rng), random_povm(space, 3, rng)),
     ]
     e, _ = pairs[-1]
-    pairs.append((e, e))
+    pairs += [(e, e), (diagonal_pvm(space, [0, 3, 1]), e)]
     for e, f in pairs:
         for a, b in zip(_difference_stack(e, f)[0], _loop_difference_stack(e, f)):
             assert a.dtype == b.dtype and np.array_equal(a, b)
