@@ -15,8 +15,6 @@ genuinely needed.
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
 
@@ -121,7 +119,7 @@ def _norm_bounds(stack: np.ndarray) -> np.ndarray:
     1e-9 leaves 9.7e-10 for that term, q(k) up to 4 * 10^6 at k <= 32.
     """
     rows, d = stack.shape[:2]
-    lo, hi = _strict_lower(d)
+    lo, hi = np.tril_indices(d, -1)
     h = stack.copy()
     h[:, hi, lo] = stack[:, lo, hi].conj() if h.dtype.kind == "c" else stack[:, lo, hi]
     multiplicity = 1.0
@@ -150,16 +148,6 @@ def _norm_bounds(stack: np.ndarray) -> np.ndarray:
         zero[zero] = ~h[zero].any(axis=(1, 2))
         bound[zero] = 0.0
     return bound
-
-
-@functools.cache
-def _strict_lower(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column indices of the strict lower triangle of order d,
-    read-only, as every caller shares them."""
-    rows, cols = np.tril_indices(d, -1)
-    rows.setflags(write=False)
-    cols.setflags(write=False)
-    return rows, cols
 
 
 def max_spectral_norm(mats) -> tuple[int, float]:

@@ -39,8 +39,10 @@ POSITIVE = "positive"
 DEFAULT_TOL = 1e-10
 # The largest dense (n, d, d) atom stack, in bytes, that sampling, a
 # contraction step or an assignment's ``mats`` builds; a larger one raises
-# ``StackTooLarge`` before any of it is allocated.
-STACK_BYTES_BUDGET = 1 << 28
+# ``StackTooLarge`` before any of it is allocated.  4 GiB admits a dyadic
+# depth-9 level (512 atoms of 512 x 512: 1 GiB in float64, 2 GiB in
+# complex128) and refuses depth 10 (1024 atoms: 8 GiB in float64).
+STACK_BYTES_BUDGET = 1 << 32
 
 
 def check_stack_budget(n: int, d: int, dtype) -> None:

@@ -95,12 +95,14 @@ def complex_differences(e, f):
 
 def full_route_rho(phis, e, f):
     """Reference for the float tail of rho's vertex and grid routes: every
-    row eigen-solved, in complex arithmetic, as the routes ran before they
-    skipped rows by a bound; the objective stack is the product of the
-    rows of ``phis`` with ``complex_differences``.  Returns the first
-    maximum of its spectral norms, that norm and the row's top
-    eigenvector."""
+    row eigen-solved, as the routes ran before they skipped rows by a
+    bound; the objective stack is the product of the rows of ``phis`` with
+    ``complex_differences``, in real arithmetic (their real parts, which
+    are exact) unless a measure is complex.  Returns the first maximum of
+    its spectral norms, that norm and the row's top eigenvector."""
     deltas = complex_differences(e, f)
+    if not (np.iscomplexobj(e.mats) or np.iscomplexobj(f.mats)):
+        deltas = np.ascontiguousarray(deltas.real)
     mats = np.tensordot(phis, deltas, axes=(1, 0))
     norms = spectral_norms_stack(mats)
     i = int(np.argmax(norms))

@@ -678,6 +678,15 @@ def test_a_stack_over_the_byte_budget_exits_2_with_one_error_line(capsys, monkey
     assert captured.err == "error: an atom stack of shape (64, 64, 64) needs 2097152 bytes, budget is 1048576\n"
 
 
+def test_the_budget_admits_a_depth_9_level_and_refuses_depth_10():
+    # checked without allocating: the dyadic depth-9 seeds and steps ran
+    # before the budget existed; depth 10's float64 step asked for 8 GiB
+    for dtype in (np.int64, np.float64, np.complex128):
+        pvmk.ovm.check_stack_budget(512, 512, dtype)
+    with pytest.raises(pvmk.errors.StackTooLarge, match=r"\(1024, 1024, 1024\) needs 8589934592 bytes"):
+        pvmk.ovm.check_stack_budget(1024, 1024, np.float64)
+
+
 def test_reading_the_atoms_of_a_large_assignment_is_refused(monkeypatch):
     pvm = multiplication_pvm(build_tower(dyadic_ifs(), 6), 6)
     monkeypatch.setattr(pvmk.ovm, "STACK_BYTES_BUDGET", 1 << 20)

@@ -110,18 +110,22 @@ def test_float_tails_match_the_full_route(monkeypatch, space, pair):
 
 
 @pytest.mark.parametrize("space, pair", [case[1:] for case in PANEL], ids=IDS)
-def test_real_differences_give_the_complex_products_bit_for_bit(space, pair):
+def test_real_differences_are_the_complex_ones_real_parts(space, pair):
     e, f = pair
     deltas = _difference_stack(e, f)[0]
     if np.iscomplexobj(deltas):
         return
     cdeltas = complex_differences(e, f)
     real = deltas.astype(np.float64)
+    assert not cdeltas.imag.any()
     assert _bits(real) == _bits(np.ascontiguousarray(cdeltas.real))
+    # The real and the complex product sum the same terms, but through
+    # different BLAS kernels, whose summation order may differ: they agree
+    # to a few ulps of the sum of the terms' moduli.
     phis = lip1_vertices(space).half_floats
-    assert _bits(np.tensordot(phis, real, axes=(1, 0))) == _bits(
-        np.ascontiguousarray(np.tensordot(phis, cdeltas, axes=(1, 0)).real)
-    )
+    gap = np.abs(np.tensordot(phis, real, axes=(1, 0)) - np.tensordot(phis, cdeltas, axes=(1, 0)).real)
+    scale = np.tensordot(np.abs(phis), np.abs(real), axes=(1, 0))
+    assert (gap <= 4 * len(phis[0]) * np.finfo(float).eps * scale).all()
 
 
 def _panel_stacks(monkeypatch):
