@@ -15,6 +15,8 @@ genuinely needed.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 
@@ -119,7 +121,7 @@ def _norm_bounds(stack: np.ndarray) -> np.ndarray:
     1e-9 leaves 9.7e-10 for that term, q(k) up to 4 * 10^6 at k <= 32.
     """
     rows, d = stack.shape[:2]
-    lo, hi = np.tril_indices(d, -1)
+    lo, hi = _strict_lower(d)
     h = stack.copy()
     h[:, hi, lo] = stack[:, lo, hi].conj() if h.dtype.kind == "c" else stack[:, lo, hi]
     multiplicity = 1.0
@@ -148,6 +150,18 @@ def _norm_bounds(stack: np.ndarray) -> np.ndarray:
         zero[zero] = ~h[zero].any(axis=(1, 2))
         bound[zero] = 0.0
     return bound
+
+
+@functools.cache
+def _strict_lower(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the strict lower triangle of order d,
+    built once per order and read-only, as every call shares them.
+    Rebuilding them in every ``_norm_bounds`` call cost operator-rho 3.5%
+    of its ops_per_s, in 10 of 10 paired runs (``BENCH_27.json``)."""
+    rows, cols = np.tril_indices(d, -1)
+    rows.setflags(write=False)
+    cols.setflags(write=False)
+    return rows, cols
 
 
 def max_spectral_norm(mats) -> tuple[int, float]:
