@@ -71,8 +71,9 @@ class CriterionResult:
     details: dict
 
 
-def criterion_1(seed: int = 0, instances: int = 100) -> CriterionResult:
+def criterion_1(seed: int = 0) -> CriterionResult:
     """Primal transport value equals the dual vertex maximum, exactly."""
+    instances = 100
     rng = SplitMix64(seed ^ 0xC1)
     failures = 0
     largest = 0
@@ -95,7 +96,7 @@ def criterion_1(seed: int = 0, instances: int = 100) -> CriterionResult:
     )
 
 
-def criterion_2(seed: int = 0, pairs_per_level: int = 50) -> CriterionResult:
+def criterion_2(seed: int = 0) -> CriterionResult:
     """Scalar contraction of the averaged pushforward at rate 1/2, exactly."""
     tower = build_tower(dyadic_ifs(), 6)
     bound = Fraction(1, 2)
@@ -103,7 +104,7 @@ def criterion_2(seed: int = 0, pairs_per_level: int = 50) -> CriterionResult:
     tested = 0
     ok = True
     for k in range(1, 6):
-        report = contraction_ratio_scalar(tower, k, pairs_per_level, seed=seed ^ (0xC2 + k))
+        report = contraction_ratio_scalar(tower, k, 50, seed=seed ^ (0xC2 + k))
         tested += report.pairs_tested
         if report.max_ratio is not None:
             worst = report.max_ratio if worst is None else max(worst, report.max_ratio)
@@ -185,7 +186,7 @@ def criterion_5(seed: int = 0) -> CriterionResult:
     return CriterionResult(5, "fixed point identification", ok, reports)
 
 
-def criterion_6(seed: int = 0, trials_per_level: int = 30) -> CriterionResult:
+def criterion_6(seed: int = 0) -> CriterionResult:
     """Contraction of the measure-level step in rho, with a tight witness.
 
     Pairs at level k - 1 are stepped into level k for k = 2, 3 (the level-0
@@ -199,7 +200,7 @@ def criterion_6(seed: int = 0, trials_per_level: int = 30) -> CriterionResult:
     tight_ok = True
     for kind in ("projection", "positive"):
         for k in (2, 3):
-            report = contraction_ratio_rho(tower, k, trials_per_level, seed=seed ^ (0xC6 + k), kind=kind)
+            report = contraction_ratio_rho(tower, k, 30, seed=seed ^ (0xC6 + k), kind=kind)
             tested[kind] += report.pairs_tested
             if report.max_ratio is not None:
                 worst[kind] = max(worst[kind], report.max_ratio)
@@ -227,8 +228,9 @@ def _random_ovm(space, dim, rng, kind_idx):
     return random_pvm(space, dim, rng, complex_=(kind_idx % 2 == 1))
 
 
-def criterion_7(seed: int = 0, triples: int = 25) -> CriterionResult:
+def criterion_7(seed: int = 0) -> CriterionResult:
     """Metric axioms of rho on random operator-valued triples."""
+    triples = 25
     rng = SplitMix64(seed ^ 0xC7)
     ok = True
     for t in range(triples):
@@ -244,8 +246,10 @@ def criterion_7(seed: int = 0, triples: int = 25) -> CriterionResult:
     return CriterionResult(7, "rho metric axioms", ok, {"triples": triples})
 
 
-def criterion_8(seed: int = 0, instances: int = 12, restarts: int = 200) -> CriterionResult:
+def criterion_8(seed: int = 0) -> CriterionResult:
     """Exchanging the two suprema: sphere search meets the vertex value."""
+    instances = 12
+    restarts = 200
     rng = SplitMix64(seed ^ 0xC8)
     ok = True
     worst_gap = 0.0
@@ -272,8 +276,9 @@ def criterion_8(seed: int = 0, instances: int = 12, restarts: int = 200) -> Crit
     )
 
 
-def criterion_9(seed: int = 0, instances: int = 50) -> CriterionResult:
+def criterion_9(seed: int = 0) -> CriterionResult:
     """Commuting diagonal pairs match the closed form max_j d(a_j, b_j)."""
+    instances = 50
     rng = SplitMix64(seed ^ 0xC9)
     ok = True
     for _ in range(instances):
@@ -286,8 +291,9 @@ def criterion_9(seed: int = 0, instances: int = 50) -> CriterionResult:
     return CriterionResult(9, "diagonal closed form", ok, {"instances": instances})
 
 
-def criterion_10(seed: int = 0, unitaries: int = 20) -> CriterionResult:
+def criterion_10(seed: int = 0) -> CriterionResult:
     """Conjugation by a unitary is an isometry of rho."""
+    unitaries = 20
     rng = SplitMix64(seed ^ 0xCA)
     space = random_metric_space(4, rng)
     vertices = lip1_vertices(space)
@@ -309,8 +315,9 @@ def criterion_10(seed: int = 0, unitaries: int = 20) -> CriterionResult:
     )
 
 
-def criterion_11(seed: int = 0, instances: int = 100) -> CriterionResult:
+def criterion_11(seed: int = 0) -> CriterionResult:
     """Two-sided weak-topology bounds, plus integral convergence along traces."""
+    instances = 100
     rng = SplitMix64(seed ^ 0xCB)
     ok = True
     for t in range(instances):
@@ -429,13 +436,13 @@ def criterion_12(seed: int = 0) -> CriterionResult:
     )
 
 
-def criterion_13(seed: int = 0, random_vectors: int = 10) -> CriterionResult:
+def criterion_13(seed: int = 0) -> CriterionResult:
     """The weighted-space model of the fixed point on a panel of vectors."""
     tower = build_tower(dyadic_ifs(), 3)
     dim = 8
     rng = SplitMix64(seed ^ 0xCD)
     vectors = [np.eye(dim)[0], np.full(dim, dim**-0.5)]
-    for i in range(random_vectors):
+    for i in range(10):
         vectors.append(random_unit_vector(dim, rng, complex_=(i % 2 == 1)))
     ok = True
     worst = 0.0

@@ -7,7 +7,7 @@ opt-in via --timing because it would break that guarantee.  A failing
 verdict exits with code 1; usage and parse problems (an --out path that
 cannot be written, or a closed standard output, among them), measures
 that do not live on the given space or dimension, and inputs over a size
-cap or past the memory at hand, exit with code 2.
+cap or budget, or past the memory at hand, exit with code 2.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .fixed_point import (
     verify_fixed_point,
 )
 from .ifs import build_tower, hutchinson_fixed
-from .metric_core import audit_space, lip1_vertices, DEFAULT_VERTEX_CAP
+from .metric_core import audit_space, lip1_vertices
 from .rho import rho_exact, rho_lower_grid, rho_lower_sphere
 from .rng import SplitMix64
 from .sampling import random_povm, random_pvm
@@ -152,15 +152,10 @@ def _cmd_rho(args):
     E = ovm_from_obj(load_json(args.e), space)
     F = ovm_from_obj(load_json(args.f), space)
     if args.method == "vertex":
-        res = rho_exact(space, E, F, lip1_vertices(space, cap=args.vertex_cap))
+        res = rho_exact(space, E, F, lip1_vertices(space))
     elif args.method == "sphere":
         res = rho_lower_sphere(
-            space,
-            E,
-            F,
-            args.restarts,
-            seed=args.seed,
-            vertices=lip1_vertices(space, cap=args.vertex_cap),
+            space, E, F, args.restarts, seed=args.seed, vertices=lip1_vertices(space)
         )
     else:
         res = rho_lower_grid(space, E, F, args.trials, seed=args.seed)
@@ -302,7 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("vertex", "sphere", "grid"), default="vertex")
     p.add_argument("--restarts", type=int, default=50)
     p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--vertex-cap", type=int, default=DEFAULT_VERTEX_CAP)
     common(p, seed=True)
     p.set_defaults(func=_cmd_rho)
 

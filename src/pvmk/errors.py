@@ -45,10 +45,10 @@ class TriangleViolation(MetricAxiomError):
 
 
 class SpaceTooLarge(PvmkError):
-    def __init__(self, n: int, cap: int):
-        super().__init__(f"space has {n} points, cap is {cap}")
-        self.n = n
-        self.cap = cap
+    def __init__(self, rows: int, budget: int):
+        super().__init__(f"vertex enumeration would build {rows} rows, budget is {budget}")
+        self.rows = rows
+        self.budget = budget
 
 
 # --- transport --------------------------------------------------------------

@@ -45,7 +45,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import linalg
+from . import linalg, ovm
 from .cuntz import multiplication_pvm, word_positions
 from .errors import LevelOutOfRange, MismatchedMeasures, PvmkError
 from .ifs import CylinderTower
@@ -166,7 +166,7 @@ def phi_iterate(
                 rho_val = float(rho_assignments(current, truth))
             else:
                 space = tower.level(level).space
-                verts = lip1_vertices(space, cap=RHO_VERTEX_CAP)
+                verts = lip1_vertices(space)
                 rho_val = rho_exact(space, current, truth, verts).value
         ratio = None
         if rho_val is not None and prev_rho is not None and prev_rho > 1e-12:
@@ -189,11 +189,6 @@ def phi_iterate(
     )
 
 
-# Entries of one dense block sum formed at a time, so that checking a
-# dense measure needs a bounded scratch array besides its atoms.
-_CHUNK_ENTRIES = 1 << 20
-
-
 def _cylinder_identities(tower: CylinderTower, E: OperatorValuedMeasure, level: int, depth: int):
     """Yield (t, holds) for t = 0..depth, where holds[u] says E(cylinder of
     the depth-t word with index u) equals the cylinder projection at
@@ -205,7 +200,8 @@ def _cylinder_identities(tower: CylinderTower, E: OperatorValuedMeasure, level: 
     {e_j : a[j] // w = u}, so the identity fails exactly for the words
     a[j] // w and j // w of every j where the two differ.  A dense measure
     sums each block of w atoms at once and takes 1 off that block's
-    diagonal."""
+    diagonal, forming about ``ovm.BLOCK_ENTRIES`` entries of sums at a
+    time besides its atoms."""
     n = tower.n_branches
     if E.assignment is not None:
         a = E.assignment
@@ -223,7 +219,7 @@ def _cylinder_identities(tower: CylinderTower, E: OperatorValuedMeasure, level: 
     for t in range(depth + 1):
         w = n ** (level - t)
         blocks = E.mats.reshape(n**t, w, d, d)
-        step = max(1, _CHUNK_ENTRIES // (d * d))
+        step = max(1, ovm.BLOCK_ENTRIES // (d * d))
         defects = []
         for start in range(0, n**t, step):
             sums = blocks[start : start + step].sum(axis=1)
@@ -331,8 +327,8 @@ def contraction_ratio_rho(
     rng = SplitMix64(seed)
     space_prev = tower.level(k - 1).space
     space_next = tower.level(k).space
-    verts_prev = lip1_vertices(space_prev, cap=RHO_VERTEX_CAP)
-    verts_next = lip1_vertices(space_next, cap=RHO_VERTEX_CAP)
+    verts_prev = lip1_vertices(space_prev)
+    verts_next = lip1_vertices(space_next)
     dim_prev = tower.dim(k - 1)
 
     def one_trial(child: SplitMix64) -> float | None:

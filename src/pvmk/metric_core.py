@@ -29,7 +29,9 @@ from .errors import (
 )
 from .rationals import as_fraction, cleared, is_rational_sequence
 
-DEFAULT_VERTEX_CAP = 7
+# The most rows of the (m, n) integer array a vertex route may build: it
+# admits lines up to 20 points and the measured spaces of up to 10 (README).
+VERTEX_ROWS_BUDGET = 1 << 19
 
 
 class FiniteMetricSpace:
@@ -194,24 +196,20 @@ def validate_space(dist_table, point_ids=None) -> FiniteMetricSpace:
     return FiniteMetricSpace(ids, dist)
 
 
-def lip_constant(values, space: FiniteMetricSpace):
-    """Smallest K with |f(x) - f(y)| <= K d(x,y); exact when values are rational.
+def lip_constant(values, space: FiniteMetricSpace) -> Fraction:
+    """Smallest K with |f(x) - f(y)| <= K d(x,y), exactly.
 
-    Rational values are cleared of their denominators with their lcm D, so
-    F = D*f is a list of ints, and compared on the scaled table: the ratio
-    of a pair is |F_i - F_j| * L / (D * L*d_ij).  The largest ratio is found
-    by cross-multiplying ints, and one Fraction is built at the end.
+    A finite float is a dyadic rational, so float values are read at their
+    exact binary value with ``Fraction(x)``.  The values are cleared of
+    their denominators with their lcm D, so F = D*f is a list of ints, and
+    compared on the scaled table: the ratio of a pair is
+    |F_i - F_j| * L / (D * L*d_ij).  The largest ratio is found by
+    cross-multiplying ints, and one Fraction is built at the end.
     """
     if len(values) != space.n:
         raise InputParseError("value vector must cover every point")
     if not is_rational_sequence(values):
-        best = 0.0
-        for i in range(space.n):
-            for j in range(i + 1, space.n):
-                ratio = abs(values[i] - values[j]) / space.dist[i][j]
-                if ratio > best:
-                    best = ratio
-        return best
+        values = [Fraction(x) for x in values]
     scale, d = space.scaled
     den, f = cleared(values)
     top, bottom = 0, 1
@@ -225,10 +223,10 @@ def lip_constant(values, space: FiniteMetricSpace):
 
 @dataclass(frozen=True)
 class LipschitzFunction:
-    """Point values together with a certified Lipschitz constant."""
+    """Point values together with their exact Lipschitz constant."""
 
     values: tuple
-    constant: object  # Fraction or float, matching the values
+    constant: Fraction
 
 
 def certify_lipschitz(space: FiniteMetricSpace, values) -> LipschitzFunction:
@@ -367,6 +365,12 @@ def _certified(space: FiniteMetricSpace, a0: int, rows: np.ndarray) -> Lip1Verte
     return Lip1VertexSet(space.point_ids[a0], verts, space, (scale // g, ints))
 
 
+def _check_rows(rows: int) -> None:
+    """Refuse, before they are built, more rows than ``VERTEX_ROWS_BUDGET``."""
+    if rows > VERTEX_ROWS_BUDGET:
+        raise SpaceTooLarge(rows, VERTEX_ROWS_BUDGET)
+
+
 def _line_vertices(space: FiniteMetricSpace, a0: int, order: list[int]) -> Lip1VertexSet:
     """Every slope-sign pattern of a line, walking outward from the anchor.
 
@@ -374,6 +378,7 @@ def _line_vertices(space: FiniteMetricSpace, a0: int, order: list[int]) -> Lip1V
     anchored polytope is the box |f(next) - f(prev)| <= gap in the slope
     coordinates, and its vertices are its 2^(n-1) corners.
     """
+    _check_rows(2 ** (space.n - 1))
     _, d = space.scaled
     p = order.index(a0)
     steps = [(order[k - 1], order[k]) for k in range(p + 1, space.n)]
@@ -443,6 +448,7 @@ def _search_vertices(space: FiniteMetricSpace, a0: int) -> Lip1VertexSet:
     lo, hi = -table[a0 : a0 + 1], table[a0 : a0 + 1]
     for _ in range(n - 1):
         rows, cols = np.nonzero(states == sentinel)
+        _check_rows(2 * len(rows))
         ends = np.concatenate([lo[rows, cols], hi[rows, cols]])
         rows, cols = np.tile(rows, 2), np.tile(cols, 2)
         states = states[rows]
@@ -455,11 +461,7 @@ def _search_vertices(space: FiniteMetricSpace, a0: int) -> Lip1VertexSet:
     return _certified(space, a0, states)
 
 
-def lip1_vertices(
-    space: FiniteMetricSpace,
-    anchor: str | None = None,
-    cap: int = DEFAULT_VERTEX_CAP,
-) -> Lip1VertexSet:
+def lip1_vertices(space: FiniteMetricSpace, anchor: str | None = None) -> Lip1VertexSet:
     """Exact vertex list of {f : f(anchor) = 0, f 1-Lipschitz}, sorted.
 
     Two routes give the same sorted tuple.  When the distances embed
@@ -470,12 +472,10 @@ def lip1_vertices(
     table, in int64 where :func:`_value_dtype` proves it cannot wrap and in
     Python ints otherwise, and share one certification: every vertex is
     checked 1-Lipschitz in integers, the rows are sorted, and Fractions
-    are built once per distinct value.  The point cap applies to both
-    routes.
+    are built once per distinct value.  Each route raises
+    ``SpaceTooLarge`` before it would build more than
+    ``VERTEX_ROWS_BUDGET`` rows.
     """
-    n = space.n
-    if n > cap:
-        raise SpaceTooLarge(n, cap)
     a0 = 0 if anchor is None else space.index(anchor)
     order = _line_order(space)
     if order is None:

@@ -15,12 +15,12 @@ def _check(result):
 
 def test_criterion_01_kantorovich_duality():
     # 100 seeded instances, up to 7 atoms: primal equals dual, rational equality
-    _check(acceptance.criterion_1(seed=0, instances=100))
+    _check(acceptance.criterion_1(seed=0))
 
 
 def test_criterion_02_hutchinson_contraction():
     # levels 1..5, 50 pairs each: ratio <= 1/2 exactly; Dirac pair attains it
-    _check(acceptance.criterion_2(seed=0, pairs_per_level=50))
+    _check(acceptance.criterion_2(seed=0))
 
 
 def test_criterion_03_invariant_measure():
@@ -40,32 +40,32 @@ def test_criterion_05_fixed_point_identification():
 
 def test_criterion_06_rho_contraction():
     # >= 50 projection and >= 50 positive pairs, ratio <= 1/2 + 1e-8; tight pair
-    _check(acceptance.criterion_6(seed=0, trials_per_level=30))
+    _check(acceptance.criterion_6(seed=0))
 
 
 def test_criterion_07_rho_metric_axioms():
     # 25 seeded triples: symmetry, identity, triangle, boundedness by 2 diam
-    _check(acceptance.criterion_7(seed=0, triples=25))
+    _check(acceptance.criterion_7(seed=0))
 
 
 def test_criterion_08_exchange_identity():
     # sphere search within 1e-4 of the vertex value; grid <= sphere <= exact
-    _check(acceptance.criterion_8(seed=0, restarts=200))
+    _check(acceptance.criterion_8(seed=0))
 
 
 def test_criterion_09_diagonal_closed_form():
     # 50 commuting diagonal pairs against the independent max-distance formula
-    _check(acceptance.criterion_9(seed=0, instances=50))
+    _check(acceptance.criterion_9(seed=0))
 
 
 def test_criterion_10_unitary_isometry():
     # 20 seeded unitaries at dimension 4 move rho by at most 1e-9
-    _check(acceptance.criterion_10(seed=0, unitaries=20))
+    _check(acceptance.criterion_10(seed=0))
 
 
 def test_criterion_11_weak_topology_bounds():
     # 100 random triples for both inequalities; panel convergence along traces
-    _check(acceptance.criterion_11(seed=0, instances=100))
+    _check(acceptance.criterion_11(seed=0))
 
 
 def test_criterion_12_scalar_measure_calculus():
@@ -75,4 +75,4 @@ def test_criterion_12_scalar_measure_calculus():
 
 def test_criterion_13_weighted_space_model():
     # basis vector, uniform superposition, and ten random unit vectors
-    _check(acceptance.criterion_13(seed=0, random_vectors=10))
+    _check(acceptance.criterion_13(seed=0))

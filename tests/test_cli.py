@@ -12,8 +12,10 @@ import pytest
 import pvmk.cli
 import pvmk.errors
 import pvmk.ifs
+import pvmk.metric_core
 from pvmk.cli import run
 from pvmk.cuntz import multiplication_pvm
+from pvmk.fixed_point import swapped_diagonal_pvm
 from pvmk.ifs import build_tower, dyadic_ifs
 import pvmk.ovm
 from pvmk.rationals import rational_str
@@ -21,6 +23,8 @@ from pvmk.schemas import canonical_json
 from pvmk.transport import ProbMeasure
 from decimal import Decimal
 from fractions import Fraction
+
+from oracles import _THETA
 
 
 DYADIC = {
@@ -573,7 +577,7 @@ def test_exact_and_float_atoms_keep_the_float_report(files, capsys):
     assert run(["rho", "--space", space, "--e", e, "--f", f]) == 0
     expected = (
         '{"command":"rho","config":{"e":%s,"f":%s,"method":"vertex","restarts":50,'
-        '"seed":0,"space":%s,"trials":200,"vertex_cap":7},'
+        '"seed":0,"space":%s,"trials":200},'
         '"results":{"exact":null,"method":"vertex","value":0.5,'
         '"witness_phi":{"constant":1,"values":[0,-0.5]},'
         '"witness_vector":{"im":[0,0],"re":[0,1]}},"schema_version":1,'
@@ -610,14 +614,26 @@ def test_rho_on_measures_of_different_dims_exits_2(files, capsys):
     _one_error_line(capsys)
 
 
-def test_cap_errors_exit_2(files, capsys):
+def test_cap_errors_exit_2(files, capsys, monkeypatch):
     tmp, write = files
     ifs = write("ifs.json", DYADIC)
     assert run(["cuntz-verify", "--ifs", ifs, "--depth", "13"]) == 2
     assert "cap is 4096" in capsys.readouterr().err
+    # the 16-point theta level is over the vertex row budget
+    ct = build_tower(_THETA, 4)
+    space = write("theta.json", space_to_obj(ct.level(4).space))
+    e = write("e.json", ovm_to_obj(multiplication_pvm(ct, 4)))
+    f = write("f.json", ovm_to_obj(swapped_diagonal_pvm(ct, 4)))
+    for method in ("vertex", "sphere"):
+        assert run(["rho", "--space", space, "--e", e, "--f", f, "--method", method]) == 2
+        assert capsys.readouterr().err == (
+            "error: vertex enumeration would build 1621620 rows, budget is 524288\n"
+        )
+    # and a two-point line is over a budget of one row
+    monkeypatch.setattr(pvmk.metric_core, "VERTEX_ROWS_BUDGET", 1)
     space, e, f = _two_point_rho_files(write, SWAPPED_ATOMS)
-    assert run(["rho", "--space", space, "--e", e, "--f", f, "--vertex-cap", "1"]) == 2
-    assert "cap is 1" in capsys.readouterr().err
+    assert run(["rho", "--space", space, "--e", e, "--f", f]) == 2
+    assert capsys.readouterr().err == "error: vertex enumeration would build 2 rows, budget is 1\n"
 
 
 @pytest.mark.parametrize("module", ["pvmk", "pvmk.cli"])

@@ -11,7 +11,7 @@ from pvmk.cuntz import (
     prefix_atoms,
 )
 from pvmk.errors import LevelOutOfRange, MismatchedMeasures
-from pvmk import cuntz, fixed_point, linalg
+from pvmk import cuntz, fixed_point, linalg, ovm
 from pvmk.fixed_point import (
     RelateReport,
     _cylinder_identities,
@@ -270,7 +270,7 @@ def test_cylinder_blocks_match_the_dense_route(ifs, depth, monkeypatch):
             got = _per_word(ct, _cylinder_identities(ct, E, K, K))
             assert got == list(_dense_cylinder_identities(ct, E, K, K))
             with monkeypatch.context() as m:  # three words' block sums at a time
-                m.setattr(fixed_point, "_CHUNK_ENTRIES", 3 * d * d)
+                m.setattr(ovm, "BLOCK_ENTRIES", 3 * d * d)
                 assert _per_word(ct, _cylinder_identities(ct, E, K, K)) == got
             verdicts.append([holds for _t, _word, holds in got])
         # the whole space holds both perturbed atoms, so only smaller
@@ -591,8 +591,8 @@ def test_contraction_is_an_equality_on_diagonal_pvms(ifs, depth):
     for k in range(1, depth + 1):
         prev = ct.level(k - 1).space
         nxt = ct.level(k).space
-        verts_prev = lip1_vertices(prev, cap=9)
-        verts_next = lip1_vertices(nxt, cap=9)
+        verts_prev = lip1_vertices(prev)
+        verts_next = lip1_vertices(nxt)
         for _ in range(20):
             E, G, _, _ = random_diagonal_pvm_pair(prev, ct.dim(k - 1), rng)
             before = rho_exact(prev, E, G, verts_prev).exact
@@ -613,7 +613,7 @@ def test_rho_assignments_matches_the_vertex_route_on_tower_levels(ifs, depth):
     chain = [multiplication_pvm(ct, 0)]
     for k in range(depth + 1):
         space = ct.level(k).space
-        verts = lip1_vertices(space, cap=9)
+        verts = lip1_vertices(space)
         truth = multiplication_pvm(ct, k)
         pairs = [random_diagonal_pvm_pair(space, ct.dim(k), rng)[:2] for _ in range(10)]
         pairs.append((swapped_diagonal_pvm(ct, k), truth))

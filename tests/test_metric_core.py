@@ -2,6 +2,8 @@
 
 import itertools
 import math
+import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -15,6 +17,7 @@ from pvmk.errors import (
     TriangleViolation,
     ZeroDistanceDistinctPoints,
 )
+from pvmk import metric_core
 from pvmk.ifs import build_tower, dyadic_ifs, make_ifs, triadic_ifs
 from pvmk.metric_core import (
     FiniteMetricSpace,
@@ -174,11 +177,38 @@ def test_lip1_vertices_path_frozen():
     assert set(verts.vertices) == expected
 
 
-def test_lip1_vertices_cap():
-    rng = SplitMix64(3)
-    space = random_metric_space(5, rng)
-    with pytest.raises(SpaceTooLarge):
-        lip1_vertices(space, cap=4)
+def test_lip1_vertices_cap(monkeypatch):
+    # over a row budget of 2^10, the line route (the 2^15 corners of the
+    # 16-point dyadic level) and the search (its third layer on the 16-point
+    # theta level) refuse before they build the rows: the traced peak stays
+    # below the bytes of the refused (rows, n) int64 array
+    monkeypatch.setattr(metric_core, "VERTEX_ROWS_BUDGET", 2**10)
+    for ifs, rows in ((dyadic_ifs(), 2**15), (_THETA, 16_380)):
+        space = build_tower(ifs, 4).level(4).space
+        space.scaled  # the table is the space's, built before tracing
+        tracemalloc.start()
+        try:
+            with pytest.raises(SpaceTooLarge) as err:
+                lip1_vertices(space)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (err.value.rows, err.value.budget) == (rows, 2**10)
+        assert str(err.value) == f"vertex enumeration would build {rows} rows, budget is 1024"
+        assert peak < rows * space.n * 8
+
+
+def test_vertex_budget_refuses_the_16_point_theta_level_and_admits_lines():
+    theta = build_tower(_THETA, 4).level(4).space
+    theta.scaled
+    start = time.perf_counter()
+    with pytest.raises(SpaceTooLarge) as err:
+        lip1_vertices(theta)
+    assert time.perf_counter() - start < 1.0
+    assert err.value.rows == 1_621_620  # its 196,560-row layer is built
+    assert len(lip1_vertices(_strict_space(9, SplitMix64(3)))) > 0
+    line = build_tower(dyadic_ifs(), 4).level(4).space
+    assert len(lip1_vertices(line)) == 2**15
 
 
 def test_lip1_vertices_negation_closure():
@@ -294,7 +324,7 @@ def test_line_vertices_match_search(space, shuffled):
     reference = _search_vertices(space, 0).vertices
     assert len(reference) == 2 ** (space.n - 1)
     for b, point in enumerate(space.point_ids):
-        verts = lip1_vertices(space, point, cap=8).vertices
+        verts = lip1_vertices(space, point).vertices
         assert verts == _reanchored(reference, b)
         for vert in verts:
             assert lip_constant(vert, space) <= 1
@@ -471,7 +501,7 @@ LIP_CASES = [
     ("one-point", validate_space([[0]]), [F(7, 3)]),
     ("float-table", _float_space(5, _LIP_RNG), [F(k, 13) for k in (0, 4, -9, 2, 11)]),
     ("ints", _DYADIC_3, [3, -1, 4, 1, -5, 9, -2, 6]),
-    ("dyadic-vertex", _DYADIC_3, list(lip1_vertices(_DYADIC_3, cap=8).vertices[77])),
+    ("dyadic-vertex", _DYADIC_3, list(lip1_vertices(_DYADIC_3).vertices[77])),
 ]
 
 
@@ -482,10 +512,14 @@ def test_lip_constant_matches_fraction_loop(space, values):
     got = lip_constant(values, space)
     assert type(got) is Fraction
     assert got == _loop_lip_constant(values, space, Fraction(0))
+    # floats are read at their exact binary value; the float loop rounds
+    # each difference, distance and quotient, so it is within a few ulps
     floats = [float(x) for x in values]
     got = lip_constant(floats, space)
-    assert type(got) is float
-    assert got == _loop_lip_constant(floats, space, 0.0)
+    assert type(got) is Fraction
+    assert got == _loop_lip_constant([F(x) for x in floats], space, Fraction(0))
+    loop = _loop_lip_constant(floats, space, 0.0)
+    assert abs(float(got) - loop) <= 4 * math.ulp(loop)
 
 
 def _canonical_half(vertices):
@@ -507,7 +541,7 @@ def test_vertex_set_caches_its_sign_half():
     assert one_point.half == one_point.vertices == ((F(0),),)
     spaces = [path_space(), SHUFFLED_LINES[-1]] + [case[1] for case in CROSS_CHECK]
     for space in spaces:
-        verts = lip1_vertices(space, cap=8)
+        verts = lip1_vertices(space)
         assert verts.half == tuple(_canonical_half(verts))
         assert verts.half is verts.half
         # no vertex of two or more points is its own negation
@@ -525,7 +559,7 @@ def test_vertex_set_caches_its_sign_half():
 def test_vertex_set_caches_its_scaled_ints():
     spaces = [validate_space([[0]]), path_space()] + [case[1] for case in CROSS_CHECK]
     for space in spaces:
-        verts = lip1_vertices(space, cap=8)
+        verts = lip1_vertices(space)
         scale, ints = verts.scaled
         assert verts.scaled is verts.scaled
         assert space.scaled[0] % scale == 0

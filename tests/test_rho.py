@@ -498,7 +498,7 @@ DIAGONAL_CASES = _diagonal_reference_cases()
     "space, e, f", [case[1:] for case in DIAGONAL_CASES], ids=[case[0] for case in DIAGONAL_CASES]
 )
 def test_integer_diagonal_rho_matches_fraction_reference(space, e, f):
-    verts = lip1_vertices(space, cap=8)
+    verts = lip1_vertices(space)
     res = rho_exact(space, e, f, verts)
     best, best_vert, best_j = _fraction_rho_diagonal(space, e, f, verts)
     deltas, _ = _difference_stack(e, f)
@@ -533,7 +533,7 @@ def test_commuting_rho_is_the_largest_slot_w1(space, e, f):
             neg = ProbMeasure(tuple(max(-x, 0) / mass for x in diff))
             slots.append(mass * kantorovich(space, pos, neg).value)
     expected = max(slots, default=F(0))
-    assert rho_exact(space, e, f, lip1_vertices(space, cap=8)).exact == expected
+    assert rho_exact(space, e, f, lip1_vertices(space)).exact == expected
 
 
 def test_best_keeps_the_first_maximum_and_scores_the_one_point_space():

@@ -456,7 +456,7 @@ ORACLE_CASES = [case for case in REFERENCE_CASES if case[1].n <= 7] + [
     "space, mu, nu", [case[1:] for case in ORACLE_CASES], ids=[case[0] for case in ORACLE_CASES]
 )
 def test_integer_dual_oracle_matches_fraction_reference(space, mu, nu):
-    verts = lip1_vertices(space, cap=8)
+    verts = lip1_vertices(space)
     value = kantorovich_dual_oracle(space, mu, nu, verts)
     assert type(value) is Fraction
     assert value == _fraction_dual_oracle(mu, nu, verts) == _int_dual_oracle(mu, nu, verts)
