@@ -39,6 +39,7 @@ from .ovm import (
     OperatorValuedMeasure,
     conjugate,
     diagonal_pvm,
+    frame_pvm,
     integrate,
     polarize,
     representation_check,
@@ -95,6 +96,7 @@ __all__ = [
     "OperatorValuedMeasure",
     "conjugate",
     "diagonal_pvm",
+    "frame_pvm",
     "integrate",
     "polarize",
     "representation_check",

@@ -18,7 +18,6 @@ import sys
 import time
 from pathlib import Path
 
-from . import acceptance
 from .cuntz import cuntz_verify, multiplication_pvm
 from .errors import (
     InputParseError,
@@ -224,6 +223,9 @@ def _cmd_relate_verify(args):
 
 
 def _cmd_suite(args):
+    # imported here, so that no other command pays for loading the sweep
+    from . import acceptance
+
     if args.depth is not None and not args.ifs:
         raise InputParseError("--depth is the depth of the --ifs tower and needs --ifs")
     results = acceptance.run_all(seed=args.seed)

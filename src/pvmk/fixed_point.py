@@ -76,6 +76,9 @@ def phi_step(tower: CylinderTower, k: int, E: OperatorValuedMeasure) -> Operator
     output's assignment is i d + j -> i d + a[j], built in O(d_k).  It is
     wrapped as it is, without ``diagonal_pvm``'s copy and range check: a[j]
     < n_(k-1) = d, so every entry names one of the N d atoms of level k.
+    A frame form steps the same way and keeps its frame U: S_i places
+    I_m (x) U, the frame of E's m copies, on block i, so the output's frame
+    is I_(N m) (x) U, and its atoms are E's placed as a dense step would.
     """
     if not 1 <= k <= tower.depth:
         raise LevelOutOfRange(f"step target {k} outside 1..{tower.depth}")
@@ -88,7 +91,7 @@ def phi_step(tower: CylinderTower, k: int, E: OperatorValuedMeasure) -> Operator
         offsets = np.arange(tower.n_branches, dtype=np.intp)[:, None] * d_prev
         assignment = (offsets + E.assignment).ravel()
         assignment.setflags(write=False)
-        return OperatorValuedMeasure(space, None, PROJECTION, assignment)
+        return OperatorValuedMeasure(space, None, PROJECTION, assignment, E.frame)
     d_next = tower.dim(k)
     check_stack_budget(d_next, d_next, E.mats.dtype)
     atoms = np.zeros((d_next, d_next, d_next), dtype=E.mats.dtype)
@@ -131,13 +134,13 @@ def phi_iterate(
     The seed starts at the level with as many atoms as it has (level k
     has N^k), and its space must equal that level's space by value.
     Distances are recorded at levels of at most ``RHO_VERTEX_CAP`` atoms;
-    each recorded ratio must respect the contraction bound.  A measure
-    stored as an assignment (the truth, the swapped seed and every step of
-    them) is scored by :func:`rho_assignments`, one distance read per moved
+    each recorded ratio must respect the contraction bound.  A 0/1
+    diagonal measure (the truth, the swapped seed and every step of them)
+    is scored by :func:`rho_assignments`, one distance read per moved
     slot, so no level's Lip-1 vertex list or distance table is built for
-    it.  A dense seed is scored by :func:`rho_exact` on the level's
-    vertices, which builds that level's table.  After the run, values on
-    all cells of depth <= steps are checked against the cylinder
+    it.  A dense or frame seed is scored by :func:`rho_exact` on the
+    level's vertices, which builds that level's table.  After the run,
+    values on all cells of depth <= steps are checked against the cylinder
     projections (exactly for exact seeds).
     """
     start_level = next(
@@ -162,7 +165,7 @@ def phi_iterate(
         rho_val: float | None = None
         if tower.dim(level) <= RHO_VERTEX_CAP:
             truth = multiplication_pvm(tower, level)
-            if current.assignment is not None:
+            if current.is_diagonal:
                 rho_val = float(rho_assignments(current, truth))
             else:
                 space = tower.level(level).space
@@ -198,26 +201,29 @@ def _cylinder_identities(tower: CylinderTower, E: OperatorValuedMeasure, level: 
     N^(level - t), and its projection is the identity on the same block of
     the basis.  For a diagonal assignment a, E(cylinder) projects onto
     {e_j : a[j] // w = u}, so the identity fails exactly for the words
-    a[j] // w and j // w of every j where the two differ.  A dense measure
-    sums each block of w atoms at once and takes 1 off that block's
-    diagonal, forming about ``ovm.BLOCK_ENTRIES`` entries of sums at a
-    time besides its atoms."""
-    n = tower.n_branches
-    if E.assignment is not None:
-        a = E.assignment
-        basis = np.arange(len(a))
-        for t in range(depth + 1):
-            w = n ** (level - t)
+    a[j] // w and j // w of every j where the two differ.  A frame form
+    whose copies of d_s basis vectors tile the block (w a multiple of d_s)
+    projects onto the frame's columns of those same j, so the same words
+    fail, and a block of unmoved copies is the sum of its copies' atoms, U
+    U* on each: every such word holds when that sum is within 1e-10 of I,
+    which ``ovm.frame_defect_bounds`` certifies once for all copies.  A
+    dense measure, or a frame form's cylinder inside one copy, sums each
+    block of w atoms at once and takes 1 off that block's diagonal,
+    forming about ``ovm.BLOCK_ENTRIES`` entries of sums at a time besides
+    its atoms."""
+    n, d, a = tower.n_branches, E.dim, E.assignment
+    basis = np.arange(d)
+    width = 1 if E.frame is None else len(E.frame)
+    sums_hold = E.frame is None or ovm.frame_defect_bounds(E.frame, a)["sum"] <= 1e-10
+    for t in range(depth + 1):
+        w = n ** (level - t)
+        if a is not None and w % width == 0:
             moved = a // w != basis // w
-            holds = np.ones(n**t, dtype=bool)
+            holds = np.full(n**t, sums_hold)
             holds[a[moved] // w] = False
             holds[basis[moved] // w] = False
             yield t, holds
-        return
-    exact = E.is_exact
-    d = E.dim
-    for t in range(depth + 1):
-        w = n ** (level - t)
+            continue
         blocks = E.mats.reshape(n**t, w, d, d)
         step = max(1, ovm.BLOCK_ENTRIES // (d * d))
         defects = []
@@ -227,7 +233,7 @@ def _cylinder_identities(tower: CylinderTower, E: OperatorValuedMeasure, level: 
             sums[rows // w - start, rows, rows] -= 1
             defects.append(np.abs(sums).max(axis=(1, 2)))
         defects = np.concatenate(defects)
-        yield t, (defects == 0) if exact else (defects <= 1e-10)
+        yield t, (defects == 0) if E.is_exact else (defects <= 1e-10)
 
 
 def _verify_prefixes(tower: CylinderTower, E: OperatorValuedMeasure, level: int, depth: int) -> int:
@@ -279,7 +285,7 @@ def verify_fixed_point(
     rederived = multiplication_pvm(tower, 0)  # level 0's one measure: I on the whole space
     for k in range(1, K + 1):
         rederived = phi_step(tower, k, rederived)
-    if target.assignment is not None:
+    if target.is_diagonal:
         rederived_match = bool(np.array_equal(rederived.assignment, target.assignment))
     else:
         defect = linalg.max_abs(rederived.mats - target.mats)

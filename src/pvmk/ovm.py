@@ -37,11 +37,13 @@ from .rng import SplitMix64
 PROJECTION = "projection"
 POSITIVE = "positive"
 DEFAULT_TOL = 1e-10
-# The largest dense (n, d, d) atom stack, in bytes, that sampling, a
-# contraction step or an assignment's ``mats`` builds; a larger one raises
-# ``StackTooLarge`` before any of it is allocated.  4 GiB admits a dyadic
-# depth-9 level (512 atoms of 512 x 512: 1 GiB in float64, 2 GiB in
-# complex128) and refuses depth 10 (1024 atoms: 8 GiB in float64).
+# The largest dense (n, d, d) atom stack, in bytes, that ``random_povm``, a
+# contraction step of a dense measure or the ``mats`` of an assignment or a
+# frame builds; a larger one raises ``StackTooLarge`` before any of it is
+# allocated.  Sampled PVMs and their steps build no stack until ``mats`` is
+# read.  4 GiB admits a dyadic depth-9 level (512 atoms of 512 x 512: 1 GiB
+# in float64, 2 GiB in complex128) and refuses depth 10 (1024 atoms: 8 GiB
+# in float64).
 STACK_BYTES_BUDGET = 1 << 32
 
 
@@ -55,27 +57,39 @@ def check_stack_budget(n: int, d: int, dtype) -> None:
 
 @dataclass(frozen=True, eq=False)
 class OperatorValuedMeasure:
-    """A measure of ``kind`` on the atoms of ``space``, in one of two forms.
+    """A measure of ``kind`` on the atoms of ``space``, in one of three forms.
 
     ``dense`` is the read-only (n, d, d) atom array, aligned with
-    ``space.point_ids``.  A 0/1 diagonal PVM instead leaves ``dense`` None
-    and holds its read-only ``assignment``: basis index j -> atom
-    assignment[j], so atom a is the projection onto {e_j : assignment[j] = a}.
-    ``mats`` is the dense array either way; for an assignment it is built
-    the first time it is read.  Measures compare and hash by identity, as
-    arrays have no single truth value.
+    ``space.point_ids``.  A PVM may instead leave ``dense`` None and hold
+    its read-only ``assignment``, basis index j -> atom assignment[j].
+    Without a ``frame`` it is 0/1 diagonal: atom a is the projection onto
+    {e_j : assignment[j] = a}.  With a read-only d_s x d_s unitary
+    ``frame`` U, the basis is k = d / d_s copies of U's, index w d_s + j
+    in copy w, and the measure's frame is I_k (x) U: atom a is the
+    projection onto the span of the columns (I_k (x) U) e_j with
+    assignment[j] = a.  ``mats`` is the dense array in every form; for an
+    assignment it is built the first time it is read.  Measures compare
+    and hash by identity, as arrays have no single truth value.
     """
 
     space: FiniteMetricSpace
     dense: np.ndarray | None
     kind: str
     assignment: np.ndarray | None = None
+    frame: np.ndarray | None = None
 
     @cached_property
     def mats(self) -> np.ndarray:
         if self.assignment is None:
             return self.dense
-        return _diagonal_stack(self.space.n, self.assignment)
+        if self.frame is None:
+            return _diagonal_stack(self.space.n, self.assignment)
+        return _frame_stack(self.space.n, self.frame, self.assignment)
+
+    @property
+    def is_diagonal(self) -> bool:
+        """Stored as a 0/1 diagonal assignment, without a frame."""
+        return self.assignment is not None and self.frame is None
 
     @property
     def dim(self) -> int:
@@ -89,7 +103,9 @@ class OperatorValuedMeasure:
 
     @property
     def is_exact(self) -> bool:
-        return self.assignment is not None or linalg.is_exact_matrix(self.dense)
+        if self.assignment is None:
+            return linalg.is_exact_matrix(self.dense)
+        return self.frame is None
 
     def same_frame(self, other: "OperatorValuedMeasure") -> bool:
         """Equal spaces (ids and distance table) and equal dims."""
@@ -250,10 +266,32 @@ def _frame_bounds(stack: np.ndarray):
     c d (1 + eta) and c r_i (1 + eta), with r_i columns in V_i; a computed
     Frobenius norm of a float difference is within a factor 1 + f.  So
     from the computed a = ||fl(V* V) - I||_F and a_i = ||P_i - fl(Q_i)||_F,
-    eta = (a (1 + f) + c d) / (1 - c d) and m_i = a_i (1 + f) + c r_i (1 + eta).
+    eta = (a (1 + f) + c d) / (1 - c d) (:func:`_frame_eta`) and
+    m_i = a_i (1 + f) + c r_i (1 + eta).
     The loop's float product exceeds ||P_i P_j|| in max_abs by at most
-    c ||P_i|| ||P_j||, with ||P_i|| <= 1 + eta + m_i; the bound takes twice
-    that, half for its own rounding below 1/2.
+    c ||P_i|| ||P_j||, with ||P_i|| <= 1 + eta + m_i; the bound
+    (:func:`_pair_bound`) takes twice that, half for its own rounding below 1/2.
+
+    A frame (:func:`frame_pvm`) is the case V = U, with atoms formed as
+    P_i = fl(Q_i) = fl(U_i U_i*).  There is no eigenvector to find, and
+    m_i = c_i r_i (1 + eta), c_i = (r_i + 2) eps, is the forming rounding
+    alone, as that sum has r_i terms.  The other checks of ``validate_ovm``
+    are bounded the same way, with room for their own rounding:
+
+    - Hermitian: Q_i is, so P_i - P_i* = E_i - E_i* is at most 2 m_i; the
+      bound adds c, far above the rounding of that difference.
+    - Idempotent: Q_i^2 - Q_i = U_i (U_i* U_i - I) U_i*, and U_i* U_i - I is
+      a block of U* U - I, so ||Q_i^2 - Q_i|| <= ||U_i||^2 eta <= (1 + eta)
+      eta, and ||P_i^2 - P_i|| <= (1 + eta)(eta + 2 m_i) + m_i^2 + m_i:
+      the pair bound with j = i, whose rounding term covers the product
+      and the difference, plus m_i for the - E_i.
+    - Sum: sum_i P_i - I = (U U* - I) + sum_i E_i.  For square U,
+      ||U U* - I|| = ||U* U - I|| <= eta.  Entry (k, l) of sum_i E_i is at
+      most sum_i c_i sum over U_i's columns of |u_k| |u_l|, which is at most
+      c_r (1 + eta) with c_r the largest c_i, as rows of U have norm at most
+      ||U|| <= (1 + eta)^(1/2).  Summing the atoms adds at most c times the
+      sum of |entries|, itself at most (1 + eta)(1 + c_r); the bound takes
+      twice that, half for the subtraction of I and its own rounding.
     """
     n, dim = stack.shape[:2]
     c, f = (dim + 2) * 2.0**-52, (dim * dim + 2) * 2.0**-52
@@ -267,9 +305,43 @@ def _frame_bounds(stack: np.ndarray):
         vecs[:, cols] = (block @ (vecs[:, cols] * mask)).sum(axis=0)
         q = (vecs[:, cols] * mask) @ vecs[:, cols].conj().T
         m[lo : lo + len(block)] = np.linalg.norm(block - q, axis=(1, 2))
-    eta = (np.linalg.norm(vecs.conj().T @ vecs - np.eye(dim)) * (1 + f) + c * dim) / (1 - c * dim)
+    eta = _frame_eta(vecs, dim)
     m = m * (1 + f) + c * (1 + eta) * np.bincount(owner[(owner >= 0) & (owner < n)], minlength=n)
-    return m, lambda a, b: (1 + eta) * (eta + a + b) + a * b + 2 * c * (1 + eta + a) * (1 + eta + b)
+    return m, lambda a, b: _pair_bound(eta, c, a, b)
+
+
+def _frame_eta(vecs: np.ndarray, dim: int) -> float:
+    """eta >= ||V* V - I|| from the computed ||fl(V* V) - I||_F, for the d
+    columns of V (proof in :func:`_frame_bounds`); NaN for a NaN entry."""
+    c, f = (dim + 2) * 2.0**-52, (dim * dim + 2) * 2.0**-52
+    return (np.linalg.norm(vecs.conj().T @ vecs - np.eye(dim)) * (1 + f) + c * dim) / (1 - c * dim)
+
+
+def _pair_bound(eta: float, c: float, a, b):
+    """The bound of :func:`_frame_bounds` on the loop's pair product."""
+    return (1 + eta) * (eta + a + b) + a * b + 2 * c * (1 + eta + a) * (1 + eta + b)
+
+
+def frame_defect_bounds(frame: np.ndarray, assignment: np.ndarray) -> dict[str, float]:
+    """Upper bounds on the defects ``validate_ovm`` measures on the atoms of
+    a frame form, from one product: "hermitian" and "idempotent" for every
+    atom, "pair" for every pair, "sum" for the sum less the identity, all
+    in max_abs, as proved in :func:`_frame_bounds`.  Every sum a check
+    forms has at most d_s non-zero terms, the atoms being block diagonal
+    on the copies."""
+    dim = len(frame)
+    c = (dim + 2) * 2.0**-52
+    eta = _frame_eta(frame, dim)
+    r = int(np.bincount(assignment).max())
+    c_r = (r + 2) * 2.0**-52
+    m = c_r * r * (1 + eta)
+    pair = _pair_bound(eta, c, m, m)
+    return {
+        "hermitian": 2 * m + c,
+        "idempotent": pair + m,
+        "pair": pair,
+        "sum": eta + c_r * (1 + eta) + 2 * c * (1 + c_r) * (1 + eta),
+    }
 
 
 def assemble_ovm(space: FiniteMetricSpace, atoms: np.ndarray, kind: str) -> OperatorValuedMeasure:
@@ -296,6 +368,35 @@ def diagonal_pvm(space: FiniteMetricSpace, assignment) -> OperatorValuedMeasure:
     identity.  That last step needs every entry to name an atom, which is
     checked here: an entry outside 0..n-1 raises ``MismatchedMeasures``.
     """
+    return OperatorValuedMeasure(space, None, PROJECTION, _checked_assignment(space, assignment))
+
+
+def frame_pvm(space: FiniteMetricSpace, frame, assignment) -> OperatorValuedMeasure:
+    """PVM E(a) = U diag(1[assignment = a]) U* of a d x d unitary frame U.
+
+    A copy of U and the assignment are stored; the atoms are built when
+    ``mats`` is first read, so no (n, d, d) stack is held before then.  In
+    place of ``validate_ovm`` on those atoms, one product U* U certifies
+    them: ``frame_defect_bounds`` bounds every defect that ``validate_ovm``
+    would measure, and a bound over ``DEFAULT_TOL`` (or NaN) raises
+    ``NotUnitary``.  An assignment entry that names no atom raises
+    ``MismatchedMeasures``, as in :func:`diagonal_pvm`.
+    """
+    assignment = _checked_assignment(space, assignment)
+    frame = np.asarray(frame)
+    frame = np.array(frame, dtype=np.result_type(frame, np.float64))
+    if frame.shape != (len(assignment), len(assignment)):
+        raise MismatchedMeasures("the frame must be square, one column per assignment entry")
+    bounds = frame_defect_bounds(frame, assignment)
+    worst = max(bounds.values())
+    if not worst <= DEFAULT_TOL:
+        raise NotUnitary(f"u*u is too far from the identity: the atoms' defects are bounded only by {worst}")
+    frame.setflags(write=False)
+    return OperatorValuedMeasure(space, None, PROJECTION, assignment, frame)
+
+
+def _checked_assignment(space: FiniteMetricSpace, assignment) -> np.ndarray:
+    """A read-only intp copy of the assignment, every entry an atom of space."""
     assignment = np.array(assignment, dtype=np.intp)
     outside = (assignment < 0) | (assignment >= space.n)
     if outside.any():
@@ -303,7 +404,7 @@ def diagonal_pvm(space: FiniteMetricSpace, assignment) -> OperatorValuedMeasure:
             f"assignment entry {assignment[outside][0]} names no atom of a {space.n}-point space"
         )
     assignment.setflags(write=False)
-    return OperatorValuedMeasure(space, None, PROJECTION, assignment)
+    return assignment
 
 
 def _diagonal_stack(n: int, assignment: np.ndarray) -> np.ndarray:
@@ -313,6 +414,23 @@ def _diagonal_stack(n: int, assignment: np.ndarray) -> np.ndarray:
     atoms = np.zeros((n, dim, dim), dtype=np.int64)
     basis = np.arange(dim)
     atoms[assignment, basis, basis] = 1
+    atoms.setflags(write=False)
+    return atoms
+
+
+def _frame_stack(n: int, frame: np.ndarray, assignment: np.ndarray) -> np.ndarray:
+    """The read-only (n, d, d) atom array of a frame form, entry for entry
+    as a dense seed of the same frame and assignment was built and then
+    placed by ``phi_step``: on each copy, atom a is b b*, with b the
+    columns of U that the copy assigns to a."""
+    width, dim = len(frame), len(assignment)
+    check_stack_budget(n, dim, frame.dtype)
+    atoms = np.zeros((n, dim, dim), dtype=frame.dtype)
+    for lo in range(0, dim, width):
+        local, block = assignment[lo : lo + width], slice(lo, lo + width)
+        for atom in np.unique(local):
+            b = frame[:, local == atom]
+            atoms[atom, block, block] = b @ b.conj().T
     atoms.setflags(write=False)
     return atoms
 
@@ -341,8 +459,9 @@ def integrate(psi, F: OperatorValuedMeasure) -> np.ndarray:
     The result is exact (object entries) when F is exact and every value is
     a Python int or a Fraction, and complex128 otherwise, with every zero
     +0: the sign a BLAS kernel gives a sum of zeros depends on the number
-    of rows.  A measure stored as an assignment a gives diag(psi[a])
-    without building its atoms (``_assigned_integrals``).
+    of rows.  A 0/1 diagonal measure stored as an assignment a gives
+    diag(psi[a]) without building its atoms (``_assigned_integrals``); a
+    frame form integrates its built atoms, as a dense copy would.
     """
     stacked = np.ndim(psi) == 2
     rows = [list(f) for f in psi] if stacked else [list(psi)]
@@ -350,7 +469,7 @@ def integrate(psi, F: OperatorValuedMeasure) -> np.ndarray:
     values = np.array(rows, dtype=object if exact else np.complex128)
     if values.shape[-1] != F.space.n:
         raise MismatchedMeasures("integrand must assign a value to every atom")
-    if F.assignment is not None:
+    if F.is_diagonal:
         out = _assigned_integrals(values, F.assignment)
     else:
         out = np.tensordot(values, F.mats if exact else linalg.to_complex(F.mats), axes=(1, 0))

@@ -150,7 +150,8 @@ def rho_exact(
 def rho_assignments(E: OperatorValuedMeasure, F: OperatorValuedMeasure) -> Fraction:
     """Exact rho of two 0/1 diagonal PVMs, read from their assignments.
 
-    Both measures must be stored as assignments a_E, a_F on the same frame.
+    Both measures must be stored as assignments a_E, a_F without a frame
+    (``OperatorValuedMeasure.is_diagonal``), on the same space and dimension.
     Then rho(E, F) = max_j d(a_E(j), a_F(j)), found with one distance read
     per slot where the assignments differ, and no vertex list or table.
 
@@ -167,8 +168,8 @@ def rho_assignments(E: OperatorValuedMeasure, F: OperatorValuedMeasure) -> Fract
     """
     if not E.same_frame(F):
         raise MismatchedMeasures("measures live on different spaces or dimensions")
-    if E.assignment is None or F.assignment is None:
-        raise MismatchedMeasures("both measures must be stored as assignments")
+    if not (E.is_diagonal and F.is_diagonal):
+        raise MismatchedMeasures("both measures must be stored as 0/1 diagonal assignments")
     d = E.space.d
     slots = zip(E.assignment.tolist(), F.assignment.tolist())
     return max((d(a, b) for a, b in slots if a != b), default=Fraction(0))

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import linalg
 from .metric_core import FiniteMetricSpace, validate_space
-from .ovm import OperatorValuedMeasure, POSITIVE, PROJECTION, check_stack_budget, diagonal_pvm, validate_ovm
+from .ovm import OperatorValuedMeasure, POSITIVE, PROJECTION, check_stack_budget, diagonal_pvm, frame_pvm, validate_ovm
 from .rng import SplitMix64
 from .transport import ProbMeasure
 
@@ -110,14 +110,12 @@ def random_diagonal_pvm_pair(space: FiniteMetricSpace, dim: int, rng: SplitMix64
 def random_pvm(
     space: FiniteMetricSpace, dim: int, rng: SplitMix64, complex_: bool = False
 ) -> OperatorValuedMeasure:
-    """Unitary (or orthogonal) conjugate of a random diagonal PVM.  The
-    atoms go to ``validate_ovm`` as they are made, so no list of them
-    outlives its stacking."""
-    check_stack_budget(space.n, dim, np.complex128 if complex_ else np.float64)
-    assignment = np.array([rng.randint(0, space.n - 1) for _ in range(dim)])
+    """Unitary (or orthogonal) conjugate of a random diagonal PVM, stored
+    as its frame U and assignment (``frame_pvm``, certified by U* U); the
+    atoms are built when ``mats`` is first read."""
+    assignment = [rng.randint(0, space.n - 1) for _ in range(dim)]
     u = random_unitary(dim, rng) if complex_ else random_orthogonal(dim, rng)
-    blocks = (u[:, assignment == atom] for atom in range(space.n))
-    return validate_ovm(space, (b @ b.conj().T for b in blocks), PROJECTION)
+    return frame_pvm(space, u, assignment)
 
 
 def random_truth_conjugate_pvm(

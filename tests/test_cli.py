@@ -446,7 +446,6 @@ def test_canonical_json_is_deterministic():
 def test_suite_command_plumbing(files, capsys, monkeypatch):
     # criteria themselves run in test_acceptance; here only report plumbing
     from pvmk import acceptance as acc
-    from pvmk import cli as cli_mod
 
     def fake_run_all(seed=0):
         return [
@@ -454,7 +453,7 @@ def test_suite_command_plumbing(files, capsys, monkeypatch):
             acc.CriterionResult(2, "stub pass too", True, {}),
         ]
 
-    monkeypatch.setattr(cli_mod.acceptance, "run_all", fake_run_all)
+    monkeypatch.setattr(acc, "run_all", fake_run_all)
     tmp, write = files
     ifs = write("ifs.json", DYADIC)
     assert run(["suite", "--ifs", ifs, "--depth", "2", "--seed", "7"]) == 0
@@ -465,18 +464,18 @@ def test_suite_command_plumbing(files, capsys, monkeypatch):
     def failing_run_all(seed=0):
         return [acc.CriterionResult(1, "stub fail", False, {})]
 
-    monkeypatch.setattr(cli_mod.acceptance, "run_all", failing_run_all)
+    monkeypatch.setattr(acc, "run_all", failing_run_all)
     assert run(["suite", "--seed", "7"]) == 1
     capsys.readouterr()
 
 
 def test_suite_depth_without_ifs_exits_2_before_the_sweep(capsys, monkeypatch):
-    from pvmk import cli as cli_mod
+    from pvmk import acceptance as acc
 
     def no_sweep(seed=0):
         raise AssertionError("the sweep ran")
 
-    monkeypatch.setattr(cli_mod.acceptance, "run_all", no_sweep)
+    monkeypatch.setattr(acc, "run_all", no_sweep)
     assert run(["suite", "--depth", "2"]) == 2
     _one_error_line(capsys)
 
@@ -683,11 +682,18 @@ def test_running_out_of_memory_exits_2_with_one_error_line(files, capsys, monkey
 @pytest.mark.parametrize("seed_kind, steps", [("random-povm", 0), ("random-pvm", 0), ("random-povm", 1)])
 def test_a_stack_over_the_byte_budget_exits_2_with_one_error_line(capsys, monkeypatch, seed_kind, steps):
     # 64 atoms of 64 x 64 float64: 2 MiB, drawn as the seed or built by
-    # the step from level 5
+    # the step from level 5.  A random-pvm seed is a frame and an
+    # assignment, so the run builds no stack and passes; reading its atoms
+    # is refused in test_sampled_pvm_frames.
     root = Path(__file__).resolve().parents[1]
     monkeypatch.setattr(pvmk.ovm, "STACK_BYTES_BUDGET", 1 << 20)
     argv = ["phi-iterate", "--ifs", str(root / "sample_inputs" / "dyadic_ifs.json"), "--depth", "6",
             "--steps", str(steps), "--seed-kind", seed_kind]
+    if seed_kind == "random-pvm":
+        assert run(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "" and json.loads(captured.out)["verdict"] == "pass"
+        return
     assert run(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -710,6 +716,15 @@ def test_reading_the_atoms_of_a_large_assignment_is_refused(monkeypatch):
         pvm.mats
     monkeypatch.setattr(pvmk.ovm, "STACK_BYTES_BUDGET", 1 << 21)
     assert pvm.mats.shape == (64, 64, 64)
+
+
+def test_importing_the_cli_leaves_the_acceptance_sweep_unloaded():
+    # only `pvmk suite` needs it, and it costs every other command's start-up
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src") + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    code = "import sys, pvmk.cli; print('pvmk.acceptance' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout) == (0, "False\n")
 
 
 def test_closed_pipe_prints_no_traceback():

@@ -353,6 +353,7 @@ def test_the_dyadic_depth_8_seed_leaves_no_pair_unsettled(monkeypatch):
     tower = build_tower(dyadic_ifs(), 8)
     E = random_pvm(tower.level(8).space, tower.dim(8), SplitMix64(0))
     assert E.mats.shape == (256, 256, 256)
+    validate_ovm(E.space, E.mats, "projection")
     assert unsettled == [[]]
 
 
