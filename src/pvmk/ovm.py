@@ -422,13 +422,15 @@ def _frame_stack(n: int, frame: np.ndarray, assignment: np.ndarray) -> np.ndarra
     """The read-only (n, d, d) atom array of a frame form, entry for entry
     as a dense seed of the same frame and assignment was built and then
     placed by ``phi_step``: on each copy, atom a is b b*, with b the
-    columns of U that the copy assigns to a."""
+    columns of U that the copy assigns to a.  The copy's atoms are listed
+    by a set, not ``np.unique``, whose first call imports ``numpy.ma``
+    (about 1 MB of peak memory)."""
     width, dim = len(frame), len(assignment)
     check_stack_budget(n, dim, frame.dtype)
     atoms = np.zeros((n, dim, dim), dtype=frame.dtype)
     for lo in range(0, dim, width):
         local, block = assignment[lo : lo + width], slice(lo, lo + width)
-        for atom in np.unique(local):
+        for atom in set(local.tolist()):
             b = frame[:, local == atom]
             atoms[atom, block, block] = b @ b.conj().T
     atoms.setflags(write=False)
