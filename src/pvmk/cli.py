@@ -20,6 +20,7 @@ from pathlib import Path
 
 from .cuntz import cuntz_verify, multiplication_pvm
 from .errors import (
+    FrameTooLarge,
     InputParseError,
     MetricAxiomError,
     MismatchedMeasures,
@@ -348,7 +349,7 @@ def run(argv) -> int:
         results, passed, *csv_text = args.func(args)
         report = _report(args, results, passed, started)
         _emit(args, report, *csv_text)
-    except (InputParseError, MismatchedMeasures, SpaceTooLarge, StackTooLarge, TowerTooLarge) as exc:
+    except (FrameTooLarge, InputParseError, MismatchedMeasures, SpaceTooLarge, StackTooLarge, TowerTooLarge) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except PvmkError as exc:

@@ -157,6 +157,16 @@ class StackTooLarge(PvmkError):
         self.budget = budget
 
 
+class FrameTooLarge(PvmkError):
+    def __init__(self, dim: int, bound: float, tol: float):
+        super().__init__(
+            f"a {dim} x {dim} frame cannot be certified: the rounding of U*U alone bounds its atoms' "
+            f"defects by {bound:.3g}, over the tolerance {tol:g}"
+        )
+        self.dim = dim
+        self.bound = bound
+
+
 class MismatchedMeasures(PvmkError):
     """An input is not on the given space or dimension: measures on different
     frames, or a weight list, vector, integrand, matrix or assignment whose

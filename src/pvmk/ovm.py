@@ -22,6 +22,7 @@ import numpy as np
 from . import linalg
 from .errors import (
     CrossProductNonzero,
+    FrameTooLarge,
     InputParseError,
     MismatchedMeasures,
     NotHermitian,
@@ -305,16 +306,16 @@ def _frame_bounds(stack: np.ndarray):
         vecs[:, cols] = (block @ (vecs[:, cols] * mask)).sum(axis=0)
         q = (vecs[:, cols] * mask) @ vecs[:, cols].conj().T
         m[lo : lo + len(block)] = np.linalg.norm(block - q, axis=(1, 2))
-    eta = _frame_eta(vecs, dim)
+    eta = _frame_eta(np.linalg.norm(vecs.conj().T @ vecs - np.eye(dim)), dim)
     m = m * (1 + f) + c * (1 + eta) * np.bincount(owner[(owner >= 0) & (owner < n)], minlength=n)
     return m, lambda a, b: _pair_bound(eta, c, a, b)
 
 
-def _frame_eta(vecs: np.ndarray, dim: int) -> float:
-    """eta >= ||V* V - I|| from the computed ||fl(V* V) - I||_F, for the d
+def _frame_eta(gram_defect: float, dim: int) -> float:
+    """eta >= ||V* V - I|| from a = ||fl(V* V) - I||_F, computed for the d
     columns of V (proof in :func:`_frame_bounds`); NaN for a NaN entry."""
     c, f = (dim + 2) * 2.0**-52, (dim * dim + 2) * 2.0**-52
-    return (np.linalg.norm(vecs.conj().T @ vecs - np.eye(dim)) * (1 + f) + c * dim) / (1 - c * dim)
+    return (gram_defect * (1 + f) + c * dim) / (1 - c * dim)
 
 
 def _pair_bound(eta: float, c: float, a, b):
@@ -330,9 +331,15 @@ def frame_defect_bounds(frame: np.ndarray, assignment: np.ndarray) -> dict[str, 
     forms has at most d_s non-zero terms, the atoms being block diagonal
     on the copies."""
     dim = len(frame)
+    gram_defect = np.linalg.norm(frame.conj().T @ frame - np.eye(dim))
+    return _defect_bounds(gram_defect, dim, int(np.bincount(assignment).max()))
+
+
+def _defect_bounds(gram_defect: float, dim: int, r: int) -> dict[str, float]:
+    """:func:`frame_defect_bounds` of a d x d frame with ||fl(U* U) - I||_F
+    = gram_defect and at most r columns in an atom."""
     c = (dim + 2) * 2.0**-52
-    eta = _frame_eta(frame, dim)
-    r = int(np.bincount(assignment).max())
+    eta = _frame_eta(gram_defect, dim)
     c_r = (r + 2) * 2.0**-52
     m = c_r * r * (1 + eta)
     pair = _pair_bound(eta, c, m, m)
@@ -344,13 +351,23 @@ def frame_defect_bounds(frame: np.ndarray, assignment: np.ndarray) -> dict[str, 
     }
 
 
+def check_frame_size(dim: int) -> None:
+    """Raise ``FrameTooLarge`` when no d x d frame can be certified: even
+    with fl(U* U) = I and one column per atom, the bounds' own rounding
+    terms, about (d + 2) d 2^-52, pass ``DEFAULT_TOL`` (from d = 670 on)."""
+    floor = max(_defect_bounds(0.0, dim, 1).values())
+    if not floor <= DEFAULT_TOL:
+        raise FrameTooLarge(dim, floor, DEFAULT_TOL)
+
+
 def assemble_ovm(space: FiniteMetricSpace, atoms: np.ndarray, kind: str) -> OperatorValuedMeasure:
     """Wrap a stack of atom matrices (one per point) that is a measure of
     ``kind`` by construction, freezing it without ``validate_ovm``'s checks.
 
     Only for results whose axioms follow by theorem from how they were
     built out of measures that already satisfy them; measures read from
-    outside or sampled at random go through ``validate_ovm``.
+    outside or sampled at random go through ``validate_ovm``, or, for a
+    sampled PVM, the certificate of :func:`frame_pvm`.
     """
     atoms.setflags(write=False)
     return OperatorValuedMeasure(space, atoms, kind)
@@ -380,9 +397,11 @@ def frame_pvm(space: FiniteMetricSpace, frame, assignment) -> OperatorValuedMeas
     them: ``frame_defect_bounds`` bounds every defect that ``validate_ovm``
     would measure, and a bound over ``DEFAULT_TOL`` (or NaN) raises
     ``NotUnitary``.  An assignment entry that names no atom raises
-    ``MismatchedMeasures``, as in :func:`diagonal_pvm`.
+    ``MismatchedMeasures``, as in :func:`diagonal_pvm`, and a frame too
+    large for any certificate raises ``FrameTooLarge`` (``check_frame_size``).
     """
     assignment = _checked_assignment(space, assignment)
+    check_frame_size(len(assignment))
     frame = np.asarray(frame)
     frame = np.array(frame, dtype=np.result_type(frame, np.float64))
     if frame.shape != (len(assignment), len(assignment)):

@@ -14,7 +14,16 @@ import numpy as np
 
 from . import linalg
 from .metric_core import FiniteMetricSpace, validate_space
-from .ovm import OperatorValuedMeasure, POSITIVE, PROJECTION, check_stack_budget, diagonal_pvm, frame_pvm, validate_ovm
+from .ovm import (
+    OperatorValuedMeasure,
+    POSITIVE,
+    PROJECTION,
+    check_frame_size,
+    check_stack_budget,
+    diagonal_pvm,
+    frame_pvm,
+    validate_ovm,
+)
 from .rng import SplitMix64
 from .transport import ProbMeasure
 
@@ -112,7 +121,9 @@ def random_pvm(
 ) -> OperatorValuedMeasure:
     """Unitary (or orthogonal) conjugate of a random diagonal PVM, stored
     as its frame U and assignment (``frame_pvm``, certified by U* U); the
-    atoms are built when ``mats`` is first read."""
+    atoms are built when ``mats`` is first read.  A frame too large to
+    certify is refused before anything is drawn."""
+    check_frame_size(dim)
     assignment = [rng.randint(0, space.n - 1) for _ in range(dim)]
     u = random_unitary(dim, rng) if complex_ else random_orthogonal(dim, rng)
     return frame_pvm(space, u, assignment)

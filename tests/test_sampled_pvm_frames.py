@@ -11,7 +11,7 @@ import pytest
 from pvmk import fixed_point, linalg, ovm
 from pvmk.cli import run
 from pvmk.cuntz import multiplication_pvm
-from pvmk.errors import MismatchedMeasures, NotUnitary, StackTooLarge
+from pvmk.errors import FrameTooLarge, MismatchedMeasures, NotUnitary, StackTooLarge
 from pvmk.fixed_point import (
     _cylinder_identities,
     _verify_prefixes,
@@ -23,6 +23,7 @@ from pvmk.ifs import build_tower, dyadic_ifs, triadic_ifs
 from pvmk.ovm import (
     OperatorValuedMeasure,
     assemble_ovm,
+    check_frame_size,
     frame_defect_bounds,
     frame_pvm,
     integrate,
@@ -107,6 +108,25 @@ def test_a_frame_that_is_not_unitary_is_refused(complex_):
         frame_pvm(space, u, [0, 3, 1, 2, 0])
     with pytest.raises(MismatchedMeasures, match="frame must be square"):
         frame_pvm(space, u[:, :4], assignment)
+
+
+def test_a_frame_too_large_to_certify_is_refused_before_it_is_drawn(capsys):
+    # the bounds' own rounding terms pass 1e-10 from d = 670 on
+    check_frame_size(669)
+    with pytest.raises(FrameTooLarge, match="a 670 x 670 frame cannot be certified"):
+        check_frame_size(670)
+    rng = SplitMix64(1)
+    with pytest.raises(FrameTooLarge):
+        random_pvm(random_metric_space(2, SplitMix64(0)), 670, rng)
+    assert rng._state == SplitMix64(1)._state
+    with pytest.raises(FrameTooLarge):
+        frame_pvm(random_metric_space(2, SplitMix64(0)), np.eye(670), np.zeros(670, dtype=int))
+    ifs = Path(__file__).resolve().parents[1] / "sample_inputs" / "dyadic_ifs.json"
+    argv = ["phi-iterate", "--ifs", str(ifs), "--depth", "10", "--steps", "0", "--seed-kind", "random-pvm"]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: a 1024 x 1024 frame cannot be certified")
+    assert captured.err.count("\n") == 1
 
 
 def test_the_frame_and_assignment_are_copies_and_read_only():
