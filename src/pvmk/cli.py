@@ -19,16 +19,7 @@ import time
 from pathlib import Path
 
 from .cuntz import cuntz_verify, multiplication_pvm
-from .errors import (
-    FrameTooLarge,
-    InputParseError,
-    MetricAxiomError,
-    MismatchedMeasures,
-    PvmkError,
-    SpaceTooLarge,
-    StackTooLarge,
-    TowerTooLarge,
-)
+from .errors import InputParseError, InputTooLarge, MetricAxiomError, MismatchedMeasures, PvmkError
 from .fixed_point import (
     phi_iterate,
     relate_verify,
@@ -349,7 +340,7 @@ def run(argv) -> int:
         results, passed, *csv_text = args.func(args)
         report = _report(args, results, passed, started)
         _emit(args, report, *csv_text)
-    except (FrameTooLarge, InputParseError, MismatchedMeasures, SpaceTooLarge, StackTooLarge, TowerTooLarge) as exc:
+    except (InputParseError, InputTooLarge, MismatchedMeasures) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except PvmkError as exc:

@@ -14,6 +14,10 @@ class InputParseError(PvmkError):
     """Malformed input: bad shape, unreadable number, unknown field."""
 
 
+class InputTooLarge(PvmkError):
+    """An input refused before work or storage past a size budget."""
+
+
 # --- finite metric spaces ---------------------------------------------------
 
 class MetricAxiomError(PvmkError):
@@ -44,7 +48,7 @@ class TriangleViolation(MetricAxiomError):
         self.witness = (i, k, j)
 
 
-class SpaceTooLarge(PvmkError):
+class SpaceTooLarge(InputTooLarge):
     def __init__(self, rows: int, budget: int):
         super().__init__(f"vertex enumeration would build {rows} rows, budget is {budget}")
         self.rows = rows
@@ -63,7 +67,7 @@ class OverlappingBranches(PvmkError):
     pass
 
 
-class TowerTooLarge(PvmkError):
+class TowerTooLarge(InputTooLarge):
     def __init__(self, cells: int, cap: int):
         super().__init__(f"level would hold {cells} cells, cap is {cap}")
         self.cells = cells
@@ -148,7 +152,7 @@ class NotUnitary(PvmkError):
     pass
 
 
-class StackTooLarge(PvmkError):
+class StackTooLarge(InputTooLarge):
     def __init__(self, shape: tuple[int, int, int], nbytes: int, budget: int):
         n, d, _ = shape
         super().__init__(f"an atom stack of shape ({n}, {d}, {d}) needs {nbytes} bytes, budget is {budget}")
@@ -157,7 +161,7 @@ class StackTooLarge(PvmkError):
         self.budget = budget
 
 
-class FrameTooLarge(PvmkError):
+class FrameTooLarge(InputTooLarge):
     def __init__(self, dim: int, bound: float, tol: float):
         super().__init__(
             f"a {dim} x {dim} frame cannot be certified: the rounding of U*U alone bounds its atoms' "

@@ -50,7 +50,7 @@ from .cuntz import multiplication_pvm, word_positions
 from .errors import LevelOutOfRange, MismatchedMeasures, PvmkError
 from .ifs import CylinderTower
 from .metric_core import lip1_vertices
-from .ovm import PROJECTION, OperatorValuedMeasure, assemble_ovm, check_stack_budget, diagonal_pvm
+from .ovm import OperatorValuedMeasure, diagonal_pvm
 from .rho import rho_assignments, rho_exact
 from .rng import SplitMix64
 from .sampling import random_povm, random_truth_conjugate_pvm
@@ -68,37 +68,16 @@ def phi_step(tower: CylinderTower, k: int, E: OperatorValuedMeasure) -> Operator
     S_i E(c) S_i^* S_i E(c') S_i^* = S_i E(c) E(c') S_i^* vanishing within a
     branch); atoms of different branches live on the ranges of S_i and S_j,
     which are orthogonal; and the atoms sum to sum_i S_i S_i^* = I by the
-    Cuntz relation.  Placement copies E's entries, so a float seed keeps
-    exactly the defects it was validated with.
-
-    A diagonal seed stays diagonal: S_i sends e_j to e_(i d + j), d = d_(k-1),
-    so S_i E(c) S_i^* projects onto {e_(i d + j) : a[j] = c}, and the
-    output's assignment is i d + j -> i d + a[j], built in O(d_k).  It is
-    wrapped as it is, without ``diagonal_pvm``'s copy and range check: a[j]
-    < n_(k-1) = d, so every entry names one of the N d atoms of level k.
-    A frame form steps the same way and keeps its frame U: S_i places
-    I_m (x) U, the frame of E's m copies, on block i, so the output's frame
-    is I_(N m) (x) U, and its atoms are E's placed as a dense step would.
+    Cuntz relation.  So the output is I_N (x) E, which ``ovm.kron_identity``
+    stores without building it, in E's form; its atoms are copies of E's, so
+    a float seed keeps exactly the defects it was validated with.
     """
     if not 1 <= k <= tower.depth:
         raise LevelOutOfRange(f"step target {k} outside 1..{tower.depth}")
     prev = tower.level(k - 1)
     if E.space != prev.space or E.dim != tower.dim(k - 1):
         raise MismatchedMeasures("measure does not live on the source level")
-    space = tower.level(k).space
-    d_prev = E.dim
-    if E.assignment is not None:
-        offsets = np.arange(tower.n_branches, dtype=np.intp)[:, None] * d_prev
-        assignment = (offsets + E.assignment).ravel()
-        assignment.setflags(write=False)
-        return OperatorValuedMeasure(space, None, PROJECTION, assignment, E.frame)
-    d_next = tower.dim(k)
-    check_stack_budget(d_next, d_next, E.mats.dtype)
-    atoms = np.zeros((d_next, d_next, d_next), dtype=E.mats.dtype)
-    for i in range(tower.n_branches):
-        block = slice(i * d_prev, (i + 1) * d_prev)
-        atoms[block, block, block] = E.mats
-    return assemble_ovm(space, atoms, E.kind)
+    return ovm.kron_identity(tower.n_branches, E, tower.level(k).space)
 
 
 def swapped_diagonal_pvm(tower: CylinderTower, k: int) -> OperatorValuedMeasure:
@@ -193,47 +172,12 @@ def phi_iterate(
 
 
 def _cylinder_identities(tower: CylinderTower, E: OperatorValuedMeasure, level: int, depth: int):
-    """Yield (t, holds) for t = 0..depth, where holds[u] says E(cylinder of
-    the depth-t word with index u) equals the cylinder projection at
-    ``level``: exactly for exact E, within 1e-10 otherwise.
-
-    The cylinder of word u is the atom block [u w, (u + 1) w), w =
-    N^(level - t), and its projection is the identity on the same block of
-    the basis.  For a diagonal assignment a, E(cylinder) projects onto
-    {e_j : a[j] // w = u}, so the identity fails exactly for the words
-    a[j] // w and j // w of every j where the two differ.  A frame form
-    whose copies of d_s basis vectors tile the block (w a multiple of d_s)
-    projects onto the frame's columns of those same j, so the same words
-    fail, and a block of unmoved copies is the sum of its copies' atoms, U
-    U* on each: every such word holds when that sum is within 1e-10 of I,
-    which ``ovm.frame_defect_bounds`` certifies once for all copies.  A
-    dense measure, or a frame form's cylinder inside one copy, sums each
-    block of w atoms at once and takes 1 off that block's diagonal,
-    forming about ``ovm.BLOCK_ENTRIES`` entries of sums at a time besides
-    its atoms."""
-    n, d, a = tower.n_branches, E.dim, E.assignment
-    basis = np.arange(d)
-    width = 1 if E.frame is None else len(E.frame)
-    sums_hold = E.frame is None or ovm.frame_defect_bounds(E.frame, a)["sum"] <= 1e-10
-    for t in range(depth + 1):
-        w = n ** (level - t)
-        if a is not None and w % width == 0:
-            moved = a // w != basis // w
-            holds = np.full(n**t, sums_hold)
-            holds[a[moved] // w] = False
-            holds[basis[moved] // w] = False
-            yield t, holds
-            continue
-        blocks = E.mats.reshape(n**t, w, d, d)
-        step = max(1, ovm.BLOCK_ENTRIES // (d * d))
-        defects = []
-        for start in range(0, n**t, step):
-            sums = blocks[start : start + step].sum(axis=1)
-            rows = np.arange(start * w, start * w + len(sums) * w)
-            sums[rows // w - start, rows, rows] -= 1
-            defects.append(np.abs(sums).max(axis=(1, 2)))
-        defects = np.concatenate(defects)
-        yield t, (defects == 0) if E.is_exact else (defects <= 1e-10)
+    """Yield (t, holds) for t = 0..depth, holds[u] saying whether E(cylinder
+    of the depth-t word u) is the cylinder projection at ``level``: the atom
+    block [u w, (u + 1) w), w = N^(level - t), against the identity on the
+    same block of the basis, as ``ovm.block_identities`` checks it."""
+    widths = [tower.n_branches ** (level - t) for t in range(depth + 1)]
+    return enumerate(ovm.block_identities(E, widths))
 
 
 def _verify_prefixes(tower: CylinderTower, E: OperatorValuedMeasure, level: int, depth: int) -> int:

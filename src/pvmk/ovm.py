@@ -38,13 +38,12 @@ from .rng import SplitMix64
 PROJECTION = "projection"
 POSITIVE = "positive"
 DEFAULT_TOL = 1e-10
-# The largest dense (n, d, d) atom stack, in bytes, that ``random_povm``, a
-# contraction step of a dense measure or the ``mats`` of an assignment or a
-# frame builds; a larger one raises ``StackTooLarge`` before any of it is
-# allocated.  Sampled PVMs and their steps build no stack until ``mats`` is
-# read.  4 GiB admits a dyadic depth-9 level (512 atoms of 512 x 512: 1 GiB
-# in float64, 2 GiB in complex128) and refuses depth 10 (1024 atoms: 8 GiB
-# in float64).
+# The largest dense (n, d, d) atom stack, in bytes, that ``random_povm`` or
+# the ``mats`` of a stepped or frame form builds; a larger one raises
+# ``StackTooLarge`` before any of it is allocated.  A contraction step builds
+# nothing, so no stack is built until ``mats`` is read.  4 GiB admits a
+# dyadic depth-9 level (512 atoms of 512 x 512: 1 GiB in float64, 2 GiB in
+# complex128) and refuses depth 10 (1024 atoms: 8 GiB in float64).
 STACK_BYTES_BUDGET = 1 << 32
 
 
@@ -58,19 +57,22 @@ def check_stack_budget(n: int, d: int, dtype) -> None:
 
 @dataclass(frozen=True, eq=False)
 class OperatorValuedMeasure:
-    """A measure of ``kind`` on the atoms of ``space``, in one of three forms.
+    """A measure of ``kind`` on the atoms of ``space``, in one of two forms.
 
-    ``dense`` is the read-only (n, d, d) atom array, aligned with
-    ``space.point_ids``.  A PVM may instead leave ``dense`` None and hold
-    its read-only ``assignment``, basis index j -> atom assignment[j].
-    Without a ``frame`` it is 0/1 diagonal: atom a is the projection onto
-    {e_j : assignment[j] = a}.  With a read-only d_s x d_s unitary
-    ``frame`` U, the basis is k = d / d_s copies of U's, index w d_s + j
-    in copy w, and the measure's frame is I_k (x) U: atom a is the
-    projection onto the span of the columns (I_k (x) U) e_j with
-    assignment[j] = a.  ``mats`` is the dense array in every form; for an
-    assignment it is built the first time it is read.  Measures compare
-    and hash by identity, as arrays have no single truth value.
+    Dense: the read-only (n_s, d_s, d_s) seed stack ``dense`` of atoms E_s
+    gives I_k (x) E_s, k = n / n_s: atom w n_s + c is E_s(c) on basis block
+    w.  With k = 1, as for every measure not made by a contraction step,
+    ``dense`` is the atom array, aligned with ``space.point_ids``.
+
+    Frame: a PVM may leave ``dense`` None and hold a read-only d_s x d_s
+    unitary ``frame`` U and ``assignment`` of length d = k d_s.  Its frame
+    is I_k (x) U, the basis k copies of U's, and atom a is the projection
+    onto the span of the columns (I_k (x) U) e_j with assignment[j] = a.
+    The exact frame [[1]] gives the 0/1 diagonal PVM.
+
+    ``mats`` is the (n, d, d) atom array in either form, built when first
+    read.  Measures compare and hash by identity, as arrays have no single
+    truth value.
     """
 
     space: FiniteMetricSpace
@@ -81,22 +83,20 @@ class OperatorValuedMeasure:
 
     @cached_property
     def mats(self) -> np.ndarray:
-        if self.assignment is None:
-            return self.dense
-        if self.frame is None:
-            return _diagonal_stack(self.space.n, self.assignment)
-        return _frame_stack(self.space.n, self.frame, self.assignment)
+        if self.dense is None:
+            return _frame_stack(self.space.n, self.frame, self.assignment)
+        return _tiled_stack(self.space.n, self.dense)
 
     @property
     def is_diagonal(self) -> bool:
-        """Stored as a 0/1 diagonal assignment, without a frame."""
-        return self.assignment is not None and self.frame is None
+        """A 0/1 diagonal PVM: a frame form with an exact 1 x 1 frame."""
+        return self.dense is None and len(self.frame) == 1 and self.is_exact
 
     @property
     def dim(self) -> int:
-        if self.assignment is not None:
+        if self.dense is None:
             return len(self.assignment)
-        return self.dense.shape[1]
+        return self.space.n // len(self.dense) * self.dense.shape[1]
 
     @property
     def atom_ids(self) -> tuple[str, ...]:
@@ -104,9 +104,7 @@ class OperatorValuedMeasure:
 
     @property
     def is_exact(self) -> bool:
-        if self.assignment is None:
-            return linalg.is_exact_matrix(self.dense)
-        return self.frame is None
+        return linalg.is_exact_matrix(self.frame if self.dense is None else self.dense)
 
     def same_frame(self, other: "OperatorValuedMeasure") -> bool:
         """Equal spaces (ids and distance table) and equal dims."""
@@ -360,24 +358,16 @@ def check_frame_size(dim: int) -> None:
         raise FrameTooLarge(dim, floor, DEFAULT_TOL)
 
 
-def assemble_ovm(space: FiniteMetricSpace, atoms: np.ndarray, kind: str) -> OperatorValuedMeasure:
-    """Wrap a stack of atom matrices (one per point) that is a measure of
-    ``kind`` by construction, freezing it without ``validate_ovm``'s checks.
-
-    Only for results whose axioms follow by theorem from how they were
-    built out of measures that already satisfy them; measures read from
-    outside or sampled at random go through ``validate_ovm``, or, for a
-    sampled PVM, the certificate of :func:`frame_pvm`.
-    """
-    atoms.setflags(write=False)
-    return OperatorValuedMeasure(space, atoms, kind)
+_UNIT_FRAME = np.ones((1, 1), dtype=np.int64)
+_UNIT_FRAME.setflags(write=False)
 
 
 def diagonal_pvm(space: FiniteMetricSpace, assignment) -> OperatorValuedMeasure:
     """PVM sending atom a to the projection onto {e_j : assignment[j] = a}.
 
-    Only the assignment is stored; its exact int64 atoms are built when
-    ``mats`` is first read.  No ``validate_ovm`` is needed, because the
+    It is the frame form with the exact frame U = I_1 on d copies, so only
+    the assignment is stored, and its int64 atoms are built when ``mats`` is
+    first read.  No ``validate_ovm`` is needed, because the
     result is a projection valued measure by construction: every atom is a
     0/1 diagonal matrix, hence Hermitian and idempotent; distinct atoms
     have disjoint diagonal supports, so their products vanish; and each
@@ -385,7 +375,7 @@ def diagonal_pvm(space: FiniteMetricSpace, assignment) -> OperatorValuedMeasure:
     identity.  That last step needs every entry to name an atom, which is
     checked here: an entry outside 0..n-1 raises ``MismatchedMeasures``.
     """
-    return OperatorValuedMeasure(space, None, PROJECTION, _checked_assignment(space, assignment))
+    return OperatorValuedMeasure(space, None, PROJECTION, _checked_assignment(space, assignment), _UNIT_FRAME)
 
 
 def frame_pvm(space: FiniteMetricSpace, frame, assignment) -> OperatorValuedMeasure:
@@ -426,21 +416,26 @@ def _checked_assignment(space: FiniteMetricSpace, assignment) -> np.ndarray:
     return assignment
 
 
-def _diagonal_stack(n: int, assignment: np.ndarray) -> np.ndarray:
-    """The read-only (n, d, d) int64 atom array of a diagonal assignment."""
-    dim = len(assignment)
-    check_stack_budget(n, dim, np.int64)
-    atoms = np.zeros((n, dim, dim), dtype=np.int64)
-    basis = np.arange(dim)
-    atoms[assignment, basis, basis] = 1
+def _tiled_stack(n: int, seed: np.ndarray) -> np.ndarray:
+    """The (n, d, d) atoms of n / n_s copies of a seed stack, copy w on
+    basis block w: entry for entry what placing each step's atoms gives."""
+    n_s, d_s = seed.shape[:2]
+    copies = n // n_s
+    if copies == 1:
+        return seed
+    check_stack_budget(n, copies * d_s, seed.dtype)
+    atoms = np.zeros((n, copies * d_s, copies * d_s), dtype=seed.dtype)
+    for w in range(copies):
+        block = slice(w * d_s, (w + 1) * d_s)
+        atoms[w * n_s : (w + 1) * n_s, block, block] = seed
     atoms.setflags(write=False)
     return atoms
 
 
 def _frame_stack(n: int, frame: np.ndarray, assignment: np.ndarray) -> np.ndarray:
     """The read-only (n, d, d) atom array of a frame form, entry for entry
-    as a dense seed of the same frame and assignment was built and then
-    placed by ``phi_step``: on each copy, atom a is b b*, with b the
+    the tiled atoms of a dense seed of the same frame and assignment
+    (:func:`_tiled_stack`): on each copy, atom a is b b*, with b the
     columns of U that the copy assigns to a.  The copy's atoms are listed
     by a set, not ``np.unique``, whose first call imports ``numpy.ma``
     (about 1 MB of peak memory)."""
@@ -454,6 +449,77 @@ def _frame_stack(n: int, frame: np.ndarray, assignment: np.ndarray) -> np.ndarra
             atoms[atom, block, block] = b @ b.conj().T
     atoms.setflags(write=False)
     return atoms
+
+
+def kron_identity(copies: int, E: OperatorValuedMeasure, space: FiniteMetricSpace) -> OperatorValuedMeasure:
+    """I_copies (x) E on ``space`` (copies n_E atoms, atom i n_E + c being
+    E(c) on basis block i), stored as E is, in O(copies d) at most: a dense
+    form keeps its seed, and a frame form U with assignment i n_E + a[j]."""
+    if E.dense is not None:
+        return OperatorValuedMeasure(space, E.dense, E.kind)
+    offsets = np.arange(copies, dtype=np.intp)[:, None] * E.space.n
+    assignment = (offsets + E.assignment).ravel()
+    assignment.setflags(write=False)
+    return OperatorValuedMeasure(space, None, E.kind, assignment, E.frame)
+
+
+def block_identities(E: OperatorValuedMeasure, widths):
+    """For each width w in ``widths``, a divisor of n = d, yield holds:
+    holds[u] says atoms u w .. (u + 1) w - 1 of E sum to the identity on
+    basis block [u w, (u + 1) w) and to zero off it, exactly for exact E,
+    within 1e-10 otherwise (on a tower level, the cylinder identities).
+    What every width shares is computed once per walk.
+
+    - A dense form of k copies of a seed with n_s atoms sums a block of
+      whole copies (w a multiple of n_s) to copies of the seed's sum, so
+      each holds exactly when the seed's atoms sum to I; a block inside a
+      copy holds as the seed's own block does, so the seed's are tiled.
+    - A frame form whose copies of d_s basis vectors tile the block (w a
+      multiple of d_s) projects onto {e_j : a[j] // w = u}, so the identity
+      fails exactly for the blocks a[j] // w and j // w of every j where the
+      two differ; a block of unmoved copies sums to U U* on each: I
+      exactly when an exact U* U is, and within 1e-10 of I when
+      ``frame_defect_bounds`` certifies the sum of a float frame.  A block
+      inside one copy is summed from ``mats``.
+    """
+    exact = E.is_exact
+    if E.dense is not None:
+        seed, copies = E.dense, E.space.n // len(E.dense)
+        whole = _block_holds(seed, len(seed), exact)[0]
+        for w in widths:
+            yield np.full(E.space.n // w, whole) if w % len(seed) == 0 else np.tile(_block_holds(seed, w, exact), copies)
+        return
+    a, basis, u = E.assignment, np.arange(E.dim), E.frame
+    if exact:
+        sums_hold = not (u.conj().T @ u - np.eye(len(u), dtype=int)).any()
+    else:
+        sums_hold = frame_defect_bounds(u, a)["sum"] <= 1e-10
+    for w in widths:
+        if w % len(u):
+            yield _block_holds(E.mats, w, exact)
+            continue
+        moved = a // w != basis // w
+        holds = np.full(E.space.n // w, sums_hold)
+        holds[a[moved] // w] = False
+        holds[basis[moved] // w] = False
+        yield holds
+
+
+def _block_holds(stack: np.ndarray, w: int, exact: bool) -> np.ndarray:
+    """Whether each block of w atoms sums to the identity on its basis
+    block, summed directly, forming about ``BLOCK_ENTRIES`` entries of sums
+    at a time besides the atoms."""
+    n, d = stack.shape[:2]
+    blocks = stack.reshape(n // w, w, d, d)
+    step = max(1, BLOCK_ENTRIES // (d * d))
+    defects = []
+    for start in range(0, n // w, step):
+        sums = blocks[start : start + step].sum(axis=1)
+        rows = np.arange(start * w, start * w + len(sums) * w)
+        sums[rows // w - start, rows, rows] -= 1
+        defects.append(np.abs(sums).max(axis=(1, 2)))
+    defects = np.concatenate(defects)
+    return (defects == 0) if exact else (defects <= 1e-10)
 
 
 def measure_of(ovm: OperatorValuedMeasure, atom_ids) -> np.ndarray:

@@ -150,8 +150,8 @@ def rho_exact(
 def rho_assignments(E: OperatorValuedMeasure, F: OperatorValuedMeasure) -> Fraction:
     """Exact rho of two 0/1 diagonal PVMs, read from their assignments.
 
-    Both measures must be stored as assignments a_E, a_F without a frame
-    (``OperatorValuedMeasure.is_diagonal``), on the same space and dimension.
+    Both measures must be 0/1 diagonal (``OperatorValuedMeasure.is_diagonal``),
+    with assignments a_E, a_F, on the same space and dimension.
     Then rho(E, F) = max_j d(a_E(j), a_F(j)), found with one distance read
     per slot where the assignments differ, and no vertex list or table.
 

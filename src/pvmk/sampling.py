@@ -17,7 +17,6 @@ from .metric_core import FiniteMetricSpace, validate_space
 from .ovm import (
     OperatorValuedMeasure,
     POSITIVE,
-    PROJECTION,
     check_frame_size,
     check_stack_budget,
     diagonal_pvm,
@@ -129,14 +128,10 @@ def random_pvm(
     return frame_pvm(space, u, assignment)
 
 
-def random_truth_conjugate_pvm(
-    space: FiniteMetricSpace, rng: SplitMix64, complex_: bool = False
-) -> OperatorValuedMeasure:
-    """Unitary conjugate of the diagonal truth (atom j carries basis vector j)."""
-    dim = space.n
-    u = random_unitary(dim, rng) if complex_ else random_orthogonal(dim, rng)
-    mats = [np.outer(u[:, j], u[:, j].conj()) for j in range(dim)]
-    return validate_ovm(space, mats, PROJECTION)
+def random_truth_conjugate_pvm(space: FiniteMetricSpace, rng: SplitMix64) -> OperatorValuedMeasure:
+    """Orthogonal conjugate of the diagonal truth, as a frame: atom j
+    carries column j of U (``frame_pvm``)."""
+    return frame_pvm(space, random_orthogonal(space.n, rng), range(space.n))
 
 
 def random_povm(space: FiniteMetricSpace, dim: int, rng: SplitMix64) -> OperatorValuedMeasure:

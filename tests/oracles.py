@@ -9,6 +9,7 @@ from pvmk.cuntz import branch_maps
 from pvmk.ifs import make_ifs
 from pvmk.linalg import spectral_norms_stack, to_complex, top_eigenpair
 from pvmk.metric_core import FiniteMetricSpace, validate_space
+from pvmk.ovm import OperatorValuedMeasure
 
 F = Fraction
 
@@ -33,6 +34,18 @@ def s_matrix(ct, i: int, k: int) -> np.ndarray:
     """The dense 0/1 matrix of S_i from level k-1 into level k, scattered
     from the package's branch map."""
     return dense_isometries(branch_maps(ct, k), ct.dim(k))[i]
+
+
+def placed_step(tower, k: int, E) -> OperatorValuedMeasure:
+    """One contraction step as a dense placement: E's atoms copied onto
+    every branch's diagonal block of a fresh (d, d, d) stack at level k."""
+    d_prev = E.dim
+    d_next = tower.dim(k)
+    atoms = np.zeros((d_next, d_next, d_next), dtype=E.mats.dtype)
+    for i in range(tower.n_branches):
+        block = slice(i * d_prev, (i + 1) * d_prev)
+        atoms[block, block, block] = E.mats
+    return OperatorValuedMeasure(tower.level(k).space, atoms, E.kind)
 
 
 def mcshane(space: FiniteMetricSpace, values) -> tuple:

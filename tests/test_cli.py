@@ -382,13 +382,13 @@ def test_fixed_point_commands_reach_dyadic_depth_12_without_dense_atoms(files, c
     # must stay an assignment the whole way
     tmp, write = files
     ifs = write("ifs.json", DYADIC)
-    build = pvmk.ovm._diagonal_stack
+    build = pvmk.ovm._frame_stack
 
-    def small_only(n, assignment):
+    def small_only(n, *rest):
         assert n <= 8, f"dense atoms built for {n} atoms"
-        return build(n, assignment)
+        return build(n, *rest)
 
-    monkeypatch.setattr(pvmk.ovm, "_diagonal_stack", small_only)
+    monkeypatch.setattr(pvmk.ovm, "_frame_stack", small_only)
     assert run(["verify-fixed-point", "--ifs", ifs, "--depth", "12"]) == 0
     results = _capture(capsys)["results"]
     assert results["words_checked"] == 8191
@@ -681,23 +681,43 @@ def test_running_out_of_memory_exits_2_with_one_error_line(files, capsys, monkey
 
 @pytest.mark.parametrize("seed_kind, steps", [("random-povm", 0), ("random-pvm", 0), ("random-povm", 1)])
 def test_a_stack_over_the_byte_budget_exits_2_with_one_error_line(capsys, monkeypatch, seed_kind, steps):
-    # 64 atoms of 64 x 64 float64: 2 MiB, drawn as the seed or built by
-    # the step from level 5.  A random-pvm seed is a frame and an
-    # assignment, so the run builds no stack and passes; reading its atoms
-    # is refused in test_sampled_pvm_frames.
+    # 64 atoms of 64 x 64 float64: 2 MiB.  Only a random-povm seed drawn at
+    # level 6 builds that stack, and is refused.  A random-pvm seed is a
+    # frame and an assignment, and a step from level 5 keeps the level-5
+    # seed, so those runs build no stack and pass; reading their final
+    # atoms is refused.
     root = Path(__file__).resolve().parents[1]
     monkeypatch.setattr(pvmk.ovm, "STACK_BYTES_BUDGET", 1 << 20)
+    traces = []
+    real = pvmk.cli.phi_iterate
+    monkeypatch.setattr(pvmk.cli, "phi_iterate", lambda *args, **kw: traces.append(real(*args, **kw)) or traces[-1])
     argv = ["phi-iterate", "--ifs", str(root / "sample_inputs" / "dyadic_ifs.json"), "--depth", "6",
             "--steps", str(steps), "--seed-kind", seed_kind]
-    if seed_kind == "random-pvm":
+    refusal = "an atom stack of shape (64, 64, 64) needs 2097152 bytes, budget is 1048576"
+    if (seed_kind, steps) != ("random-povm", 0):
         assert run(argv) == 0
         captured = capsys.readouterr()
         assert captured.err == "" and json.loads(captured.out)["verdict"] == "pass"
+        with pytest.raises(pvmk.errors.StackTooLarge) as refused:
+            traces[0].final.mats
+        assert str(refused.value) == refusal
         return
     assert run(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: an atom stack of shape (64, 64, 64) needs 2097152 bytes, budget is 1048576\n"
+    assert captured.err == f"error: {refusal}\n"
+
+
+def test_every_size_refusal_is_an_input_too_large():
+    # cli.run turns this one base class into exit 2
+    refusals = [
+        pvmk.errors.TowerTooLarge(8192, 4096),
+        pvmk.errors.SpaceTooLarge(1 << 20, 1 << 19),
+        pvmk.errors.StackTooLarge((1024, 1024, 1024), 1 << 33, 1 << 32),
+        pvmk.errors.FrameTooLarge(670, 1.1e-10, 1e-10),
+    ]
+    for error in refusals:
+        assert isinstance(error, pvmk.errors.InputTooLarge)
 
 
 def test_the_budget_admits_a_depth_9_level_and_refuses_depth_10():

@@ -26,7 +26,7 @@ from pvmk.fixed_point import (
 from pvmk.ifs import CylinderTower, TowerLevel, build_tower, dyadic_ifs, make_ifs, triadic_ifs
 from pvmk.linalg import gram_rank, max_abs
 from pvmk.metric_core import lip1_vertices
-from pvmk.ovm import assemble_ovm, diagonal_pvm, measure_of, scalar_measure, validate_ovm
+from pvmk.ovm import OperatorValuedMeasure, diagonal_pvm, measure_of, scalar_measure, validate_ovm
 from pvmk.rho import rho_assignments, rho_exact
 from pvmk.rng import SplitMix64
 from pvmk.sampling import (
@@ -246,7 +246,7 @@ def _off_block_candidate(truth, a, b, row, col, x):
     for atom, sign in ((a, 1), (b, -1)):
         atoms[atom, row, col] += sign * x
         atoms[atom, col, row] += sign * x
-    return assemble_ovm(truth.space, atoms, "positive")
+    return OperatorValuedMeasure(truth.space, atoms, "positive")
 
 
 @pytest.mark.parametrize("ifs, depth", [(dyadic_ifs(), 6), (triadic_ifs(), 4)], ids=["dyadic", "triadic"])
@@ -310,7 +310,7 @@ def test_assignment_route_matches_a_dense_copy(ifs, depth):
         mutants = _assignment_mutants(truth)
         for E in measures + mutants:
             assert E.assignment is not None
-            dense = assemble_ovm(E.space, E.mats.copy(), E.kind)
+            dense = OperatorValuedMeasure(E.space, E.mats.copy(), E.kind)
             assert dense.assignment is None
             got = _per_word(ct, _cylinder_identities(ct, E, K, K))
             assert got == _per_word(ct, _cylinder_identities(ct, dense, K, K))

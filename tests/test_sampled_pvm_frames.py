@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pvmk import fixed_point, linalg, ovm
+from pvmk import linalg, ovm
 from pvmk.cli import run
 from pvmk.cuntz import multiplication_pvm
 from pvmk.errors import FrameTooLarge, MismatchedMeasures, NotUnitary, StackTooLarge
@@ -22,7 +22,6 @@ from pvmk.fixed_point import (
 from pvmk.ifs import build_tower, dyadic_ifs, triadic_ifs
 from pvmk.ovm import (
     OperatorValuedMeasure,
-    assemble_ovm,
     check_frame_size,
     frame_defect_bounds,
     frame_pvm,
@@ -32,7 +31,13 @@ from pvmk.ovm import (
 )
 from pvmk.rho import rho_assignments
 from pvmk.rng import SplitMix64
-from pvmk.sampling import random_metric_space, random_orthogonal, random_pvm, random_unitary
+from pvmk.sampling import (
+    random_metric_space,
+    random_orthogonal,
+    random_pvm,
+    random_truth_conjugate_pvm,
+    random_unitary,
+)
 
 
 def bitwise_equal(a, b):
@@ -41,7 +46,7 @@ def bitwise_equal(a, b):
 
 
 def dense_copy(E):
-    return assemble_ovm(E.space, E.mats.copy(), E.kind)
+    return OperatorValuedMeasure(E.space, E.mats.copy(), E.kind)
 
 
 def measured_defects(mats, pairs):
@@ -129,6 +134,17 @@ def test_a_frame_too_large_to_certify_is_refused_before_it_is_drawn(capsys):
     assert captured.err.count("\n") == 1
 
 
+def test_truth_conjugates_are_frames_with_the_outer_product_atoms():
+    # column j's atom was np.outer(u[:, j], u[:, j]); the frame forms
+    # u[:, [j]] @ u[:, [j]].T, the same bits
+    for seed in range(40):
+        space = random_metric_space(1 + seed % 8, SplitMix64(seed))
+        E = random_truth_conjugate_pvm(space, SplitMix64(seed))
+        u = random_orthogonal(space.n, SplitMix64(seed))
+        assert E.dense is None and E.assignment.tolist() == list(range(space.n))
+        assert bitwise_equal(E.mats, np.array([np.outer(u[:, j], u[:, j]) for j in range(space.n)]))
+
+
 def test_the_frame_and_assignment_are_copies_and_read_only():
     rng = SplitMix64(6)
     space = random_metric_space(2, rng)
@@ -188,16 +204,20 @@ def test_a_cylinder_check_reads_no_atoms_when_it_covers_whole_copies(monkeypatch
 
 def test_a_frame_that_does_not_sum_to_the_identity_fails_its_cylinders():
     # built past frame_pvm: copies of U U* != I fail every cylinder of
-    # whole copies, as the dense copy's sums do
+    # whole copies, as the dense copy's sums do, for a float U and for an
+    # exact one, whose sum is checked exactly
     ct = build_tower(dyadic_ifs(), 4)
-    u = random_orthogonal(4, SplitMix64(9)) * (1 + 1e-8)
-    E = OperatorValuedMeasure(ct.level(2).space, None, "projection", np.arange(4), u)
-    for k in (3, 4):
-        E = phi_step(ct, k, E)
-    D = dense_copy(E)
-    verdicts = [holds.tolist() for _, holds in _cylinder_identities(ct, E, 4, 4)]
-    assert verdicts == [holds.tolist() for _, holds in _cylinder_identities(ct, D, 4, 4)]
-    assert not any(verdicts[0]) and _verify_prefixes(ct, E, 4, 2) == 0
+    sheared = np.eye(4, dtype=np.int64)
+    sheared[0, 1] = 1
+    for u in (random_orthogonal(4, SplitMix64(9)) * (1 + 1e-8), sheared):
+        E = OperatorValuedMeasure(ct.level(2).space, None, "projection", np.arange(4), u)
+        for k in (3, 4):
+            E = phi_step(ct, k, E)
+        D = dense_copy(E)
+        assert E.is_exact == D.is_exact == (u.dtype == np.int64)
+        verdicts = [holds.tolist() for _, holds in _cylinder_identities(ct, E, 4, 4)]
+        assert verdicts == [holds.tolist() for _, holds in _cylinder_identities(ct, D, 4, 4)]
+        assert not any(verdicts[0]) and _verify_prefixes(ct, E, 4, 2) == 0
 
 
 def test_verify_fixed_point_compares_a_frame_candidate_by_its_atoms():
@@ -249,9 +269,9 @@ def _refuse(*args):
 
 
 def test_a_depth_12_random_pvm_run_builds_no_stack_above_8_atoms(capsys, monkeypatch):
-    for module, name in ((ovm, "_frame_stack"), (ovm, "_diagonal_stack"), (fixed_point, "check_stack_budget")):
-        real = getattr(module, name)
-        monkeypatch.setattr(module, name, lambda n, *rest, real=real: _refuse() if n > 8 else real(n, *rest))
+    for name in ("_frame_stack", "_tiled_stack"):
+        real = getattr(ovm, name)
+        monkeypatch.setattr(ovm, name, lambda n, *rest, real=real: _refuse() if n > 8 else real(n, *rest))
     ifs = Path(__file__).resolve().parents[1] / "sample_inputs" / "dyadic_ifs.json"
     argv = ["phi-iterate", "--ifs", str(ifs), "--depth", "12", "--steps", "9", "--seed-kind", "random-pvm"]
     assert run(argv) == 0
