@@ -273,11 +273,13 @@ class Lip1VertexSet:
     def half_floats(self) -> np.ndarray:
         """``half`` as a read-only float64 matrix, one row per vertex.
 
-        Each entry is a / L from ``scaled``: Python int true division is
-        correctly rounded, so it is bitwise the ``float`` of the Fraction.
+        One true division a / L of the half's ``scaled`` rows, in float64
+        when L and every |a| <= L * diam are below 2^53, else on Python
+        ints: correctly rounded, so bitwise the ``float`` of the Fraction.
         """
         scale, ints = self.scaled
-        arr = np.array([[a / scale for a in vert] for vert in ints[: len(self.half)]])
+        exact = scale * max(self.space.diam, 1) < 2**53
+        arr = (np.array(ints[: len(self.half)], np.int64 if exact else object) / scale).astype(float, copy=False)
         arr.setflags(write=False)
         return arr
 
@@ -325,7 +327,7 @@ def _value_dtype(space: FiniteMetricSpace):
     assigns is a signed sum of at most n-1 distances (a tree path from the
     anchor), so it lies in [-(n-1)M, (n-1)M].  A window end is such a value
     plus or minus one distance, at most nM in size; the search's sentinel
-    is (n+1)M + 1; and a certified difference f_i - f_j is at most
+    is M + 1; and a certified difference f_i - f_j is at most
     2(n-1)M.  All of these are below (2n+2)M for M >= 1, so when
     (2n+2)M < 2^63 no int64 operation of the routes can wrap.
     """
@@ -346,17 +348,39 @@ def _check_lip1(rows: np.ndarray, d) -> None:
             raise MetricAxiomError("enumerated vertex exceeds Lipschitz constant 1")
 
 
-def _certified(space: FiniteMetricSpace, a0: int, rows: np.ndarray) -> Lip1VertexSet:
-    """The vertex set of a route's scaled integer rows, certified.
+def _pack(space: FiniteMetricSpace, rows: np.ndarray):
+    """The rows' (m, w) packed keys, and each column's multiplier and word.
+    A route's f is 1-Lipschitz with f(anchor) = 0, so |f(v)| <= M, the
+    largest scaled distance; shifted by M, it and the search's sentinel
+    M + 1 fit b = bit_length(2M + 1) bits.  An int64 word holds
+    floor(63 / b) of them, column 0 highest, so every word is in [0, 2^63)
+    and comparing words compares rows.  Object rows keep one word per column."""
+    n, top = space.n, max(map(max, space.scaled[1]))
+    bits = (2 * top + 1).bit_length()
+    per = 63 // bits if rows.dtype == np.int64 else 1
+    unit = np.array([1 << bits * (per - 1 - c % per) for c in range(n)], rows.dtype)
+    keys = np.add.reduceat((rows + top) * unit, np.arange(0, n, per), axis=1)
+    return keys, unit, np.arange(n) // per
 
-    Sorting the ints sorts the Fractions, since the scale L' > 0.  With g
-    the gcd of L' and every value, L = L'/g is the lcm of the reduced
-    denominators, and the set keeps the rows divided by g as ``scaled``.
-    One Fraction is built per distinct value.
+
+def _first_of_each(keys: np.ndarray) -> np.ndarray:
+    """Indices of the first of each run of equal packed keys, in key order."""
+    order = np.argsort(keys[:, 0]) if keys.shape[1] == 1 else np.lexsort(keys.T[::-1])
+    ranked = keys[order]
+    return order[np.concatenate([[True], (ranked[1:] != ranked[:-1]).any(axis=1)])]
+
+
+def _certified(space: FiniteMetricSpace, a0: int, rows: np.ndarray) -> Lip1VertexSet:
+    """The vertex set of a route's distinct scaled integer rows, certified.
+
+    The routes sort the rows by their packed keys, which sorts the
+    Fractions, since the scale L' > 0.  With g the gcd of L' and every
+    value, L = L'/g is the lcm of the reduced denominators, and the set
+    keeps the rows divided by g as ``scaled``.  One Fraction is built per
+    distinct value.
     """
     scale, d = space.scaled
     _check_lip1(rows, d)
-    rows = rows[np.lexsort(rows.T[::-1])]
     values = set(rows.ravel().tolist())
     g = math.gcd(scale, *values)
     ints = tuple(map(tuple, (rows // g).tolist()))
@@ -389,21 +413,7 @@ def _line_vertices(space: FiniteMetricSpace, a0: int, order: list[int]) -> Lip1V
         col = verts[:, prev]
         verts = np.concatenate([verts, verts])
         verts[:, v] = np.concatenate([col + gap, col - gap])
-    return _certified(space, a0, verts)
-
-
-def _distinct_rows(rows: np.ndarray) -> np.ndarray:
-    """Indices of one row of each group of equal rows: the rows are ranked
-    lexicographically and a row is kept where it differs from the one
-    ranked before it, compared one column at a time so that no ranked
-    copy of the rows is built."""
-    order = np.lexsort(rows.T)
-    starts = np.zeros(len(order), bool)
-    starts[0] = True
-    for col in rows.T:
-        ranked = col[order]
-        starts[1:] |= ranked[1:] != ranked[:-1]
-    return order[starts]
+    return _certified(space, a0, verts[_first_of_each(_pack(space, verts)[0])])
 
 
 def _search_vertices(space: FiniteMetricSpace, a0: int) -> Lip1VertexSet:
@@ -428,12 +438,14 @@ def _search_vertices(space: FiniteMetricSpace, a0: int) -> Lip1VertexSet:
     extension).
 
     The search runs on the scaled integer table, one layer of states at a
-    time.  A layer is an (m, n) array, one state per row, with a sentinel
-    above every reachable value in the unassigned slots, and it carries
-    the windows of every state and point as two more (m, n) arrays LO and
-    HI.  A layer makes two children per (state, unassigned v), setting v
-    to LO or HI, and keeps one of each group of equal rows.  Only
-    then are the children's windows built, each from its parent's in O(n):
+    time: an (m, n) array, one state per row, with a sentinel above every
+    reachable value in the unassigned slots, the windows of every state
+    and point as (m, n) arrays LO and HI, and the packed keys of
+    :func:`_pack`.  A layer makes two children per (state, unassigned v),
+    setting v to LO or HI, as keys alone: each is its parent's key with
+    one field moved.  One sort keeps one child of each group of equal
+    keys; only then are the kept children's rows and windows built, each
+    from its parent's in O(n):
     fixing v := x adds x - d(v, .) to the maxima and x + d(v, .) to the
     minima.  The arrays are int64 when :func:`_value_dtype` proves no value
     can wrap, and Python ints (``object``) otherwise, on the same code.
@@ -442,22 +454,24 @@ def _search_vertices(space: FiniteMetricSpace, a0: int) -> Lip1VertexSet:
     _, d = space.scaled
     dtype = _value_dtype(space)
     table = np.array(d, dtype)
-    sentinel = (n + 1) * max(map(max, d)) + 1
+    sentinel = max(map(max, d)) + 1
     states = np.full((1, n), sentinel, dtype)
     states[0, a0] = 0
+    keys, unit, word = _pack(space, states)
     lo, hi = -table[a0 : a0 + 1], table[a0 : a0 + 1]
     for _ in range(n - 1):
         rows, cols = np.nonzero(states == sentinel)
-        _check_rows(2 * len(rows))
+        _check_rows(2 * len(rows))  # peak: about 16 int64s per child on int64 layers
         ends = np.concatenate([lo[rows, cols], hi[rows, cols]])
         rows, cols = np.tile(rows, 2), np.tile(cols, 2)
+        keys = keys[rows]
+        keys[np.arange(len(rows)), word[cols]] += (ends - sentinel) * unit[cols]
+        keep = _first_of_each(keys)
+        keys, rows, cols, ends = keys[keep], rows[keep], cols[keep], ends[keep]
         states = states[rows]
-        states[np.arange(len(rows)), cols] = ends
-        keep = _distinct_rows(states)
-        states, rows, ends = states[keep], rows[keep], ends[keep, None]
-        reach = table[cols[keep]]
-        lo = np.maximum(lo[rows], ends - reach)
-        hi = np.minimum(hi[rows], ends + reach)
+        states[np.arange(len(keep)), cols] = ends
+        lo = np.maximum(lo[rows], ends[:, None] - table[cols])
+        hi = np.minimum(hi[rows], ends[:, None] + table[cols])
     return _certified(space, a0, states)
 
 

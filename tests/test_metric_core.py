@@ -22,8 +22,10 @@ from pvmk.ifs import build_tower, dyadic_ifs, make_ifs, triadic_ifs
 from pvmk.metric_core import (
     FiniteMetricSpace,
     _check_lip1,
+    _first_of_each,
     _is_metric,
     _line_order,
+    _pack,
     _parse_table,
     _search_vertices,
     _value_dtype,
@@ -209,6 +211,25 @@ def test_vertex_budget_refuses_the_16_point_theta_level_and_admits_lines():
     assert len(lip1_vertices(_strict_space(9, SplitMix64(3)))) > 0
     line = build_tower(dyadic_ifs(), 4).level(4).space
     assert len(lip1_vertices(line)) == 2**15
+
+
+def test_search_peak_stays_under_its_stated_factor(monkeypatch):
+    # beside its _check_rows call the search states its transient factor:
+    # an int64 layer peaks near 16 int64s per child it counts (the search
+    # that built every child row before merging peaked near 22 here)
+    children = []
+    check = metric_core._check_rows
+    monkeypatch.setattr(metric_core, "_check_rows", lambda rows: (children.append(rows), check(rows)))
+    space = _strict_space(9, SplitMix64(3))
+    space.scaled
+    tracemalloc.start()
+    try:
+        lip1_vertices(space)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert max(children) > 50_000
+    assert peak < 17 * 8 * max(children) + 64 * 1024
 
 
 def test_lip1_vertices_negation_closure():
@@ -462,6 +483,61 @@ def test_large_tables_take_the_python_int_route():
         assert list(_search_vertices(space, 1).vertices) == _fraction_search_vertices(space, 1)
 
 
+def _wide_space(n, rng):
+    # distances 3/2 + k/1000003: the scale is 2 * 1000003, so M is near 2^22
+    # and a packed field takes 23 bits, two to an int64 word
+    d = [[F(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            d[i][j] = d[j][i] = F(3, 2) + F(rng.randint(0, 500_000), 1_000_003)
+    return validate_space(d)
+
+
+def _raw_rows(verts, dtype):
+    """The vertex rows on the space's own scale, as the routes hold them."""
+    scale = verts.space.scaled[0]
+    return np.array([[int(x * scale) for x in vert] for vert in verts.vertices], dtype)
+
+
+KEY_CASES = [
+    ("one-word", _strict_space(6, SplitMix64(83)), 1, np.int64),
+    ("three-words", _wide_space(5, SplitMix64(89)), 3, np.int64),
+    ("object-floats", _float_space(5, SplitMix64(97)), 5, object),
+    ("int64-bound", _equilateral(2**60 - 1), 3, np.int64),
+]
+
+
+@pytest.mark.parametrize(
+    "space, words, dtype", [case[1:] for case in KEY_CASES], ids=[case[0] for case in KEY_CASES]
+)
+def test_packed_keys_order_the_search_at_every_anchor(space, words, dtype, monkeypatch):
+    # every layer's children keys are recorded on their way to the merge
+    seen = []
+
+    def recording(keys):
+        seen.append(keys)
+        return _first_of_each(keys)
+
+    monkeypatch.setattr(metric_core, "_first_of_each", recording)
+    assert _value_dtype(space) is dtype
+    for b in range(space.n):
+        seen.clear()
+        verts = _search_vertices(space, b)
+        assert list(verts.vertices) == _fraction_search_vertices(space, b)
+        rows = _raw_rows(verts, dtype)
+        keys = _pack(space, rows)[0]
+        assert keys.shape == (len(rows), words) and keys.dtype == dtype
+        # the last layer's incremental keys, merged, are the packed keys of
+        # the sorted vertex rows, in order
+        assert np.array_equal(seen[-1][_first_of_each(seen[-1])], keys)
+        assert np.array_equal(rows[np.lexsort(rows.T[::-1])], rows)
+        # an int64 word stays below 2^63; an object word is one field, which
+        # stays in [0, 2M + 1]
+        top = 2**63 if dtype is np.int64 else 2 * max(map(max, space.scaled[1])) + 2
+        for layer in seen:
+            assert all(0 <= x < top for x in layer.ravel().tolist())
+
+
 def test_certification_rejects_a_row_one_over_a_distance():
     space = _strict_space(5, SplitMix64(79))
     _, d = space.scaled
@@ -539,9 +615,14 @@ def _canonical_half(vertices):
 def test_vertex_set_caches_its_sign_half():
     one_point = lip1_vertices(validate_space([[0]]))
     assert one_point.half == one_point.vertices == ((F(0),),)
+    # lines, random, strict and theta spaces divide in float64 (L * max(diam, 1)
+    # below 2^53); the float table's L passes 2^53, so it divides Python ints
     spaces = [path_space(), SHUFFLED_LINES[-1]] + [case[1] for case in CROSS_CHECK]
-    for space in spaces:
+    in_float64 = [True] * (len(spaces) - 1) + [False]
+    for space, small in zip(spaces, in_float64):
         verts = lip1_vertices(space)
+        assert (verts.scaled[0] * max(space.diam, 1) < 2**53) == small
+        assert small or verts.scaled[0] > 2**53
         assert verts.half == tuple(_canonical_half(verts))
         assert verts.half is verts.half
         # no vertex of two or more points is its own negation
