@@ -12,7 +12,7 @@ is what the transport and operator-metric layers consume.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -234,67 +234,61 @@ def certify_lipschitz(space: FiniteMetricSpace, values) -> LipschitzFunction:
     return LipschitzFunction(vals, lip_constant(vals, space))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Lip1VertexSet:
     """Extreme points of the anchored 1-Lipschitz polytope of one space.
 
-    It serves any space equal to ``space`` (same ids and table).  The
-    vertices are sorted, as :func:`lip1_vertices` returns them.
+    It serves any space equal to ``space`` (same ids and table).  ``rows``
+    is a read-only (m, n) array of L*phi, one vertex phi per row in sorted
+    order, with L = ``scale`` the lcm of the values' denominators (it
+    divides the scale of ``space.scaled``): int64 where the route ran in
+    int64, Python ints otherwise.  Fractions are built only for a witness
+    (``vertex``) and on a read of ``vertices``.  Sets compare by identity.
 
-    ``scaled`` is ``(L, L*vertices)`` in Python ints, L the lcm of the
-    vertex values' denominators, so L divides the scale of
-    ``space.scaled``.  Each L*phi is a tuple of ints, in vertex order; the
-    first ``len(half)`` of them are the half's.  The vertex routes hand it
-    over with the vertices, and it takes no part in equality.
+    The list is closed under negation, which reverses the sorted order, so
+    the first ceil(m/2) rows, the half, hold one vertex of each {phi, -phi}
+    (the zero vertex of one point is its own partner); rho is even in phi,
+    so scoring the half scores every vertex.
     """
 
     anchor: str
-    vertices: tuple[tuple[Fraction, ...], ...]
     space: FiniteMetricSpace
-    scaled: tuple[int, tuple[tuple[int, ...], ...]] = field(compare=False, repr=False)
+    scale: int
+    rows: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.vertices)
+        return len(self.rows)
+
+    def vertex(self, i: int) -> tuple[Fraction, ...]:
+        """Row i as a tuple of Fractions, equal to ``vertices[i]``."""
+        return tuple(Fraction(x, self.scale) for x in self.rows[i].tolist())
 
     @cached_property
-    def half(self) -> tuple[tuple[Fraction, ...], ...]:
-        """One vertex of each {phi, -phi} pair, in vertex order.
-
-        The rho objective is even in phi, so scoring this half scores every
-        vertex.  The anchored polytope is centrally symmetric, so its
-        vertex list is closed under negation, and negation reverses the
-        sorted order: the partner of the i-th vertex is the i-th from the
-        end.  The first of each pair is therefore in the first half of the
-        list, and the zero vertex of a one-point space is its own partner.
-        """
-        return self.vertices[: (len(self.vertices) + 1) // 2]
+    def vertices(self) -> tuple[tuple[Fraction, ...], ...]:
+        """Every row as Fractions, one per distinct value, built on first read."""
+        as_q = {x: Fraction(x, self.scale) for x in set(self.rows.ravel().tolist())}
+        return tuple(tuple(map(as_q.__getitem__, row)) for row in self.rows.tolist())
 
     @cached_property
     def half_floats(self) -> np.ndarray:
-        """``half`` as a read-only float64 matrix, one row per vertex.
-
-        One true division a / L of the half's ``scaled`` rows, in float64
-        when L and every |a| <= L * diam are below 2^53, else on Python
-        ints: correctly rounded, so bitwise the ``float`` of the Fraction.
-        """
-        scale, ints = self.scaled
-        exact = scale * max(self.space.diam, 1) < 2**53
-        arr = (np.array(ints[: len(self.half)], np.int64 if exact else object) / scale).astype(float, copy=False)
+        """The half's rows a as read-only float64 a / L: in float64 when L and
+        every |a| <= L * diam are below 2^53, else on Python ints; correctly
+        rounded either way, so bitwise the ``float`` of the Fraction."""
+        exact = self.scale * max(self.space.diam, 1) < 2**53
+        half = self.rows[: (len(self) + 1) // 2].astype(np.int64 if exact else object, copy=False)
+        arr = (half / self.scale).astype(float, copy=False)
         arr.setflags(write=False)
         return arr
 
     def best(self, weights) -> tuple[int, int, int]:
-        """``(top, i, j)``: the largest |L*phi_i . w_j| over the half's
-        scaled vertices L*phi_i (``scaled``) and the columns w_j of
-        ``weights``, an (n, k) table of Python ints, at its first position
-        in (vertex, column) order, so (0, 0, 0) when every score is 0.
-
-        The scores are one object-dtype product, in Python ints that never
-        wrap, and one ``argmax`` over them flattened.  The vertex list is
-        closed under negation (see ``half``), so ``top`` is also the
-        largest L*phi . w_j over every vertex.
-        """
-        half = np.array(self.scaled[1][: len(self.half)], dtype=object)
+        """``(top, i, j)``: the largest |L*phi_i . w_j| over the half's rows
+        L*phi_i and the columns w_j of ``weights``, an (n, k) table of
+        Python ints, at its first position in (vertex, column) order, so
+        (0, 0, 0) when every score is 0.  The scores are one product in
+        Python ints, which never wrap, and one ``argmax``.  The list is
+        closed under negation, so ``top`` is the largest L*phi . w_j over
+        every vertex."""
+        half = self.rows[: (len(self) + 1) // 2].astype(object)
         scores = np.abs(half @ np.array(weights, dtype=object))
         i, j = divmod(int(np.argmax(scores)), scores.shape[1])
         return scores[i, j], i, j
@@ -323,29 +317,34 @@ def _value_dtype(space: FiniteMetricSpace):
     """``np.int64`` when every integer of a vertex route fits it, else
     ``object`` (Python ints, which never wrap).
 
-    With M the largest entry of the scaled table, every value a route
-    assigns is a signed sum of at most n-1 distances (a tree path from the
-    anchor), so it lies in [-(n-1)M, (n-1)M].  A window end is such a value
-    plus or minus one distance, at most nM in size; the search's sentinel
-    is M + 1; and a certified difference f_i - f_j is at most
-    2(n-1)M.  All of these are below (2n+2)M for M >= 1, so when
-    (2n+2)M < 2^63 no int64 operation of the routes can wrap.
+    With M the largest scaled distance, every value a route holds lies in
+    [-M, M].  A line's value at v is at most d(anchor, v) in size.  A search
+    window starts at the anchor's, [-d(anchor, v), d(anchor, v)], and only
+    narrows, so lo >= -M and hi <= M; lo is at most, and hi at least, an
+    assigned value, so by induction every window end, and so every value,
+    lies in [-M, M].  The widest intermediate is then a window end minus
+    the sentinel M + 1, a value plus a distance or a difference of two
+    values (``_check_lip1``): at most 2M + 1 in size, as is a value shifted
+    by M in ``_pack``.  So when bit_length(2M + 1) <= 63, which ``_pack``
+    needs too, no int64 operation of the routes can wrap.
     """
-    _, d = space.scaled
-    top = max(map(max, d))
-    return np.int64 if (2 * space.n + 2) * top < 2**63 else object
+    top = max(map(max, space.scaled[1]))
+    return np.int64 if (2 * top + 1).bit_length() <= 63 else object
 
 
 def _check_lip1(rows: np.ndarray, d) -> None:
     """Raise unless every row f of the (m, n) int array has
     |f_i - f_j| <= d[i][j] for every pair, which is ``lip_constant <= 1``
-    for f / L on the scaled table d.  One pass per column i covers the
-    pairs (i, j > i), so no (m, n, n) array is built."""
+    for f / L on the scaled table d.  The rows are checked 4,096 at a time,
+    with one pass per column i over the pairs (i, j > i), so its
+    temporaries are (4096, n - 1) arrays and no (m, n, n) array is built."""
     table = np.array(d, rows.dtype)
-    for i in range(rows.shape[1] - 1):
-        gaps = np.abs(rows[:, i + 1 :] - rows[:, i : i + 1])
-        if (gaps > table[i, i + 1 :]).any():
-            raise MetricAxiomError("enumerated vertex exceeds Lipschitz constant 1")
+    for start in range(0, len(rows), 4096):
+        part = rows[start : start + 4096]
+        for i in range(rows.shape[1] - 1):
+            gaps = np.abs(part[:, i + 1 :] - part[:, i : i + 1])
+            if (gaps > table[i, i + 1 :]).any():
+                raise MetricAxiomError("enumerated vertex exceeds Lipschitz constant 1")
 
 
 def _pack(space: FiniteMetricSpace, rows: np.ndarray):
@@ -354,12 +353,15 @@ def _pack(space: FiniteMetricSpace, rows: np.ndarray):
     largest scaled distance; shifted by M, it and the search's sentinel
     M + 1 fit b = bit_length(2M + 1) bits.  An int64 word holds
     floor(63 / b) of them, column 0 highest, so every word is in [0, 2^63)
-    and comparing words compares rows.  Object rows keep one word per column."""
+    and comparing words compares rows.  Object rows keep one word per
+    column.  Keys are summed column by column, with no (m, n) temporary."""
     n, top = space.n, max(map(max, space.scaled[1]))
     bits = (2 * top + 1).bit_length()
     per = 63 // bits if rows.dtype == np.int64 else 1
     unit = np.array([1 << bits * (per - 1 - c % per) for c in range(n)], rows.dtype)
-    keys = np.add.reduceat((rows + top) * unit, np.arange(0, n, per), axis=1)
+    keys = np.zeros((len(rows), -(-n // per)), rows.dtype)
+    for c in range(n):
+        keys[:, c // per] += (rows[:, c] + top) * unit[c]
     return keys, unit, np.arange(n) // per
 
 
@@ -374,19 +376,17 @@ def _certified(space: FiniteMetricSpace, a0: int, rows: np.ndarray) -> Lip1Verte
     """The vertex set of a route's distinct scaled integer rows, certified.
 
     The routes sort the rows by their packed keys, which sorts the
-    Fractions, since the scale L' > 0.  With g the gcd of L' and every
-    value, L = L'/g is the lcm of the reduced denominators, and the set
-    keeps the rows divided by g as ``scaled``.  One Fraction is built per
-    distinct value.
+    vertices, since the scale L' > 0.  With g the gcd of L' and every value
+    (one ``np.gcd.reduce``, on int64 or Python ints), L = L'/g is the lcm of
+    the reduced denominators; the rows are divided by g in place and frozen.
     """
     scale, d = space.scaled
     _check_lip1(rows, d)
-    values = set(rows.ravel().tolist())
-    g = math.gcd(scale, *values)
-    ints = tuple(map(tuple, (rows // g).tolist()))
-    as_q = {x // g: Fraction(x, scale) for x in values}
-    verts = tuple(tuple(map(as_q.__getitem__, vert)) for vert in ints)
-    return Lip1VertexSet(space.point_ids[a0], verts, space, (scale // g, ints))
+    g = math.gcd(scale, int(np.gcd.reduce(rows, axis=None)))
+    if g > 1:
+        rows //= g
+    rows.setflags(write=False)
+    return Lip1VertexSet(space.point_ids[a0], space, scale // g, rows)
 
 
 def _check_rows(rows: int) -> None:
@@ -402,7 +402,7 @@ def _line_vertices(space: FiniteMetricSpace, a0: int, order: list[int]) -> Lip1V
     anchored polytope is the box |f(next) - f(prev)| <= gap in the slope
     coordinates, and its vertices are its 2^(n-1) corners.
     """
-    _check_rows(2 ** (space.n - 1))
+    _check_rows(2 ** (space.n - 1))  # peak: about 2n + 1 int64s per corner (unsorted, sorted, order)
     _, d = space.scaled
     p = order.index(a0)
     steps = [(order[k - 1], order[k]) for k in range(p + 1, space.n)]
@@ -410,10 +410,10 @@ def _line_vertices(space: FiniteMetricSpace, a0: int, order: list[int]) -> Lip1V
     verts = np.zeros((1, space.n), _value_dtype(space))
     for prev, v in steps:
         gap = d[prev][v]
-        col = verts[:, prev]
         verts = np.concatenate([verts, verts])
-        verts[:, v] = np.concatenate([col + gap, col - gap])
-    return _certified(space, a0, verts[_first_of_each(_pack(space, verts)[0])])
+        verts[:, v] = verts[:, prev] + np.repeat([gap, -gap], len(verts) // 2)
+    verts = verts[_first_of_each(_pack(space, verts)[0])]
+    return _certified(space, a0, verts)
 
 
 def _search_vertices(space: FiniteMetricSpace, a0: int) -> Lip1VertexSet:
@@ -478,16 +478,16 @@ def _search_vertices(space: FiniteMetricSpace, a0: int) -> Lip1VertexSet:
 def lip1_vertices(space: FiniteMetricSpace, anchor: str | None = None) -> Lip1VertexSet:
     """Exact vertex list of {f : f(anchor) = 0, f 1-Lipschitz}, sorted.
 
-    Two routes give the same sorted tuple.  When the distances embed
+    Two routes give the same sorted rows.  When the distances embed
     isometrically into the real line (checked exactly), the vertices are
     the 2^(n-1) slope-sign patterns, built in closed form.  Every other
     space goes through the generic spanning-tree search, which grows its
     states as array layers.  Both routes run on the space's scaled integer
     table, in int64 where :func:`_value_dtype` proves it cannot wrap and in
     Python ints otherwise, and share one certification: every vertex is
-    checked 1-Lipschitz in integers, the rows are sorted, and Fractions
-    are built once per distinct value.  Each route raises
-    ``SpaceTooLarge`` before it would build more than
+    checked 1-Lipschitz in integers, the rows are sorted and reduced to
+    the lcm of their denominators, and no Fraction is built.  Each route
+    raises ``SpaceTooLarge`` before it would build more than
     ``VERTEX_ROWS_BUDGET`` rows.
     """
     a0 = 0 if anchor is None else space.index(anchor)

@@ -89,12 +89,12 @@ def _all_diagonal(deltas: np.ndarray) -> bool:
     return not np.count_nonzero(deltas[:, ~np.eye(deltas.shape[1], dtype=bool)])
 
 
-def _best_float(space, phis: np.ndarray, deltas: np.ndarray, witnesses, method: str) -> RhoResult:
+def _best_float(space, phis: np.ndarray, deltas: np.ndarray, witness, method: str) -> RhoResult:
     """The float tail of the vertex and grid routes: the objective stack of
     the rows of ``phis`` against the differences (in real arithmetic unless
     they are complex), the first maximum of its spectral norms and that
-    row's top eigenvector, and the certified witness ``witnesses[i]`` (the
-    values behind row i)."""
+    row's top eigenvector, and the certified witness ``witness(i)`` (the
+    values behind row i, built for that row only)."""
     if linalg.is_exact_dtype(deltas.dtype):
         deltas = deltas.astype(np.float64)
     mats = np.tensordot(phis, deltas, axes=(1, 0))
@@ -103,7 +103,7 @@ def _best_float(space, phis: np.ndarray, deltas: np.ndarray, witnesses, method: 
     return RhoResult(
         value=value,
         exact=None,
-        witness_phi=certify_lipschitz(space, witnesses[best_i]),
+        witness_phi=certify_lipschitz(space, witness(best_i)),
         witness_vector=witness_vec,
         method=method,
     )
@@ -125,8 +125,8 @@ def rho_exact(
     which ``transport.kantorovich_dual_oracle`` is the one-slot case.
     ``vertices.best`` finds that maximum in Python ints, on the diagonals
     cleared by M, the lcm of their denominators, and keeps the first
-    maximum in (vertex, slot) order.  The ``exact`` field is the one
-    Fraction built at the end, top / (L*M).
+    maximum in (vertex, slot) order.  ``exact`` is top / (L*M), and the
+    witness is the one row built as Fractions.
     """
     _check_frames(space, E, F, vertices)
     deltas, exact = _difference_stack(E, F)
@@ -134,17 +134,17 @@ def rho_exact(
         n, d = deltas.shape[:2]
         unit, flat = cleared(deltas.diagonal(axis1=1, axis2=2).ravel().tolist())
         top, best_i, best_j = vertices.best([flat[a * d : (a + 1) * d] for a in range(n)])
-        best = Fraction(top, vertices.scaled[0] * unit)
+        best = Fraction(top, vertices.scale * unit)
         witness_vec = np.zeros(E.dim)
         witness_vec[best_j] = 1.0
         return RhoResult(
             value=float(best),
             exact=best,
-            witness_phi=certify_lipschitz(space, vertices.half[best_i]),
+            witness_phi=certify_lipschitz(space, vertices.vertex(best_i)),
             witness_vector=witness_vec,
             method="vertex",
         )
-    return _best_float(space, vertices.half_floats, deltas, vertices.half, "vertex")
+    return _best_float(space, vertices.half_floats, deltas, vertices.vertex, "vertex")
 
 
 def rho_assignments(E: OperatorValuedMeasure, F: OperatorValuedMeasure) -> Fraction:
@@ -245,7 +245,7 @@ def rho_lower_sphere(
     return RhoResult(
         value=float(best[r]),
         exact=None,
-        witness_phi=certify_lipschitz(space, vertices.half[best_iv[r]]),
+        witness_phi=certify_lipschitz(space, vertices.vertex(best_iv[r])),
         witness_vector=best_h[r],
         method="sphere",
     )
@@ -280,7 +280,7 @@ def rho_lower_grid(
     raw = SplitMix64(seed).uniforms(samples * space.n, -diam, diam).reshape(samples, space.n)
     phis = (raw[:, None, :] + dist).min(axis=2)
     phis = phis - phis[:, :1]
-    return _best_float(space, phis, deltas, phis.tolist(), "grid")
+    return _best_float(space, phis, deltas, lambda i: phis[i].tolist(), "grid")
 
 
 @dataclass(frozen=True)

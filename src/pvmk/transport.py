@@ -230,10 +230,10 @@ def kantorovich_dual_oracle(
     """max over polytope vertices of sum phi (mu - nu); equals the LP value.
 
     This is rho on a one-dimensional Hilbert space: ``vertices.best``
-    scores each vertex as L*phi (``vertices.scaled``) against the one
-    column of weight differences scaled by M, the lcm of the two measures'
-    denominators.  The maximum is L*M times the value, which is returned as
-    one Fraction.
+    scores each vertex as L*phi, a row of ``vertices.rows`` with
+    L = ``vertices.scale``, against the one column of weight differences
+    scaled by M, the lcm of the two measures' denominators.  The maximum is
+    L*M times the value, which is returned as one Fraction.
     """
     if vertices.space != space:
         raise StaleVertexSet("vertex set was built from a different space")
@@ -241,4 +241,4 @@ def kantorovich_dual_oracle(
     _check_measure(space, nu)
     unit, ab = cleared(mu.weights + nu.weights)
     top, _, _ = vertices.best([[x - y] for x, y in zip(ab[: space.n], ab[space.n :])])
-    return Fraction(top, vertices.scaled[0] * unit)
+    return Fraction(top, vertices.scale * unit)

@@ -64,13 +64,13 @@ IDS = [case[0] for case in PANEL]
 
 def _tails(monkeypatch, space, e, f):
     """Run rho_exact and rho_lower_grid on both orders of the pair, and
-    return (phis, E, F, result) for every float tail they ran."""
+    return (phis, E, F, result, witness) for every float tail they ran."""
     seen = []
     best_float = rho._best_float
 
-    def recording(space_, phis, deltas, witnesses, method):
-        res = best_float(space_, phis, deltas, witnesses, method)
-        seen.append((phis, res, witnesses))
+    def recording(space_, phis, deltas, witness, method):
+        res = best_float(space_, phis, deltas, witness, method)
+        seen.append((phis, res, witness))
         return res
 
     monkeypatch.setattr(rho, "_best_float", recording)
@@ -81,9 +81,9 @@ def _tails(monkeypatch, space, e, f):
             before = len(seen)
             res = run()
             if len(seen) > before:
-                phis, tail, witnesses = seen[-1]
+                phis, tail, witness = seen[-1]
                 assert tail is res
-                tails.append((phis, a, b, res, witnesses))
+                tails.append((phis, a, b, res, witness))
     return tails
 
 
@@ -102,10 +102,10 @@ def _bits(x) -> bytes:
 def test_float_tails_match_the_full_route(monkeypatch, space, pair):
     tails = _tails(monkeypatch, space, *pair)
     assert len(tails) == 4
-    for phis, e, f, res, witnesses in tails:
+    for phis, e, f, res, witness in tails:
         i, value, vec = full_route_rho(phis, e, f)
         assert _bits(res.value) == _bits(value)
-        assert res.witness_phi.values == tuple(witnesses[i])
+        assert res.witness_phi.values == tuple(witness(i))
         assert res.witness_vector.dtype == vec.dtype and _bits(res.witness_vector) == _bits(vec)
 
 

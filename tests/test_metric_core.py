@@ -472,15 +472,19 @@ def _equilateral(side):
 
 
 def test_large_tables_take_the_python_int_route():
-    # (2n + 2) * max(L*d) < 2^63 keeps int64; at and above it, object
+    # 2M + 1 < 2^63, M = max(L*d), keeps int64; at and above it, object
     floats = dict((case[0], case[1]) for case in CROSS_CHECK)["float-5"]
     assert floats.scaled[0] > 2**63
     assert _value_dtype(floats) is object
     assert _value_dtype(CROSS_CHECK[0][1]) is np.int64
-    below, at = _equilateral(2**60 - 1), _equilateral(2**60)
+    below, at = _equilateral(2**62 - 1), _equilateral(2**62)
     assert _value_dtype(below) is np.int64 and _value_dtype(at) is object
-    for space in (below, at, floats):
-        assert list(_search_vertices(space, 1).vertices) == _fraction_search_vertices(space, 1)
+    for space in (below, at):
+        for b in range(3):
+            verts = _search_vertices(space, b)
+            assert verts.rows.dtype == _value_dtype(space)
+            assert list(verts.vertices) == _fraction_search_vertices(space, b)
+    assert list(_search_vertices(floats, 1).vertices) == _fraction_search_vertices(floats, 1)
 
 
 def _wide_space(n, rng):
@@ -503,7 +507,7 @@ KEY_CASES = [
     ("one-word", _strict_space(6, SplitMix64(83)), 1, np.int64),
     ("three-words", _wide_space(5, SplitMix64(89)), 3, np.int64),
     ("object-floats", _float_space(5, SplitMix64(97)), 5, object),
-    ("int64-bound", _equilateral(2**60 - 1), 3, np.int64),
+    ("int64-bound", _equilateral(2**62 - 1), 3, np.int64),
 ]
 
 
@@ -541,8 +545,7 @@ def test_packed_keys_order_the_search_at_every_anchor(space, words, dtype, monke
 def test_certification_rejects_a_row_one_over_a_distance():
     space = _strict_space(5, SplitMix64(79))
     _, d = space.scaled
-    good = _search_vertices(space, 0).scaled[1]
-    table = [list(row) for row in good]
+    table = _search_vertices(space, 0).rows.tolist()
     for dtype in (np.int64, object):
         _check_lip1(np.array(table, dtype), d)
     # d(0, .) is 1-Lipschitz; one more at point 1 breaks the pair (0, 1) by 1
@@ -599,8 +602,8 @@ def test_lip_constant_matches_fraction_loop(space, values):
 
 
 def _canonical_half(vertices):
-    """Reference for ``Lip1VertexSet.half``: one vertex of each {phi, -phi}
-    pair, in vertex order."""
+    """Reference for the half of a ``Lip1VertexSet``, its first ceil(m/2)
+    vertices: one vertex of each {phi, -phi} pair, in vertex order."""
     seen = set()
     out = []
     for vert in vertices.vertices:
@@ -614,24 +617,25 @@ def _canonical_half(vertices):
 
 def test_vertex_set_caches_its_sign_half():
     one_point = lip1_vertices(validate_space([[0]]))
-    assert one_point.half == one_point.vertices == ((F(0),),)
+    assert one_point.vertices == ((F(0),),) and one_point.half_floats.tolist() == [[0.0]]
     # lines, random, strict and theta spaces divide in float64 (L * max(diam, 1)
     # below 2^53); the float table's L passes 2^53, so it divides Python ints
     spaces = [path_space(), SHUFFLED_LINES[-1]] + [case[1] for case in CROSS_CHECK]
     in_float64 = [True] * (len(spaces) - 1) + [False]
     for space, small in zip(spaces, in_float64):
         verts = lip1_vertices(space)
-        assert (verts.scaled[0] * max(space.diam, 1) < 2**53) == small
-        assert small or verts.scaled[0] > 2**53
-        assert verts.half == tuple(_canonical_half(verts))
-        assert verts.half is verts.half
-        # no vertex of two or more points is its own negation
-        assert 2 * len(verts.half) == len(verts)
+        assert (verts.scale * max(space.diam, 1) < 2**53) == small
+        assert small or verts.scale > 2**53
+        half = verts.vertices[: (len(verts) + 1) // 2]
+        assert half == tuple(_canonical_half(verts))
+        assert verts.vertices is verts.vertices
         arr = verts.half_floats
+        # no vertex of two or more points is its own negation
+        assert 2 * len(arr) == len(verts)
         assert arr is verts.half_floats
         assert arr.dtype == np.float64 and not arr.flags.writeable
         # bitwise the floats of the Fractions, though built from the scaled ints
-        floats = np.array([[float(x) for x in vert] for vert in verts.half])
+        floats = np.array([[float(x) for x in vert] for vert in half])
         assert np.array_equal(arr.view(np.uint64), floats.view(np.uint64))
         with pytest.raises(ValueError):
             arr[0, 0] = 1.0
@@ -641,8 +645,8 @@ def test_vertex_set_caches_its_scaled_ints():
     spaces = [validate_space([[0]]), path_space()] + [case[1] for case in CROSS_CHECK]
     for space in spaces:
         verts = lip1_vertices(space)
-        scale, ints = verts.scaled
-        assert verts.scaled is verts.scaled
+        scale, ints = verts.scale, verts.rows.tolist()
+        assert verts.rows.dtype == _value_dtype(space) and not verts.rows.flags.writeable
         assert space.scaled[0] % scale == 0
         assert all(type(x) is int for vert in ints for x in vert)
         assert tuple(tuple(F(x, scale) for x in vert) for vert in ints) == verts.vertices
@@ -650,6 +654,44 @@ def test_vertex_set_caches_its_scaled_ints():
         assert (scale, [x for vert in ints for x in vert]) == cleared(
             [x for vert in verts.vertices for x in vert]
         )
+
+
+def test_rows_over_their_scale_are_the_fraction_view():
+    # every space of at most 9 points in this module: the view, built on
+    # first read, holds rows / scale, the half's floats are the view's, and
+    # the rows refuse writes
+    spaces = [validate_space([[0]]), path_space(), *TOWER_LINES, *SHUFFLED_LINES, *_RANDOM_SEARCH]
+    spaces += [case[1] for case in CROSS_CHECK + KEY_CASES + LIP_CASES]
+    triadic = make_ifs([(F(1, 3), 0), (F(1, 3), F(1, 3)), (F(1, 3), F(2, 3))], 0, theta=F(1, 3))
+    spaces += [_strict_space(9, SplitMix64(3)), _tower_spaces(triadic, 2)[2]]
+    for space in spaces:
+        verts = lip1_vertices(space)
+        assert "vertices" not in verts.__dict__
+        view = tuple(tuple(F(x, verts.scale) for x in row) for row in verts.rows.tolist())
+        assert verts.vertices == view and verts.vertex(len(verts) - 1) == view[-1]
+        assert all(type(x) is Fraction for vert in verts.vertices for x in vert)
+        floats = np.array([[float(x) for x in vert] for vert in view[: len(verts.half_floats)]])
+        assert np.array_equal(verts.half_floats.view(np.uint64), floats.view(np.uint64))
+        with pytest.raises(ValueError):
+            verts.rows[0, 0] = 1
+
+
+def test_line_peak_stays_under_its_stated_factor():
+    # beside its _check_rows call the line route states its transient
+    # factor: about 2n + 1 int64s per corner, for the unsorted corners, their
+    # sorted copy and the sort order, side by side; certification then
+    # checks the sorted rows in blocks, in place
+    space = build_tower(dyadic_ifs(), 4).level(4).space
+    space.scaled
+    tracemalloc.start()
+    try:
+        verts = lip1_vertices(space)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    corners = 2 ** (space.n - 1)
+    assert len(verts) == corners and verts.rows.dtype == np.int64
+    assert peak < (2 * space.n + 2) * 8 * corners + 64 * 1024
 
 
 def test_a_table_given_as_a_function_is_built_on_first_read():

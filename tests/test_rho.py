@@ -8,7 +8,7 @@ import pytest
 from pvmk.errors import MismatchedMeasures
 from pvmk.ifs import build_tower, dyadic_ifs, make_ifs
 from pvmk.linalg import spectral_norm, to_complex, top_eigenpair
-from pvmk.metric_core import lip_constant, lip1_vertices, validate_space
+from pvmk.metric_core import Lip1VertexSet, lip_constant, lip1_vertices, validate_space
 from pvmk.ovm import conjugate, diagonal_pvm, integrate, validate_ovm
 from pvmk.rho import (
     SPHERE_ASCENT_STEPS,
@@ -27,11 +27,12 @@ from pvmk.sampling import (
     random_metric_space,
     random_povm,
     random_pvm,
+    random_rational_measure,
     random_rational_values,
     random_unit_vector,
     random_unitary,
 )
-from pvmk.transport import ProbMeasure, kantorovich
+from pvmk.transport import ProbMeasure, kantorovich, kantorovich_dual_oracle
 from oracles import _float_space, mcshane, strict_space
 
 F = Fraction
@@ -220,7 +221,7 @@ def _loop_sphere(space, e, f, restarts, seed, verts):
     complex_case = bool(np.abs(cdeltas.imag).max() > 0.0)
     phis = verts.half_floats
     rng = SplitMix64(seed)
-    best, best_h, best_vert = -1.0, None, verts.half[0]
+    best, best_h, best_vert = -1.0, None, verts.vertices[0]
     for _ in range(restarts):
         h = random_unit_vector(e.dim, rng, complex_=complex_case)
         prev = -1.0
@@ -230,7 +231,7 @@ def _loop_sphere(space, e, f, restarts, seed, verts):
             iv = int(np.argmax(vals))
             val = float(vals[iv])
             if val > best:
-                best, best_h, best_vert = val, h, verts.half[iv]
+                best, best_h, best_vert = val, h, verts.vertices[iv]
             if val <= prev * (1.0 + 1e-15):
                 break
             prev = val
@@ -386,11 +387,12 @@ def _loop_difference_stack(e, f):
 
 def _fraction_rho_diagonal(space, e, f, verts):
     """Reference for the exact diagonal branch of ``rho_exact``: the
-    Fraction loop over the half and the diagonal slots, with a strict >."""
+    Fraction loop over the half (the first ceil(m/2) vertices) and the
+    diagonal slots, with a strict >."""
     deltas = _loop_difference_stack(e, f)
     diag = [[np.asarray(m)[j, j] for m in deltas] for j in range(e.dim)]
-    best, best_vert, best_j = F(0), verts.half[0], 0
-    for vert in verts.half:
+    best, best_vert, best_j = F(0), verts.vertices[0], 0
+    for vert in verts.vertices[: (len(verts) + 1) // 2]:
         for j in range(e.dim):
             val = abs(sum(p * w for p, w in zip(vert, diag[j])))
             if val > best:
@@ -403,7 +405,7 @@ def _int_scan_diagonal_vertex(verts, deltas):
     ``rho._best_diagonal_vertex``, a vertex-major, slot-minor scan in Python
     ints with a strict ``>`` that scores only the slots with a non-zero
     difference, each on its non-zero atoms."""
-    scale, ints = verts.scaled
+    scale, ints = verts.scale, verts.rows.tolist()
     d = deltas.shape[1]
     unit, flat = cleared(deltas.diagonal(axis1=1, axis2=2).ravel().tolist())
     slots = []
@@ -412,7 +414,7 @@ def _int_scan_diagonal_vertex(verts, deltas):
         if nonzero:
             slots.append((j, nonzero))
     best, best_i, best_j = 0, 0, 0
-    for i, vert in enumerate(ints[: len(verts.half)]):
+    for i, vert in enumerate(ints[: (len(ints) + 1) // 2]):
         for j, col in slots:
             val = abs(sum([vert[a] * w for a, w in col]))
             if val > best:
@@ -505,7 +507,7 @@ def test_integer_diagonal_rho_matches_fraction_reference(space, e, f):
     unit, flat = cleared(deltas.diagonal(axis1=1, axis2=2).ravel().tolist())
     top, i, j = verts.best(np.array(flat, dtype=object).reshape(deltas.shape[:2]))
     expected = _int_scan_diagonal_vertex(verts, deltas)
-    assert (F(top, verts.scaled[0] * unit), i, j) == expected == (best, verts.half.index(best_vert), best_j)
+    assert (F(top, verts.scale * unit), i, j) == expected == (best, verts.vertices.index(best_vert), best_j)
     assert type(res.exact) is Fraction and res.exact == best
     assert res.value == float(best)
     assert res.witness_phi.values == best_vert
@@ -514,7 +516,7 @@ def test_integer_diagonal_rho_matches_fraction_reference(space, e, f):
     expected_vec[best_j] = 1.0
     assert np.array_equal(res.witness_vector, expected_vec)
     if e is f:
-        assert res.exact == 0 and best_j == 0 and best_vert == verts.half[0]
+        assert res.exact == 0 and best_j == 0 and best_vert == verts.vertices[0]
 
 
 @pytest.mark.parametrize(
@@ -539,16 +541,47 @@ def test_commuting_rho_is_the_largest_slot_w1(space, e, f):
 def test_best_keeps_the_first_maximum_and_scores_the_one_point_space():
     path = validate_space([[0, 1, 2], [1, 0, 1], [2, 1, 0]])
     verts = lip1_vertices(path)
-    scale = verts.scaled[0]
+    scale = verts.scale
     # every vertex has phi(p1) = +/-1, so every (vertex, slot) ties at L
     assert verts.best([[0, 0], [1, 1], [0, 0]]) == (scale, 0, 0)
     assert verts.best([[0, 0, 0]] * 3) == (0, 0, 0)
     # |phi(p2)| is largest (2) at the half's vertex with slopes (-, -), in
     # both slots
     top, i, j = verts.best([[0, 0], [0, 0], [1, -1]])
-    assert (top, j) == (2 * scale, 0) and verts.half[i] == (0, -1, -2)
+    assert (top, j) == (2 * scale, 0) and verts.vertices[i] == (0, -1, -2)
     one = lip1_vertices(validate_space([[0]]))
     assert one.best([[2**70, -3]]) == (0, 0, 0)
+
+
+def test_vertex_readers_build_only_their_witness_rows(monkeypatch):
+    # lip1_vertices, rho_exact on an exact diagonal and on a float pair, the
+    # sphere search and the transport dual oracle read the integer rows
+    # alone: the Fraction view stays unbuilt, and each witness is the one
+    # Fraction row built for it, the view's vertex of the same row
+    built = []
+    vertex = Lip1VertexSet.vertex
+
+    def recording(self, i):
+        built.append((int(i), vertex(self, i)))
+        return built[-1][1]
+
+    monkeypatch.setattr(Lip1VertexSet, "vertex", recording)
+    rng = SplitMix64(97)
+    space = random_metric_space(6, rng)
+    verts = lip1_vertices(space)
+    assert "vertices" not in verts.__dict__
+    e, f, _, _ = random_diagonal_pvm_pair(space, 3, rng)
+    g, h = random_pvm(space, 3, rng), random_pvm(space, 3, rng)
+    results = [rho_exact(space, e, f, verts), rho_exact(space, g, h, verts)]
+    results.append(rho_lower_sphere(space, g, h, restarts=4, vertices=verts))
+    mu, nu = random_rational_measure(6, rng), random_rational_measure(6, rng)
+    assert kantorovich_dual_oracle(space, mu, nu, verts) == kantorovich(space, mu, nu).value
+    assert "vertices" not in verts.__dict__
+    assert results[0].exact is not None and results[1].exact is None
+    assert [res.witness_phi.values for res in results] == [values for _, values in built]
+    assert all(values == verts.vertices[i] for i, values in built)
+    with pytest.raises(ValueError):
+        verts.rows[0, 0] = 1
 
 
 def test_difference_stack_sign_matches_the_entry_walk():

@@ -421,7 +421,7 @@ def _int_dual_oracle(mu, nu, verts):
     """Reference for ``kantorovich_dual_oracle``: the former generator,
     every vertex's L*phi (with no absolute value) against the cleared
     differences on the points where they are non-zero, in Python ints."""
-    scale, ints = verts.scaled
+    scale, ints = verts.scale, verts.rows.tolist()
     unit, ab = cleared(mu.weights + nu.weights)
     a, b = ab[: len(mu)], ab[len(mu) :]
     diff = [(i, x - y) for i, (x, y) in enumerate(zip(a, b)) if x != y]
