@@ -38,12 +38,12 @@ from .ovm import (
     polarize,
     quadratic_oracle_from,
     representation_check,
+    rho_assignments,
     scalar_measure,
     validate_ovm,
 )
 from .rho import (
     metric_axiom_suite,
-    rho_assignments,
     rho_exact,
     rho_lower_grid,
     rho_lower_sphere,

@@ -18,19 +18,8 @@ import sys
 import time
 from pathlib import Path
 
-from .cuntz import cuntz_verify, multiplication_pvm
+from . import cuntz, fixed_point, ifs, metric_core, rho, rng, sampling, transport
 from .errors import InputParseError, InputTooLarge, MetricAxiomError, MismatchedMeasures, PvmkError
-from .fixed_point import (
-    phi_iterate,
-    relate_verify,
-    swapped_diagonal_pvm,
-    verify_fixed_point,
-)
-from .ifs import build_tower, hutchinson_fixed
-from .metric_core import audit_space, lip1_vertices
-from .rho import rho_exact, rho_lower_grid, rho_lower_sphere
-from .rng import SplitMix64
-from .sampling import random_povm, random_pvm
 from .schemas import (
     SCHEMA_VERSION,
     canonical_json,
@@ -42,7 +31,6 @@ from .schemas import (
     vector_from_obj,
     write_text,
 )
-from .transport import kantorovich
 
 
 def _report(args, results, passed: bool, started: float) -> dict:
@@ -82,7 +70,7 @@ def _load_space(args):
 
 
 def _load_tower(args):
-    return build_tower(ifs_from_obj(load_json(args.ifs)), args.depth)
+    return ifs.build_tower(ifs_from_obj(load_json(args.ifs)), args.depth)
 
 
 def _cmd_space(args):
@@ -91,7 +79,7 @@ def _cmd_space(args):
         space = space_from_obj(doc)
     except MetricAxiomError:
         # the fields parsed above, so this only lists every violation
-        violations = audit_space(doc["dist"], [str(p["id"]) for p in doc["points"]])
+        violations = metric_core.audit_space(doc["dist"], [str(p["id"]) for p in doc["points"]])
         results = {
             "valid": False,
             "violations": [
@@ -106,7 +94,7 @@ def _cmd_kantorovich(args):
     space = _load_space(args)
     mu = measure_from_obj(load_json(args.mu), space)
     nu = measure_from_obj(load_json(args.nu), space)
-    res = kantorovich(space, mu, nu)
+    res = transport.kantorovich(space, mu, nu)
     gap = sum(
         p * (a - b) for p, a, b in zip(res.potential.values, mu.weights, nu.weights)
     ) - res.value
@@ -123,7 +111,7 @@ def _cmd_hutchinson(args):
     if args.depth < 1:
         raise InputParseError("the invariant measure lives at level >= 1")
     tower = _load_tower(args)
-    measure, cert = hutchinson_fixed(tower)
+    measure, cert = ifs.hutchinson_fixed(tower)
     results = {
         "weights": measure.weights,
         "certificate": cert,
@@ -134,7 +122,7 @@ def _cmd_hutchinson(args):
 
 def _cmd_cuntz_verify(args):
     tower = _load_tower(args)
-    levels = [cuntz_verify(tower, k) for k in range(1, args.depth + 1)]
+    levels = [cuntz.cuntz_verify(tower, k) for k in range(1, args.depth + 1)]
     return {"levels": levels}, all(rep.passed for rep in levels)
 
 
@@ -143,13 +131,13 @@ def _cmd_rho(args):
     E = ovm_from_obj(load_json(args.e), space)
     F = ovm_from_obj(load_json(args.f), space)
     if args.method == "vertex":
-        res = rho_exact(space, E, F, lip1_vertices(space))
+        res = rho.rho_exact(space, E, F, metric_core.lip1_vertices(space))
     elif args.method == "sphere":
-        res = rho_lower_sphere(
-            space, E, F, args.restarts, seed=args.seed, vertices=lip1_vertices(space)
+        res = rho.rho_lower_sphere(
+            space, E, F, args.restarts, seed=args.seed, vertices=metric_core.lip1_vertices(space)
         )
     else:
-        res = rho_lower_grid(space, E, F, args.trials, seed=args.seed)
+        res = rho.rho_lower_grid(space, E, F, args.trials, seed=args.seed)
     witness = res.witness_vector
     results = {
         "value": res.value,
@@ -167,11 +155,11 @@ def _cmd_rho(args):
 def _seed_ovm(args, tower, level):
     """The --seed-kind measure at the level; argparse admits only its choices."""
     if args.seed_kind == "truth":
-        return multiplication_pvm(tower, level)
+        return cuntz.multiplication_pvm(tower, level)
     if args.seed_kind == "swapped":
-        return swapped_diagonal_pvm(tower, level)
-    sample = random_pvm if args.seed_kind == "random-pvm" else random_povm
-    return sample(tower.level(level).space, tower.dim(level), SplitMix64(args.seed))
+        return fixed_point.swapped_diagonal_pvm(tower, level)
+    sample = sampling.random_pvm if args.seed_kind == "random-pvm" else sampling.random_povm
+    return sample(tower.level(level).space, tower.dim(level), rng.SplitMix64(args.seed))
 
 
 def _cmd_phi_iterate(args):
@@ -182,7 +170,7 @@ def _cmd_phi_iterate(args):
     if start_level < 0:
         raise InputParseError("steps exceed the tower depth")
     seed_ovm = _seed_ovm(args, tower, start_level)
-    trace = phi_iterate(tower, seed_ovm, args.steps, seed_desc=args.seed_kind)
+    trace = fixed_point.phi_iterate(tower, seed_ovm, args.steps, seed_desc=args.seed_kind)
     rows = ["step,level,rho_to_truth,ratio"]
     for rec in trace.records:
         rho_txt = "" if rec.rho_to_truth is None else format(rec.rho_to_truth, ".17g")
@@ -204,13 +192,13 @@ def _cmd_verify_fixed_point(args):
     candidate = None
     if args.e:
         candidate = ovm_from_obj(load_json(args.e), tower.level(args.depth).space)
-    rep = verify_fixed_point(tower, candidate)
+    rep = fixed_point.verify_fixed_point(tower, candidate)
     return rep, rep.passed
 
 
 def _cmd_relate_verify(args):
     tower = _load_tower(args)
-    rep = relate_verify(tower, vector_from_obj(load_json(args.h), tower.dim(args.depth)))
+    rep = fixed_point.relate_verify(tower, vector_from_obj(load_json(args.h), tower.dim(args.depth)))
     return rep, rep.passed
 
 
@@ -220,6 +208,11 @@ def _cmd_suite(args):
 
     if args.depth is not None and not args.ifs:
         raise InputParseError("--depth is the depth of the --ifs tower and needs --ifs")
+    # the user's tower first, so that a bad document or depth exits 2 before the sweep
+    tower = None
+    if args.ifs:
+        depth = 3 if args.depth is None else args.depth
+        tower = ifs.build_tower(ifs_from_obj(load_json(args.ifs)), depth)
     results = acceptance.run_all(seed=args.seed)
     ok = all(r.passed for r in results)
     payload = {
@@ -233,14 +226,11 @@ def _cmd_suite(args):
             for r in results
         ]
     }
-    if args.ifs:
-        ifs = ifs_from_obj(load_json(args.ifs))
-        depth = args.depth if args.depth is not None else 3
-        tower = build_tower(ifs, depth)
+    if tower is not None:
         smoke = {
             "depth": depth,
-            "cuntz": all(cuntz_verify(tower, k).passed for k in range(1, depth + 1)),
-            "fixed_point": verify_fixed_point(tower).passed,
+            "cuntz": all(cuntz.cuntz_verify(tower, k).passed for k in range(1, depth + 1)),
+            "fixed_point": fixed_point.verify_fixed_point(tower).passed,
         }
         payload["user_system"] = smoke
         ok = ok and smoke["cuntz"] and smoke["fixed_point"]

@@ -32,9 +32,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import ovm
 from .errors import BranchOutOfRange, LevelOutOfRange, WordTooLong
 from .ifs import CylinderTower, TowerLevel
-from .ovm import OperatorValuedMeasure, diagonal_pvm
 
 
 def build_cuntz_tower(tower: CylinderTower) -> CylinderTower:
@@ -130,14 +130,14 @@ def cylinder_projection(tower: CylinderTower, word: tuple[int, ...], ambient: in
     return np.diag(diag)
 
 
-def multiplication_pvm(tower: CylinderTower, k: int) -> OperatorValuedMeasure:
+def multiplication_pvm(tower: CylinderTower, k: int) -> ovm.OperatorValuedMeasure:
     """The diagonal projection valued measure on depth-k cells.
 
     Atom a carries the rank-one projection onto its own basis vector; the
     value on any coarser cylinder equals the corresponding cylinder
     projection, which is the fixed-point identity checked downstream.
     """
-    return diagonal_pvm(tower.level(k).space, range(tower.dim(k)))
+    return ovm.diagonal_pvm(tower.level(k).space, range(tower.dim(k)))
 
 
 def prefix_atoms(tower: CylinderTower, word: tuple[int, ...], k: int) -> list[str]:

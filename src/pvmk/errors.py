@@ -68,7 +68,7 @@ class OverlappingBranches(PvmkError):
 
 
 class TowerTooLarge(InputTooLarge):
-    def __init__(self, cells: int, cap: int):
+    def __init__(self, cells: int | str, cap: int):
         super().__init__(f"level would hold {cells} cells, cap is {cap}")
         self.cells = cells
         self.cap = cap
@@ -153,9 +153,16 @@ class NotUnitary(PvmkError):
 
 
 class StackTooLarge(InputTooLarge):
-    def __init__(self, shape: tuple[int, int, int], nbytes: int, budget: int):
+    """The stack, or ``copies`` of it held at once while it is built, is
+    over the budget; the message names the copies only when the stack alone
+    would fit."""
+
+    def __init__(self, shape: tuple[int, int, int], nbytes: int, budget: int, copies: int = 1):
         n, d, _ = shape
-        super().__init__(f"an atom stack of shape ({n}, {d}, {d}) needs {nbytes} bytes, budget is {budget}")
+        built = f" and {copies} times that while it is built" if nbytes <= budget else ""
+        super().__init__(
+            f"an atom stack of shape ({n}, {d}, {d}) needs {nbytes} bytes{built}, budget is {budget}"
+        )
         self.shape = shape
         self.nbytes = nbytes
         self.budget = budget

@@ -45,15 +45,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import linalg, ovm
+from . import linalg, ovm, rho, sampling
 from .cuntz import multiplication_pvm, word_positions
 from .errors import LevelOutOfRange, MismatchedMeasures, PvmkError
 from .ifs import CylinderTower
 from .metric_core import lip1_vertices
 from .ovm import OperatorValuedMeasure, diagonal_pvm
-from .rho import rho_assignments, rho_exact
 from .rng import SplitMix64
-from .sampling import random_povm, random_truth_conjugate_pvm
 
 RHO_VERTEX_CAP = 8
 RATIO_TOL = 1e-8
@@ -115,9 +113,9 @@ def phi_iterate(
     Distances are recorded at levels of at most ``RHO_VERTEX_CAP`` atoms;
     each recorded ratio must respect the contraction bound.  A 0/1
     diagonal measure (the truth, the swapped seed and every step of them)
-    is scored by :func:`rho_assignments`, one distance read per moved
+    is scored by :func:`ovm.rho_assignments`, one distance read per moved
     slot, so no level's Lip-1 vertex list or distance table is built for
-    it.  A dense or frame seed is scored by :func:`rho_exact` on the
+    it.  A dense or frame seed is scored by :func:`rho.rho_exact` on the
     level's vertices, which builds that level's table.  After the run,
     values on all cells of depth <= steps are checked against the cylinder
     projections (exactly for exact seeds).
@@ -145,11 +143,11 @@ def phi_iterate(
         if tower.dim(level) <= RHO_VERTEX_CAP:
             truth = multiplication_pvm(tower, level)
             if current.is_diagonal:
-                rho_val = float(rho_assignments(current, truth))
+                rho_val = float(ovm.rho_assignments(current, truth))
             else:
                 space = tower.level(level).space
                 verts = lip1_vertices(space)
-                rho_val = rho_exact(space, current, truth, verts).value
+                rho_val = rho.rho_exact(space, current, truth, verts).value
         ratio = None
         if rho_val is not None and prev_rho is not None and prev_rho > 1e-12:
             ratio = rho_val / prev_rho
@@ -270,7 +268,7 @@ def contraction_ratio_rho(
     or random positive splittings) are stepped to level k and the distance
     ratio is compared against the branch contraction bound.  From k = 2 on,
     the swapped diagonal against the truth is the tightness witness; its
-    ratio is exact, read from the assignments by :func:`rho_assignments`.
+    ratio is exact, read from the assignments by :func:`ovm.rho_assignments`.
     """
     if not 1 <= k <= tower.depth:
         raise LevelOutOfRange(f"ratio level {k} outside 1..{tower.depth}")
@@ -283,15 +281,15 @@ def contraction_ratio_rho(
 
     def one_trial(child: SplitMix64) -> float | None:
         if kind == "projection":
-            E = random_truth_conjugate_pvm(space_prev, child)
-            F = random_truth_conjugate_pvm(space_prev, child)
+            E = sampling.random_truth_conjugate_pvm(space_prev, child)
+            F = sampling.random_truth_conjugate_pvm(space_prev, child)
         else:
-            E = random_povm(space_prev, dim_prev, child)
-            F = random_povm(space_prev, dim_prev, child)
-        rho_prev = rho_exact(space_prev, E, F, verts_prev).value
+            E = sampling.random_povm(space_prev, dim_prev, child)
+            F = sampling.random_povm(space_prev, dim_prev, child)
+        rho_prev = rho.rho_exact(space_prev, E, F, verts_prev).value
         if rho_prev <= 1e-12:
             return None
-        rho_next = rho_exact(
+        rho_next = rho.rho_exact(
             space_next, phi_step(tower, k, E), phi_step(tower, k, F), verts_next
         ).value
         return rho_next / rho_prev
@@ -301,9 +299,9 @@ def contraction_ratio_rho(
     if k >= 2:
         truth = multiplication_pvm(tower, k - 1)
         off = swapped_diagonal_pvm(tower, k - 1)
-        num = rho_assignments(phi_step(tower, k, off), phi_step(tower, k, truth))
+        num = ovm.rho_assignments(phi_step(tower, k, off), phi_step(tower, k, truth))
         # off != truth at level >= 1, so the denominator is positive.
-        tight = num / rho_assignments(off, truth)
+        tight = num / ovm.rho_assignments(off, truth)
     return RhoContractionReport(
         level=k,
         kind=kind,

@@ -22,6 +22,7 @@ first symbol prepended, and its words are read into int arrays once
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
@@ -29,6 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import sampling, transport
 from .errors import (
     InputParseError,
     LevelOutOfRange,
@@ -38,8 +40,6 @@ from .errors import (
 from .metric_core import FiniteMetricSpace
 from .rationals import as_fraction, cleared
 from .rng import SplitMix64
-from .sampling import random_rational_measure
-from .transport import ProbMeasure, kantorovich
 
 DEFAULT_CELL_CAP = 4096
 SCALAR_MAX_SUPPORT = 8
@@ -279,8 +279,13 @@ def build_tower(ifs: IfsSystem, depth: int) -> CylinderTower:
     if depth < 0:
         raise InputParseError("depth must be non-negative")
     n = ifs.n_branches
-    if n**depth > DEFAULT_CELL_CAP:
-        raise TowerTooLarge(n**depth, DEFAULT_CELL_CAP)
+    # n >= 2, so n**depth > cap exactly when n**min(depth, b) > cap, with b
+    # the cap's bit length: no power of the depth itself is formed.
+    if n ** min(depth, DEFAULT_CELL_CAP.bit_length()) > DEFAULT_CELL_CAP:
+        # Python prints an int of up to 4,300 digits; past that, the count
+        # is named as the power.
+        cells = n**depth if depth * math.log10(n) < 4000 else f"{n}^{depth}"
+        raise TowerTooLarge(cells, DEFAULT_CELL_CAP)
     levels = [TowerLevel(ifs, ((),), None)]
     for _ in range(depth):
         prev = levels[-1]
@@ -289,7 +294,9 @@ def build_tower(ifs: IfsSystem, depth: int) -> CylinderTower:
     return CylinderTower(ifs, depth, tuple(levels))
 
 
-def hutchinson_step(tower: CylinderTower, k: int, nu: ProbMeasure) -> ProbMeasure:
+def hutchinson_step(
+    tower: CylinderTower, k: int, nu: transport.ProbMeasure
+) -> transport.ProbMeasure:
     """Averaged pushforward from level k to level k + 1.
 
     The cell (i, c) receives nu(c) / N: pulling (i, c) back through branch
@@ -306,7 +313,7 @@ def hutchinson_step(tower: CylinderTower, k: int, nu: ProbMeasure) -> ProbMeasur
     n = tower.ifs.n_branches
     scale, masses = cleared(nu.weights)
     shares = {m: Fraction(m, scale * n) for m in set(masses)}
-    return ProbMeasure(tuple(shares[m] for m in masses) * n)
+    return transport.ProbMeasure(tuple(shares[m] for m in masses) * n)
 
 
 def hutchinson_fixed(tower: CylinderTower, k: int | None = None):
@@ -315,8 +322,9 @@ def hutchinson_fixed(tower: CylinderTower, k: int | None = None):
     if k < 1:
         raise LevelOutOfRange("the invariant measure lives at level >= 1")
     cells = len(tower.level(k).words)
-    uniform = ProbMeasure.uniform(cells)
-    pushed = hutchinson_step(tower, k - 1, ProbMeasure.uniform(len(tower.level(k - 1).words)))
+    uniform = transport.ProbMeasure.uniform(cells)
+    parent = transport.ProbMeasure.uniform(len(tower.level(k - 1).words))
+    pushed = hutchinson_step(tower, k - 1, parent)
     certificate = {
         "invariant": pushed.weights == uniform.weights,
         "level": k,
@@ -353,13 +361,13 @@ def contraction_ratio_scalar(
     best: Fraction | None = None
     skipped = 0
     for _ in range(trials):
-        mu = random_rational_measure(cells, rng, max_support=SCALAR_MAX_SUPPORT)
-        nu = random_rational_measure(cells, rng, max_support=SCALAR_MAX_SUPPORT)
+        mu = sampling.random_rational_measure(cells, rng, max_support=SCALAR_MAX_SUPPORT)
+        nu = sampling.random_rational_measure(cells, rng, max_support=SCALAR_MAX_SUPPORT)
         if mu.weights == nu.weights:
             skipped += 1
             continue
-        h_k = kantorovich(space_k, mu, nu).value
-        h_k1 = kantorovich(
+        h_k = transport.kantorovich(space_k, mu, nu).value
+        h_k1 = transport.kantorovich(
             space_k1, hutchinson_step(tower, k, mu), hutchinson_step(tower, k, nu)
         ).value
         ratio = h_k1 / h_k

@@ -332,18 +332,29 @@ def _value_dtype(space: FiniteMetricSpace):
     return np.int64 if (2 * top + 1).bit_length() <= 63 else object
 
 
-def _check_lip1(rows: np.ndarray, d) -> None:
+def _check_lip1(rows: np.ndarray, d, order: list[int] | None = None) -> None:
     """Raise unless every row f of the (m, n) int array has
     |f_i - f_j| <= d[i][j] for every pair, which is ``lip_constant <= 1``
     for f / L on the scaled table d.  The rows are checked 4,096 at a time,
     with one pass per column i over the pairs (i, j > i), so its
-    temporaries are (4096, n - 1) arrays and no (m, n, n) array is built."""
+    temporaries are (4096, n - 1) arrays and no (m, n, n) array is built.
+
+    On a line, ``order`` is its points sorted along it, which
+    :func:`_line_order` checked exactly, and only its n - 1 neighbour pairs
+    are checked.  They imply every pair: for i < j < k along the line
+    d(i, k) = d(i, j) + d(j, k), so by induction on the points between,
+    |f_i - f_k| <= |f_i - f_j| + |f_j - f_k| <= d(i, j) + d(j, k) = d(i, k).
+    """
     table = np.array(d, rows.dtype)
+    if order is None:
+        pairs = [(slice(i, i + 1), slice(i + 1, None)) for i in range(rows.shape[1] - 1)]
+    else:
+        pairs = [(order[:-1], order[1:])]
     for start in range(0, len(rows), 4096):
         part = rows[start : start + 4096]
-        for i in range(rows.shape[1] - 1):
-            gaps = np.abs(part[:, i + 1 :] - part[:, i : i + 1])
-            if (gaps > table[i, i + 1 :]).any():
+        for i, j in pairs:
+            gaps = np.abs(part[:, j] - part[:, i])
+            if (gaps > table[i, j]).any():
                 raise MetricAxiomError("enumerated vertex exceeds Lipschitz constant 1")
 
 
@@ -372,8 +383,12 @@ def _first_of_each(keys: np.ndarray) -> np.ndarray:
     return order[np.concatenate([[True], (ranked[1:] != ranked[:-1]).any(axis=1)])]
 
 
-def _certified(space: FiniteMetricSpace, a0: int, rows: np.ndarray) -> Lip1VertexSet:
-    """The vertex set of a route's distinct scaled integer rows, certified.
+def _certified(
+    space: FiniteMetricSpace, a0: int, rows: np.ndarray, order: list[int] | None = None
+) -> Lip1VertexSet:
+    """The vertex set of a route's distinct scaled integer rows, certified
+    (on a line's neighbour pairs when ``order`` is given, see
+    :func:`_check_lip1`).
 
     The routes sort the rows by their packed keys, which sorts the
     vertices, since the scale L' > 0.  With g the gcd of L' and every value
@@ -381,7 +396,7 @@ def _certified(space: FiniteMetricSpace, a0: int, rows: np.ndarray) -> Lip1Verte
     the reduced denominators; the rows are divided by g in place and frozen.
     """
     scale, d = space.scaled
-    _check_lip1(rows, d)
+    _check_lip1(rows, d, order)
     g = math.gcd(scale, int(np.gcd.reduce(rows, axis=None)))
     if g > 1:
         rows //= g
@@ -413,7 +428,7 @@ def _line_vertices(space: FiniteMetricSpace, a0: int, order: list[int]) -> Lip1V
         verts = np.concatenate([verts, verts])
         verts[:, v] = verts[:, prev] + np.repeat([gap, -gap], len(verts) // 2)
     verts = verts[_first_of_each(_pack(space, verts)[0])]
-    return _certified(space, a0, verts)
+    return _certified(space, a0, verts, order)
 
 
 def _search_vertices(space: FiniteMetricSpace, a0: int) -> Lip1VertexSet:

@@ -23,7 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import linalg
+from . import linalg, sampling
 from .errors import InputParseError, MismatchedMeasures, StaleVertexSet
 from .metric_core import (
     FiniteMetricSpace,
@@ -35,7 +35,6 @@ from .metric_core import (
 from .ovm import OperatorValuedMeasure, atom_difference_norms, integrate
 from .rationals import cleared
 from .rng import SplitMix64
-from .sampling import random_unit_vectors
 
 SPHERE_ASCENT_STEPS = 50
 # Slack of the float comparisons in the metric-axiom and topology checks.
@@ -147,34 +146,6 @@ def rho_exact(
     return _best_float(space, vertices.half_floats, deltas, vertices.vertex, "vertex")
 
 
-def rho_assignments(E: OperatorValuedMeasure, F: OperatorValuedMeasure) -> Fraction:
-    """Exact rho of two 0/1 diagonal PVMs, read from their assignments.
-
-    Both measures must be 0/1 diagonal (``OperatorValuedMeasure.is_diagonal``),
-    with assignments a_E, a_F, on the same space and dimension.
-    Then rho(E, F) = max_j d(a_E(j), a_F(j)), found with one distance read
-    per slot where the assignments differ, and no vertex list or table.
-
-    Proof.  For any phi, integral phi dE - integral phi dF is diagonal, with
-    entry phi(a_E(j)) - phi(a_F(j)) in slot j, so its norm is the largest
-    |phi(a_E(j)) - phi(a_F(j))|.  For 1-Lipschitz phi each entry is at most
-    d(a_E(j), a_F(j)), so rho(E, F) is at most the maximum.  Conversely, let
-    slot j attain the maximum and y = a_F(j).  The McShane extension of the
-    value 0 at y, phi(x) = d(x, y) - d(anchor, y), is 1-Lipschitz by the
-    triangle inequality and vanishes at the anchor; the anchoring constant
-    cancels in the difference, and phi(a_E(j)) - phi(y) = d(a_E(j), y).  So
-    each slot's scalar Kantorovich distance W1(delta_{a_E(j)}, delta_{a_F(j)})
-    = d(a_E(j), a_F(j)) is attained, and the maximum is rho(E, F).
-    """
-    if not E.same_frame(F):
-        raise MismatchedMeasures("measures live on different spaces or dimensions")
-    if not (E.is_diagonal and F.is_diagonal):
-        raise MismatchedMeasures("both measures must be stored as 0/1 diagonal assignments")
-    d = E.space.d
-    slots = zip(E.assignment.tolist(), F.assignment.tolist())
-    return max((d(a, b) for a, b in slots if a != b), default=Fraction(0))
-
-
 def rho_lower_sphere(
     space: FiniteMetricSpace,
     E: OperatorValuedMeasure,
@@ -219,7 +190,7 @@ def rho_lower_sphere(
     n, d = cdeltas.shape[:2]
     rows = cdeltas.reshape(n, d * d)
     phis = vertices.half_floats
-    h = random_unit_vectors(restarts, d, SplitMix64(seed), complex_=complex_case)
+    h = sampling.random_unit_vectors(restarts, d, SplitMix64(seed), complex_=complex_case)
     best = np.full(restarts, -1.0)
     best_h = h.copy()
     best_iv = np.zeros(restarts, dtype=np.intp)

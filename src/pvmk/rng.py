@@ -18,6 +18,8 @@ MASK64 = (1 << 64) - 1
 GAMMA = 0x9E3779B97F4A7C15
 MIX1 = 0xBF58476D1CE4E5B9
 MIX2 = 0x94D049BB133111EB
+# Gaussians drawn per block by ``SplitMix64.gausses``.
+GAUSS_BLOCK = 1 << 16
 
 
 class SplitMix64:
@@ -71,17 +73,21 @@ class SplitMix64:
     def gausses(self, k: int) -> np.ndarray:
         """The next k ``gauss()`` draws as one float64 array, bit for bit.
 
-        The 2k integer draws are one block; the logs and cosines stay the
-        scalar's ``math`` calls, one per draw, since numpy's may round
-        differently.
+        The draws fill one preallocated array in blocks of ``GAUSS_BLOCK``,
+        each block's integer draws (two per Gaussian) taken at once, so what
+        a call holds besides its result is bounded by the block, not by k.  The logs and cosines
+        stay the scalar's ``math`` calls, one per draw, since numpy's may
+        round differently.
         """
-        top = self._top53(2 * k)
-        u1 = ((top[0::2] + np.uint64(1)).astype(np.float64) * 2.0 ** -53).tolist()
-        u2 = (top[1::2].astype(np.float64) * 2.0 ** -53).tolist()
-        return np.array(
-            [math.sqrt(-2.0 * math.log(a)) * math.cos(2.0 * math.pi * b) for a, b in zip(u1, u2)],
-            dtype=np.float64,
-        )
+        out = np.empty(k, dtype=np.float64)
+        for start in range(0, k, GAUSS_BLOCK):
+            top = self._top53(2 * min(GAUSS_BLOCK, k - start))
+            u1 = ((top[0::2] + np.uint64(1)).astype(np.float64) * 2.0 ** -53).tolist()
+            u2 = (top[1::2].astype(np.float64) * 2.0 ** -53).tolist()
+            out[start : start + len(u1)] = [
+                math.sqrt(-2.0 * math.log(a)) * math.cos(2.0 * math.pi * b) for a, b in zip(u1, u2)
+            ]
+        return out
 
     def distinct_indices(self, n: int, k: int) -> list[int]:
         """k distinct indices from range(n), by partial Fisher-Yates."""

@@ -141,7 +141,9 @@ def random_povm(space: FiniteMetricSpace, dim: int, rng: SplitMix64) -> Operator
     atom and row by row; an attempt whose sum is nearly singular is drawn
     again.
     """
-    check_stack_budget(space.n, dim, np.float64)
+    # peak: 5 stacks (the draws, their products, the normalized atoms, and
+    # their symmetrized sum and half), plus a draw block's Python floats
+    check_stack_budget(space.n, dim, np.float64, 5)
     while True:
         g = rng.gausses(space.n * dim * dim).reshape(space.n, dim, dim)
         parts = g.transpose(0, 2, 1) @ g

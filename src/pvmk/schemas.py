@@ -14,12 +14,9 @@ from pathlib import Path
 
 import numpy as np
 
+from . import ifs, metric_core, ovm, transport
 from .errors import InputParseError
-from .ifs import IfsSystem, make_ifs
-from .metric_core import FiniteMetricSpace, validate_space
-from .ovm import OperatorValuedMeasure, validate_ovm
 from .rationals import as_fraction, rational_str
-from .transport import ProbMeasure
 
 SCHEMA_VERSION = 1
 
@@ -45,7 +42,7 @@ def _float(value) -> float:
         raise InputParseError(f"number out of float range: {value!r}") from exc
 
 
-def space_from_obj(obj) -> FiniteMetricSpace:
+def space_from_obj(obj) -> metric_core.FiniteMetricSpace:
     """{"points": [{"id": str, "coord": [num...]?}...], "dist": [[num|"p/q"...]...]};
     each coordinate must parse as a rational, and none is kept."""
     try:
@@ -57,10 +54,10 @@ def space_from_obj(obj) -> FiniteMetricSpace:
                 as_fraction(c)
     except (KeyError, TypeError) as exc:
         raise InputParseError(f"space document missing or malformed field: {exc!r}") from exc
-    return validate_space(_rows(dist, "distance table"), ids)
+    return metric_core.validate_space(_rows(dist, "distance table"), ids)
 
 
-def measure_from_obj(obj, space: FiniteMetricSpace) -> ProbMeasure:
+def measure_from_obj(obj, space: metric_core.FiniteMetricSpace) -> transport.ProbMeasure:
     """{"weights": [num|"p/q", ...]}"""
     try:
         weights = obj["weights"]
@@ -68,7 +65,7 @@ def measure_from_obj(obj, space: FiniteMetricSpace) -> ProbMeasure:
         raise InputParseError(f"measure document missing field: {exc}") from exc
     if not isinstance(weights, list) or len(weights) != space.n:
         raise InputParseError("measure weights must be a list covering every point")
-    return ProbMeasure.from_values(weights)
+    return transport.ProbMeasure.from_values(weights)
 
 
 def _known_keys(obj, keys: tuple[str, ...], what: str) -> None:
@@ -79,7 +76,7 @@ def _known_keys(obj, keys: tuple[str, ...], what: str) -> None:
         raise InputParseError(f"{what} has unknown field {', '.join(map(repr, unknown))}")
 
 
-def ifs_from_obj(obj) -> IfsSystem:
+def ifs_from_obj(obj) -> ifs.IfsSystem:
     """{"N": int, "branches": [{"r": "p/q", "b": "p/q"}...], "base_point": "p/q",
     "symbolic_metric": {"theta": "p/q"}?}; any other key is rejected."""
     _known_keys(obj, ("N", "branches", "base_point", "symbolic_metric"), "ifs document")
@@ -100,7 +97,7 @@ def ifs_from_obj(obj) -> IfsSystem:
         theta = symbolic.get("theta") if isinstance(symbolic, dict) else None
         if theta is None:
             raise InputParseError("symbolic_metric requires a theta")
-    return make_ifs(branches, base, theta)
+    return ifs.make_ifs(branches, base, theta)
 
 
 def _float_matrix(rows) -> np.ndarray:
@@ -142,7 +139,7 @@ def _matrix_from_obj(obj, dim: int) -> np.ndarray:
     return _float_matrix(re) + 1j * _float_matrix(_square(im, dim))
 
 
-def ovm_from_obj(obj, space: FiniteMetricSpace) -> OperatorValuedMeasure:
+def ovm_from_obj(obj, space: metric_core.FiniteMetricSpace) -> ovm.OperatorValuedMeasure:
     """{"kind": "projection"|"positive", "dim": int, "atoms": [{"id": str,
     "matrix": {"re": [[...]], "im": [[...]]?}}...]}"""
     try:
@@ -162,7 +159,7 @@ def ovm_from_obj(obj, space: FiniteMetricSpace) -> OperatorValuedMeasure:
     if set(by_id) != set(space.point_ids):
         raise InputParseError("ovm atoms must match the space's point ids")
     mats = [by_id[pid] for pid in space.point_ids]
-    return validate_ovm(space, mats, kind)
+    return ovm.validate_ovm(space, mats, kind)
 
 
 def vector_from_obj(obj, dim: int) -> np.ndarray:

@@ -1,7 +1,9 @@
 """Reference routes shared by several test modules, kept here so that no
 test module imports another."""
 
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
@@ -12,6 +14,20 @@ from pvmk.metric_core import FiniteMetricSpace, validate_space
 from pvmk.ovm import OperatorValuedMeasure
 
 F = Fraction
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def tracer_layers() -> dict:
+    """The benchmark tracer's ``LAYERS``, module -> wrapped functions.
+    ``perfbench/tracer.py`` is read as source, never imported, so the tests
+    run without the benchmark harness on the path."""
+    for node in ast.parse(TRACER.read_text()).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "LAYERS" for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/tracer.py defines no LAYERS")
 
 
 def word_id(word) -> str:

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 
 import pvmk.cli
 import pvmk.errors
+import pvmk.fixed_point
 import pvmk.ifs
 import pvmk.metric_core
 from pvmk.cli import run
@@ -213,7 +215,7 @@ def test_commands_that_read_no_coordinate_build_no_representatives(files, capsys
         towers.append(build_tower(ifs, depth))
         return towers[-1]
 
-    monkeypatch.setattr(pvmk.cli, "build_tower", recording)
+    monkeypatch.setattr(pvmk.ifs, "build_tower", recording)
     tmp, write = files
     dyadic = write("ifs.json", DYADIC)
     theta = write("theta.json", {**DYADIC, "symbolic_metric": {"theta": "1/3"}})
@@ -469,7 +471,7 @@ def test_suite_command_plumbing(files, capsys, monkeypatch):
     capsys.readouterr()
 
 
-def test_suite_depth_without_ifs_exits_2_before_the_sweep(capsys, monkeypatch):
+def test_suite_depth_without_ifs_exits_2_before_the_sweep(files, capsys, monkeypatch):
     from pvmk import acceptance as acc
 
     def no_sweep(seed=0):
@@ -477,6 +479,13 @@ def test_suite_depth_without_ifs_exits_2_before_the_sweep(capsys, monkeypatch):
 
     monkeypatch.setattr(acc, "run_all", no_sweep)
     assert run(["suite", "--depth", "2"]) == 2
+    _one_error_line(capsys)
+    # so do a depth over the cell cap and an unreadable document
+    tmp, write = files
+    ifs = write("ifs.json", DYADIC)
+    assert run(["suite", "--ifs", ifs, "--depth", "100000"]) == 2
+    _one_error_line(capsys)
+    assert run(["suite", "--ifs", str(tmp / "missing.json")]) == 2
     _one_error_line(capsys)
 
 
@@ -635,6 +644,21 @@ def test_cap_errors_exit_2(files, capsys, monkeypatch):
     assert capsys.readouterr().err == "error: vertex enumeration would build 2 rows, budget is 1\n"
 
 
+@pytest.mark.parametrize(
+    "depth, cells",
+    [("13", "8192"), ("100000", "2^100000"), ("99999999999999999999", "2^99999999999999999999")],
+)
+def test_a_huge_depth_exits_2_at_once_with_one_error_line(files, capsys, depth, cells):
+    # 2^100000 has more digits than Python prints, and 2^(10^20) cannot be
+    # formed at all: the depth is refused before any power of it
+    tmp, write = files
+    ifs = write("ifs.json", DYADIC)
+    started = time.perf_counter()
+    assert run(["cuntz-verify", "--ifs", ifs, "--depth", depth]) == 2
+    assert time.perf_counter() - started < 1.0
+    assert capsys.readouterr() == ("", f"error: level would hold {cells} cells, cap is 4096\n")
+
+
 @pytest.mark.parametrize("module", ["pvmk", "pvmk.cli"])
 def test_python_dash_m_runs_the_cli(module):
     root = Path(__file__).resolve().parents[1]
@@ -674,7 +698,7 @@ def test_running_out_of_memory_exits_2_with_one_error_line(files, capsys, monkey
 
     tmp, write = files
     ifs = write("ifs.json", DYADIC)
-    monkeypatch.setattr(pvmk.cli, "phi_iterate", exhausted)
+    monkeypatch.setattr(pvmk.fixed_point, "phi_iterate", exhausted)
     assert run(["phi-iterate", "--ifs", ifs, "--depth", "3", "--steps", "2"]) == 2
     assert capsys.readouterr().err == "error: out of memory: the input is too large for this machine\n"
 
@@ -685,15 +709,16 @@ def test_a_stack_over_the_byte_budget_exits_2_with_one_error_line(capsys, monkey
     # level 6 builds that stack, and is refused.  A random-pvm seed is a
     # frame and an assignment, and a step from level 5 keeps the level-5
     # seed, so those runs build no stack and pass; reading their final
-    # atoms is refused.
+    # atoms is refused.  The level-5 povm seed holds 5 stacks of 256 KiB
+    # while it is drawn, which the 1.5 MiB budget admits.
     root = Path(__file__).resolve().parents[1]
-    monkeypatch.setattr(pvmk.ovm, "STACK_BYTES_BUDGET", 1 << 20)
+    monkeypatch.setattr(pvmk.ovm, "STACK_BYTES_BUDGET", 3 << 19)
     traces = []
-    real = pvmk.cli.phi_iterate
-    monkeypatch.setattr(pvmk.cli, "phi_iterate", lambda *args, **kw: traces.append(real(*args, **kw)) or traces[-1])
+    real = pvmk.fixed_point.phi_iterate
+    monkeypatch.setattr(pvmk.fixed_point, "phi_iterate", lambda *args, **kw: traces.append(real(*args, **kw)) or traces[-1])
     argv = ["phi-iterate", "--ifs", str(root / "sample_inputs" / "dyadic_ifs.json"), "--depth", "6",
             "--steps", str(steps), "--seed-kind", seed_kind]
-    refusal = "an atom stack of shape (64, 64, 64) needs 2097152 bytes, budget is 1048576"
+    refusal = "an atom stack of shape (64, 64, 64) needs 2097152 bytes, budget is 1572864"
     if (seed_kind, steps) != ("random-povm", 0):
         assert run(argv) == 0
         captured = capsys.readouterr()
@@ -706,6 +731,23 @@ def test_a_stack_over_the_byte_budget_exits_2_with_one_error_line(capsys, monkey
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {refusal}\n"
+
+
+def test_a_povm_seed_whose_transients_pass_the_budget_exits_2_with_one_error_line(capsys, monkeypatch):
+    # the level-6 stack (2 MiB) fits a 4 MiB budget, but random_povm holds
+    # 5 stacks at its peak; 5 * 2 MiB is the smallest budget it runs under
+    root = Path(__file__).resolve().parents[1]
+    argv = ["phi-iterate", "--ifs", str(root / "sample_inputs" / "dyadic_ifs.json"), "--depth", "6",
+            "--steps", "0", "--seed-kind", "random-povm"]
+    monkeypatch.setattr(pvmk.ovm, "STACK_BYTES_BUDGET", 1 << 22)
+    assert run(argv) == 2
+    assert capsys.readouterr() == ("", (
+        "error: an atom stack of shape (64, 64, 64) needs 2097152 bytes and 5 times that while it"
+        " is built, budget is 4194304\n"
+    ))
+    monkeypatch.setattr(pvmk.ovm, "STACK_BYTES_BUDGET", 5 * 2097152)
+    assert run(argv) == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] == "pass"
 
 
 def test_every_size_refusal_is_an_input_too_large():

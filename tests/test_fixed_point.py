@@ -11,7 +11,7 @@ from pvmk.cuntz import (
     prefix_atoms,
 )
 from pvmk.errors import LevelOutOfRange, MismatchedMeasures
-from pvmk import cuntz, fixed_point, linalg, ovm
+from pvmk import cuntz, fixed_point, linalg, ovm, rho
 from pvmk.fixed_point import (
     RelateReport,
     _cylinder_identities,
@@ -26,8 +26,15 @@ from pvmk.fixed_point import (
 from pvmk.ifs import CylinderTower, TowerLevel, build_tower, dyadic_ifs, make_ifs, triadic_ifs
 from pvmk.linalg import gram_rank, max_abs
 from pvmk.metric_core import lip1_vertices
-from pvmk.ovm import OperatorValuedMeasure, diagonal_pvm, measure_of, scalar_measure, validate_ovm
-from pvmk.rho import rho_assignments, rho_exact
+from pvmk.ovm import (
+    OperatorValuedMeasure,
+    diagonal_pvm,
+    measure_of,
+    rho_assignments,
+    scalar_measure,
+    validate_ovm,
+)
+from pvmk.rho import rho_exact
 from pvmk.rng import SplitMix64
 from pvmk.sampling import (
     random_diagonal_pvm_pair,
@@ -649,7 +656,7 @@ def _refuse(*args, **kwargs):
 
 def test_phi_iterate_scores_assignments_without_vertices_or_tables(monkeypatch):
     monkeypatch.setattr(fixed_point, "lip1_vertices", _refuse)
-    monkeypatch.setattr(fixed_point, "rho_exact", _refuse)
+    monkeypatch.setattr(rho, "rho_exact", _refuse)
     ct = build_tower(dyadic_ifs(), 5)
     swapped = phi_iterate(ct, swapped_diagonal_pvm(ct, 1), 4)
     assert [(r.level, r.rho_to_truth, r.ratio) for r in swapped.records] == [

@@ -1,5 +1,7 @@
 """Eigensolver checks against known spectra and generator reproducibility."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,8 +17,16 @@ from pvmk.linalg import (
     to_complex,
     top_eigenpair,
 )
+import pvmk.rng
+from pvmk.ifs import build_tower, dyadic_ifs
 from pvmk.rng import SplitMix64
-from pvmk.sampling import random_orthogonal, random_unit_vector, random_unit_vectors, random_unitary
+from pvmk.sampling import (
+    random_orthogonal,
+    random_povm,
+    random_unit_vector,
+    random_unit_vectors,
+    random_unitary,
+)
 
 
 def test_splitmix64_reference_stream():
@@ -73,6 +83,44 @@ def test_block_gausses_are_the_scalar_draws(seed, k):
     assert got.dtype == np.float64 and got.shape == (k,)
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
     assert block._state == scalar._state
+
+
+@pytest.mark.parametrize("k", [0, 3, 4, 5, 9])
+def test_gausses_in_blocks_are_the_scalar_draws(monkeypatch, k):
+    # blocks of 4 draws: none, part of one, one, and a part past a block's end
+    monkeypatch.setattr(pvmk.rng, "GAUSS_BLOCK", 4)
+    block, scalar = SplitMix64(17), SplitMix64(17)
+    got = block.gausses(k)
+    want = np.array([scalar.gauss() for _ in range(k)], dtype=np.float64)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert block.next_u64() == scalar.next_u64()
+
+
+def test_gausses_past_one_block_are_the_scalar_draws():
+    k = pvmk.rng.GAUSS_BLOCK + 3
+    block, scalar = SplitMix64(23), SplitMix64(23)
+    got = block.gausses(k)
+    want = np.array([scalar.gauss() for _ in range(k)], dtype=np.float64)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert block._state == scalar._state
+
+
+def test_random_povm_peak_stays_under_its_stated_factor():
+    # beside its check_stack_budget call, random_povm states a peak of 5
+    # stacks plus one draw block's Python floats: about 100 bytes per draw
+    # of a block (two lists of inputs and one of results), so 8 MiB for
+    # 2^16.  The dyadic level 6 draws 2^18 Gaussians, four blocks, for a
+    # 2 MiB stack.
+    space = build_tower(dyadic_ifs(), 6).level(6).space
+    space.point_ids
+    stack = 64 * 64 * 64 * 8
+    tracemalloc.start()
+    try:
+        random_povm(space, 64, SplitMix64(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 4 * stack < peak <= 5 * stack + pvmk.rng.GAUSS_BLOCK * 128
 
 
 def _loop_unit_vector(dim, rng, complex_):

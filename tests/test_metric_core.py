@@ -557,6 +557,72 @@ def test_certification_rejects_a_row_one_over_a_distance():
             _check_lip1(np.array(table + [bad], dtype), d)
 
 
+def _integer_line(coords):
+    """The line on integer coordinates, in the given (unsorted) point order;
+    its scale is 1, so vertex rows are in the table's units."""
+    space = validate_space([[abs(x - y) for y in coords] for x in coords])
+    assert space.scaled[0] == 1
+    return space
+
+
+def _raises(rows, d, order=None) -> bool:
+    try:
+        _check_lip1(rows, d, order)
+    except MetricAxiomError:
+        return True
+    return False
+
+
+def test_line_neighbour_check_agrees_with_the_full_check():
+    # rows walked along the line, each step within its gap or, one time in
+    # eight, one over it, so some rows break a pair and some do not; each
+    # row is decided alone
+    rng = SplitMix64(83)
+    outcomes = set()
+    for n in (2, 3, 5, 8):
+        coords = rng.distinct_indices(30, n)
+        space = _integer_line(coords)
+        order = _line_order(space)
+        _, d = space.scaled
+        for _ in range(60):
+            row = [0] * n
+            row[order[0]] = rng.randint(-50, 50)
+            for prev, v in zip(order, order[1:]):
+                gap = d[prev][v]
+                step = gap + 1 if rng.randint(0, 7) == 0 else rng.randint(0, gap)
+                row[v] = row[prev] + step * (1 if rng.randint(0, 1) else -1)
+            for dtype in (np.int64, object):
+                rows = np.array([row], dtype)
+                full = _raises(rows, d)
+                assert _raises(rows, d, order) == full
+                outcomes.add(full)
+    assert outcomes == {True, False}
+
+
+def test_one_unit_corruption_of_a_line_vertex_still_raises():
+    space = _integer_line([7, 0, 30, 12, 19, 3])
+    order = _line_order(space)
+    _, d = space.scaled
+    for anchor in (0, 2):
+        verts = lip1_vertices(space, space.point_ids[anchor])
+        assert verts.scale == 1
+        rows = verts.rows.tolist()
+        _check_lip1(np.array(rows), d, order)
+        p = order.index(anchor)
+        for i in (0, len(rows) // 3, len(rows) - 1):
+            for k, v in enumerate(order):
+                if v == anchor:
+                    continue
+                # v's neighbour toward the anchor: the vertex's slope there is
+                # tight, and one unit further along it breaks that one pair
+                u = order[k - 1] if k > p else order[k + 1]
+                bad = list(rows[i])
+                bad[v] += 1 if bad[v] > bad[u] else -1
+                for dtype in (np.int64, object):
+                    corrupted = np.array(rows[:i] + [bad] + rows[i + 1 :], dtype)
+                    assert _raises(corrupted, d, order) and _raises(corrupted, d)
+
+
 def test_scaled_table_is_a_cache_outside_equality():
     rng = SplitMix64(67)
     for space in (_strict_space(5, rng), _float_space(4, rng), path_space()):

@@ -9,12 +9,11 @@ from pvmk.errors import MismatchedMeasures
 from pvmk.ifs import build_tower, dyadic_ifs, make_ifs
 from pvmk.linalg import spectral_norm, to_complex, top_eigenpair
 from pvmk.metric_core import Lip1VertexSet, lip_constant, lip1_vertices, validate_space
-from pvmk.ovm import conjugate, diagonal_pvm, integrate, validate_ovm
+from pvmk.ovm import conjugate, diagonal_pvm, integrate, rho_assignments, validate_ovm
 from pvmk.rho import (
     SPHERE_ASCENT_STEPS,
     _difference_stack,
     metric_axiom_suite,
-    rho_assignments,
     rho_exact,
     rho_lower_grid,
     rho_lower_sphere,

@@ -26,10 +26,10 @@ from pvmk.ovm import (
     frame_defect_bounds,
     frame_pvm,
     integrate,
+    rho_assignments,
     scalar_measure,
     validate_ovm,
 )
-from pvmk.rho import rho_assignments
 from pvmk.rng import SplitMix64
 from pvmk.sampling import (
     random_metric_space,
