@@ -212,13 +212,31 @@ def lip_constant(values, space: FiniteMetricSpace) -> Fraction:
         values = [Fraction(x) for x in values]
     scale, d = space.scaled
     den, f = cleared(values)
+    top, bottom = _steepest_pair(f, d)
+    return Fraction(top * scale, bottom * den)
+
+
+def _steepest_pair(f: list[int], d) -> tuple[int, int]:
+    """(top, bottom) = (|f_i - f_j|, d_ij) of the first pair i < j, in row
+    order, with the largest ratio, found by cross-multiplying ints on the
+    int table d; (0, 1) when f is constant."""
     top, bottom = 0, 1
     for i, (fi, row) in enumerate(zip(f, d)):
-        for j in range(i + 1, space.n):
+        for j in range(i + 1, len(f)):
             diff = abs(fi - f[j])
             if diff * bottom > top * row[j]:
                 top, bottom = diff, row[j]
-    return Fraction(top * scale, bottom * den)
+    return top, bottom
+
+
+def float_quotients(ints, scale: int, top) -> np.ndarray:
+    """The float64 array of ints / scale, each correctly rounded, so bitwise
+    the ``float`` of the Fraction.  With ``top`` at least every |int|: in
+    float64 when scale and top are below 2^53, where every int converts
+    exactly and one IEEE division rounds, else on Python ints, whose true
+    division rounds correctly."""
+    exact = max(scale, top) < 2**53
+    return (np.asarray(ints, dtype=np.int64 if exact else object) / scale).astype(float, copy=False)
 
 
 @dataclass(frozen=True)
@@ -263,6 +281,15 @@ class Lip1VertexSet:
         """Row i as a tuple of Fractions, equal to ``vertices[i]``."""
         return tuple(Fraction(x, self.scale) for x in self.rows[i].tolist())
 
+    def witness(self, i: int) -> LipschitzFunction:
+        """``certify_lipschitz(space, vertex(i))``, with the constant found on
+        the integer row L*phi against the scaled table, so no Fraction is
+        cleared: the same ratios, scaled by one positive factor, give the
+        same steepest pair and the same Fraction."""
+        scale, d = self.space.scaled
+        top, bottom = _steepest_pair(self.rows[i].tolist(), d)
+        return LipschitzFunction(self.vertex(i), Fraction(top * scale, bottom * self.scale))
+
     @cached_property
     def vertices(self) -> tuple[tuple[Fraction, ...], ...]:
         """Every row as Fractions, one per distinct value, built on first read."""
@@ -271,12 +298,11 @@ class Lip1VertexSet:
 
     @cached_property
     def half_floats(self) -> np.ndarray:
-        """The half's rows a as read-only float64 a / L: in float64 when L and
-        every |a| <= L * diam are below 2^53, else on Python ints; correctly
-        rounded either way, so bitwise the ``float`` of the Fraction."""
-        exact = self.scale * max(self.space.diam, 1) < 2**53
-        half = self.rows[: (len(self) + 1) // 2].astype(np.int64 if exact else object, copy=False)
-        arr = (half / self.scale).astype(float, copy=False)
+        """The half's rows a as read-only float64 a / L, each bitwise the
+        ``float`` of its Fraction (:func:`float_quotients`, every |a| being
+        at most L * diam)."""
+        half = self.rows[: (len(self) + 1) // 2]
+        arr = float_quotients(half, self.scale, self.scale * self.space.diam)
         arr.setflags(write=False)
         return arr
 

@@ -13,6 +13,7 @@ second throughout.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -38,6 +39,8 @@ from .rng import SplitMix64
 PROJECTION = "projection"
 POSITIVE = "positive"
 DEFAULT_TOL = 1e-10
+# The tolerance at which :func:`conjugate` accepts its atoms.
+CONJUGATE_TOL = 1e-9
 # The largest dense (n, d, d) atom stack, in bytes, that ``random_povm`` or
 # the ``mats`` of a stepped or frame form builds; a larger one raises
 # ``StackTooLarge`` before any of it is allocated.  A contraction step builds
@@ -452,6 +455,7 @@ def _tiled_stack(n: int, seed: np.ndarray) -> np.ndarray:
     copies = n // n_s
     if copies == 1:
         return seed
+    # peak: 1 stack, the atoms; the seed, 1 / copies^2 of it, is the caller's
     check_stack_budget(n, copies * d_s, seed.dtype)
     atoms = np.zeros((n, copies * d_s, copies * d_s), dtype=seed.dtype)
     for w in range(copies):
@@ -469,6 +473,8 @@ def _frame_stack(n: int, frame: np.ndarray, assignment: np.ndarray) -> np.ndarra
     by a set, not ``np.unique``, whose first call imports ``numpy.ma``
     (about 1 MB of peak memory)."""
     width, dim = len(frame), len(assignment)
+    # peak: 1 stack, the atoms, plus one atom's columns of U and their
+    # d_s x d_s product at a time
     check_stack_budget(n, dim, frame.dtype)
     atoms = np.zeros((n, dim, dim), dtype=frame.dtype)
     for lo in range(0, dim, width):
@@ -662,8 +668,18 @@ def representation_check(F: OperatorValuedMeasure, seed: int = 0, extra: int = 3
 
 
 def conjugate(F: OperatorValuedMeasure, u: np.ndarray) -> OperatorValuedMeasure:
-    """Atomwise u F(.) u*; kind and all axioms are preserved.  u must be
-    unitary within ``DEFAULT_TOL``, and the result is validated at 1e-9."""
+    """Atomwise u F(.) u*, as a dense measure of F's kind: atom a is
+    (M + M*) / 2 for M = fl(fl(u F(a)) u*), so it is Hermitian by
+    construction.  u must be unitary within ``DEFAULT_TOL`` in the spectral
+    norm, or ``NotUnitary`` is raised.
+
+    The atoms are accepted exactly when ``validate_ovm`` at
+    ``CONJUGATE_TOL`` accepts them.  For a frame form F every defect that
+    ``validate_ovm`` would measure is bounded from F's frame and u*u
+    (:func:`_conjugate_bounds`), and the atoms are returned when every
+    bound is within ``CONJUGATE_TOL``; otherwise, and for a dense F, they
+    are checked by ``validate_ovm``, which raises the first failure.
+    """
     u = np.asarray(u, dtype=np.complex128)
     if u.shape != (F.dim, F.dim):
         raise MismatchedMeasures("conjugating matrix must match the dimension")
@@ -672,7 +688,88 @@ def conjugate(F: OperatorValuedMeasure, u: np.ndarray) -> OperatorValuedMeasure:
     if not defect <= DEFAULT_TOL:
         raise NotUnitary(f"u*u differs from the identity by {defect}")
     mats = u @ linalg.to_complex(F.mats) @ u.conj().T
-    return validate_ovm(F.space, (mats + mats.conj().transpose(0, 2, 1)) / 2, F.kind, tol=1e-9)
+    mats = (mats + mats.conj().transpose(0, 2, 1)) / 2
+    if F.dense is None and all(b <= CONJUGATE_TOL for b in _conjugate_bounds(F, np.linalg.norm(gap)).values()):
+        mats.setflags(write=False)
+        return OperatorValuedMeasure(F.space, mats, F.kind)
+    return validate_ovm(F.space, mats, F.kind, tol=CONJUGATE_TOL)
+
+
+def _conjugate_bounds(F: OperatorValuedMeasure, gram_defect: float) -> dict[str, float]:
+    """Upper bounds on the defects ``validate_ovm`` measures on the atoms
+    :func:`conjugate` forms from a frame form F and a d x d matrix u with
+    ||fl(u* u) - I||_F = gram_defect: "hermitian", "idempotent", "pair"
+    and "sum", all in max_abs, as in :func:`frame_defect_bounds`.
+
+    Proof.  F's frame is V = I_k (x) U, and atom a is formed as M_a =
+    fl(V_a V_a*), V_a its r_a columns assigned to a (per copy, so the
+    products are those of U's columns).  With eta_U from U's Gram and
+    eta_u from u's (:func:`_frame_eta`), ||V* V - I|| = ||U* U - I|| <=
+    eta_U and ||u|| <= (1 + eta_u)^(1/2).  The exact atoms are those of
+    W = u V: T_a = W_a W_a*, and W* W - I = V* (u* u - I) V + (V* V - I)
+    has norm at most eta = (1 + eta_U) eta_u + eta_U.  So with m_a >=
+    ||S_a - T_a||, S_a the formed atom, the proof of :func:`_frame_bounds`
+    applies with V = W: the pair, idempotent and Hermitian bounds are
+    those of :func:`_defect_bounds` with m = max m_a and c = (d + 2) eps,
+    eps = 2^-52, which bounds the rounding of every d-term sum of the
+    checks, as it did there.
+
+    m_a, by the rounding model of :func:`_frame_bounds` (Higham, Accuracy
+    and Stability of Numerical Algorithms, 2002, ch. 3), in Frobenius
+    norm, which bounds the spectral one:
+
+    - F's forming: M_a = V_a V_a* + E_a, ||E_a||_F <= e_a = (r_a + 2) eps
+      r_a (1 + eta_U), the bound of :func:`_frame_bounds` on every copy,
+      whose squares sum to at most e_a^2.  ||V_a V_a*||_F <= r_a^(1/2)
+      (1 + eta_U), so ||M_a||_F <= mu_a = r_a^(1/2) (1 + eta_U) + e_a.
+    - The products: X = fl(u M_a) errs entrywise by at most c |u| |M_a|,
+      and Y = fl(X u*) by c |X| |u*|.  With g = (d (1 + eta_u))^(1/2) >=
+      ||u||_F, which bounds || |u| ||, ||X - u M_a||_F <= c g mu_a and
+      ||Y - X u*||_F <= c g ||X||_F <= c g mu_a ((1 + eta_u)^(1/2) + c g).
+      With ||u E_a u*||_F <= (1 + eta_u) e_a, Y is within delta_a =
+      (1 + eta_u) e_a + c g mu_a (2 (1 + eta_u)^(1/2) + c g) of T_a.
+    - The symmetrization: T_a is Hermitian, so (Y + Y*) / 2 - T_a is the
+      Hermitian part of Y - T_a, at most delta_a.  The sum rounds each
+      entry by at most eps / 2 of its modulus, and the halving is exact
+      but for parts below 2^-1021, which it rounds by at most 2^-1075.
+      ||T_a||_F <= r_a^(1/2) (1 + eta), so m_a = delta_a + eps / 2
+      (r_a^(1/2) (1 + eta) + delta_a), and the additive c of every bound
+      below covers the halving's at most d 2^-1074.
+
+    An empty atom is formed as zeros throughout, so m_a = 0 for r_a = 0.
+    Sum: sum_a S_a - I = (W W* - I) + sum_a (S_a - T_a), with ||W W* - I||
+    = ||W* W - I|| <= eta for square W, so it is at most eta + M, M =
+    sum_a m_a.  The at most d non-zero atoms are summed with at most d - 1
+    roundings of each entry, which add at most c sum_a |S_a(k, l)|, and by
+    Cauchy-Schwarz sum_a |T_a(k, l)| <= ||W* e_k|| ||W* e_l|| <= 1 + eta;
+    the bound takes twice c (1 + eta + M), half for the subtraction of I
+    and its own rounding.
+    """
+    frame, dim = F.frame, F.dim
+    eps = 2.0**-52
+    c = (dim + 2) * eps
+    eta_f = _frame_eta(np.linalg.norm(frame.conj().T @ frame - np.eye(len(frame))), len(frame))
+    eta_u = _frame_eta(gram_defect, dim)
+    eta = (1 + eta_f) * eta_u + eta_f
+    g, unit = math.sqrt(dim * (1 + eta_u)), math.sqrt(1 + eta_u)
+
+    def own(r: int) -> float:
+        if not r:
+            return 0.0
+        e = (r + 2) * eps * r * (1 + eta_f)
+        mu = math.sqrt(r) * (1 + eta_f) + e
+        delta = (1 + eta_u) * e + c * g * mu * (2 * unit + c * g)
+        return delta + eps / 2 * (math.sqrt(r) * (1 + eta) + delta)
+
+    m = [own(r) for r in np.bincount(F.assignment, minlength=F.space.n).tolist()]
+    top, total = max(m), sum(m)
+    pair = _pair_bound(eta, c, top, top)
+    return {
+        "hermitian": 2 * top + c,
+        "idempotent": pair + top,
+        "pair": pair,
+        "sum": eta + total + 2 * c * (1 + eta + total),
+    }
 
 
 def polarize(quadratic_oracle, g, h) -> np.ndarray:

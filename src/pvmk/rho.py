@@ -30,6 +30,7 @@ from .metric_core import (
     Lip1VertexSet,
     LipschitzFunction,
     certify_lipschitz,
+    float_quotients,
     lip_constant,
 )
 from .ovm import OperatorValuedMeasure, atom_difference_norms, integrate
@@ -88,21 +89,24 @@ def _all_diagonal(deltas: np.ndarray) -> bool:
     return not np.count_nonzero(deltas[:, ~np.eye(deltas.shape[1], dtype=bool)])
 
 
-def _best_float(space, phis: np.ndarray, deltas: np.ndarray, witness, method: str) -> RhoResult:
+def _best_float(phis: np.ndarray, deltas: np.ndarray, witness, method: str) -> RhoResult:
     """The float tail of the vertex and grid routes: the objective stack of
     the rows of ``phis`` against the differences (in real arithmetic unless
     they are complex), the first maximum of its spectral norms and that
     row's top eigenvector, and the certified witness ``witness(i)`` (the
-    values behind row i, built for that row only)."""
+    values behind row i and their constant, built for that row only).  The
+    stack is one ``np.dot`` of ``phis`` and the (n, d^2) differences, the
+    product ``np.tensordot`` forms, without its wrapper."""
     if linalg.is_exact_dtype(deltas.dtype):
         deltas = deltas.astype(np.float64)
-    mats = np.tensordot(phis, deltas, axes=(1, 0))
+    n, d = deltas.shape[:2]
+    mats = np.dot(phis, deltas.reshape(n, d * d)).reshape(len(phis), d, d)
     best_i, value = linalg.max_spectral_norm(mats)
     _, witness_vec = linalg.top_eigenpair(mats[best_i])
     return RhoResult(
         value=value,
         exact=None,
-        witness_phi=certify_lipschitz(space, witness(best_i)),
+        witness_phi=witness(best_i),
         witness_vector=witness_vec,
         method=method,
     )
@@ -139,11 +143,11 @@ def rho_exact(
         return RhoResult(
             value=float(best),
             exact=best,
-            witness_phi=certify_lipschitz(space, vertices.vertex(best_i)),
+            witness_phi=vertices.witness(best_i),
             witness_vector=witness_vec,
             method="vertex",
         )
-    return _best_float(space, vertices.half_floats, deltas, vertices.vertex, "vertex")
+    return _best_float(vertices.half_floats, deltas, vertices.witness, "vertex")
 
 
 def rho_lower_sphere(
@@ -216,7 +220,7 @@ def rho_lower_sphere(
     return RhoResult(
         value=float(best[r]),
         exact=None,
-        witness_phi=certify_lipschitz(space, vertices.vertex(best_iv[r])),
+        witness_phi=vertices.witness(best_iv[r]),
         witness_vector=best_h[r],
         method="sphere",
     )
@@ -237,9 +241,9 @@ def rho_lower_grid(
 
     The samples x n raw values are one block draw,
     ``SplitMix64(seed).uniforms``, bit for bit the scalar ``uniform`` draws
-    in sample-major order.  The float table is read from ``space.scaled``:
-    each entry is L*d / L in Python ints, correctly rounded, so it is the
-    ``float`` of the exact distance.
+    in sample-major order.  The float table is ``space.scaled``'s L*d / L,
+    one true division (``metric_core.float_quotients``) whose entries are
+    the ``float`` of each exact distance.
     """
     _check_frames(space, E, F)
     if samples < 1:
@@ -247,11 +251,11 @@ def rho_lower_grid(
     deltas, _ = _difference_stack(E, F)
     diam = float(space.diam)
     scale, ints = space.scaled
-    dist = np.array([[x / scale for x in row] for row in ints])
+    dist = float_quotients(ints, scale, scale * space.diam)
     raw = SplitMix64(seed).uniforms(samples * space.n, -diam, diam).reshape(samples, space.n)
     phis = (raw[:, None, :] + dist).min(axis=2)
     phis = phis - phis[:, :1]
-    return _best_float(space, phis, deltas, lambda i: phis[i].tolist(), "grid")
+    return _best_float(phis, deltas, lambda i: certify_lipschitz(space, phis[i].tolist()), "grid")
 
 
 @dataclass(frozen=True)

@@ -7,9 +7,11 @@ from pathlib import Path
 
 import numpy as np
 
+from pvmk import ovm
 from pvmk.cuntz import branch_maps
+from pvmk.errors import MismatchedMeasures, NotUnitary
 from pvmk.ifs import make_ifs
-from pvmk.linalg import spectral_norms_stack, to_complex, top_eigenpair
+from pvmk.linalg import max_abs, spectral_norm, spectral_norms_stack, to_complex, top_eigenpair
 from pvmk.metric_core import FiniteMetricSpace, validate_space
 from pvmk.ovm import OperatorValuedMeasure
 
@@ -136,3 +138,27 @@ def full_route_rho(phis, e, f):
     norms = spectral_norms_stack(mats)
     i = int(np.argmax(norms))
     return i, float(norms[i]), top_eigenpair(mats[i])[1]
+
+
+def measured_defects(mats, pairs):
+    """The defects validate_ovm measures, computed as it computes them:
+    per atom, for the listed pairs, and of the sum."""
+    hermitian = ovm._hermitian_defects(mats)
+    idempotent = ovm._max_abs_each(mats @ mats - mats)
+    pair = max((max_abs(np.dot(mats[i], mats[j])) for i, j in pairs), default=0.0)
+    total = max_abs(mats.sum(axis=0) - np.eye(mats.shape[1]))
+    return {"hermitian": hermitian.max(), "idempotent": idempotent.max(), "pair": pair, "sum": total}
+
+
+def validated_conjugate(E, u):
+    """``ovm.conjugate`` as it was before frames were certified: the
+    symmetrized atoms u E(.) u* checked by ``validate_ovm`` at 1e-9."""
+    u = np.asarray(u, dtype=np.complex128)
+    if u.shape != (E.dim, E.dim):
+        raise MismatchedMeasures("conjugating matrix must match the dimension")
+    gap = u.conj().T @ u - np.eye(E.dim)
+    defect = spectral_norm(gap) if np.isfinite(gap).all() else max_abs(gap)
+    if not defect <= ovm.DEFAULT_TOL:
+        raise NotUnitary(f"u*u differs from the identity by {defect}")
+    mats = u @ to_complex(E.mats) @ u.conj().T
+    return ovm.validate_ovm(E.space, (mats + mats.conj().transpose(0, 2, 1)) / 2, E.kind, tol=1e-9)

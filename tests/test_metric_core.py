@@ -32,6 +32,7 @@ from pvmk.metric_core import (
     _violations,
     audit_space,
     certify_lipschitz,
+    float_quotients,
     lip1_vertices,
     lip_constant,
     validate_space,
@@ -740,6 +741,40 @@ def test_rows_over_their_scale_are_the_fraction_view():
         assert np.array_equal(verts.half_floats.view(np.uint64), floats.view(np.uint64))
         with pytest.raises(ValueError):
             verts.rows[0, 0] = 1
+
+
+def test_a_witness_is_its_certified_vertex():
+    # every row of a dyadic line (int64), of a float table (Python ints), of
+    # a theta level, of strict 5-7 point spaces and of one point: the
+    # constant found on the integer row is certify_lipschitz's
+    cases = [
+        (TOWER_LINES[3], np.int64),
+        (_float_space(5, SplitMix64(98)), object),
+        (_tower_spaces(_THETA, 3)[3], np.int64),
+        (validate_space([[0]]), np.int64),
+    ]
+    cases += [(_strict_space(n, SplitMix64(40 + n)), np.int64) for n in (5, 6, 7)]
+    for space, dtype in cases:
+        verts = lip1_vertices(space)
+        assert verts.rows.dtype == dtype
+        for i in range(len(verts)):
+            witness = verts.witness(i)
+            assert witness == certify_lipschitz(space, verts.vertex(i))
+            assert type(witness.constant) is Fraction
+            assert witness.constant == (space.n > 1)
+
+
+def test_float_quotients_are_the_per_entry_division():
+    # the grid route's float table and the half's floats: in float64 below
+    # 2^53, on Python ints above, bitwise the loop of int / int divisions
+    tables = [_strict_space(6, SplitMix64(45)), _tower_spaces(_THETA, 3)[3], _float_space(5, SplitMix64(46))]
+    for space, small in zip(tables, (True, True, False)):
+        scale, ints = space.scaled
+        assert (max(map(max, ints)) < 2**53 and scale < 2**53) == small
+        loop = np.array([[x / scale for x in row] for row in ints])
+        got = float_quotients(ints, scale, scale * space.diam)
+        assert got.dtype == np.float64 and got.shape == loop.shape
+        assert got.tobytes() == loop.tobytes()
 
 
 def test_line_peak_stays_under_its_stated_factor():

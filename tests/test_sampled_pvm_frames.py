@@ -3,12 +3,13 @@ certificate against the defects validate_ovm measures on the built atoms,
 and every step, score, cylinder check and integral of the frame form
 against a dense copy of the same atoms."""
 
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pvmk import linalg, ovm
+from pvmk import ovm
 from pvmk.cli import run
 from pvmk.cuntz import multiplication_pvm
 from pvmk.errors import FrameTooLarge, MismatchedMeasures, NotUnitary, StackTooLarge
@@ -38,6 +39,7 @@ from pvmk.sampling import (
     random_truth_conjugate_pvm,
     random_unitary,
 )
+from oracles import measured_defects
 
 
 def bitwise_equal(a, b):
@@ -47,16 +49,6 @@ def bitwise_equal(a, b):
 
 def dense_copy(E):
     return OperatorValuedMeasure(E.space, E.mats.copy(), E.kind)
-
-
-def measured_defects(mats, pairs):
-    """The defects validate_ovm measures, computed as it computes them:
-    per atom, for the listed pairs, and of the sum."""
-    hermitian = ovm._hermitian_defects(mats)
-    idempotent = ovm._max_abs_each(mats @ mats - mats)
-    pair = max((linalg.max_abs(np.dot(mats[i], mats[j])) for i, j in pairs), default=0.0)
-    total = linalg.max_abs(mats.sum(axis=0) - np.eye(mats.shape[1]))
-    return {"hermitian": hermitian.max(), "idempotent": idempotent.max(), "pair": pair, "sum": total}
 
 
 def _panel():
@@ -262,6 +254,27 @@ def test_reading_the_atoms_of_a_large_frame_is_refused(monkeypatch):
     with pytest.raises(StackTooLarge) as refused:
         E.mats
     assert str(refused.value) == "an atom stack of shape (64, 64, 64) needs 2097152 bytes, budget is 1048576"
+
+
+def test_frame_stack_peak_stays_under_its_stated_factor():
+    # beside its check_stack_budget call, _frame_stack states a peak of 1
+    # stack plus one atom's columns and their d_s x d_s product: a frame of
+    # d_s = 64 on the dyadic level 6 (64 atoms, 2 MiB, and a 32 KiB product)
+    # and one of d_s = 8 stepped to it, in 8 copies (complex, 4 MiB)
+    ct = build_tower(dyadic_ifs(), 6)
+    stepped = random_pvm(ct.level(3).space, 8, SplitMix64(6), complex_=True)
+    for k in range(4, 7):
+        stepped = phi_step(ct, k, stepped)
+    for E, d_s in ((random_pvm(ct.level(6).space, 64, SplitMix64(6)), 64), (stepped, 8)):
+        stack = 64 * 64 * 64 * E.frame.itemsize
+        tracemalloc.start()
+        try:
+            E.mats
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert E.mats.nbytes == stack
+        assert stack <= peak <= stack + 2 * d_s * d_s * E.frame.itemsize + 16 * 1024
 
 
 def _refuse(*args):

@@ -1,10 +1,12 @@
 """Stepped measures: every contraction step stores I_N (x) E without
-building it.  Dense chains of random POVM and PVM seeds, and a seed whose
-atoms do not sum to I, give bit for bit the atoms of the dense placement,
-and the cylinder checks of a dense copy; a deep POVM run builds no stack
-above 8 atoms."""
+building it.  Dense chains of random POVM and PVM seeds, a seed whose
+atoms do not sum to I, and truths with two atoms swapped or one index
+moved give bit for bit the atoms of the dense placement, and the cylinder
+checks of a dense copy; a deep POVM run builds no stack above 8 atoms,
+and building the atoms peaks at one stack."""
 
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -32,15 +34,26 @@ def dense_copy(E):
 
 def _seeds(ct, s, rng):
     """Dense seeds at level s: a random POVM, the atoms of a random PVM,
-    and the truth with atom 0 shifted by 1e-6 I.  The shifted atoms sum to
-    1.000001 I, and of the truth's blocks inside a copy only those holding
-    atom 0 fail, so the seed's verdicts differ from block to block."""
+    the truth with atom 0 shifted by 1e-6 I, the truth with its first and
+    last atoms swapped, and the truth with basis index d/2 - 1 moved into
+    the next atom.  The shifted atoms sum to 1.000001 I, and of the
+    truth's blocks inside a copy only those holding atom 0 fail, so the
+    seed's verdicts differ from block to block.  The swapped and moved
+    seeds are PVMs off the truth whose atoms sum to I; at level 0, with
+    one atom and d = 1, both are the truth."""
     space, d = ct.level(s).space, ct.dim(s)
-    shifted = multiplication_pvm(ct, s).mats + 1e-6 * (np.arange(d) == 0)[:, None, None] * np.eye(d)
+    truth = multiplication_pvm(ct, s).mats
+    shifted = truth + 1e-6 * (np.arange(d) == 0)[:, None, None] * np.eye(d)
+    order = np.arange(d)
+    order[[0, d - 1]] = order[[d - 1, 0]]
+    moved = np.arange(d)
+    moved[d // 2 - 1] = (d // 2) % d
     return {
         "random-povm": random_povm(space, d, rng),
         "random-pvm": dense_copy(random_pvm(space, d, rng)),
         "shifted": OperatorValuedMeasure(space, shifted, "positive"),
+        "swapped": OperatorValuedMeasure(space, truth[order], "projection"),
+        "moved": dense_copy(ovm.diagonal_pvm(space, moved)),
     }
 
 
@@ -77,9 +90,11 @@ def test_stepped_dense_chains_are_the_dense_placement(ifs, depth):
                     assert not report.passed and not got[0][2]
                 else:
                     assert prefixes >= K - s
-    assert chains == 3 * depth * (depth + 1) // 2
-    # every chain from a level above 0 fails its atoms, as do all shifted ones
-    assert failing == chains - 2 * depth
+    # five seeds at each of the levels s < K, for K = 1..depth
+    assert chains == 5 * depth * (depth + 1) // 2
+    # every chain from a level above 0 fails its atoms, as do all shifted
+    # ones; from level 0 the other four seeds are the truth (one atom, d = 1)
+    assert failing == chains - 4 * depth
 
 
 def test_a_stepped_seed_is_checked_once_per_walk(monkeypatch):
@@ -97,6 +112,25 @@ def test_a_stepped_seed_is_checked_once_per_walk(monkeypatch):
     assert calls == [(8, 8)]
     assert [h.size for _, h in _cylinder_identities(ct, E, 9, 9)] == [2**t for t in range(10)]
     assert calls[1:] == [(8, 8), (8, 4), (8, 2), (8, 1)]
+
+
+def test_tiled_stack_peak_stays_under_its_stated_factor():
+    # beside its check_stack_budget call, _tiled_stack states a peak of 1
+    # stack: a dyadic level-3 POVM seed (8 atoms of 8 x 8, 4 KiB) stepped to
+    # level 6 places 64 atoms of 64 x 64, 2 MiB
+    ct = build_tower(dyadic_ifs(), 6)
+    E = random_povm(ct.level(3).space, 8, SplitMix64(5))
+    for k in range(4, 7):
+        E = phi_step(ct, k, E)
+    stack = 64 * 64 * 64 * 8
+    tracemalloc.start()
+    try:
+        E.mats
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert E.mats.nbytes == stack
+    assert stack <= peak <= stack + 16 * 1024
 
 
 def _refuse(*args):
